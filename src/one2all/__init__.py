@@ -1,11 +1,9 @@
 """Adaptive clustering-cost estimation and clustering over small weighted samples."""
 
 from .core import (
-    Assignment,
     CentroidSet,
     MetricSpace,
     WeightedPointSet,
-    assign,
     cost,
     distance,
     nearest,
@@ -37,7 +35,6 @@ from .wrapper import run as cluster_adaptive
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "BaseClustererConfig",
     "CentroidSet",
     "CoordinatedSample",
@@ -51,7 +48,6 @@ __all__ = [
     "UnsupportedSpaceError",
     "WeightedPointSet",
     "WrapperReport",
-    "assign",
     "base_cluster",
     "build",
     "build_feedback",

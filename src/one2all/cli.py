@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
 
 from . import bench, data, oracle
 from .core import MetricSpace
@@ -53,12 +51,6 @@ def _add_common(p):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="one2all", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        type=_positive(int, "--threads"),
-        default=None,
-        help="cap numeric library threads (results do not depend on it)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a Gaussian-mixture dataset")
@@ -267,13 +259,6 @@ def main(argv=None) -> int:
         if e.code in (0, None):
             return 0
         return e.code if isinstance(e.code, int) else 1
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    elif os.environ.get("ONE2ALL_THREADS"):
-        t = os.environ["ONE2ALL_THREADS"]
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, t)
     try:
         return args.func(args)
     except _UsageError as e:

@@ -2,8 +2,40 @@
 
 Distances are either powered Euclidean, d(x, y) = ||x - y||_2^p (a relaxed
 metric with rho = 2^(p-1) for p > 1), or read from a precomputed symmetric
-matrix. All reductions use numpy's pairwise summation in a fixed order, so
-results do not depend on how the work is partitioned.
+matrix.
+
+Every Euclidean distance the package reports is computed one way: the
+difference x - q, squared, then numpy's pairwise sum over the row, as
+`pairwise` does. Owners, distances and costs are therefore the same however
+the work is split into chunks, and whatever BLAS library and thread count
+numpy uses.
+
+The nearest-centroid kernel behind `nearest` and the kmeans++ trace uses a
+GEMM only to decide which of those exact distances to compute. Per chunk of
+rows it scores every centroid as s_j = ||q_j||^2 - 2 x.q_j, so that
+||x - q_j||^2 is about s_j + ||x||^2. With u = 2^-53 and
+gamma_n = n u / (1 - n u), dot-product error bounds hold for any summation
+order, with or without fused multiply-add:
+
+    |fl(x.q) - x.q|           <= gamma_d ||x|| ||q|| <= gamma_d (||x||^2 + ||q||^2) / 2
+    |fl(||v||^2) - ||v||^2|   <= gamma_d ||v||^2
+    |exact(x, q) - ||x-q||^2| <= gamma_{d+2} ||x-q||^2 <= 2 gamma_{d+2} (||x||^2 + ||q||^2)
+
+The first two put the score plus ||x||^2 within 2 gamma_d (||x||^2 + ||q||^2)
+of ||x - q||^2 and the third adds 2 gamma_{d+2}. Each of the four additions
+the kernel rounds adds at most 2 u (||x||^2 + ||q||^2), and 4 (d + 4) u
+covers the total with room for the second-order terms of gamma. So every
+exact distance lies within
+
+    margin(x) = 4 (d + 4) u (||x||^2 + max_j ||q_j||^2 + 2^-1021)
+
+of s_j + ||x||^2; the 2^-1021 term covers products that underflow. A row is
+skipped when its best score plus ||x||^2, less the margin, cannot beat its
+current distance. Otherwise only centroids scoring within twice the margin
+of the row's best can be nearest, and each of those gets an exact distance,
+taken in index order with strict improvement. That is the running minimum
+of the plain per-centroid loop, so ties still go to the lowest index. A
+score that overflows to inf or NaN never skips anything.
 """
 
 from __future__ import annotations
@@ -14,6 +46,8 @@ import numpy as np
 
 # Cap on elements per temporary buffer in the distance kernels (~32 MB float64).
 _CHUNK_ELEMS = 1 << 22
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0  # u = 2^-53
+_UNDERFLOW = 2.0 * np.finfo(np.float64).tiny  # u * 2^-1021 = 2^-1074
 
 
 @dataclass(frozen=True)
@@ -120,14 +154,6 @@ class CentroidSet:
         return self.points.shape[0]
 
 
-@dataclass
-class Assignment:
-    """Nearest-centroid ownership; ties go to the lowest centroid index."""
-
-    owner: np.ndarray
-    dist: np.ndarray
-
-
 def _dedup_rows(points: np.ndarray) -> np.ndarray:
     if points.ndim == 1:
         _, first = np.unique(points, return_index=True)
@@ -148,6 +174,18 @@ def as_points(x) -> np.ndarray:
     if arr.dtype.kind in "iu" and arr.ndim == 1:
         return arr
     return np.atleast_2d(np.asarray(arr, dtype=np.float64))
+
+
+def require_finite(**arrays) -> None:
+    """Raise ValueError naming the first array that holds NaN or inf.
+
+    The distance kernels assume finite input. min and max propagate NaN, so
+    the check needs no temporary array.
+    """
+    for what, values in arrays.items():
+        a = np.asarray(values)
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError(f"{what} contain NaN or inf")
 
 
 def distance(space: MetricSpace, x, y) -> float:
@@ -190,8 +228,7 @@ def pairwise(space: MetricSpace, X, Q) -> np.ndarray:
 def nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (owner index, distance) to the nearest centroid.
 
-    Runs a running minimum over centroids so memory stays O(n) even for
-    large k; strict improvement keeps the lowest index on ties.
+    Memory stays O(n) even for large k; ties go to the lowest index.
     """
     X = as_points(X)
     Q = as_points(Q)
@@ -201,31 +238,66 @@ def nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
         return owner, mat[np.arange(X.shape[0]), owner]
     if X.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: points d={X.shape[1]}, centroids d={Q.shape[1]}")
-    n, d = X.shape
-    dist = np.full(n, np.inf)
-    owner = np.zeros(n, dtype=np.intp)
-    step = max(1, _CHUNK_ELEMS // max(d, 1))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        block = X[start:stop]
-        best = dist[start:stop]
-        who = owner[start:stop]
-        for j in range(Q.shape[0]):
-            diff = block - Q[j]
-            np.square(diff, out=diff)
-            dj = diff.sum(axis=1)
-            better = dj < best
-            best[better] = dj[better]
-            who[better] = j
+    dist = np.full(X.shape[0], np.inf)
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    _lower(X, Q, 0, dist, owner, np.einsum("ij,ij->i", X, X))
     if space.power != 2.0:
         dist **= space.power / 2.0
     return owner, dist
 
 
-def assign(space: MetricSpace, X, Q) -> Assignment:
-    """Assign every point to its nearest centroid (lowest index on ties)."""
-    owner, dist = nearest(space, X, Q)
-    return Assignment(owner=owner, dist=dist)
+def _lower(X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
+           owner: np.ndarray, norms: np.ndarray, power: float = 2.0) -> None:
+    """Lower (dist, owner) in place by the centroids Q, numbered from base.
+
+    The result is that of a running minimum over the columns of
+    pairwise(X, Q) with strict improvement: a row moves to centroid base + j
+    only if ||x - Q[j]||^power is below dist, and the lowest index wins
+    ties. dist holds distances raised to that same power; norms holds the
+    squared row norms of X, which callers reuse across calls.
+    """
+    d = X.shape[1]
+    k = Q.shape[0]
+    qq = np.einsum("ij,ij->i", Q, Q)
+    slack = qq.max() + _UNDERFLOW
+    # temporaries per row: k scores, then d for the row once it is gathered;
+    # sizing by 2d + k leaves room for the masks and per-row vectors as well
+    step = max(1, _CHUNK_ELEMS // (2 * d + k))
+    for start in range(0, X.shape[0], step):
+        block = X[start : start + step]
+        cur = dist[start : start + step]
+        who = owner[start : start + step]
+        score = Q @ block.T  # one row per centroid
+        score *= -2.0
+        score += qq[:, None]
+        best = score.min(axis=0)
+        xx = norms[start : start + step]
+        margin = xx + slack
+        margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
+        bound = best + xx
+        bound -= margin  # at most the row's smallest exact distance
+        if power != 2.0:
+            np.maximum(bound, 0.0, out=bound)
+            bound **= power / 2.0
+            bound *= 1.0 - 1e-12  # pow is within a few ulps and monotone
+        margin *= 2.0
+        best += margin  # a score above this cannot be the row's nearest
+        skip = score > best
+        del score
+        skip |= bound >= cur  # cannot beat the row's current distance
+        cand = np.logical_not(skip, out=skip)  # NaN (overflow) never skips
+        for j in range(k):
+            rows = np.flatnonzero(cand[j])
+            diff = block[rows]
+            diff -= Q[j]
+            np.square(diff, out=diff)
+            exact = diff.sum(axis=1)
+            if power != 2.0:
+                exact **= power / 2.0
+            better = exact < cur[rows]
+            rows = rows[better]
+            cur[rows] = exact[better]
+            who[rows] = base + j
 
 
 def cost(space: MetricSpace, X, weights, Q) -> float:

@@ -144,6 +144,10 @@ def load_delimited(
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise DataFormatError(f"{path}: NaN or inf in data row {bad + 1}")
     weights = None
     if weight_column is not None:
         col = weight_column % arr.shape[1]
@@ -158,6 +162,8 @@ def load_delimited(
     gt = gt_cost = None
     if gt_rows:
         gt = CentroidSet(np.asarray(gt_rows, dtype=np.float64))
+        if not np.isfinite(gt.points).all():
+            raise DataFormatError(f"{path}: NaN or inf in a ground-truth row")
         if gt.points.shape[1] != arr.shape[1]:
             raise DataFormatError(f"{path}: ground-truth dimension mismatch")
         gt_cost = cost(_GT_SPACE, arr, points.weights, gt)

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import MetricSpace, as_points, pairwise
+from .core import MetricSpace, _lower, as_points, pairwise
 
 
 @dataclass
@@ -52,12 +52,34 @@ def _draw_index(rng: np.random.Generator, mass: np.ndarray) -> int:
     return idx
 
 
+def _extender(space: MetricSpace, X: np.ndarray):
+    """An empty prefix (dist = inf, owner = 0) and add(s, i), which makes X[s]
+    centroid i: the rows strictly closer to it move to it, in place."""
+    dist = np.full(X.shape[0], np.inf)
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    if space.kind == "matrix":
+        def add(s: int, i: int) -> None:
+            dnew = pairwise(space, X, X[s : s + 1])[:, 0]
+            better = dnew < dist
+            dist[better] = dnew[better]
+            owner[better] = i
+
+        return dist, owner, add
+    norms = np.einsum("ij,ij->i", X, X)
+
+    def add(s: int, i: int) -> None:
+        _lower(X, X[s : s + 1], i, dist, owner, norms, space.power)
+
+    return dist, owner, add
+
+
 def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     """D² seeding: m_1 ~ w_x, then m_i ~ w_x * d(x, prefix).
 
-    Maintains per-point distance to the prefix incrementally (one distance
-    column per iteration). If residual mass hits zero before ell centroids
-    (all points coincide with centroids) the trace truncates and says so.
+    Maintains per-point distance to the prefix incrementally: one centroid
+    per iteration, with exact distances only where it may be nearer. If
+    residual mass hits zero before ell centroids (all points coincide with
+    centroids) the trace truncates and says so.
     """
     X = as_points(X)
     n = X.shape[0]
@@ -69,8 +91,8 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     rng = np.random.default_rng(seed)
 
     chosen: list[int] = [_draw_index(rng, w)]
-    dist = pairwise(space, X, X[chosen[-1] : chosen[-1] + 1])[:, 0]
-    owner = np.zeros(n, dtype=np.intp)
+    dist, owner, add = _extender(space, X)
+    add(chosen[-1], 0)
     costs = [float(np.sum(w * dist))]
     truncated = False
     for i in range(1, ell):
@@ -80,10 +102,7 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
             break
         s = _draw_index(rng, mass)
         chosen.append(s)
-        dnew = pairwise(space, X, X[s : s + 1])[:, 0]
-        better = dnew < dist
-        dist[better] = dnew[better]
-        owner[better] = i
+        add(s, i)
         costs.append(float(np.sum(w * dist)))
 
     idx = np.asarray(chosen, dtype=np.intp)
@@ -104,17 +123,11 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
     """Yield (i, owner, dist, v_i) for every prefix i = 1..ell.
 
-    Recomputes each centroid's distance column once, so a full replay costs
-    the same O(ell * n) as building the trace. The yielded arrays are reused
+    Adds the centroids one at a time, as building the trace did, so a full
+    replay costs the same O(ell * n). The yielded arrays are reused
     between iterations; copy them if they must outlive the loop step.
     """
-    X = trace.points
-    n = X.shape[0]
-    dist = np.full(n, np.inf)
-    owner = np.zeros(n, dtype=np.intp)
+    dist, owner, add = _extender(trace.space, trace.points)
     for i, s in enumerate(trace.centroid_indices):
-        dnew = pairwise(trace.space, X, X[s : s + 1])[:, 0]
-        better = dnew < dist
-        dist[better] = dnew[better]
-        owner[better] = i
+        add(s, i)
         yield i + 1, owner, dist, float(trace.prefix_costs[i])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricSpace, as_points, cost
+from .core import MetricSpace, as_points, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
 from .probabilities import One2AllProbabilities, sweet_spot
@@ -88,6 +88,7 @@ def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int,
         raise ValueError("eps must be positive")
     X = as_points(X)
     w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    require_finite(points=X, weights=w)
     trace_seed, sample_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(2)
     )
@@ -102,6 +103,7 @@ def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> O
         raise ValueError("eps must be positive")
     X = as_points(X)
     w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    require_finite(points=X, weights=w)
     ell = min(2 * k, X.shape[0])
     trace_seed, sample_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(2)
@@ -113,6 +115,7 @@ def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> O
 
 def query(state: OracleState, Q) -> float:
     """Inverse-probability cost estimate from the frozen sample."""
+    require_finite(centroids=as_points(Q))
     return estimate_cost(state.space, state.sample, Q)
 
 
@@ -124,6 +127,7 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
     and the threshold becomes min{C, V}/2 so it always at least halves. A
     saturated state answers exactly and never updates.
     """
+    require_finite(centroids=as_points(Q))
     est = estimate_cost(state.space, state.sample, Q)
     if est > state.C:
         return est, False
@@ -226,6 +230,7 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
                 f"dataset has {n} points but oracle was built over {int(data['n'])}"
             )
         weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+        require_finite(points=points, weights=weights)
         u = point_uniforms(sample_seed, n)
         sample = draw(points, weights, p, sample_seed, u=u)
         if (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, cost
+from .core import CentroidSet, MetricSpace, as_points, cost, require_finite
 from .kmeanspp import run_trace
 from .lloyd import BaseClustererConfig, make_base
 from .probabilities import One2AllProbabilities, sweet_spot
@@ -110,6 +110,7 @@ def run(
     X = as_points(X)
     n = X.shape[0]
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    require_finite(points=X, weights=w)
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     trace_seed, sample_seed, base_seed, confirm_seed = (

@@ -1,9 +1,13 @@
 """Command-line behavior: exit codes, output determinism, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import one2all
 from one2all.cli import main
 from one2all.data import load_delimited
 
@@ -80,6 +84,27 @@ def test_cluster_missing_file_is_data_error(capsys):
     rc = main(["cluster", "--in", "/nonexistent/x.csv", "--k", "2", "--eps", "0.3"])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_non_finite_input_is_data_error(tmp_path, capsys):
+    path = _gen(tmp_path, n=200, d=2, k=2, seed=4)
+    lines = path.read_text().splitlines()
+    first_row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[first_row + 5] = "nan,1.0"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["cluster", "--in", str(bad), "--k", "2", "--eps", "0.3"]) == 2
+    assert "NaN or inf" in capsys.readouterr().err
+    oracle_path = tmp_path / "o.npz"
+    assert main(["oracle-build", "--in", str(bad), "--k", "2", "--eps", "0.3",
+                 "--out", str(oracle_path)]) == 2
+    assert main(["oracle-build", "--in", str(path), "--k", "2", "--eps", "0.3",
+                 "--out", str(oracle_path)]) == 0
+    qpath = _write_query(tmp_path, [[0.0, 1.0], [float("inf"), 2.0]])
+    capsys.readouterr()
+    assert main(["oracle-query", "--oracle", str(oracle_path), "--query", str(qpath)]) == 2
+    assert "NaN or inf" in capsys.readouterr().err
 
 
 # oracle build / query ---------------------------------------------------------
@@ -232,13 +257,21 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_threads_flag_sets_env(tmp_path, monkeypatch, capsys):
-    import os
-
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    path = _gen(tmp_path, n=100, d=2, k=2, seed=9)
-    rc = main(["--threads", "2", "cluster", "--in", str(path), "--k", "2",
-               "--eps", "0.5"])
-    assert rc == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+def test_cluster_stdout_independent_of_blas_threads(tmp_path):
+    # thread counts must be set before numpy loads, so each run is a process
+    path = _gen(tmp_path, n=3000, d=12, k=4, seed=9)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(one2all.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "one2all", "cluster", "--in", str(path), "--k", "4",
+             "--eps", "0.2", "--seed", "3"],
+            capture_output=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 5

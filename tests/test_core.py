@@ -1,4 +1,4 @@
-"""Distance kernels, assignment, and exact cost."""
+"""Distance kernels, nearest-centroid assignment, and exact cost."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from one2all import core
 from one2all.core import (
     CentroidSet,
     MetricSpace,
     WeightedPointSet,
-    assign,
     cost,
     distance,
     nearest,
     pairwise,
 )
+from one2all.kmeanspp import _draw_index, replay, run_trace
 
 
 def test_squared_euclidean_simple():
@@ -83,14 +84,14 @@ def test_nearest_tie_goes_to_lowest_index():
     assert dist[0] == 1.0
 
 
-def test_assign_and_cost_weighted():
+def test_nearest_and_cost_weighted():
     sp = MetricSpace.euclidean(2.0)
     X = np.array([[0.0], [1.0], [9.0], [10.0]])
     w = np.array([1.0, 2.0, 1.0, 3.0])
     Q = np.array([[0.0], [10.0]])
-    a = assign(sp, X, Q)
-    np.testing.assert_array_equal(a.owner, [0, 0, 1, 1])
-    np.testing.assert_allclose(a.dist, [0.0, 1.0, 1.0, 0.0])
+    owner, dist = nearest(sp, X, Q)
+    np.testing.assert_array_equal(owner, [0, 0, 1, 1])
+    np.testing.assert_allclose(dist, [0.0, 1.0, 1.0, 0.0])
     assert cost(sp, X, w, Q) == pytest.approx(2.0 * 1.0 + 1.0 * 1.0)
     assert cost(sp, X, None, Q) == pytest.approx(2.0)
 
@@ -188,3 +189,189 @@ def test_relaxed_triangle_property(X, p):
         for j in range(n):
             via = d[i, :] + d[:, j]
             assert d[i, j] <= sp.rho * via.min() + 1e-6 * max(1.0, d[i, j])
+
+
+# The GEMM-screened kernel against the plain column loop ---------------------
+#
+# nearest, run_trace and replay must give the bytes the per-centroid loop
+# below gives: exact distances from diff -> square -> sum, a running minimum
+# with strict improvement (lowest index on ties), powered as pairwise does.
+
+
+def ref_column(p, X, q):
+    diff = X - q
+    np.square(diff, out=diff)
+    col = diff.sum(axis=1)
+    if p != 2.0:
+        col **= p / 2.0
+    return col
+
+
+def ref_nearest(p, X, Q):
+    dist = np.full(X.shape[0], np.inf)
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    for j in range(Q.shape[0]):
+        dj = ref_column(2.0, X, Q[j])
+        better = dj < dist
+        dist[better] = dj[better]
+        owner[better] = j
+    if p != 2.0:
+        dist **= p / 2.0
+    return owner, dist
+
+
+def ref_trace(p, X, w, ell, seed):
+    """The kmeans++ trace loop with one reference column per step."""
+    rng = np.random.default_rng(seed)
+    chosen = [_draw_index(rng, w)]
+    dist = ref_column(p, X, X[chosen[0]])
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    steps = [(owner.copy(), dist.copy())]
+    costs = [float(np.sum(w * dist))]
+    for i in range(1, ell):
+        mass = w * dist
+        if not np.any(mass > 0.0):
+            break
+        s = _draw_index(rng, mass)
+        chosen.append(s)
+        dnew = ref_column(p, X, X[s])
+        better = dnew < dist
+        dist[better] = dnew[better]
+        owner[better] = i
+        steps.append((owner.copy(), dist.copy()))
+        costs.append(float(np.sum(w * dist)))
+    return chosen, steps, costs
+
+
+def assert_same_bytes(got, want):
+    __tracebackhide__ = True
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.tobytes() != want.tobytes():
+        bad = np.flatnonzero(got != want)[:5]
+        pytest.fail(f"differ at {bad}: {got[bad]!r} vs {want[bad]!r}")
+
+
+def assert_kernel_matches(X, Q, p, w=None, ell=None, seed=0):
+    sp = MetricSpace.euclidean(p)
+    owner, dist = nearest(sp, X, Q)
+    ref_owner, ref_dist = ref_nearest(p, X, Q)
+    assert_same_bytes(owner, ref_owner)
+    assert_same_bytes(dist, ref_dist)
+    w = np.ones(X.shape[0]) if w is None else w
+    ell = min(X.shape[0], 6) if ell is None else ell
+    trace = run_trace(sp, X, w, ell, seed)
+    chosen, steps, costs = ref_trace(p, X, w, ell, seed)
+    assert_same_bytes(trace.centroid_indices, np.asarray(chosen, dtype=np.intp))
+    assert_same_bytes(trace.prefix_costs, np.asarray(costs))
+    assert_same_bytes(trace.owner, steps[-1][0])
+    assert_same_bytes(trace.dist, steps[-1][1])
+    replayed = 0
+    for (i, o, d, v), (ref_o, ref_d) in zip(replay(trace), steps):
+        assert_same_bytes(o, ref_o)
+        assert_same_bytes(d, ref_d)
+        assert v == costs[i - 1]
+        replayed += 1
+    assert replayed == len(steps)
+
+
+coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=coords))
+    Q = draw(hnp.arrays(np.float64, (k, d), elements=coords))
+    if draw(st.booleans()):  # some centroids are data points
+        Q[: min(k, n)] = X[: min(k, n)]
+    return X, Q
+
+
+@given(kernel_inputs(), st.sampled_from([1.0, 2.0, 3.0]), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_column_loop_property(inputs, p, seed):
+    X, Q = inputs
+    assert_kernel_matches(X, Q, p, seed=seed)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_duplicated_centroids_go_to_lowest_index(p):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(300, 4))
+    Q = rng.normal(size=(5, 4))
+    Q = np.vstack([Q, Q[::-1], Q])  # every centroid three times
+    owner, _ = nearest(MetricSpace.euclidean(p), X, Q)
+    assert owner.max() < 5
+    assert_kernel_matches(X, Q, p)
+    # duplicated points give duplicated trace centroids
+    assert_kernel_matches(np.vstack([X[:40], X[:40]]), Q, p, ell=30, seed=3)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_points_on_centroids_are_exactly_zero(p):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(200, 6)) * 50.0
+    Q = X[[7, 3, 150, 3]]
+    owner, dist = nearest(MetricSpace.euclidean(p), X, Q)
+    assert dist[7] == 0.0 and dist[150] == 0.0 and dist[3] == 0.0
+    assert owner[3] == 1  # the first copy of X[3]
+    assert_kernel_matches(X, Q, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_large_offset_unit_spread(p):
+    # |x|^2 ~ 1e13 dwarfs the distances, so GEMM scores alone cannot rank them
+    rng = np.random.default_rng(13)
+    X = 1e6 + rng.normal(size=(500, 8))
+    Q = 1e6 + rng.normal(size=(9, 8))
+    assert_kernel_matches(X, Q, p, ell=12, seed=1)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_one_dimension_and_one_centroid(p):
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(400, 1))
+    assert_kernel_matches(X, rng.normal(size=(6, 1)), p, ell=15)
+    assert_kernel_matches(X, rng.normal(size=(1, 1)), p)
+    Y = rng.normal(size=(400, 7))
+    assert_kernel_matches(Y, Y[:1], p, ell=1)
+    assert_kernel_matches(Y, rng.normal(size=(1, 7)), p, ell=20)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_independent_of_chunk_size(p, monkeypatch):
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(150, 5)) * rng.uniform(0.1, 10.0, size=(150, 1))
+    Q = np.vstack([rng.normal(size=(4, 5)), X[[2, 9]]])
+    sp = MetricSpace.euclidean(p)
+    before = nearest(sp, X, Q)
+    trace_before = run_trace(sp, X, None, 10, 2)
+    for elems in (1, 13, 64):
+        monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+        assert_kernel_matches(X, Q, p, ell=10, seed=2)
+        after = nearest(sp, X, Q)
+        assert_same_bytes(after[0], before[0])
+        assert_same_bytes(after[1], before[1])
+        assert_same_bytes(run_trace(sp, X, None, 10, 2).dist, trace_before.dist)
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-161])
+def test_kernel_subnormal_scale(scale):
+    # squared distances underflow into subnormals, where rounding is absolute
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(400, 20)) * scale
+    Q = np.vstack([rng.normal(size=(8, 20)) * scale, X[:2]])
+    for p in (1.0, 2.0, 3.0):
+        assert_kernel_matches(X, Q, p, ell=12, seed=5)
+
+
+def test_kernel_matches_on_clustered_data():
+    # well-separated clusters: most rows are screened out of each trace step
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(3000, 12)) + 20.0 * rng.integers(0, 6, size=(3000, 1))
+    w = rng.uniform(0.5, 2.0, size=3000)
+    Q = X[rng.choice(3000, size=10, replace=False)]
+    assert_kernel_matches(X, Q, 2.0, w=w, ell=20, seed=4)

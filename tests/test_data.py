@@ -138,6 +138,22 @@ def test_load_rejects_empty_and_nonpositive_weights(tmp_path):
         load_delimited(badw, weight_column=-1)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_load_rejects_non_finite_values(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(DataFormatError, match="row 2"):
+        load_delimited(path)
+    weighted = tmp_path / "nonfinite-weight.csv"
+    weighted.write_text(f"1.0,2.0,1.0\n3.0,4.0,{cell}\n")
+    with pytest.raises(DataFormatError, match="row 2"):
+        load_delimited(weighted, weight_column=-1)
+    truth = tmp_path / "nonfinite-truth.csv"
+    truth.write_text(f"# ground-truth: 1.0,{cell}\n1.0,2.0\n")
+    with pytest.raises(DataFormatError, match="ground-truth"):
+        load_delimited(truth)
+
+
 def test_load_rejects_ground_truth_dimension_mismatch(tmp_path):
     path = tmp_path / "gt.csv"
     path.write_text("# ground-truth: 1.0,2.0,3.0\n1.0,2.0\n")

@@ -281,3 +281,33 @@ def test_feedback_query_after_reload_continues(tmp_path):
     est_b, ex_b = oracle.feedback_query(back, X[2:4])
     assert ex_a == ex_b
     assert est_a == pytest.approx(est_b, rel=1e-12)
+
+
+# non-finite input -------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_builds_reject_non_finite_points_and_weights(bad):
+    X, w = _mixture(10, n=300)
+    Xb = X.copy()
+    Xb[3, 1] = bad
+    wb = w.copy()
+    wb[8] = bad
+    for args in ((Xb, w), (X, wb)):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            oracle.build(SP2, *args, ell=6, C=1.0, eps=0.5, seed=0)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            oracle.build_feedback(SP2, *args, k=3, eps=0.5, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_queries_reject_non_finite_centroids(bad):
+    X, w = _mixture(11, n=500)
+    st = oracle.build_feedback(SP2, X, w, k=3, eps=0.5, seed=0)
+    Q = X[:3].copy()
+    Q[1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        oracle.feedback_query(st, Q)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        oracle.query(st, Q)
+    assert st.update_count == 0

@@ -218,3 +218,19 @@ def test_logged_estimate_matches_recomputation():
         sample = draw(X, w, rep.final_p, rep.sample_seed)
         est = estimate_cost(SP2, sample, Q.points)
         assert est == pytest.approx(last["estimate"], rel=1e-9)
+
+
+# non-finite input -------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_points_and_weights(bad):
+    X, w = _mixture(9, n=300)
+    Xb = X.copy()
+    Xb[17, 2] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        run(SP2, Xb, w, k=3, eps=0.3, seed=0)
+    wb = w.copy()
+    wb[5] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        run(SP2, X, wb, k=3, eps=0.3, seed=0)
