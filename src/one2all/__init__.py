@@ -18,7 +18,6 @@ from .probabilities import (
     one2all_probs,
     sweet_spot,
     verify_dominance,
-    weighted_median,
 )
 from .sampling import (
     CoordinatedSample,
@@ -71,5 +70,4 @@ __all__ = [
     "run_trace",
     "sweet_spot",
     "verify_dominance",
-    "weighted_median",
 ]

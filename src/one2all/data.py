@@ -4,11 +4,12 @@ Three sources: a Gaussian-mixture generator with known ground-truth
 centroids (means on a line, one spacing apart), delimited text, and IDX
 image files (big-endian, the MNIST container format). Ground-truth cost is
 always measured in squared Euclidean distance, the space the benchmark
-pipeline runs in.
+pipeline runs in, and computed only when first read.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -20,13 +21,16 @@ from .errors import DataFormatError
 _GT_SPACE = MetricSpace.euclidean(2.0)
 _MAGIC_IMAGES = 0x00000803
 _MAGIC_LABELS = 0x00000801
+_DUMP_ROWS = 1 << 14  # rows formatted per write, which bounds a dump's memory
+# str.isspace() and numpy's text reader count these as whitespace, float()
+# does not: numpy reads the cell "1\x1c" as 1.0 where float() refuses it.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
 class LabeledDataset:
     points: WeightedPointSet
     ground_truth: CentroidSet | None = None
-    ground_truth_cost: float | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -36,6 +40,16 @@ class LabeledDataset:
     @property
     def d(self) -> int:
         return self.points.points.shape[1]
+
+    @functools.cached_property
+    def ground_truth_cost(self) -> float | None:
+        """Cost of the ground truth (None without one), cached on first read.
+
+        It is a full-data pass that clustering and the oracle never need.
+        """
+        if self.ground_truth is None:
+            return None
+        return cost(_GT_SPACE, self.points.points, self.points.weights, self.ground_truth)
 
 
 def gen_gmm(n: int, d: int, k: int, seed: int, spacing: float = 10.0) -> LabeledDataset:
@@ -58,13 +72,9 @@ def gen_gmm(n: int, d: int, k: int, seed: int, spacing: float = 10.0) -> Labeled
     for child, mean, sigma, size in zip(root.spawn(k), means, sigmas, sizes):
         comp = np.random.default_rng(child)
         parts.append(mean + sigma * comp.standard_normal((size, d)))
-    X = np.vstack(parts)
-    points = WeightedPointSet(X)
-    gt = CentroidSet(means)
     return LabeledDataset(
-        points=points,
-        ground_truth=gt,
-        ground_truth_cost=cost(_GT_SPACE, X, points.weights, gt),
+        points=WeightedPointSet(np.vstack(parts)),
+        ground_truth=CentroidSet(means),
         meta={
             "name": f"gmm-n{n}-d{d}-k{k}-s{seed}",
             "n": n,
@@ -85,20 +95,19 @@ def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> 
     pts = dataset.points.points
     w = dataset.points.weights
     weighted = not np.all(w == 1.0)
+    k = dataset.meta.get("k", dataset.ground_truth.k if dataset.ground_truth else 0)
+    head = [f"# one2all-dataset v1 n={pts.shape[0]} d={pts.shape[1]} k={k}\n"]
+    if weighted:
+        head.append("# weights: last-column\n")
+    if dataset.ground_truth is not None:
+        head += ["# ground-truth: " + delimiter.join(map(repr, q)) + "\n"
+                 for q in dataset.ground_truth.points.tolist()]
+    rows = np.column_stack([pts, w]) if weighted else pts
     with open(path, "w") as f:
-        meta = dataset.meta
-        k = meta.get("k", dataset.ground_truth.k if dataset.ground_truth else 0)
-        f.write(f"# one2all-dataset v1 n={pts.shape[0]} d={pts.shape[1]} k={k}\n")
-        if weighted:
-            f.write("# weights: last-column\n")
-        if dataset.ground_truth is not None:
-            for q in dataset.ground_truth.points:
-                f.write("# ground-truth: " + delimiter.join(repr(float(v)) for v in q) + "\n")
-        for i in range(pts.shape[0]):
-            row = [repr(float(v)) for v in pts[i]]
-            if weighted:
-                row.append(repr(float(w[i])))
-            f.write(delimiter.join(row) + "\n")
+        f.write("".join(head))
+        for start in range(0, rows.shape[0], _DUMP_ROWS):
+            block = rows[start : start + _DUMP_ROWS].tolist()
+            f.write("".join([delimiter.join(map(repr, row)) + "\n" for row in block]))
 
 
 def load_delimited(
@@ -109,68 +118,101 @@ def load_delimited(
 ) -> LabeledDataset:
     """Rows become points; comment lines from a native dump are honored.
 
-    weight_column (0-based; negative counts from the end) pulls weights out
-    of the data columns. Parse failures report the 1-based file line.
+    Lines end at \\n, \\r\\n or \\r. A line that str.strip() empties is
+    skipped; one that then starts with '#' is a comment, of which
+    '# weights: last-column' and '# ground-truth: <cells>' are read. With
+    has_header the first remaining line is skipped. Every other line is a
+    row of cells split on delimiter; each cell gives the float64 that
+    float() gives for it, bit for bit, and all rows need the same number of
+    cells. weight_column (0-based; negative counts from the end) pulls
+    weights out of the data columns. Errors name the path and the 1-based
+    file line ("row N").
     """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
+    lines = _read_lines(path)
+    # Only lines that start with '#' or whitespace need a closer look; any
+    # other line is a data row as it stands. Whitespace at its end needs no
+    # strip: a cell's edges are ignored, and where it would add an empty cell
+    # (a whitespace delimiter) numpy refuses and the float() loop strips.
+    odd = [i for i, s in enumerate(lines) if s[0] == "#" or s[0].isspace()]
+    rows: list[str] = []
+    skipped: list[int] = []  # 0-based indices of the lines that hold no row
     gt_rows: list[list[float]] = []
-    rows: list[list[float]] = []
-    header_skipped = not has_header
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("weights: last-column") and weight_column is None:
-                    weight_column = -1
-                elif body.startswith("ground-truth:"):
-                    payload = body.split(":", 1)[1]
-                    gt_rows.append([float(v) for v in payload.split(delimiter)])
-                continue
-            if not header_skipped:
-                header_skipped = True
-                continue
-            cells = line.split(delimiter)
+    gt_lines: list[int] = []
+    gt_error = None  # (file line, message) of the first bad ground-truth line
+    start = 0
+    for i in odd:
+        rows.extend(lines[start:i])
+        start = i + 1
+        line = lines[i].strip()
+        if line and line[0] != "#":
+            rows.append(line)
+            continue
+        skipped.append(i)
+        if not line:
+            continue
+        body = line[1:].strip()
+        if body.startswith("weights: last-column") and weight_column is None:
+            weight_column = -1
+        elif body.startswith("ground-truth:") and gt_error is None:
             try:
-                rows.append([float(c) for c in cells])
+                gt_rows.append([float(v) for v in body.split(":", 1)[1].split(delimiter)])
+                gt_lines.append(i + 1)
             except ValueError as e:
-                raise DataFormatError(f"{path}: row {lineno}: {e}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise DataFormatError(
-                    f"{path}: row {lineno}: expected {len(rows[0])} columns, "
-                    f"got {len(rows[-1])}"
-                )
+                gt_error = (i + 1, f"{path}: row {i + 1}: {e}")
+    rows.extend(lines[start:])
+    line_of = np.delete(np.arange(1, len(lines) + 1), skipped)
+    if has_header and rows:
+        del rows[0]
+        line_of = line_of[1:]
+    if gt_error is not None:
+        above = int(np.searchsorted(line_of, gt_error[0]))
+        if above:  # a bad row above the bad ground-truth line is named first
+            _parse_rows(path, rows[:above], line_of[:above], delimiter)
+        raise DataFormatError(gt_error[1])
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
+    arr = _parse_rows(path, rows, line_of, delimiter)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise DataFormatError(f"{path}: NaN or inf in data row {bad + 1}")
+        bad = line_of[np.flatnonzero(~finite)[0]]
+        raise DataFormatError(f"{path}: row {bad}: NaN or inf in a data row")
     weights = None
     if weight_column is not None:
-        col = weight_column % arr.shape[1]
+        ncols = arr.shape[1]
+        if not -ncols <= weight_column < ncols:
+            raise DataFormatError(
+                f"{path}: weight column {weight_column} is out of range "
+                f"for {ncols} columns"
+            )
+        col = weight_column % ncols
         weights = arr[:, col]
         arr = np.delete(arr, col, axis=1)
         if np.any(weights <= 0):
-            bad = int(np.flatnonzero(weights <= 0)[0])
-            raise DataFormatError(f"{path}: nonpositive weight in data row {bad + 1}")
+            bad = line_of[np.flatnonzero(weights <= 0)[0]]
+            raise DataFormatError(f"{path}: row {bad}: nonpositive weight")
     if arr.shape[1] == 0:
         raise DataFormatError(f"{path}: rows have no coordinate columns")
-    points = WeightedPointSet(arr, weights)
-    gt = gt_cost = None
+    gt = None
     if gt_rows:
-        gt = CentroidSet(np.asarray(gt_rows, dtype=np.float64))
-        if not np.isfinite(gt.points).all():
-            raise DataFormatError(f"{path}: NaN or inf in a ground-truth row")
-        if gt.points.shape[1] != arr.shape[1]:
+        for lineno, row in zip(gt_lines, gt_rows):
+            if len(row) != len(gt_rows[0]):
+                raise DataFormatError(
+                    f"{path}: row {lineno}: expected {len(gt_rows[0])} "
+                    f"ground-truth values, got {len(row)}"
+                )
+        gt_arr = np.asarray(gt_rows, dtype=np.float64)
+        finite = np.isfinite(gt_arr).all(axis=1)
+        if not finite.all():
+            bad = gt_lines[np.flatnonzero(~finite)[0]]
+            raise DataFormatError(f"{path}: row {bad}: NaN or inf in a ground-truth row")
+        if gt_arr.shape[1] != arr.shape[1]:
             raise DataFormatError(f"{path}: ground-truth dimension mismatch")
-        gt_cost = cost(_GT_SPACE, arr, points.weights, gt)
+        gt = CentroidSet(gt_arr)
     return LabeledDataset(
-        points=points,
+        points=WeightedPointSet(arr, weights),
         ground_truth=gt,
-        ground_truth_cost=gt_cost,
         meta={
             "name": path,
             "n": arr.shape[0],
@@ -178,6 +220,50 @@ def load_delimited(
             "k": gt.k if gt else 0,
         },
     )
+
+
+def _read_lines(path) -> list[str]:
+    """The lines that text-mode iteration over the file gives, newlines kept."""
+    with open(path) as f:
+        try:
+            return f.readlines()
+        except UnicodeDecodeError:
+            encoding = f.encoding
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        raw.decode(encoding)
+    except UnicodeDecodeError as e:
+        raw = raw[: e.start]
+    line = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
+    raise DataFormatError(f"{path}: row {line}: not valid {encoding} text")
+
+
+def _parse_rows(path, rows: list[str], line_of: np.ndarray, delimiter: str) -> np.ndarray:
+    """The rows' cells as an (n, d) float64 array, bit for bit as float() parses.
+
+    numpy's C reader takes the common case. Where it refuses (a cell only
+    float() reads, such as "1_0" or non-ASCII digits, a bad cell, a ragged
+    row, a delimiter longer than one character) the per-cell float() loop
+    reads the rows instead, and names the first bad line.
+    """
+    if not any(c in s for s in rows for c in _NOT_FLOAT_SPACE):
+        try:
+            return np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
+        except (ValueError, TypeError):
+            pass
+    parsed: list[list[float]] = []
+    for line, lineno in zip(rows, line_of.tolist()):
+        try:
+            parsed.append([float(c) for c in line.strip().split(delimiter)])
+        except ValueError as e:
+            raise DataFormatError(f"{path}: row {lineno}: {e}") from None
+        if len(parsed[-1]) != len(parsed[0]):
+            raise DataFormatError(
+                f"{path}: row {lineno}: expected {len(parsed[0])} columns, "
+                f"got {len(parsed[-1])}"
+            )
+    return np.asarray(parsed, dtype=np.float64)
 
 
 def _read_idx_header(f, path: str, magic_want: int, ndim: int) -> tuple:
@@ -203,8 +289,7 @@ def load_idx(images_path: str, labels_path: str | None = None) -> LabeledDataset
     if len(raw) != count * rows * cols:
         raise DataFormatError(f"{images_path}: truncated image data")
     X = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
-    points = WeightedPointSet(X)
-    gt = gt_cost = None
+    gt = None
     k = 0
     if labels_path is not None:
         with open(labels_path, "rb") as f:
@@ -218,13 +303,10 @@ def load_idx(images_path: str, labels_path: str | None = None) -> LabeledDataset
             )
         labels = np.frombuffer(lraw, dtype=np.uint8)
         classes = np.unique(labels)
-        means = np.vstack([X[labels == c].mean(axis=0) for c in classes])
-        gt = CentroidSet(means)
-        gt_cost = cost(_GT_SPACE, X, points.weights, gt)
+        gt = CentroidSet(np.vstack([X[labels == c].mean(axis=0) for c in classes]))
         k = int(classes.size)
     return LabeledDataset(
-        points=points,
+        points=WeightedPointSet(X),
         ground_truth=gt,
-        ground_truth_cost=gt_cost,
         meta={"name": images_path, "n": int(count), "d": int(rows * cols), "k": k},
     )

@@ -22,7 +22,7 @@ from .kmeanspp import run_trace
 from .probabilities import One2AllProbabilities, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 2: no per-cell medians
 
 
 @dataclass
@@ -173,7 +173,6 @@ def save(state: OracleState, path: str) -> None:
         "centroids": probs.M,
         "cost_m": np.float64(probs.cost_m),
         "cluster_weights": probs.cluster_weights,
-        "medians": probs.medians if probs.medians is not None else np.zeros(0),
         "dropped_empty_cells": np.int64(probs.dropped_empty_cells),
     }
     d = os.path.dirname(os.path.abspath(path))
@@ -201,8 +200,12 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
             data = {key: z[key] for key in z.files}
     except (OSError, ValueError) as e:
         raise DataFormatError(f"cannot read oracle file {path}: {e}") from e
-    if "version" not in data or int(data["version"]) != _FORMAT_VERSION:
-        raise DataFormatError(f"unsupported oracle file version in {path}")
+    version = int(data["version"]) if "version" in data else None
+    if version != _FORMAT_VERSION:
+        raise DataFormatError(
+            f"{path}: oracle file format {version}, expected {_FORMAT_VERSION}; "
+            "build the oracle again"
+        )
     kind = str(data["kind"])
     if space is None:
         if kind != "euclidean":
@@ -217,7 +220,6 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
         M=data["centroids"],
         cost_m=float(data["cost_m"]),
         cluster_weights=data["cluster_weights"],
-        medians=data["medians"] if data["medians"].size else None,
         rho=float(data["rho"]),
         dropped_empty_cells=int(data["dropped_empty_cells"]),
     )

@@ -1,4 +1,4 @@
-"""one2all base probabilities, cluster weighted medians, sweet-spot search.
+"""one2all base probabilities and sweet-spot search.
 
 A single centroid set M yields per-point probabilities pi that dominate the
 pps base probabilities of every query Q whose cost is at least V(M), at
@@ -17,27 +17,6 @@ from .kmeanspp import KmeansPPTrace, replay
 from .sampling import pps_base
 
 
-def weighted_median(values, weights) -> float:
-    """Smallest input value v with sum_{x<=v} w >= W/2 and sum_{x>=v} w >= W/2."""
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("weighted_median of empty input")
-    if values.shape != weights.shape:
-        raise ValueError("values and weights must have equal length")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    uniq, inv = np.unique(values, return_inverse=True)
-    mass = np.bincount(inv, weights=weights)
-    below = np.cumsum(mass)           # sum over values <= uniq[i]
-    above = below[-1] - below + mass  # sum over values >= uniq[i]
-    half = below[-1] / 2.0
-    i = int(np.searchsorted(below, half, side="left"))
-    if above[i] < half:  # cannot happen for a valid weighted median
-        raise AssertionError("no value satisfies both median inequalities")
-    return float(uniq[i])
-
-
 @dataclass
 class One2AllProbabilities:
     """pi per point, plus the per-cluster quantities used to build it."""
@@ -46,7 +25,6 @@ class One2AllProbabilities:
     M: np.ndarray = field(repr=False)  # centroids kept after empty-cell drop
     cost_m: float = 0.0
     cluster_weights: np.ndarray | None = None
-    medians: np.ndarray | None = None
     rho: float = 1.0
     dropped_empty_cells: int = 0
     owner: np.ndarray | None = field(default=None, repr=False)
@@ -57,16 +35,6 @@ class One2AllProbabilities:
         return float(np.sum(self.pi))
 
 
-def _cell_medians(owner: np.ndarray, dist: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    med = np.empty(k)
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(k + 1))
-    for j in range(k):
-        cell = order[bounds[j] : bounds[j + 1]]
-        med[j] = weighted_median(dist[cell], w[cell])
-    return med
-
-
 def probs_from_assignment(
     w: np.ndarray,
     owner: np.ndarray,
@@ -74,7 +42,6 @@ def probs_from_assignment(
     rho: float,
     k: int,
     M: np.ndarray,
-    with_medians: bool = True,
 ) -> One2AllProbabilities:
     """Build pi from a precomputed nearest-centroid assignment.
 
@@ -97,13 +64,11 @@ def probs_from_assignment(
         term1 = 0.0  # V(M)=0: only the within-cluster term remains
     term2 = 8.0 * rho**2 * w / cluster_w[owner]
     pi = np.minimum(1.0, np.maximum(term1, term2))
-    medians = _cell_medians(owner, dist, w, k) if with_medians else None
     return One2AllProbabilities(
         pi=pi,
         M=M,
         cost_m=cost_m,
         cluster_weights=cluster_w,
-        medians=medians,
         rho=rho,
         dropped_empty_cells=dropped,
         owner=owner,
@@ -111,15 +76,13 @@ def probs_from_assignment(
     )
 
 
-def one2all_probs(space: MetricSpace, X, w, M, with_medians: bool = True) -> One2AllProbabilities:
+def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
     """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}."""
     X = as_points(X)
     M = CentroidSet(as_points(M)).points
     w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
     owner, dist = nearest(space, X, M)
-    return probs_from_assignment(
-        w, owner, dist, space.rho, M.shape[0], M, with_medians=with_medians
-    )
+    return probs_from_assignment(w, owner, dist, space.rho, M.shape[0], M)
 
 
 def verify_dominance(space: MetricSpace, X, w, probs: One2AllProbabilities, Q) -> dict:
@@ -168,9 +131,7 @@ def sweet_spot(
         best = np.inf
         i_star = 1
         for i, owner, dist, v_i in replay(trace):
-            cand = probs_from_assignment(
-                w, owner, dist, trace.space.rho, i, trace.prefix(i), with_medians=False
-            )
+            cand = probs_from_assignment(w, owner, dist, trace.space.rho, i, trace.prefix(i))
             p = np.minimum(1.0, max(1.0, v_i / C) * eps**-2 * cand.pi)
             total = float(np.sum(p))
             if total < best:

@@ -1,15 +1,110 @@
-"""Synthetic mixtures, delimited text round trips, IDX parsing."""
+"""Synthetic mixtures, delimited text round trips and loader checks, IDX parsing."""
 
+import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from one2all.core import MetricSpace, cost, nearest
+from one2all import data
+from one2all.cli import main
+from one2all.core import CentroidSet, MetricSpace, WeightedPointSet, cost, nearest
 from one2all.data import dump_delimited, gen_gmm, load_delimited, load_idx
 from one2all.errors import DataFormatError
 
 SP2 = MetricSpace.euclidean(2.0)
+
+
+# references: the per-cell loader and the per-row writer that the bulk ones
+# replaced, kept verbatim but for returning plain values ---------------------
+
+
+def reference_load_delimited(path, delimiter=",", has_header=False, weight_column=None):
+    gt_rows: list[list[float]] = []
+    rows: list[list[float]] = []
+    header_skipped = not has_header
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("weights: last-column") and weight_column is None:
+                    weight_column = -1
+                elif body.startswith("ground-truth:"):
+                    payload = body.split(":", 1)[1]
+                    gt_rows.append([float(v) for v in payload.split(delimiter)])
+                continue
+            if not header_skipped:
+                header_skipped = True
+                continue
+            cells = line.split(delimiter)
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as e:
+                raise DataFormatError(f"{path}: row {lineno}: {e}") from None
+            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+                raise DataFormatError(
+                    f"{path}: row {lineno}: expected {len(rows[0])} columns, "
+                    f"got {len(rows[-1])}"
+                )
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    arr = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise DataFormatError(f"{path}: NaN or inf in data row {bad + 1}")
+    weights = None
+    if weight_column is not None:
+        col = weight_column % arr.shape[1]
+        weights = arr[:, col]
+        arr = np.delete(arr, col, axis=1)
+        if np.any(weights <= 0):
+            bad = int(np.flatnonzero(weights <= 0)[0])
+            raise DataFormatError(f"{path}: nonpositive weight in data row {bad + 1}")
+    if arr.shape[1] == 0:
+        raise DataFormatError(f"{path}: rows have no coordinate columns")
+    points = WeightedPointSet(arr, weights)
+    gt = gt_cost = None
+    if gt_rows:
+        gt = CentroidSet(np.asarray(gt_rows, dtype=np.float64))
+        if not np.isfinite(gt.points).all():
+            raise DataFormatError(f"{path}: NaN or inf in a ground-truth row")
+        if gt.points.shape[1] != arr.shape[1]:
+            raise DataFormatError(f"{path}: ground-truth dimension mismatch")
+        gt_cost = cost(SP2, arr, points.weights, gt)
+    return points, gt, gt_cost, {
+        "name": path,
+        "n": arr.shape[0],
+        "d": arr.shape[1],
+        "k": gt.k if gt else 0,
+    }
+
+
+def reference_dump_delimited(dataset, path, delimiter=","):
+    pts = dataset.points.points
+    w = dataset.points.weights
+    weighted = not np.all(w == 1.0)
+    with open(path, "w") as f:
+        meta = dataset.meta
+        k = meta.get("k", dataset.ground_truth.k if dataset.ground_truth else 0)
+        f.write(f"# one2all-dataset v1 n={pts.shape[0]} d={pts.shape[1]} k={k}\n")
+        if weighted:
+            f.write("# weights: last-column\n")
+        if dataset.ground_truth is not None:
+            for q in dataset.ground_truth.points:
+                f.write("# ground-truth: " + delimiter.join(repr(float(v)) for v in q) + "\n")
+        for i in range(pts.shape[0]):
+            row = [repr(float(v)) for v in pts[i]]
+            if weighted:
+                row.append(repr(float(w[i])))
+            f.write(delimiter.join(row) + "\n")
 
 
 # generator ---------------------------------------------------------------
@@ -166,6 +261,280 @@ def test_custom_delimiter(tmp_path):
     path.write_text("1.0\t2.0\n3.0\t4.0\n")
     ds = load_delimited(path, delimiter="\t")
     assert ds.n == 2 and ds.d == 2
+
+
+def test_dump_bytes_match_per_row_writer(tmp_path):
+    ds = gen_gmm(300, 3, 2, seed=9)
+    weighted = gen_gmm(50, 2, 2, seed=10)
+    weighted.points.weights[:] = np.random.default_rng(1).uniform(0.5, 2.0, size=50)
+    for name, dataset, delim in [("a", ds, ","), ("b", ds, "\t"), ("c", weighted, "::")]:
+        dump_delimited(dataset, tmp_path / f"{name}.new", delimiter=delim)
+        reference_dump_delimited(dataset, tmp_path / f"{name}.ref", delimiter=delim)
+        assert (tmp_path / f"{name}.new").read_bytes() == (tmp_path / f"{name}.ref").read_bytes()
+
+
+def test_ground_truth_cost_computed_on_first_read(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    dump_delimited(gen_gmm(80, 2, 2, seed=3), path)
+    calls = []
+    real_cost = data.cost
+    monkeypatch.setattr(data, "cost", lambda *a: calls.append(1) or real_cost(*a))
+    ds = load_delimited(path)
+    assert calls == []
+    first = ds.ground_truth_cost
+    assert ds.ground_truth_cost == first and calls == [1]
+    assert first == cost(SP2, ds.points.points, ds.points.weights, ds.ground_truth)
+
+
+@pytest.mark.parametrize("col", [3, 5, -4])
+def test_weight_column_out_of_range_is_rejected(tmp_path, capsys, col):
+    path = tmp_path / "three.csv"
+    path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+    with pytest.raises(DataFormatError, match="weight column .* out of range"):
+        load_delimited(path, weight_column=col)
+    capsys.readouterr()
+    rc = main(["cluster", "--in", str(path), "--k", "1", "--eps", "0.5",
+               "--weight-column", str(col)])
+    assert rc == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_errors_name_file_lines_below_comments(tmp_path):
+    comments = "# one2all-dataset v1\n# a note\n\n   # indented\n"  # lines 1-4
+    cases = [
+        ("1.0,2.0\n3.0,nan\n", {}, "row 6: NaN or inf"),
+        ("1.0,2.0,1.0\n3.0,4.0,-1.0\n", {"weight_column": -1}, "row 6: nonpositive weight"),
+        ("# ground-truth: 1.0,oops\n1.0,2.0\n", {}, "row 5: could not convert"),
+        ("1.0,2.0\n# ground-truth: 1.0,2.0\n# ground-truth: 1.0\n",
+         {}, "row 7: expected 2 ground-truth values, got 1"),
+        ("# ground-truth: 1.0,inf\n1.0,2.0\n", {}, "row 5: NaN or inf in a ground-truth row"),
+        ("1.0,2.0\n1.0,2,0\n", {}, "row 6: expected 2 columns, got 3"),
+    ]
+    for i, (body, kwargs, message) in enumerate(cases):
+        path = tmp_path / f"case{i}.csv"
+        path.write_text(comments + body)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")):
+            load_delimited(path, **kwargs)
+
+
+def test_bad_ground_truth_line_below_a_bad_row_names_the_row(tmp_path):
+    path = tmp_path / "both.csv"
+    path.write_text("1.0,2.0\n3.0,x\n# ground-truth: 1.0,y\n")
+    with pytest.raises(DataFormatError, match="row 2: could not convert string to float: 'x'"):
+        load_delimited(path)
+    path.write_text("# ground-truth: 1.0,y\n1.0,2.0\n3.0,x\n")
+    with pytest.raises(DataFormatError, match="row 1: could not convert string to float: 'y'"):
+        load_delimited(path)
+
+
+def test_undecodable_bytes_name_the_line(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"1.0,2.0\r\n3.0,4.0\r5.0,\xff\n")
+    with pytest.raises(DataFormatError, match="(?i)row 3: not valid utf-8 text"):
+        load_delimited(path)
+
+
+# differential test against the reference loader ------------------------------
+
+_NUMBERS = [
+    st.floats(0.5, 1e6).map(repr),
+    st.floats().map(repr),  # any double: signed zeros, subnormals, nan, inf
+    st.from_regex(r"-?[0-9]{1,25}(\.[0-9]{0,25})?([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+]
+_ODD_CELLS = st.sampled_from([
+    "1_0", "2_5.0_1", "\u0661\u0662", "\u0663.\u0665", "nan", "-inf", "Infinity", "1e400",
+    "-0.0", "4.9e-324", "2.4703282292062328e-324", "9007199254740993",
+    "0.1000000000000000055511151231257827021181583404541015625", "", "x", "1e",
+    "0x10", "1\x1c", "\x1d2", "1 2", "+.5",
+])
+# one cell in 20 is odd, six in 20 any double or digit string, the rest plain
+_CELLS = st.integers(0, 19).flatmap(
+    lambda r: _ODD_CELLS if r == 10 else _NUMBERS[1 + r % 2 if 10 < r < 17 else 0])
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\xa0", "\u3000", "\x0c"])
+_COMMENTS = ["# a note", "   # indented", "#", "#weights: last-column",
+             "# weights: last-column", "# ground-truth:"]
+
+
+@st.composite
+def delimited_files(draw):
+    """(text, delimiter, has_header, weight_column) for a small delimited file."""
+    delim = draw(st.sampled_from([",", "\t", ";", "::", " "]))
+    weight_column = draw(st.sampled_from([None, None, 0, -1]))
+    ncols = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
+
+    pad = draw(st.sampled_from([st.just("")] * 3 + [_PAD]))
+    trail = draw(st.sampled_from([""] * 7 + [delim]))  # a trailing delimiter
+
+    def cells(n):
+        return delim.join(draw(pad) + draw(_CELLS) + draw(pad) for _ in range(n)) + trail
+
+    def width(n):
+        return max(1, n + draw(st.sampled_from([0] * 12 + [1, -1])))
+
+    has_header = draw(st.booleans())
+    lines = [delim.join("abcd"[:ncols])] if has_header and draw(st.booleans()) else []
+    for kind in draw(st.lists(st.sampled_from(
+            ["data"] * 6 + ["comment", "blank", "truth"]), min_size=1, max_size=14)):
+        if kind == "data":
+            line = cells(width(ncols))
+        elif kind == "comment":
+            line = draw(st.sampled_from(_COMMENTS))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t \t", "\x0c", "\xa0"]))
+        else:
+            coords = ncols - (weight_column is not None)
+            line = draw(pad) + "# ground-truth: " + cells(width(coords))
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)), delim, has_header, weight_column
+
+
+def _expected_message(ref_error, path, delimiter, has_header):
+    """The reference's error as the loader reports it now: file lines, always
+    a DataFormatError; messages that named a file line already are unchanged."""
+    message = str(ref_error)
+    with open(path) as f:
+        lines = [line.strip() for line in f]
+    data_lines = [i for i, s in enumerate(lines, 1) if s and not s.startswith("#")]
+    data_lines = data_lines[1:] if has_header else data_lines
+    truth = [(i, s[1:].strip().split(":", 1)[1].split(delimiter))
+             for i, s in enumerate(lines, 1)
+             if s.startswith("#") and s[1:].strip().startswith("ground-truth:")]
+    m = re.fullmatch(re.escape(str(path)) + r": (NaN or inf|nonpositive weight) in data row (\d+)",
+                     message)
+    if m:
+        what = "NaN or inf in a data row" if m[1] == "NaN or inf" else "nonpositive weight"
+        return f"{path}: row {data_lines[int(m[2]) - 1]}: {what}"
+    if message == f"{path}: NaN or inf in a ground-truth row":
+        bad = next(i for i, row in truth if not np.isfinite([float(v) for v in row]).all())
+        return f"{path}: row {bad}: NaN or inf in a ground-truth row"
+    if isinstance(ref_error, DataFormatError):
+        return message
+    for i, row in truth:  # a ground-truth cell float() refuses is met first
+        try:
+            [float(v) for v in row]
+        except ValueError as e:
+            return f"{path}: row {i}: {e}"
+    width = len(truth[0][1])
+    i, row = next((i, row) for i, row in truth if len(row) != width)
+    return f"{path}: row {i}: expected {width} ground-truth values, got {len(row)}"
+
+
+def _bits(a):
+    return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+
+def _check_against_reference(path, delimiter=",", has_header=False, weight_column=None):
+    """Same bits as the reference loader, or its error as now reported."""
+    kwargs = dict(delimiter=delimiter, has_header=has_header, weight_column=weight_column)
+    with np.errstate(over="ignore", invalid="ignore"):  # costs of values near 1e308
+        _compare_with_reference(path, kwargs)
+
+
+def _compare_with_reference(path, kwargs):
+    try:
+        points, gt, gt_cost, meta = reference_load_delimited(path, **kwargs)
+    except ValueError as e:
+        with pytest.raises(DataFormatError) as got:
+            load_delimited(path, **kwargs)
+        assert str(got.value) == _expected_message(e, path, kwargs["delimiter"],
+                                                   kwargs["has_header"])
+        return
+    ds = load_delimited(path, **kwargs)
+    assert _bits(ds.points.points) == _bits(points.points)
+    assert _bits(ds.points.weights) == _bits(points.weights)
+    assert _bits(ds.ground_truth and ds.ground_truth.points) == _bits(gt and gt.points)
+    assert ds.ground_truth_cost == gt_cost
+    assert ds.meta == meta
+
+
+@given(delimited_files())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_loader_matches_reference(tmp_path, case):
+    text, delimiter, has_header, weight_column = case
+    path = tmp_path / "case.txt"
+    with open(path, "w", newline="") as f:
+        f.write(text)
+    _check_against_reference(path, delimiter, has_header, weight_column)
+
+
+@pytest.mark.parametrize("text, kwargs", [
+    ("1.0,2.0\n3.0\x1c,4.0\n", {}),  # numpy alone would read "3.0\x1c"
+    ("1.0,2.0\n3.0,\x1f4.0\n", {}),
+    ("1_0,2\n3,4_5.5\n", {}),
+    ("\u0661\u0662,3\n4,\u0665.\u0660\n", {}),
+    ("1\t2\t\n3\t4\t\n", {"delimiter": "\t"}),
+    (" 1,2 \n  # note\n\t\n3,4", {}),
+    ("1,2\r3,4\r\n5,6", {}),
+    ("a,b\n1,2\n", {"has_header": True}),
+    ("1::2::0.5\n3::4::2\n", {"delimiter": "::", "weight_column": -1}),
+    ("1,2,\n3,4,\n", {}),
+])
+def test_edge_files_match_reference(tmp_path, text, kwargs):
+    path = tmp_path / "edge.txt"
+    with open(path, "w", newline="") as f:
+        f.write(text)
+    _check_against_reference(path, **kwargs)
+
+
+# fuzz: truncated and corrupted native dumps -----------------------------------
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except ValueError as e:  # DataFormatError, UnicodeDecodeError, numpy's errors
+        return e
+    if isinstance(ds, tuple):
+        points, gt = ds[0], ds[1]
+    else:
+        points, gt = ds.points, ds.ground_truth
+    return _bits(points.points), _bits(points.weights), _bits(gt and gt.points)
+
+
+def test_fuzzed_native_dumps_load_like_reference_or_fail_cleanly(tmp_path, capsys):
+    ds = gen_gmm(12, 2, 2, seed=4)
+    ds.points.weights[:] = np.random.default_rng(2).uniform(0.5, 2.0, size=12)
+    clean = tmp_path / "clean.csv"
+    dump_delimited(ds, clean)
+    raw = clean.read_bytes()
+    rng = np.random.default_rng(5)
+    variants = [raw[:cut] for cut in range(len(raw))]
+    for pos, byte in zip(rng.integers(0, len(raw), 400), rng.integers(0, 256, 400)):
+        variants.append(raw[:pos] + bytes([byte]) + raw[pos + 1:])
+    path = tmp_path / "fuzz.csv"
+    failures = 0
+    for blob in variants:
+        path.write_bytes(blob)
+        got = _outcome(load_delimited, path)
+        want = _outcome(reference_load_delimited, path)
+        if isinstance(got, tuple):
+            assert got == want, blob
+            continue
+        assert isinstance(got, DataFormatError), (blob, got)
+        assert not isinstance(want, tuple), blob
+        failures += 1
+        capsys.readouterr()
+        assert main(["cluster", "--in", str(path), "--k", "2", "--eps", "0.5"]) == 2
+        assert "data error" in capsys.readouterr().err
+    assert 0 < failures < len(variants)
+
+
+def test_cli_reports_a_corrupt_file_without_traceback(tmp_path):
+    path = tmp_path / "corrupt.csv"
+    dump_delimited(gen_gmm(10, 2, 2, seed=1), path)
+    raw = path.read_bytes()
+    for blob in (raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :],
+                 raw.replace(b",", b",,", 1)):
+        path.write_bytes(blob)
+        proc = subprocess.run(
+            [sys.executable, "-m", "one2all", "cluster", "--in", str(path), "--k", "2",
+             "--eps", "0.5"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # idx ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from conftest import rand_instance
 
 from one2all import oracle
+from one2all.cli import main
 from one2all.core import MetricSpace, cost
 from one2all.errors import DataFormatError
 from one2all.kmeanspp import run_trace
@@ -266,6 +267,25 @@ def test_load_rejects_bad_version(tmp_path):
     np.savez(path, **blob)
     with pytest.raises(DataFormatError):
         oracle.load(path)
+
+
+def test_load_rejects_format_1_files(tmp_path, capsys):
+    # format 1 also stored per-cell medians, which nothing read back
+    X, w = _mixture(37, n=500, d=2, k=2)
+    state = oracle.build_feedback(SP2, X, w, k=2, eps=0.3, seed=9)
+    path = tmp_path / "oracle.npz"
+    oracle.save(state, path)
+    blob = dict(np.load(path, allow_pickle=False))
+    assert "medians" not in blob
+    blob.update(version=np.int64(1), medians=np.zeros(state.probs.M.shape[0]))
+    np.savez(path, **blob)
+    with pytest.raises(DataFormatError, match="format 1, expected 2"):
+        oracle.load(path)
+    query = tmp_path / "q.csv"
+    query.write_text("0.0,0.0\n")
+    capsys.readouterr()
+    assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
+    assert "format 1" in capsys.readouterr().err
 
 
 def test_feedback_query_after_reload_continues(tmp_path):

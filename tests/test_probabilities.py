@@ -1,12 +1,10 @@
-"""one2all probabilities: Eq.-level values, dominance, medians, sweet spot."""
+"""one2all probabilities: Eq.-level values, dominance, sweet spot."""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 from conftest import rand_instance, ref_one2all
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from one2all.core import MetricSpace
 from one2all.kmeanspp import run_trace
@@ -15,57 +13,10 @@ from one2all.probabilities import (
     probs_from_assignment,
     sweet_spot,
     verify_dominance,
-    weighted_median,
 )
 from one2all.sampling import pps_base
 
 SP2 = MetricSpace.euclidean(2.0)
-
-
-# weighted median -------------------------------------------------------
-
-
-def test_weighted_median_examples():
-    assert weighted_median([1, 2, 3], [1, 1, 1]) == 2
-    assert weighted_median([1, 2], [1, 1]) == 1
-    # W=6: mass at or below 1 is 3 >= 3, mass at or above 1 is 6 >= 3
-    assert weighted_median([5, 1, 9, 3], [1, 3, 1, 1]) == 1
-    assert weighted_median([7], [2.5]) == 7
-
-
-def test_weighted_median_errors():
-    with pytest.raises(ValueError):
-        weighted_median([], [])
-    with pytest.raises(ValueError):
-        weighted_median([1, 2], [1])
-    with pytest.raises(ValueError):
-        weighted_median([1, 2], [1, 0])
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(-100, 100), st.floats(0.01, 10)), min_size=1, max_size=40
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_weighted_median_defining_inequalities(pairs):
-    values = np.array([a for a, _ in pairs])
-    weights = np.array([b for _, b in pairs])
-    med = weighted_median(values, weights)
-    W = weights.sum()
-    assert med in values
-    assert weights[values <= med].sum() >= W / 2 - 1e-9
-    assert weights[values >= med].sum() >= W / 2 - 1e-9
-    # and it is the smallest qualifying input value; only flag candidates
-    # that clear W/2 with margin, so ulp-level ties don't count as violations
-    for v in np.unique(values):
-        if v >= med:
-            break
-        ok = (
-            weights[values <= v].sum() >= W / 2 + 1e-9
-            and weights[values >= v].sum() >= W / 2 + 1e-9
-        )
-        assert not ok, (v, med)
 
 
 # one2all probabilities --------------------------------------------------
@@ -140,18 +91,6 @@ def test_empty_cell_centroid_dropped_without_effect():
     direct = one2all_probs(SP2, X, None, np.array([[0.0], [1.0]]))
     np.testing.assert_array_equal(probs.pi, direct.pi)
     assert probs.cost_m == direct.cost_m
-
-
-def test_medians_satisfy_definition_per_cell():
-    sp, X, w = rand_instance(11, n=60, d=2)
-    tr = run_trace(sp, X, w, 4, seed=2)
-    probs = one2all_probs(sp, X, w, tr.centroids)
-    for j in range(probs.M.shape[0]):
-        cell = probs.owner == j
-        dm = probs.medians[j]
-        W = w[cell].sum()
-        assert w[cell & (probs.dist <= dm)].sum() >= W / 2 - 1e-9
-        assert w[cell & (probs.dist >= dm)].sum() >= W / 2 - 1e-9
 
 
 # dominance --------------------------------------------------------------
@@ -280,4 +219,3 @@ def test_probs_from_assignment_agrees_with_direct():
     via = probs_from_assignment(w, owner, dist, sp.rho, 5, tr.centroids)
     direct = one2all_probs(sp, X, w, tr.centroids)
     np.testing.assert_array_equal(via.pi, direct.pi)
-    np.testing.assert_array_equal(via.medians, direct.medians)
