@@ -22,6 +22,7 @@ from .sampling import draw, estimate_cost
 from .wrapper import run as wrapper_run
 
 _SPACE = MetricSpace.euclidean(2.0)
+_REDRAWS = 30  # fresh sample draws behind each est_err
 
 
 def worst_case_size(n: int, d: int, k: int, eps: float) -> float:
@@ -103,23 +104,16 @@ def estimation_error(X, w, p, Q, v_exact: float, redraws: int, seed: int) -> flo
     return float(np.sqrt(np.mean(errs**2)))
 
 
-def run_cell(
-    dataset: LabeledDataset,
-    k: int,
-    eps: float,
-    seed: int,
-    redraws: int = 30,
-    **wrapper_kwargs,
-) -> RunReport:
+def run_cell(dataset: LabeledDataset, k: int, eps: float, seed: int) -> RunReport:
     """One dataset through the wrapper, plus the derived report columns."""
     X = dataset.points.points
     w = dataset.points.weights
     n, d = X.shape
     t0 = time.perf_counter()
-    Q, rep = wrapper_run(_SPACE, X, w, k, eps, seed=seed, **wrapper_kwargs)
+    Q, rep = wrapper_run(_SPACE, X, w, k, eps, seed=seed)
     t1 = time.perf_counter()
     err = estimation_error(X, w, rep.final_p, Q.points, rep.best_cost,
-                           redraws, seed=rep.sample_seed + 1)
+                           _REDRAWS, seed=rep.sample_seed + 1)
     t2 = time.perf_counter()
     worst_fraction = worst_case_size(n, d, k, eps) / n
     adaptive_fraction = rep.sample_size / n
@@ -155,7 +149,7 @@ PRESETS = {
 }
 
 
-def run_grid(cells, repetitions: int = 1, base_seed: int = 0, **wrapper_kwargs):
+def run_grid(cells, repetitions: int = 1, base_seed: int = 0):
     """Run every (cell, repetition); one failure doesn't sink the grid.
 
     Returns (reports, aggregates): reports holds a RunReport or an error
@@ -168,9 +162,8 @@ def run_grid(cells, repetitions: int = 1, base_seed: int = 0, **wrapper_kwargs):
         for rep in range(repetitions):
             seed = base_seed + 1000 * ci + rep
             try:
-                ds = gen_gmm(cell["n"], cell["d"], cell["k"], seed=seed,
-                             spacing=cell.get("spacing", 10.0))
-                r = run_cell(ds, cell["k"], cell["eps"], seed=seed, **wrapper_kwargs)
+                ds = gen_gmm(cell["n"], cell["d"], cell["k"], seed=seed)
+                r = run_cell(ds, cell["k"], cell["eps"], seed=seed)
                 cell_reports.append(r)
                 reports.append(r)
             except Exception as e:  # record and continue with the grid

@@ -125,10 +125,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> data.LabeledDataset:
-    return data.load_delimited(
-        args.inp, delimiter=args.delimiter, weight_column=args.weight_column
-    )
+def _load(args, path: str) -> data.LabeledDataset:
+    return data.load_delimited(path, delimiter=args.delimiter,
+                               weight_column=args.weight_column)
 
 
 def cmd_gen(args) -> int:
@@ -140,7 +139,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle_build(args) -> int:
-    ds = _load(args)
+    ds = _load(args, args.inp)
     X, w = ds.points.points, ds.points.weights
     if args.threshold is not None:
         if args.ell is None:
@@ -164,8 +163,7 @@ def cmd_oracle_query(args) -> int:
     if args.feedback and not args.data:
         raise _UsageError("--feedback requires --data (exact costs need the dataset)")
     if args.data:
-        ds = data.load_delimited(args.data, delimiter=args.delimiter,
-                                 weight_column=args.weight_column)
+        ds = _load(args, args.data)
         state = oracle.load(args.oracle, points=ds.points.points,
                             weights=ds.points.weights)
     else:
@@ -188,7 +186,7 @@ def cmd_oracle_query(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    ds = _load(args)
+    ds = _load(args, args.inp)
     X, w = ds.points.points, ds.points.weights
     base = make_base(BaseClustererConfig(
         k=args.k, restarts=args.restarts, lloyd_iters=args.lloyd_iters,
@@ -236,19 +234,17 @@ def cmd_bench(args) -> int:
 
 def cmd_figdata(args) -> int:
     if args.inp:
-        ds = _load(args)
+        ds = _load(args, args.inp)
     else:
         ds = data.gen_gmm(args.n, args.d, args.k, seed=args.seed)
     table = bench.fig2_data(ds, args.k, seed=args.seed, ell=args.ell)
-    cost_path = f"{args.out}-cost.tsv"
-    over_path = f"{args.out}-overhead.tsv"
-    with open(cost_path, "w") as f:
-        for i, v in zip(table["i"], table["cost_ratio"]):
-            f.write(f"{int(i)}\t{float(v)!r}\n")
-    with open(over_path, "w") as f:
-        for i, v in zip(table["i"], table["overhead"]):
-            f.write(f"{int(i)}\t{float(v)!r}\n")
-    print(f"wrote {cost_path} and {over_path}")
+    paths = []
+    for suffix, column in (("cost", "cost_ratio"), ("overhead", "overhead")):
+        paths.append(f"{args.out}-{suffix}.tsv")
+        with open(paths[-1], "w") as f:
+            for i, v in zip(table["i"], table[column]):
+                f.write(f"{int(i)}\t{float(v)!r}\n")
+    print(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
 
@@ -264,7 +260,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"one2all: error: {e}", file=sys.stderr)
         return 1
-    except (DataFormatError, DegenerateCostError, FileNotFoundError, ValueError) as e:
+    except (DataFormatError, DegenerateCostError, OSError, ValueError) as e:
         print(f"one2all: data error: {e}", file=sys.stderr)
         return 2
 

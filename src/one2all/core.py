@@ -116,13 +116,7 @@ class WeightedPointSet:
             points = np.asarray(points, dtype=np.float64)
         else:
             raise ValueError("points must be an (n, d) array, or 1-d integer indices")
-        if weights is None:
-            weights = np.ones(points.shape[0])
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (points.shape[0],):
-            raise ValueError("weights must be one per point")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+        weights = as_weights(weights, points.shape[0])
         if points.shape[0] < 1:
             raise ValueError("need at least one point")
         self.points = points
@@ -140,11 +134,7 @@ class CentroidSet:
     points: np.ndarray
 
     def __init__(self, points: np.ndarray):
-        points = np.asarray(points)
-        if points.dtype.kind in "iu" and points.ndim == 1:
-            pass  # index-based centroids for matrix spaces
-        else:
-            points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = as_points(points)
         if points.shape[0] < 1:
             raise ValueError("need at least one centroid")
         self.points = _dedup_rows(points)
@@ -166,9 +156,7 @@ def _dedup_rows(points: np.ndarray) -> np.ndarray:
 
 def as_points(x) -> np.ndarray:
     """Normalize a CentroidSet / WeightedPointSet / array-like to an array."""
-    if isinstance(x, CentroidSet):
-        return x.points
-    if isinstance(x, WeightedPointSet):
+    if isinstance(x, (CentroidSet, WeightedPointSet)):
         return x.points
     arr = np.asarray(x)
     if arr.dtype.kind in "iu" and arr.ndim == 1:
@@ -186,6 +174,19 @@ def require_finite(**arrays) -> None:
         a = np.asarray(values)
         if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise ValueError(f"{what} contain NaN or inf")
+
+
+def as_weights(w, n: int) -> np.ndarray:
+    """w as n finite, positive float64 weights (all ones for None), else ValueError."""
+    if w is None:
+        return np.ones(n)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError("weights must be one per point")
+    require_finite(weights=w)
+    if w.size and w.min() <= 0.0:
+        raise ValueError("weights must be positive")
+    return w
 
 
 def distance(space: MetricSpace, x, y) -> float:
@@ -306,5 +307,4 @@ def cost(space: MetricSpace, X, weights, Q) -> float:
     _, dist = nearest(space, X, Q)
     if weights is None:
         return float(np.sum(dist))
-    weights = np.asarray(weights, dtype=np.float64)
-    return float(np.sum(weights * dist))
+    return float(np.sum(as_weights(weights, X.shape[0]) * dist))

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import MetricSpace, _lower, as_points, pairwise
+from .core import MetricSpace, _lower, as_points, as_weights, pairwise
 
 
 @dataclass
@@ -83,27 +83,24 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     """
     X = as_points(X)
     n = X.shape[0]
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, n)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell > n:
         raise ValueError(f"ell={ell} exceeds n={n}")
     rng = np.random.default_rng(seed)
-
-    chosen: list[int] = [_draw_index(rng, w)]
     dist, owner, add = _extender(space, X)
-    add(chosen[-1], 0)
-    costs = [float(np.sum(w * dist))]
-    truncated = False
-    for i in range(1, ell):
-        mass = w * dist
+    chosen: list[int] = []
+    costs: list[float] = []
+    mass = w  # the first centroid is drawn by weight alone
+    for i in range(ell):
         if not np.any(mass > 0.0):
-            truncated = True
             break
         s = _draw_index(rng, mass)
         chosen.append(s)
         add(s, i)
-        costs.append(float(np.sum(w * dist)))
+        mass = w * dist
+        costs.append(float(np.sum(mass)))
 
     idx = np.asarray(chosen, dtype=np.intp)
     return KmeansPPTrace(
@@ -116,7 +113,7 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         owner=owner,
         dist=dist,
         seed=seed,
-        truncated=truncated,
+        truncated=len(chosen) < ell,
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, nearest
+from .core import CentroidSet, MetricSpace, as_points, as_weights, nearest
 from .errors import UnsupportedSpaceError
 from .kmeanspp import run_trace
 
@@ -48,7 +48,7 @@ def lloyd_step(space: MetricSpace, X, w, Q) -> np.ndarray:
     _require_sq_euclidean(space)
     X = as_points(X)
     Q = as_points(Q)
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, X.shape[0])
     k = Q.shape[0]
     owner, dist = nearest(space, X, Q)
     wsum = np.bincount(owner, weights=w, minlength=k)
@@ -68,7 +68,7 @@ def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> Centroid
     """Best of cfg.restarts kmeans++ inits, refined by cfg.lloyd_iters steps."""
     _require_sq_euclidean(space)
     X = as_points(X)
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, X.shape[0])
     k = min(cfg.k, X.shape[0])
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
     best = None

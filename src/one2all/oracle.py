@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricSpace, as_points, cost, require_finite
+from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
 from .probabilities import One2AllProbabilities, sweet_spot
@@ -51,23 +51,51 @@ class OracleState:
         return self.sample.size
 
 
-def _finish(space, X, w, trace, C, eps, k, seed, sample_seed) -> OracleState:
+def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int,
+          k: int | None = None) -> OracleState:
+    """Fixed-threshold oracle: reliable for queries with cost >= C."""
+    if C <= 0:
+        raise ValueError("C must be positive")
+    return _build(space, X, w, ell, C, eps, seed, ell if k is None else k)
+
+
+def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> OracleState:
+    """Feedback oracle initialization: ell = 2k, threshold C = v_2k."""
+    return _build(space, X, w, None, None, eps, seed, k)
+
+
+def _build(space, X, w, ell, C, eps, seed, k) -> OracleState:
+    """Shared build: ell=None means min(2k, n), C=None means C = v_ell.
+
+    A zero C (no residual cost) keeps every point: queries are exact.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    X = as_points(X)
+    require_finite(points=X)
+    w = as_weights(w, X.shape[0])
+    if ell is None:
+        ell = min(2 * k, X.shape[0])
+    trace_seed, sample_seed = (
+        int(s) for s in np.random.SeedSequence(seed).generate_state(2)
+    )
+    trace = run_trace(space, X, w, ell, trace_seed)
+    if C is None:
+        C = float(trace.prefix_costs[-1])
     if C > 0.0:
         i_star, probs = sweet_spot(trace, "exact", C=C, eps=eps)
         v_star = float(trace.prefix_costs[i_star - 1])
         p = np.minimum(1.0, max(1.0, v_star / C) * eps**-2 * probs.pi)
     else:
-        # all-zero residual cost: every point must be kept, queries are exact
         i_star, probs = sweet_spot(trace, "rough")
         p = np.ones(X.shape[0])
-    sample = draw(X, w, p, sample_seed)
     return OracleState(
         space=space,
         points=X,
         weights=w,
         probs=probs,
         p=p,
-        sample=sample,
+        sample=draw(X, w, p, sample_seed),
         C=float(C),
         eps=float(eps),
         k=int(k),
@@ -77,40 +105,6 @@ def _finish(space, X, w, trace, C, eps, k, seed, sample_seed) -> OracleState:
         seed=int(seed),
         sample_seed=int(sample_seed),
     )
-
-
-def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int,
-          k: int | None = None) -> OracleState:
-    """Fixed-threshold oracle: reliable for queries with cost >= C."""
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    X = as_points(X)
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
-    require_finite(points=X, weights=w)
-    trace_seed, sample_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(2)
-    )
-    trace = run_trace(space, X, w, ell, trace_seed)
-    return _finish(space, X, w, trace, C, eps, k if k is not None else ell,
-                   seed, sample_seed)
-
-
-def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> OracleState:
-    """Feedback oracle initialization: ell = 2k, threshold C = v_2k."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    X = as_points(X)
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
-    require_finite(points=X, weights=w)
-    ell = min(2 * k, X.shape[0])
-    trace_seed, sample_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(2)
-    )
-    trace = run_trace(space, X, w, ell, trace_seed)
-    C = float(trace.prefix_costs[-1])
-    return _finish(space, X, w, trace, C, eps, k, seed, sample_seed)
 
 
 def query(state: OracleState, Q) -> float:
@@ -127,8 +121,7 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
     and the threshold becomes min{C, V}/2 so it always at least halves. A
     saturated state answers exactly and never updates.
     """
-    require_finite(centroids=as_points(Q))
-    est = estimate_cost(state.space, state.sample, Q)
+    est = query(state, Q)
     if est > state.C:
         return est, False
     if state.saturated:
@@ -231,8 +224,8 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
             raise DataFormatError(
                 f"dataset has {n} points but oracle was built over {int(data['n'])}"
             )
-        weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-        require_finite(points=points, weights=weights)
+        require_finite(points=points)
+        weights = as_weights(weights, n)
         u = point_uniforms(sample_seed, n)
         sample = draw(points, weights, p, sample_seed, u=u)
         if (

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, cost, nearest
+from .core import CentroidSet, MetricSpace, as_points, as_weights, cost, nearest
 from .kmeanspp import KmeansPPTrace, replay
 from .sampling import pps_base
 
@@ -79,8 +79,8 @@ def probs_from_assignment(
 def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
     """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}."""
     X = as_points(X)
-    M = CentroidSet(as_points(M)).points
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    M = CentroidSet(M).points
+    w = as_weights(w, X.shape[0])
     owner, dist = nearest(space, X, M)
     return probs_from_assignment(w, owner, dist, space.rho, M.shape[0], M)
 
@@ -92,7 +92,7 @@ def verify_dominance(space: MetricSpace, X, w, probs: One2AllProbabilities, Q) -
     makes the scaling factor 1.
     """
     X = as_points(X)
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, X.shape[0])
     vq = cost(space, X, w, Q)
     if vq <= 0.0:
         return {"holds": True, "worst_ratio": 0.0, "cost_q": 0.0}

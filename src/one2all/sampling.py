@@ -14,7 +14,7 @@ from math import comb, exp, log
 
 import numpy as np
 
-from .core import MetricSpace, as_points, nearest
+from .core import MetricSpace, as_points, as_weights, nearest
 from .errors import DegenerateCostError
 
 
@@ -30,7 +30,7 @@ class PpsBase:
 def pps_base(space: MetricSpace, X, w, Q) -> PpsBase:
     X = as_points(X)
     Q = as_points(Q)
-    w = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, X.shape[0])
     _, dist = nearest(space, X, Q)
     contrib = w * dist
     total = float(np.sum(contrib))
@@ -50,7 +50,7 @@ def mo_pps_bruteforce(
     """
     X = as_points(X)
     n = X.shape[0]
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, n)
     if comb(n, k) > 10**6:
         raise ValueError(f"refusing to enumerate C({n},{k}) subsets")
     psi = np.zeros(n)
@@ -118,7 +118,7 @@ def draw(points, weights, probs, seed: int, u: np.ndarray | None = None) -> Coor
     """
     points = as_points(points)
     n = points.shape[0]
-    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    weights = as_weights(weights, n)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (n,):
         raise ValueError("need one probability per point")
@@ -177,7 +177,7 @@ def concentration_check(
     """
     X = as_points(X)
     n = X.shape[0]
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    w = as_weights(w, n)
     base = pps_base(space, X, w, Q)
     V = base.total_cost
     p = np.minimum(1.0, alpha * eps**-2 * base.psi)

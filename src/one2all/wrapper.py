@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, cost, require_finite
+from .core import CentroidSet, MetricSpace, as_points, as_weights, cost, require_finite
 from .kmeanspp import run_trace
 from .lloyd import BaseClustererConfig, make_base
 from .probabilities import One2AllProbabilities, sweet_spot
@@ -53,6 +53,7 @@ def certify(space, X, w, sample: CoordinatedSample, Q, eps: float,
     exact mode compares against the true cost; validation mode against an
     estimate from an independent sample at the same probabilities.
     """
+    as_weights(w, as_points(X).shape[0])  # validation mode never reads w
     est = estimate_cost(space, sample, Q)
     if mode == "exact":
         v_q = cost(space, X, w, Q)
@@ -109,20 +110,14 @@ def run(
         raise ValueError("max_rounds must be >= 1")
     X = as_points(X)
     n = X.shape[0]
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    require_finite(points=X, weights=w)
+    require_finite(points=X)
+    w = as_weights(w, n)
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     trace_seed, sample_seed, base_seed, confirm_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(4)
     )
     base_seeds = np.random.SeedSequence(base_seed).generate_state(max_rounds, dtype=np.uint64)
-
-    def base_for(rnd: int):
-        if base is not None:
-            return base
-        return make_base(BaseClustererConfig(k=k, seed=int(base_seeds[rnd])))
-
     ell = min(2 * k, n)
     trace = run_trace(space, X, w, ell, trace_seed)
     i_star, probs = sweet_spot(trace, "rough")
@@ -134,52 +129,20 @@ def run(
     seed_cost = best_v
     log: list[dict] = []
 
-    def report(certified, saturated, rounds, r, sample, p) -> WrapperReport:
-        return WrapperReport(
-            certified=certified,
-            saturated=saturated,
-            rounds=rounds,
-            r=r,
-            sample_size=sample.size,
-            n=n,
-            best_cost=best_v,
-            seed_cost=seed_cost,
-            sweet_spot_index=i_star,
-            cost_m=v_m,
-            v_full_trace=v_end,
-            eps=eps,
-            k=k,
-            seed=seed,
-            sample_seed=sample_seed,
-            final_p=p,
-            probs=probs,
-            log=log,
-        )
-
-    uniforms = u if u is not None else point_uniforms(sample_seed, n)
-
-    if v_end <= 0.0:
-        # fewer than 2k distinct points: sample everything, answer exactly
-        p = np.ones(n)
-        sample = draw(X, w, p, sample_seed, u=uniforms)
-        Q = base_for(0)(space, X, w)
-        v_q = cost(space, X, w, Q)
-        if v_q < best_v:
-            best_q, best_v = Q, v_q
-        log.append({"round": 1, "r": np.inf, "size": n, "V_Q": v_q,
-                    "estimate": v_q, "action": "saturated"})
-        return best_q, report(True, True, 1, np.inf, sample, p)
-
-    r = v_m / v_end
+    # fewer than 2k distinct points leave no residual cost: r = inf keeps
+    # every point (pi > 0), so the first round saturates and is exact
+    r = v_m / v_end if v_end > 0.0 else np.inf
     inv_eps2 = eps**-2
     certified = False
     saturated = False
     rounds = 0
     p = np.minimum(1.0, r * inv_eps2 * probs.pi)
+    uniforms = u if u is not None else point_uniforms(sample_seed, n)
     sample = draw(X, w, p, sample_seed, u=uniforms)
     for rnd in range(max_rounds):
         rounds = rnd + 1
-        this_base = base_for(rnd)
+        this_base = base if base is not None else make_base(
+            BaseClustererConfig(k=k, seed=int(base_seeds[rnd])))
         if sample.size == 0:  # all mass capped away at tiny r; force growth
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
                         "estimate": 0.0, "action": "empty"})
@@ -199,20 +162,14 @@ def run(
         if v_q < best_v:
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)
+        # a saturated sample is the full data, so its estimate is exact
         saturated = bool(np.all(p >= 1.0))
-        if saturated:
-            # the sample is the full data: the estimate is exact
-            log.append({"round": rounds, "r": r, "size": sample.size,
-                        "V_Q": v_q, "estimate": est, "action": "saturated"})
-            certified = True
-            break
-        if v_q <= (1.0 + eps) * est and v_q >= v_m / r:
-            log.append({"round": rounds, "r": r, "size": sample.size,
-                        "V_Q": v_q, "estimate": est, "action": "accept"})
-            certified = True
-            break
+        certified = saturated or (v_q <= (1.0 + eps) * est and v_q >= v_m / r)
+        action = "saturated" if saturated else "accept" if certified else "grow"
         log.append({"round": rounds, "r": r, "size": sample.size,
-                    "V_Q": v_q, "estimate": est, "action": "grow"})
+                    "V_Q": v_q, "estimate": est, "action": action})
+        if certified:
+            break
         r = max(2.0, v_q / v_m) * r
         # grow until the rejected Q clears the bar (or the sample saturates)
         while True:
@@ -224,4 +181,23 @@ def run(
             if np.all(p >= 1.0):
                 break
             r *= 2.0
-    return best_q, report(certified, saturated, rounds, r, sample, p)
+    return best_q, WrapperReport(
+        certified=certified,
+        saturated=saturated,
+        rounds=rounds,
+        r=r,
+        sample_size=sample.size,
+        n=n,
+        best_cost=best_v,
+        seed_cost=seed_cost,
+        sweet_spot_index=i_star,
+        cost_m=v_m,
+        v_full_trace=v_end,
+        eps=eps,
+        k=k,
+        seed=seed,
+        sample_seed=sample_seed,
+        final_p=p,
+        probs=probs,
+        log=log,
+    )

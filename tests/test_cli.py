@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import one2all
-from one2all.cli import main
+from one2all.cli import build_parser, main
 from one2all.data import load_delimited
 
 
@@ -18,6 +22,15 @@ def _gen(tmp_path, n=400, d=3, k=2, seed=0, name="data.csv"):
                "--seed", str(seed), "--out", str(path)])
     assert rc == 0
     return path
+
+
+def _one2all_process(*argv, **env):
+    """Run `python -m one2all argv` on this source tree, with extra environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(one2all.__file__)))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "one2all", *map(str, argv)],
+                          capture_output=True, timeout=300, env=env)
 
 
 def _write_query(tmp_path, Q, name="query.csv"):
@@ -84,6 +97,12 @@ def test_cluster_missing_file_is_data_error(capsys):
     rc = main(["cluster", "--in", "/nonexistent/x.csv", "--k", "2", "--eps", "0.3"])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_cluster_on_a_directory_is_data_error(tmp_path):
+    proc = _one2all_process("cluster", "--in", tmp_path, "--k", "2", "--eps", "0.3")
+    assert proc.returncode == 2
+    assert b"data error" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_non_finite_input_is_data_error(tmp_path, capsys):
@@ -260,18 +279,29 @@ def test_unknown_command_is_usage_error(capsys):
 def test_cluster_stdout_independent_of_blas_threads(tmp_path):
     # thread counts must be set before numpy loads, so each run is a process
     path = _gen(tmp_path, n=3000, d=12, k=4, seed=9)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(one2all.__file__)))
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "one2all", "cluster", "--in", str(path), "--k", "4",
-             "--eps", "0.2", "--seed", "3"],
-            capture_output=True, timeout=300, env=env,
+        proc = _one2all_process(
+            "cluster", "--in", path, "--k", "4", "--eps", "0.2", "--seed", "3",
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n") == 5
+
+
+def test_readme_commands_parse():
+    # every `one2all ...` line in the README's sh blocks names real flags
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("one2all ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from one2all import core
+import one2all
+from one2all import core, oracle
 from one2all.core import (
     CentroidSet,
     MetricSpace,
@@ -128,6 +129,58 @@ def test_weighted_point_set_validation():
     ps = WeightedPointSet(np.zeros((3, 2)))
     np.testing.assert_array_equal(ps.weights, np.ones(3))
     assert ps.n == 3
+
+
+# weights at every public entry point ---------------------------------------
+
+SP2 = MetricSpace.euclidean(2.0)
+_WX = np.random.default_rng(0).normal(size=(60, 2))
+_BAD_WEIGHTS = {
+    "negative": np.full(60, -1.0),  # unchecked, the wrapper certifies a negative cost
+    "one-negative": np.r_[-1.0, np.ones(59)],
+    "all-zero": np.zeros(60),
+    "shape-1": np.ones(1),
+    "shape-n-1": np.ones(59),
+    "nan": np.r_[np.nan, np.ones(59)],
+}
+_WEIGHTED_CALLS = {
+    "cluster_adaptive": lambda w, path: one2all.cluster_adaptive(SP2, _WX, w, k=2, eps=0.3),
+    "build": lambda w, path: one2all.build(SP2, _WX, w, ell=4, C=1.0, eps=0.3, seed=0),
+    "build_feedback": lambda w, path: one2all.build_feedback(SP2, _WX, w, k=2, eps=0.3,
+                                                             seed=0),
+    "load": lambda w, path: oracle.load(path, points=_WX, weights=w),
+    "run_trace": lambda w, path: one2all.run_trace(SP2, _WX, w, 4, 0),
+    "draw": lambda w, path: one2all.draw(_WX, w, np.full(60, 0.5), 0),
+    "one2all_probs": lambda w, path: one2all.one2all_probs(SP2, _WX, w, _WX[:3]),
+    "cost": lambda w, path: one2all.cost(SP2, _WX, w, _WX[:3]),
+    "certify": lambda w, path: one2all.certify(
+        SP2, _WX, w, one2all.draw(_WX, None, np.ones(60), 0), _WX[:3], 0.3,
+        mode="validation"),
+    "WeightedPointSet": lambda w, path: WeightedPointSet(_WX, w),
+    "base_cluster": lambda w, path: one2all.base_cluster(
+        SP2, _WX, w, one2all.BaseClustererConfig(k=2)),
+    "lloyd_step": lambda w, path: one2all.lloyd_step(SP2, _WX, w, _WX[:3]),
+    "multi_sample_confirm": lambda w, path: one2all.multi_sample_confirm(
+        SP2, _WX, w, np.ones(60), lambda sp, X, ww: X[:2], copies=1),
+    "pps_base": lambda w, path: one2all.pps_base(SP2, _WX, w, _WX[:3]),
+    "mo_pps_bruteforce": lambda w, path: one2all.mo_pps_bruteforce(SP2, _WX, w, 1),
+    "verify_dominance": lambda w, path: one2all.verify_dominance(
+        SP2, _WX, w, one2all.one2all_probs(SP2, _WX, None, _WX[:3]), _WX[:2]),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_path(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("oracle") / "o.npz")
+    oracle.save(one2all.build_feedback(SP2, _WX, None, k=2, eps=0.3, seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_WEIGHTS))
+@pytest.mark.parametrize("call", sorted(_WEIGHTED_CALLS))
+def test_entry_points_reject_bad_weights(call, bad, oracle_path):
+    with pytest.raises(ValueError, match="^weights (must be|contain NaN or inf)"):
+        _WEIGHTED_CALLS[call](_BAD_WEIGHTS[bad], oracle_path)
 
 
 def test_centroid_set_dedup_keeps_first_occurrence_order():

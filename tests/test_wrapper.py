@@ -115,14 +115,28 @@ def test_planted_sample_fails_exact_certify():
 # degenerate and saturated paths -----------------------------------------
 
 
-def test_few_distinct_points_saturates_exactly():
+@pytest.mark.parametrize("weighted, copies", [
+    pytest.param(False, 1, id="plain"),
+    pytest.param(True, 1, id="weighted"),
+    pytest.param(True, 3, id="weighted-copies3"),
+])
+def test_few_distinct_points_saturates_exactly(weighted, copies):
+    # no residual cost: the first round samples every point, with the
+    # confirmation copies too, and its estimate is the exact cost
     X = np.repeat(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 7.0]]), 100, axis=0)
-    Q, rep = run(SP2, X, None, k=3, eps=0.3, seed=0)
+    w = np.random.default_rng(1).uniform(0.5, 2.0, size=len(X)) if weighted else None
+    Q, rep = run(SP2, X, w, k=3, eps=0.3, seed=0, copies=copies)
     assert rep.certified and rep.saturated
     assert rep.rounds == 1
+    assert rep.r == np.inf
     assert rep.sample_size == len(X)
+    assert np.all(rep.final_p == 1.0)
     assert rep.best_cost == 0.0
     assert len(Q.points) == 3
+    (entry,) = rep.log
+    assert entry["action"] == "saturated" and entry["r"] == np.inf
+    assert entry["size"] == len(X)
+    assert entry["estimate"] == entry["V_Q"]
 
 
 def test_tiny_uniforms_sample_everything_first_round():
