@@ -31,17 +31,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive(kind, name):
+def _checked(kind, name, ok, what):
     def convert(text):
         try:
             v = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number")
-        if v <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive")
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"{name} must be {what}")
         return v
 
     return convert
+
+
+def _positive(kind, name):
+    return _checked(kind, name, lambda v: v > 0, "positive")
+
+
+def _nonnegative(kind, name):
+    return _checked(kind, name, lambda v: v >= 0, "nonnegative")
 
 
 def _add_common(p):
@@ -93,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_positive(int, "--k"), required=True)
     p.add_argument("--eps", type=_positive(float, "--eps"), required=True)
     p.add_argument("--restarts", type=_positive(int, "--restarts"), default=5)
-    p.add_argument("--lloyd-iters", type=int, default=20)
+    p.add_argument("--lloyd-iters", type=_nonnegative(int, "--lloyd-iters"), default=20)
     p.add_argument("--copies", type=_positive(int, "--copies"), default=1)
     p.add_argument("--max-rounds", type=_positive(int, "--max-rounds"), default=40)
     p.add_argument("--weight-column", type=int, default=None)

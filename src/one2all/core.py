@@ -247,6 +247,22 @@ def nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
     return owner, dist
 
 
+def _exact(diff: np.ndarray, q: np.ndarray, power: float, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """||x - q||^power for the gathered rows x in diff, which is overwritten.
+
+    This is the one formula behind every distance the kernel and the trace
+    replay report: the difference, squared, numpy's pairwise sum over the
+    row, then the power. out, if given, receives the result.
+    """
+    diff -= q
+    np.square(diff, out=diff)
+    exact = diff.sum(axis=1, out=out)
+    if power != 2.0:
+        exact **= power / 2.0
+    return exact
+
+
 def _lower(X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
            owner: np.ndarray, norms: np.ndarray, power: float = 2.0) -> None:
     """Lower (dist, owner) in place by the centroids Q, numbered from base.
@@ -289,12 +305,7 @@ def _lower(X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
         cand = np.logical_not(skip, out=skip)  # NaN (overflow) never skips
         for j in range(k):
             rows = np.flatnonzero(cand[j])
-            diff = block[rows]
-            diff -= Q[j]
-            np.square(diff, out=diff)
-            exact = diff.sum(axis=1)
-            if power != 2.0:
-                exact **= power / 2.0
+            exact = _exact(block[rows], Q[j], power)
             better = exact < cur[rows]
             rows = rows[better]
             cur[rows] = exact[better]

@@ -8,7 +8,7 @@ kmeans++ prefixes M_i for the cheapest candidate picks the "sweet spot".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,24 +46,25 @@ def probs_from_assignment(
     """Build pi from a precomputed nearest-centroid assignment.
 
     Centroids owning no points are dropped first (they change neither the
-    assignment nor the cost); the count is kept as a diagnostic.
+    assignment nor the cost); the count is kept as a diagnostic. Weights
+    are positive, so a cell is empty exactly when its weight sum is 0.
     """
-    counts = np.bincount(owner, minlength=k)
-    keep = counts > 0
-    dropped = int(k - keep.sum())
+    cluster_w = np.bincount(owner, weights=w, minlength=k)
+    keep = cluster_w > 0.0
+    dropped = int(k - np.count_nonzero(keep))
     if dropped:
         remap = np.cumsum(keep) - 1
         owner = remap[owner]
         M = M[keep]
-        k -= dropped
+        cluster_w = cluster_w[keep]
     cost_m = float(np.sum(w * dist))
-    cluster_w = np.bincount(owner, weights=w, minlength=k)
-    if cost_m > 0.0:
-        term1 = (2.0 * rho / cost_m) * w * dist
-    else:
-        term1 = 0.0  # V(M)=0: only the within-cluster term remains
-    term2 = 8.0 * rho**2 * w / cluster_w[owner]
-    pi = np.minimum(1.0, np.maximum(term1, term2))
+    pi = 8.0 * rho**2 * w
+    pi /= cluster_w[owner]
+    if cost_m > 0.0:  # V(M)=0: only the within-cluster term remains
+        term1 = (2.0 * rho / cost_m) * w
+        term1 *= dist
+        np.maximum(term1, pi, out=pi)
+    np.minimum(1.0, pi, out=pi)
     return One2AllProbabilities(
         pi=pi,
         M=M,
@@ -116,28 +117,33 @@ def sweet_spot(
     """Pick the kmeans++ prefix whose candidate sample is smallest.
 
     exact mode minimizes |min{1, max{1, v_i/C} eps^-2 pi^(M_i)}|_1 over all
-    prefixes (pi recomputed per prefix from the replayed assignment); rough
-    mode minimizes the proxy score i*v_i without touching pi. Ties go to the
-    shortest prefix. Returns the 1-based winning index and its pi.
+    prefixes (pi per prefix from the assignment `replay` reads off the
+    trace's move log); rough mode minimizes the proxy score i*v_i without
+    touching pi. Ties go to the shortest prefix. Returns the 1-based winning
+    index and its pi, built from the replayed prefix assignment: no distance
+    pass beyond the moved rows'.
     """
     w = trace.weights
+    rho = trace.space.rho
     if mode == "rough":
-        v = trace.prefix_costs
-        scores = np.arange(1, trace.ell + 1) * v
+        scores = np.arange(1, trace.ell + 1) * trace.prefix_costs
         i_star = int(np.argmin(scores)) + 1
-    elif mode == "exact":
-        if C is None or C <= 0 or eps is None or eps <= 0:
-            raise ValueError("exact mode needs C > 0 and eps > 0")
-        best = np.inf
-        i_star = 1
-        for i, owner, dist, v_i in replay(trace):
-            cand = probs_from_assignment(w, owner, dist, trace.space.rho, i, trace.prefix(i))
-            p = np.minimum(1.0, max(1.0, v_i / C) * eps**-2 * cand.pi)
-            total = float(np.sum(p))
-            if total < best:
-                best = total
-                i_star = i
-    else:
+        for i, owner, dist, _ in replay(trace):
+            if i == i_star:
+                break
+        return i_star, probs_from_assignment(
+            w, owner.copy(), dist.copy(), rho, i_star, trace.prefix(i_star))
+    if mode != "exact":
         raise ValueError(f"unknown sweet-spot mode {mode!r}")
-    probs = one2all_probs(trace.space, trace.points, w, trace.prefix(i_star))
+    if C is None or C <= 0 or eps is None or eps <= 0:
+        raise ValueError("exact mode needs C > 0 and eps > 0")
+    best = np.inf
+    for i, owner, dist, v_i in replay(trace):
+        cand = probs_from_assignment(w, owner, dist, rho, i, trace.prefix(i))
+        p = max(1.0, v_i / C) * eps**-2 * cand.pi
+        total = float(np.sum(np.minimum(1.0, p, out=p)))
+        if i == 1 or total < best:
+            # later steps overwrite replay's arrays, which cand may share
+            best, i_star = total, i
+            probs = replace(cand, owner=cand.owner.copy(), dist=cand.dist.copy())
     return i_star, probs

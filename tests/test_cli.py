@@ -193,6 +193,18 @@ def test_oracle_usage_errors(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cluster_negative_lloyd_iters_is_usage_error(tmp_path, capsys):
+    # rejected while parsing, before the (missing) input file is read
+    rc = main(["cluster", "--in", str(tmp_path / "missing.csv"), "--k", "2",
+               "--eps", "0.3", "--lloyd-iters", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--lloyd-iters must be nonnegative" in err
+    assert "data error" not in err
+    assert main(["cluster", "--in", str(tmp_path / "missing.csv"), "--k", "2",
+                 "--eps", "0.3", "--lloyd-iters", "0"]) == 2  # 0 parses; the file is missing
+
+
 def test_oracle_query_dimension_mismatch(tmp_path, capsys):
     path = _gen(tmp_path, n=100, d=3, k=2, seed=6)
     oracle_path = tmp_path / "o.npz"

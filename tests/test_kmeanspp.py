@@ -1,10 +1,13 @@
 """D² seeding: selection law, prefix costs, determinism, truncation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import rand_instance, ref_cost
 
-from one2all.core import MetricSpace, cost
+from one2all import core
+from one2all.core import MetricSpace, cost, pairwise
 from one2all.data import gen_gmm
 from one2all.kmeanspp import replay, run_trace
 
@@ -163,3 +166,98 @@ def test_validation_errors():
         run_trace(SP2, LINE4, None, 0, seed=0)
     with pytest.raises(ValueError):
         run_trace(SP2, LINE4, None, 5, seed=0)
+
+
+# The move log against an independent per-column running minimum -----------
+
+
+def _column(space, X, s):
+    """Distances from every point to X[s], one whole column at a time."""
+    if space.kind == "matrix":
+        return np.array([space.matrix[x, X[s]] for x in X])
+    diff = X - X[s]
+    np.square(diff, out=diff)
+    col = diff.sum(axis=1)
+    if space.power != 2.0:
+        col **= space.power / 2.0
+    return col
+
+
+def _running_minimum(trace):
+    """(owner, dist) after each step, from the trace's centroids alone."""
+    X = trace.points
+    dist = np.full(X.shape[0], np.inf)
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    for i, s in enumerate(trace.centroid_indices):
+        col = _column(trace.space, X, s)
+        better = col < dist
+        dist[better] = col[better]
+        owner[better] = i
+        yield owner.copy(), dist.copy()
+
+
+def _clustered(seed, n=300, d=3):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)) + 6.0 * rng.integers(0, 5, size=(n, 1))
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_X = _clustered(1)
+_W = np.random.default_rng(2).uniform(0.2, 5.0, size=_X.shape[0])
+LOG_CASES = {  # space, points, weights, ell
+    "power1": (MetricSpace.euclidean(1.0), _X, None, 12),
+    "power2": (SP2, _X, None, 12),
+    "power3": (MetricSpace.euclidean(3.0), _X, None, 12),
+    "weighted": (SP2, _X, _W, 12),
+    "matrix": (MetricSpace.from_matrix(pairwise(MetricSpace.euclidean(1.0), _X[:120], _X[:120])),
+               np.arange(120), _W[:120], 10),
+    "truncated": (SP2, np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], 40, axis=0), None, 6),
+    "duplicated": (MetricSpace.euclidean(3.0), np.vstack([_X[:100], _X[:100]]), None, 40),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(LOG_CASES))
+def test_replay_matches_running_minimum(case, chunk, monkeypatch):
+    space, X, w, ell = LOG_CASES[case]
+    tr = run_trace(space, X, w, ell, seed=3)
+    assert tr.truncated == (case == "truncated")
+    if chunk is not None:
+        monkeypatch.setattr(core, "_CHUNK_ELEMS", chunk)
+    n = X.shape[0]
+    steps = zip(replay(tr), _running_minimum(tr), strict=True)
+    for (i, owner, dist, v), (ref_owner, ref_dist) in steps:
+        assert _same_bytes(owner, ref_owner), f"owner differs at prefix {i}"
+        assert _same_bytes(dist, ref_dist), f"dist differs at prefix {i}"
+        assert v == tr.prefix_costs[i - 1]
+        moved = np.unpackbits(tr.moves[i - 1], count=n).view(bool)
+        assert np.array_equal(moved, ref_owner == i - 1)
+    assert _same_bytes(owner, tr.owner) and _same_bytes(dist, tr.dist)
+
+
+def test_move_log_is_one_packed_array():
+    for X, ell in ((_clustered(4, n=301), 9), (np.repeat([[0.0], [1.0]], 10, axis=0), 5)):
+        tr = run_trace(SP2, X, None, ell, seed=0)
+        row_bytes = (X.shape[0] + 7) // 8
+        assert tr.moves.dtype == np.uint8
+        assert tr.moves.shape == (tr.ell, row_bytes)
+        assert tr.moves.nbytes == tr.ell * row_bytes
+    assert tr.truncated and tr.ell == 2
+
+
+def test_replay_memory_does_not_grow_with_ell():
+    X = _clustered(5, n=20000, d=4)
+    tr = run_trace(SP2, X, None, 40, seed=0)
+    tracemalloc.start()
+    try:
+        for _ in replay(tr):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state, one unpacked step and the gather buffers; one n-array kept
+    # per step would pass 40 * 8n bytes
+    assert peak < 16 * 8 * X.shape[0]

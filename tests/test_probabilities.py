@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from conftest import rand_instance, ref_one2all
 
-from one2all.core import MetricSpace
-from one2all.kmeanspp import run_trace
+from one2all import kmeanspp, probabilities
+from one2all.core import MetricSpace, pairwise
+from one2all.kmeanspp import replay, run_trace
 from one2all.probabilities import (
     one2all_probs,
     probs_from_assignment,
@@ -91,6 +92,29 @@ def test_empty_cell_centroid_dropped_without_effect():
     direct = one2all_probs(SP2, X, None, np.array([[0.0], [1.0]]))
     np.testing.assert_array_equal(probs.pi, direct.pi)
     assert probs.cost_m == direct.cost_m
+
+
+def test_probs_from_assignment_matches_two_bincount_reference():
+    rng = np.random.default_rng(21)
+    n, k, rho = 500, 7, 2.0
+    owner = rng.choice([0, 2, 3, 5], size=n)  # cells 1, 4 and 6 are empty
+    dist = rng.exponential(size=n)
+    w = rng.uniform(0.1, 3.0, size=n)
+    M = rng.normal(size=(k, 2))
+    got = probs_from_assignment(w, owner, dist, rho, k, M)
+    # reference: empty cells found by counting points, then weights summed
+    # over the renumbered cells
+    keep = np.bincount(owner, minlength=k) > 0
+    ref_owner = (np.cumsum(keep) - 1)[owner]
+    ref_cw = np.bincount(ref_owner, weights=w, minlength=int(keep.sum()))
+    cost_m = float(np.sum(w * dist))
+    ref_pi = np.minimum(1.0, np.maximum((2.0 * rho / cost_m) * w * dist,
+                                        8.0 * rho**2 * w / ref_cw[ref_owner]))
+    assert got.dropped_empty_cells == 3
+    assert got.cost_m == cost_m
+    for a, b in ((got.pi, ref_pi), (got.cluster_weights, ref_cw),
+                 (got.owner, ref_owner), (got.M, M[keep])):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # dominance --------------------------------------------------------------
@@ -219,3 +243,80 @@ def test_probs_from_assignment_agrees_with_direct():
     via = probs_from_assignment(w, owner, dist, sp.rho, 5, tr.centroids)
     direct = one2all_probs(sp, X, w, tr.centroids)
     np.testing.assert_array_equal(via.pi, direct.pi)
+
+
+# sweet spot from the move log ---------------------------------------------
+
+PROB_FIELDS = ("pi", "M", "cost_m", "cluster_weights", "dropped_empty_cells", "owner", "dist")
+
+
+def _sweet_instance(kind):
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(400, 3)) + 5.0 * rng.integers(0, 6, size=(400, 1))
+    w = rng.uniform(0.3, 3.0, size=400)
+    if kind == "matrix":
+        m = pairwise(MetricSpace.euclidean(1.0), X[:150], X[:150])
+        return MetricSpace.from_matrix(m), np.arange(150), w[:150]
+    return SP2, X, w
+
+
+def _sweet(tr, mode):
+    if mode == "exact":
+        return sweet_spot(tr, "exact", C=float(tr.prefix_costs[-1]), eps=0.3)
+    return sweet_spot(tr, "rough")
+
+
+def _assert_fields_equal(got, want):
+    for f in PROB_FIELDS:
+        a, b = np.asarray(getattr(got, f)), np.asarray(getattr(want, f))
+        assert a.dtype == b.dtype and a.shape == b.shape, f
+        assert a.tobytes() == b.tobytes(), f
+
+
+@pytest.mark.parametrize("mode", ["rough", "exact"])
+@pytest.mark.parametrize("kind", ["euclidean", "matrix"])
+def test_sweet_spot_probs_equal_one2all_probs(kind, mode):
+    sp, X, w = _sweet_instance(kind)
+    for seed in range(5):
+        tr = run_trace(sp, X, w, 10, seed=seed)
+        i_star, probs = _sweet(tr, mode)
+        _assert_fields_equal(probs, one2all_probs(sp, X, w, tr.prefix(i_star)))
+
+
+@pytest.mark.parametrize("mode", ["rough", "exact"])
+def test_sweet_spot_pays_no_distance_pass(mode, monkeypatch):
+    sp, X, w = _sweet_instance("euclidean")
+    tr = run_trace(sp, X, w, 10, seed=0)
+    want = _sweet(tr, mode)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweet_spot ran a distance pass")
+
+    for module, name in ((probabilities, "nearest"), (probabilities, "one2all_probs"),
+                         (kmeanspp, "_lower"), (kmeanspp, "pairwise")):
+        monkeypatch.setattr(module, name, refuse)
+    i_star, probs = _sweet(tr, mode)
+    assert i_star == want[0]
+    _assert_fields_equal(probs, want[1])
+
+
+@pytest.mark.parametrize("mode", ["rough", "exact"])
+def test_sweet_spot_probs_outlive_replay(mode, monkeypatch):
+    sp, X, w = _sweet_instance("euclidean")
+    tr = run_trace(sp, X, w, 10, seed=4)
+    started = []
+
+    def spy(trace):
+        steps = replay(trace)
+        started.append(steps)
+        return steps
+
+    monkeypatch.setattr(probabilities, "replay", spy)
+    i_star, probs = _sweet(tr, mode)
+    assert i_star < tr.ell  # later steps exist to overwrite replay's arrays
+    before = {f: np.array(getattr(probs, f), copy=True) for f in PROB_FIELDS}
+    for steps in started:
+        for _ in steps:
+            pass
+    for f in PROB_FIELDS:
+        assert np.asarray(getattr(probs, f)).tobytes() == before[f].tobytes(), f
