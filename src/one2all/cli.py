@@ -13,7 +13,7 @@ import sys
 
 from . import bench, data, oracle
 from .core import MetricSpace
-from .errors import DataFormatError, DegenerateCostError
+from .errors import DataFormatError
 from .lloyd import BaseClustererConfig, make_base
 from .wrapper import run as wrapper_run
 
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"one2all: error: {e}", file=sys.stderr)
         return 1
-    except (DataFormatError, DegenerateCostError, OSError, ValueError) as e:
+    except (DataFormatError, OSError, ValueError) as e:
         print(f"one2all: data error: {e}", file=sys.stderr)
         return 2
 

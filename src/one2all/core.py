@@ -189,20 +189,6 @@ def as_weights(w, n: int) -> np.ndarray:
     return w
 
 
-def distance(space: MetricSpace, x, y) -> float:
-    """Distance between two points (or two indices for matrix spaces)."""
-    if space.kind == "matrix":
-        return float(space.matrix[int(x), int(y)])
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    sq = float(((x - y) ** 2).sum())
-    if space.power == 2.0:
-        return sq
-    return sq ** (space.power / 2.0)
-
-
 def pairwise(space: MetricSpace, X, Q) -> np.ndarray:
     """Full (n, k) matrix of distances from each point to each centroid."""
     X = as_points(X)

@@ -1,11 +1,6 @@
 """Exception types shared across modules."""
 
 
-class DegenerateCostError(ValueError):
-    """Raised when a probability distribution cannot be formed because the
-    clustering cost of the generating centroid set is zero."""
-
-
 class DataFormatError(ValueError):
     """Raised on malformed input files (delimited text, IDX images, or
     serialized oracle state)."""

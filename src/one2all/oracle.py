@@ -20,9 +20,14 @@ from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
 from .probabilities import One2AllProbabilities, sweet_spot
-from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
+from .sampling import CoordinatedSample, draw, estimate_cost
 
 _FORMAT_VERSION = 2  # 2: no per-cell medians
+# every key save writes; load checks them all before it uses any
+_SCALARS = ("version", "kind", "power", "rho", "n", "k", "ell", "eps", "C", "seed",
+            "sample_seed", "prefix_index", "update_count", "cost_m", "dropped_empty_cells")
+_ARRAYS = ("pi", "p", "members", "member_points", "member_weights", "centroids",
+           "cluster_weights")
 
 
 @dataclass
@@ -193,12 +198,14 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
             data = {key: z[key] for key in z.files}
     except (OSError, ValueError) as e:
         raise DataFormatError(f"cannot read oracle file {path}: {e}") from e
-    version = int(data["version"]) if "version" in data else None
+    version = data.get("version")
+    version = int(version) if version is not None and version.shape == () else None
     if version != _FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: oracle file format {version}, expected {_FORMAT_VERSION}; "
             "build the oracle again"
         )
+    _check(path, data)
     kind = str(data["kind"])
     if space is None:
         if kind != "euclidean":
@@ -213,7 +220,6 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
         M=data["centroids"],
         cost_m=float(data["cost_m"]),
         cluster_weights=data["cluster_weights"],
-        rho=float(data["rho"]),
         dropped_empty_cells=int(data["dropped_empty_cells"]),
     )
     sample_seed = int(data["sample_seed"])
@@ -226,8 +232,7 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
             )
         require_finite(points=points)
         weights = as_weights(weights, n)
-        u = point_uniforms(sample_seed, n)
-        sample = draw(points, weights, p, sample_seed, u=u)
+        sample = draw(points, weights, p, sample_seed)
         if (
             not np.array_equal(sample.members, members)
             or not np.array_equal(points[members], data["member_points"])
@@ -239,15 +244,13 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
             )
     else:
         weights = None
-        m = members.shape[0]
         sample = CoordinatedSample(
             points=data["member_points"],
             weights=data["member_weights"],
             u=None,
             p=p[members],
-            members=np.arange(m, dtype=np.intp),
+            members=np.arange(members.shape[0], dtype=np.intp),
             w_prime=data["member_weights"] / p[members],
-            seed=sample_seed,
         )
     return OracleState(
         space=space,
@@ -265,3 +268,30 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
         seed=int(data["seed"]),
         sample_seed=sample_seed,
     )
+
+
+def _check(path: str, data: dict) -> None:
+    """Raise DataFormatError unless data holds every key save writes, with
+    the dtypes and shapes that n, the member count and the point shape imply."""
+    missing = [key for key in _SCALARS + _ARRAYS if key not in data]
+    if missing:
+        raise DataFormatError(f"{path}: oracle file lacks {', '.join(missing)}")
+    for key in _SCALARS + _ARRAYS:
+        a = data[key]
+        if (key in _SCALARS and a.shape != ()) or (key != "kind" and a.dtype.kind not in "iuf"):
+            raise DataFormatError(f"{path}: oracle {key} has dtype {a.dtype} and shape {a.shape}")
+    n = int(data["n"])
+    members = data["members"]
+    if members.ndim != 1 or members.dtype.kind not in "iu" or (
+            members.size and not 0 <= members.min() <= members.max() < n):
+        raise DataFormatError(f"{path}: oracle members are not indices in 0..{n - 1}")
+    tail = data["member_points"].shape[1:]  # (d,) for Euclidean points, () for indices
+    if len(tail) != (0 if str(data["kind"]) == "matrix" else 1):
+        raise DataFormatError(f"{path}: oracle member_points have shape {tail} per point")
+    cells = data["centroids"].shape[:1]
+    want = {"pi": (n,), "p": (n,), "member_points": members.shape + tail,
+            "member_weights": members.shape, "centroids": cells + tail,
+            "cluster_weights": cells}
+    for key, shape in want.items():
+        if data[key].shape != shape:
+            raise DataFormatError(f"{path}: oracle {key} has shape {data[key].shape}, not {shape}")

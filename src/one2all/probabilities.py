@@ -8,13 +8,12 @@ kmeans++ prefixes M_i for the cheapest candidate picks the "sweet spot".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, as_weights, cost, nearest
+from .core import CentroidSet, MetricSpace, as_points, as_weights, nearest
 from .kmeanspp import KmeansPPTrace, replay
-from .sampling import pps_base
 
 
 @dataclass
@@ -25,10 +24,7 @@ class One2AllProbabilities:
     M: np.ndarray = field(repr=False)  # centroids kept after empty-cell drop
     cost_m: float = 0.0
     cluster_weights: np.ndarray | None = None
-    rho: float = 1.0
     dropped_empty_cells: int = 0
-    owner: np.ndarray | None = field(default=None, repr=False)
-    dist: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def overhead(self) -> float:
@@ -40,24 +36,25 @@ def probs_from_assignment(
     owner: np.ndarray,
     dist: np.ndarray,
     rho: float,
-    k: int,
     M: np.ndarray,
+    cost_m: float,
 ) -> One2AllProbabilities:
-    """Build pi from a precomputed nearest-centroid assignment.
+    """Build pi from a precomputed nearest-centroid assignment and its cost.
 
-    Centroids owning no points are dropped first (they change neither the
-    assignment nor the cost); the count is kept as a diagnostic. Weights
-    are positive, so a cell is empty exactly when its weight sum is 0.
+    cost_m must be float(np.sum(w * dist)); the trace already holds it for
+    every prefix. Centroids (rows of M) owning no points are dropped first
+    (they change neither the assignment nor the cost); the count is kept as
+    a diagnostic. Weights are positive, so a cell is empty exactly when its
+    weight sum is 0.
     """
-    cluster_w = np.bincount(owner, weights=w, minlength=k)
+    cluster_w = np.bincount(owner, weights=w, minlength=M.shape[0])
     keep = cluster_w > 0.0
-    dropped = int(k - np.count_nonzero(keep))
+    dropped = int(keep.size - np.count_nonzero(keep))
     if dropped:
         remap = np.cumsum(keep) - 1
         owner = remap[owner]
         M = M[keep]
         cluster_w = cluster_w[keep]
-    cost_m = float(np.sum(w * dist))
     pi = 8.0 * rho**2 * w
     pi /= cluster_w[owner]
     if cost_m > 0.0:  # V(M)=0: only the within-cluster term remains
@@ -70,10 +67,7 @@ def probs_from_assignment(
         M=M,
         cost_m=cost_m,
         cluster_weights=cluster_w,
-        rho=rho,
         dropped_empty_cells=dropped,
-        owner=owner,
-        dist=dist,
     )
 
 
@@ -83,29 +77,7 @@ def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
     M = CentroidSet(M).points
     w = as_weights(w, X.shape[0])
     owner, dist = nearest(space, X, M)
-    return probs_from_assignment(w, owner, dist, space.rho, M.shape[0], M)
-
-
-def verify_dominance(space: MetricSpace, X, w, probs: One2AllProbabilities, Q) -> dict:
-    """Check pi >= min{1, V(Q)/V(M)} * psi^(Q) pointwise (a theorem, exact).
-
-    A zero-cost Q has no pps distribution and nothing to dominate; V(M)=0
-    makes the scaling factor 1.
-    """
-    X = as_points(X)
-    w = as_weights(w, X.shape[0])
-    vq = cost(space, X, w, Q)
-    if vq <= 0.0:
-        return {"holds": True, "worst_ratio": 0.0, "cost_q": 0.0}
-    psi = pps_base(space, X, w, Q).psi
-    factor = 1.0 if probs.cost_m <= 0.0 else min(1.0, vq / probs.cost_m)
-    required = factor * psi
-    ratio = required / probs.pi
-    return {
-        "holds": bool(np.all(required <= probs.pi + 1e-12)),
-        "worst_ratio": float(ratio.max()),
-        "cost_q": vq,
-    }
+    return probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
 
 
 def sweet_spot(
@@ -128,22 +100,19 @@ def sweet_spot(
     if mode == "rough":
         scores = np.arange(1, trace.ell + 1) * trace.prefix_costs
         i_star = int(np.argmin(scores)) + 1
-        for i, owner, dist, _ in replay(trace):
+        for i, owner, dist, v_i in replay(trace):
             if i == i_star:
                 break
-        return i_star, probs_from_assignment(
-            w, owner.copy(), dist.copy(), rho, i_star, trace.prefix(i_star))
+        return i_star, probs_from_assignment(w, owner, dist, rho, trace.prefix(i_star), v_i)
     if mode != "exact":
         raise ValueError(f"unknown sweet-spot mode {mode!r}")
     if C is None or C <= 0 or eps is None or eps <= 0:
         raise ValueError("exact mode needs C > 0 and eps > 0")
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
-        cand = probs_from_assignment(w, owner, dist, rho, i, trace.prefix(i))
+        cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i)
         p = max(1.0, v_i / C) * eps**-2 * cand.pi
         total = float(np.sum(np.minimum(1.0, p, out=p)))
         if i == 1 or total < best:
-            # later steps overwrite replay's arrays, which cand may share
-            best, i_star = total, i
-            probs = replace(cand, owner=cand.owner.copy(), dist=cand.dist.copy())
+            best, i_star, probs = total, i, cand
     return i_star, probs

@@ -16,8 +16,8 @@ import numpy as np
 from .core import CentroidSet, MetricSpace, as_points, as_weights, cost, require_finite
 from .kmeanspp import run_trace
 from .lloyd import BaseClustererConfig, make_base
-from .probabilities import One2AllProbabilities, sweet_spot
-from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
+from .probabilities import sweet_spot
+from .sampling import draw, estimate_cost
 
 
 @dataclass
@@ -32,37 +32,16 @@ class WrapperReport:
     seed_cost: float  # cost of the first-k kmeans++ prefix
     sweet_spot_index: int
     cost_m: float  # v at the sweet-spot prefix
-    v_full_trace: float  # v_2k
     eps: float
     k: int
     seed: int
     sample_seed: int
     final_p: np.ndarray = field(repr=False)
-    probs: One2AllProbabilities = field(repr=False)
     log: list = field(default_factory=list, repr=False)
 
     @property
     def sample_fraction(self) -> float:
         return self.sample_size / self.n
-
-
-def certify(space, X, w, sample: CoordinatedSample, Q, eps: float,
-            mode: str = "exact", seed: int = 0) -> tuple[float, bool]:
-    """Does the sample cost of Q reflect its real cost within (1+eps)?
-
-    exact mode compares against the true cost; validation mode against an
-    estimate from an independent sample at the same probabilities.
-    """
-    as_weights(w, as_points(X).shape[0])  # validation mode never reads w
-    est = estimate_cost(space, sample, Q)
-    if mode == "exact":
-        v_q = cost(space, X, w, Q)
-    elif mode == "validation":
-        independent = draw(sample.points, sample.weights, sample.p, seed)
-        v_q = estimate_cost(space, independent, Q)
-    else:
-        raise ValueError(f"unknown certify mode {mode!r}")
-    return v_q, bool(v_q <= (1.0 + eps) * est)
 
 
 def multi_sample_confirm(space, X, w, p, base, copies: int, seed: int = 0
@@ -96,13 +75,11 @@ def run(
     seed: int = 0,
     max_rounds: int = 40,
     copies: int = 1,
-    u: np.ndarray | None = None,
 ) -> tuple[CentroidSet, WrapperReport]:
     """Cluster (X, w) into k centroids over adaptively grown samples.
 
     base maps (space, points, weights) to a CentroidSet and must honor the
-    weights; default is best-of-5 kmeans++ with 20 Lloyd iterations. u
-    overrides the seed-derived per-point uniforms (testing hook).
+    weights; default is best-of-5 kmeans++ with 20 Lloyd iterations.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -137,8 +114,7 @@ def run(
     saturated = False
     rounds = 0
     p = np.minimum(1.0, r * inv_eps2 * probs.pi)
-    uniforms = u if u is not None else point_uniforms(sample_seed, n)
-    sample = draw(X, w, p, sample_seed, u=uniforms)
+    sample = draw(X, w, p, sample_seed)
     for rnd in range(max_rounds):
         rounds = rnd + 1
         this_base = base if base is not None else make_base(
@@ -192,12 +168,10 @@ def run(
         seed_cost=seed_cost,
         sweet_spot_index=i_star,
         cost_m=v_m,
-        v_full_trace=v_end,
         eps=eps,
         k=k,
         seed=seed,
         sample_seed=sample_seed,
         final_p=p,
-        probs=probs,
         log=log,
     )

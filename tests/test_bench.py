@@ -5,6 +5,7 @@ from math import log
 
 import numpy as np
 import pytest
+from reference import pps_base
 
 from one2all.bench import (
     PRESETS,
@@ -18,7 +19,6 @@ from one2all.bench import (
 )
 from one2all.core import MetricSpace
 from one2all.data import gen_gmm
-from one2all.sampling import pps_base
 
 SP2 = MetricSpace.euclidean(2.0)
 

@@ -216,6 +216,21 @@ def test_oracle_query_dimension_mismatch(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_oracle_query_on_a_file_missing_a_key_is_data_error(tmp_path):
+    data = _gen(tmp_path, n=2000, d=3, k=3)
+    path = tmp_path / "o.npz"
+    assert main(["oracle-build", "--in", str(data), "--k", "3", "--eps", "0.3",
+                 "--out", str(path)]) == 0
+    blob = dict(np.load(path, allow_pickle=False))
+    del blob["p"]
+    np.savez(path, **blob)
+    query = _write_query(tmp_path, np.zeros((2, 3)))
+    proc = _one2all_process("oracle-query", "--oracle", path, "--query", query)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"lacks p" in proc.stderr
+
+
 def test_oracle_fixed_threshold_build(tmp_path, capsys):
     path = _gen(tmp_path, n=200, d=2, k=2, seed=7)
     oracle_path = tmp_path / "o.npz"

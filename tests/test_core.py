@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import reference
+from conftest import ref_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -13,7 +15,6 @@ from one2all.core import (
     MetricSpace,
     WeightedPointSet,
     cost,
-    distance,
     nearest,
     pairwise,
 )
@@ -22,27 +23,28 @@ from one2all.kmeanspp import _draw_index, replay, run_trace
 
 def test_squared_euclidean_simple():
     sp = MetricSpace.euclidean(2.0)
-    assert distance(sp, [0.0, 0.0], [3.0, 4.0]) == 25.0
-    assert distance(sp, [1.0, 1.0], [1.0, 1.0]) == 0.0
+    assert pairwise(sp, [[0.0, 0.0], [1.0, 1.0]], [[3.0, 4.0], [1.0, 1.0]]).tolist() == [
+        [25.0, 2.0], [13.0, 0.0]]
     assert sp.rho == 2.0
 
 
 def test_plain_euclidean_simple():
     sp = MetricSpace.euclidean(1.0)
-    assert distance(sp, [0.0, 0.0], [3.0, 4.0]) == 5.0
+    assert pairwise(sp, [[0.0, 0.0]], [[3.0, 4.0]]).tolist() == [[5.0]]
     assert sp.rho == 1.0
 
 
 def test_power_three_rho():
     sp = MetricSpace.euclidean(3.0)
     assert sp.rho == 4.0
-    assert distance(sp, [0.0], [2.0]) == pytest.approx(8.0)
+    assert pairwise(sp, [[0.0]], [[2.0]])[0, 0] == pytest.approx(8.0)
 
 
 def test_distance_dimension_mismatch():
     sp = MetricSpace.euclidean(2.0)
-    with pytest.raises(ValueError):
-        distance(sp, [0.0, 0.0], [1.0, 2.0, 3.0])
+    for kernel in (pairwise, nearest):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernel(sp, [[0.0, 0.0]], [[1.0, 2.0, 3.0]])
 
 
 def test_self_distance_exact_zero():
@@ -61,7 +63,7 @@ def test_pairwise_matches_bruteforce():
     for p in (1.0, 2.0, 1.5):
         sp = MetricSpace.euclidean(p)
         got = pairwise(sp, X, Q)
-        want = np.array([[distance(sp, x, q) for q in Q] for x in X])
+        want = np.array([[ref_distance(p, x, q) for q in Q] for x in X])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -153,18 +155,16 @@ _WEIGHTED_CALLS = {
     "draw": lambda w, path: one2all.draw(_WX, w, np.full(60, 0.5), 0),
     "one2all_probs": lambda w, path: one2all.one2all_probs(SP2, _WX, w, _WX[:3]),
     "cost": lambda w, path: one2all.cost(SP2, _WX, w, _WX[:3]),
-    "certify": lambda w, path: one2all.certify(
-        SP2, _WX, w, one2all.draw(_WX, None, np.ones(60), 0), _WX[:3], 0.3,
-        mode="validation"),
     "WeightedPointSet": lambda w, path: WeightedPointSet(_WX, w),
     "base_cluster": lambda w, path: one2all.base_cluster(
         SP2, _WX, w, one2all.BaseClustererConfig(k=2)),
     "lloyd_step": lambda w, path: one2all.lloyd_step(SP2, _WX, w, _WX[:3]),
     "multi_sample_confirm": lambda w, path: one2all.multi_sample_confirm(
         SP2, _WX, w, np.ones(60), lambda sp, X, ww: X[:2], copies=1),
-    "pps_base": lambda w, path: one2all.pps_base(SP2, _WX, w, _WX[:3]),
-    "mo_pps_bruteforce": lambda w, path: one2all.mo_pps_bruteforce(SP2, _WX, w, 1),
-    "verify_dominance": lambda w, path: one2all.verify_dominance(
+    # the proof checks: a weight they let through would void their verdicts
+    "pps_base": lambda w, path: reference.pps_base(SP2, _WX, w, _WX[:3]),
+    "mo_pps_bruteforce": lambda w, path: reference.mo_pps_bruteforce(SP2, _WX, w, 1),
+    "verify_dominance": lambda w, path: reference.verify_dominance(
         SP2, _WX, w, one2all.one2all_probs(SP2, _WX, None, _WX[:3]), _WX[:2]),
 }
 
@@ -196,7 +196,7 @@ def test_matrix_space_roundtrip():
     sp2 = MetricSpace.euclidean(2.0)
     m = pairwise(sp2, pts, pts)
     sp = MetricSpace.from_matrix(m, rho=2.0)
-    assert distance(sp, 0, 2) == 25.0
+    assert pairwise(sp, np.array([0]), np.array([2])).tolist() == [[25.0]]
     owner, dist = nearest(sp, np.array([0, 1, 2]), np.array([0, 2]))
     np.testing.assert_array_equal(owner, [0, 0, 1])
     np.testing.assert_allclose(dist, [0.0, 1.0, 0.0])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import rand_instance
+from reference import mo_pps_bruteforce
 
 from one2all import oracle
 from one2all.cli import main
@@ -97,8 +98,6 @@ def test_stored_probabilities_dominate_pps_above_threshold():
         tr = run_trace(sp, X, w, 3, seed=seed)
         C = tr.prefix_costs[-1]
         st = oracle.build(sp, X, w, ell=3, C=C, eps=eps, seed=seed)
-        from one2all.sampling import mo_pps_bruteforce
-
         for kq in (1, 2):
             psi, _ = mo_pps_bruteforce(sp, X, w, kq, min_cost=C)
             capped = np.minimum(1.0, eps**-2 * psi)
@@ -286,6 +285,71 @@ def test_load_rejects_format_1_files(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
     assert "format 1" in capsys.readouterr().err
+
+
+# malformed files --------------------------------------------------------
+
+_KEYS = (
+    "version", "kind", "power", "rho", "n", "k", "ell", "eps", "C", "seed", "sample_seed",
+    "prefix_index", "update_count", "pi", "p", "members", "member_points",
+    "member_weights", "centroids", "cost_m", "cluster_weights", "dropped_empty_cells",
+)
+
+
+@pytest.fixture(scope="module")
+def saved_blob(tmp_path_factory):
+    X, w = _mixture(43, n=600, d=3, k=3)
+    path = tmp_path_factory.mktemp("oracle") / "o.npz"
+    oracle.save(oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=11), path)
+    return X, w, dict(np.load(path, allow_pickle=False))
+
+
+def _load_changed(tmp_path, saved_blob, with_points, **changes):
+    """Load the saved oracle with keys replaced (or dropped, for None)."""
+    X, w, blob = saved_blob
+    blob = dict(blob)
+    for key, value in changes.items():
+        if value is None:
+            del blob[key]
+        else:
+            blob[key] = value(blob[key])
+    path = tmp_path / "changed.npz"
+    np.savez(path, **blob)
+    return oracle.load(path, **({"points": X, "weights": w} if with_points else {}))
+
+
+def test_saved_file_holds_exactly_the_format_keys(saved_blob):
+    assert sorted(saved_blob[2]) == sorted(_KEYS)
+
+
+@pytest.mark.parametrize("with_points", [False, True], ids=["standalone", "points"])
+@pytest.mark.parametrize("key", _KEYS)
+def test_load_rejects_missing_key(tmp_path, saved_blob, key, with_points):
+    with pytest.raises(DataFormatError):
+        _load_changed(tmp_path, saved_blob, with_points, **{key: None})
+
+
+_MISMATCHES = {
+    "p-short": {"p": lambda a: a[:-5]},
+    "pi-long": {"pi": lambda a: np.r_[a, 0.5]},
+    "members-negative": {"members": lambda a: np.r_[-1, a[1:]]},
+    "members-past-n": {"members": lambda a: np.r_[a[:-1], 600]},
+    "members-float": {"members": lambda a: a.astype(np.float64)},
+    "member-weights-short": {"member_weights": lambda a: a[1:]},
+    "member-points-d": {"member_points": lambda a: a[:, :2]},
+    "member-points-flat": {"member_points": lambda a: a[:, 0]},
+    "centroids-d": {"centroids": lambda a: np.c_[a, a[:, :1]]},
+    "cluster-weights-long": {"cluster_weights": lambda a: np.r_[a, 1.0]},
+    "n-not-scalar": {"n": lambda a: np.array([a, a])},
+    "p-text": {"p": lambda a: a.astype(str)},
+}
+
+
+@pytest.mark.parametrize("with_points", [False, True], ids=["standalone", "points"])
+@pytest.mark.parametrize("case", sorted(_MISMATCHES))
+def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, with_points):
+    with pytest.raises(DataFormatError):
+        _load_changed(tmp_path, saved_blob, with_points, **_MISMATCHES[case])
 
 
 def test_feedback_query_after_reload_continues(tmp_path):

@@ -5,17 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 from conftest import rand_instance, ref_one2all
+from reference import pps_base, verify_dominance
 
 from one2all import kmeanspp, probabilities
-from one2all.core import MetricSpace, pairwise
+from one2all.core import MetricSpace, nearest, pairwise
 from one2all.kmeanspp import replay, run_trace
-from one2all.probabilities import (
-    one2all_probs,
-    probs_from_assignment,
-    sweet_spot,
-    verify_dominance,
-)
-from one2all.sampling import pps_base
+from one2all.probabilities import one2all_probs, probs_from_assignment, sweet_spot
 
 SP2 = MetricSpace.euclidean(2.0)
 
@@ -66,9 +61,10 @@ def test_per_point_lower_bounds():
     sp, X, w = rand_instance(3, n=30, d=2)
     tr = run_trace(sp, X, w, 3, seed=1)
     probs = one2all_probs(sp, X, w, tr.centroids)
+    owner, dist = nearest(sp, X, probs.M)
     rho = sp.rho
-    t2 = np.minimum(1, 8 * rho**2 * w / probs.cluster_weights[probs.owner])
-    t1 = np.minimum(1, 2 * rho * w * probs.dist / probs.cost_m)
+    t2 = np.minimum(1, 8 * rho**2 * w / probs.cluster_weights[owner])
+    t1 = np.minimum(1, 2 * rho * w * dist / probs.cost_m)
     assert np.all(probs.pi >= t2 - 1e-15)
     assert np.all(probs.pi >= t1 - 1e-15)
 
@@ -101,19 +97,18 @@ def test_probs_from_assignment_matches_two_bincount_reference():
     dist = rng.exponential(size=n)
     w = rng.uniform(0.1, 3.0, size=n)
     M = rng.normal(size=(k, 2))
-    got = probs_from_assignment(w, owner, dist, rho, k, M)
+    cost_m = float(np.sum(w * dist))
+    got = probs_from_assignment(w, owner, dist, rho, M, cost_m)
     # reference: empty cells found by counting points, then weights summed
     # over the renumbered cells
     keep = np.bincount(owner, minlength=k) > 0
     ref_owner = (np.cumsum(keep) - 1)[owner]
     ref_cw = np.bincount(ref_owner, weights=w, minlength=int(keep.sum()))
-    cost_m = float(np.sum(w * dist))
     ref_pi = np.minimum(1.0, np.maximum((2.0 * rho / cost_m) * w * dist,
                                         8.0 * rho**2 * w / ref_cw[ref_owner]))
     assert got.dropped_empty_cells == 3
     assert got.cost_m == cost_m
-    for a, b in ((got.pi, ref_pi), (got.cluster_weights, ref_cw),
-                 (got.owner, ref_owner), (got.M, M[keep])):
+    for a, b in ((got.pi, ref_pi), (got.cluster_weights, ref_cw), (got.M, M[keep])):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -237,17 +232,15 @@ def test_flat_cost_profile_high_dim_blob_picks_one():
 def test_probs_from_assignment_agrees_with_direct():
     sp, X, w = rand_instance(12, n=45, d=2)
     tr = run_trace(sp, X, w, 5, seed=6)
-    from one2all.core import nearest
-
     owner, dist = nearest(sp, X, tr.centroids)
-    via = probs_from_assignment(w, owner, dist, sp.rho, 5, tr.centroids)
+    via = probs_from_assignment(w, owner, dist, sp.rho, tr.centroids, float(np.sum(w * dist)))
     direct = one2all_probs(sp, X, w, tr.centroids)
     np.testing.assert_array_equal(via.pi, direct.pi)
 
 
 # sweet spot from the move log ---------------------------------------------
 
-PROB_FIELDS = ("pi", "M", "cost_m", "cluster_weights", "dropped_empty_cells", "owner", "dist")
+PROB_FIELDS = ("pi", "M", "cost_m", "cluster_weights", "dropped_empty_cells")
 
 
 def _sweet_instance(kind):

@@ -6,20 +6,13 @@ from math import exp, log
 import numpy as np
 import pytest
 from conftest import rand_instance
+from reference import concentration_check, mo_pps_bruteforce, overestimate_bound, pps_base
 
+from one2all import sampling
 from one2all.core import MetricSpace, cost
-from one2all.errors import DegenerateCostError
 from one2all.kmeanspp import run_trace
 from one2all.probabilities import one2all_probs
-from one2all.sampling import (
-    concentration_check,
-    draw,
-    estimate_cost,
-    mo_pps_bruteforce,
-    overestimate_bound,
-    point_uniforms,
-    pps_base,
-)
+from one2all.sampling import draw, estimate_cost, point_uniforms
 
 SP2 = MetricSpace.euclidean(2.0)
 
@@ -44,7 +37,7 @@ def test_pps_base_normalizes_and_rejects_degenerate():
     b = pps_base(sp, X, w, X[:4])
     assert b.psi.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(b.psi >= 0)
-    with pytest.raises(DegenerateCostError):
+    with pytest.raises(ValueError, match="cost of Q is zero"):
         pps_base(sp, X, w, X)
 
 
@@ -134,14 +127,15 @@ def test_growth_never_evicts():
     np.testing.assert_allclose(s.w_prime * s.p[s.members], w[s.members], rtol=1e-15)
 
 
-def test_draw_validation_and_u_override():
+def test_draw_validation_and_u_override(monkeypatch):
     X = np.zeros((3, 1))
     with pytest.raises(ValueError):
         draw(X, None, np.array([0.5, 0.5]), seed=0)
     with pytest.raises(ValueError):
         draw(X, None, np.array([0.5, 1.5, 0.5]), seed=0)
     u = np.array([0.9, 0.1, 0.5])
-    s = draw(X, None, np.array([0.5, 0.5, 0.5]), seed=0, u=u)
+    monkeypatch.setattr(sampling, "point_uniforms", lambda seed, n: u)
+    s = draw(X, None, np.array([0.5, 0.5, 0.5]), seed=0)
     np.testing.assert_array_equal(s.members, [1, 2])
 
 

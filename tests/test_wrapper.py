@@ -1,12 +1,15 @@
 """Adaptive clustering wrapper: certification loop, growth, edge paths."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import rand_instance
 
+from one2all import core, kmeanspp, oracle, sampling
 from one2all.core import MetricSpace, cost
 from one2all.sampling import draw, estimate_cost, point_uniforms
-from one2all.wrapper import certify, multi_sample_confirm, run
+from one2all.wrapper import multi_sample_confirm, run
 
 SP2 = MetricSpace.euclidean(2.0)
 
@@ -25,6 +28,11 @@ def _two_blobs(n_each=2000, gap=1000.0, seed=0):
     far = rng.normal(size=(n_each, 2))
     far[:, 0] += gap
     return np.vstack([near, far])
+
+
+def _plant(monkeypatch, u):
+    """Make every coordinated draw use the uniforms u."""
+    monkeypatch.setattr(sampling, "point_uniforms", lambda seed, n: u)
 
 
 # end to end -------------------------------------------------------------
@@ -72,12 +80,13 @@ def test_deterministic_given_seed():
 # fooling instance: planted uniforms hide half the mass ------------------
 
 
-def test_hidden_cluster_forces_growth_then_certifies():
+def test_hidden_cluster_forces_growth_then_certifies(monkeypatch):
     X = _two_blobs()
     n = len(X)
     u = point_uniforms(99, n)
     u[n // 2 :] = 1.0  # far blob joins the sample only at p = 1
-    Q, rep = run(SP2, X, None, k=2, eps=0.5, seed=2, u=u)
+    _plant(monkeypatch, u)
+    Q, rep = run(SP2, X, None, k=2, eps=0.5, seed=2)
     actions = [e["action"] for e in rep.log]
     assert "grow" in actions
     assert rep.certified
@@ -87,29 +96,16 @@ def test_hidden_cluster_forces_growth_then_certifies():
     assert rep.best_cost <= 0.01 * first_grow["V_Q"]
 
 
-def test_round_budget_reports_uncertified():
+def test_round_budget_reports_uncertified(monkeypatch):
     X = _two_blobs()
     n = len(X)
     u = point_uniforms(99, n)
     u[n // 2 :] = 1.0
-    _, rep = run(SP2, X, None, k=2, eps=0.5, seed=2, u=u, max_rounds=1)
+    _plant(monkeypatch, u)
+    _, rep = run(SP2, X, None, k=2, eps=0.5, seed=2, max_rounds=1)
     assert not rep.certified
     assert rep.rounds == 1
     assert rep.log[-1]["action"] == "grow"
-
-
-def test_planted_sample_fails_exact_certify():
-    X = _two_blobs()
-    n = len(X)
-    u = point_uniforms(99, n)
-    u[n // 2 :] = 1.0
-    w = np.ones(n)
-    p = np.full(n, 0.2)
-    sample = draw(X, w, p, seed=0, u=u)
-    Q = np.array([[0.0, 0.0], [1.0, 1.0]])  # both centroids in the near blob
-    v_q, passed = certify(SP2, X, w, sample, Q, eps=0.5)
-    assert v_q == pytest.approx(cost(SP2, X, w, Q), rel=1e-12)
-    assert not passed
 
 
 # degenerate and saturated paths -----------------------------------------
@@ -139,10 +135,10 @@ def test_few_distinct_points_saturates_exactly(weighted, copies):
     assert entry["estimate"] == entry["V_Q"]
 
 
-def test_tiny_uniforms_sample_everything_first_round():
+def test_tiny_uniforms_sample_everything_first_round(monkeypatch):
     X, w = _mixture(9, n=800, d=3, k=3)
-    u = np.full(800, 1e-12)
-    _, rep = run(SP2, X, w, k=3, eps=0.3, seed=3, u=u)
+    _plant(monkeypatch, np.full(800, 1e-12))
+    _, rep = run(SP2, X, w, k=3, eps=0.3, seed=3)
     assert rep.log[0]["size"] == 800
     assert rep.certified
 
@@ -155,34 +151,6 @@ def test_validation_inputs():
         run(SP2, X, w, k=2, eps=0.0)
     with pytest.raises(ValueError):
         run(SP2, X, w, k=2, eps=0.3, max_rounds=0)
-
-
-# certify ----------------------------------------------------------------
-
-
-def test_certify_validation_mode_tracks_exact():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(3000, 3)) * 4.0
-    w = rng.uniform(0.5, 2.0, size=3000)
-    Q = X[rng.choice(3000, 5, replace=False)]
-    v = cost(SP2, X, w, Q)
-    from one2all.sampling import pps_base
-
-    p = np.minimum(1.0, 100.0 * pps_base(SP2, X, w, Q).psi)
-    diffs = []
-    for seed in range(50):
-        sample = draw(X, w, p, seed=seed)
-        v_q, _ = certify(SP2, X, w, sample, Q, eps=0.1, mode="validation", seed=seed + 1000)
-        diffs.append((v_q - v) / v)
-    rms = float(np.sqrt(np.mean(np.square(diffs))))
-    assert rms <= 0.25, rms
-
-
-def test_certify_rejects_unknown_mode():
-    sp, X, w = rand_instance(1, n=20, d=2)
-    sample = draw(X, w, np.ones(20), seed=0)
-    with pytest.raises(ValueError):
-        certify(sp, X, w, sample, X[:2], eps=0.1, mode="bootstrap")
 
 
 # multi-sample confirmation ----------------------------------------------
@@ -248,3 +216,27 @@ def test_rejects_non_finite_points_and_weights(bad):
     wb[5] = bad
     with pytest.raises(ValueError, match="NaN or inf"):
         run(SP2, X, wb, k=3, eps=0.3, seed=0)
+
+
+# chunk sizes --------------------------------------------------------------
+
+
+def _pipeline_outputs(X, w):
+    """Everything a clustering run and a feedback oracle build report, as bytes."""
+    Q, rep = run(SP2, X, w, k=3, eps=0.3, seed=5)
+    out = [Q.points.tobytes(), repr(rep.log)]
+    out += [np.asarray(getattr(rep, f.name)).tobytes() for f in fields(rep) if f.name != "log"]
+    st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=6)
+    out += [a.tobytes() for a in (st.probs.pi, st.p, st.sample.members, st.probs.M)]
+    out += [repr((st.probs.cost_m, st.C, st.prefix_index))]
+    return out
+
+
+def test_outputs_independent_of_chunk_sizes(monkeypatch):
+    X, w = _mixture(37, n=1200, d=3, k=3)
+    want = _pipeline_outputs(X, w)
+    for elems in (20, 97):
+        monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+        monkeypatch.setattr(kmeanspp, "_GATHER_ELEMS", elems // 2)
+        assert _pipeline_outputs(X, w) == want, elems
+
