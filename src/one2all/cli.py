@@ -176,6 +176,7 @@ def cmd_oracle_query(args) -> int:
                             weights=ds.points.weights)
     else:
         state = oracle.load(args.oracle)
+    updates_before = state.update_count
     for qpath in args.query:
         Q = data.load_delimited(qpath, delimiter=args.delimiter).points.points
         if Q.shape[1] != state.sample.points.shape[1]:
@@ -188,7 +189,7 @@ def cmd_oracle_query(args) -> int:
             print(f"{qpath}\t{value!r}\t{'exact' if was_exact else 'estimate'}")
         else:
             print(f"{qpath}\t{oracle.query(state, Q)!r}")
-    if args.feedback and state.update_count > 0:
+    if state.update_count > updates_before:
         oracle.save(state, args.oracle)
     return 0
 

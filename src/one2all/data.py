@@ -10,6 +10,7 @@ pipeline runs in, and computed only when first read.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -278,6 +279,14 @@ def _read_idx_header(f, path: str, magic_want: int, ndim: int) -> tuple:
     return fields[1:]
 
 
+def _read_idx_body(f, path: str, size: int, what: str) -> bytes:
+    """Read the size bytes the header claims, checked against the file size
+    first, so a damaged header cannot ask for more memory than the file holds."""
+    if size > os.fstat(f.fileno()).st_size - f.tell():
+        raise DataFormatError(f"{path}: truncated {what} data")
+    return f.read(size)
+
+
 def load_idx(images_path: str, labels_path: str | None = None) -> LabeledDataset:
     """IDX image file -> flattened rows in [0, 255]; labels give ground truth.
 
@@ -285,18 +294,14 @@ def load_idx(images_path: str, labels_path: str | None = None) -> LabeledDataset
     """
     with open(images_path, "rb") as f:
         count, rows, cols = _read_idx_header(f, images_path, _MAGIC_IMAGES, 3)
-        raw = f.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise DataFormatError(f"{images_path}: truncated image data")
+        raw = _read_idx_body(f, images_path, count * rows * cols, "image")
     X = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
     gt = None
     k = 0
     if labels_path is not None:
         with open(labels_path, "rb") as f:
             (lcount,) = _read_idx_header(f, labels_path, _MAGIC_LABELS, 1)
-            lraw = f.read(lcount)
-        if len(lraw) != lcount:
-            raise DataFormatError(f"{labels_path}: truncated label data")
+            lraw = _read_idx_body(f, labels_path, lcount, "label")
         if lcount != count:
             raise DataFormatError(
                 f"labels/images count mismatch: {lcount} labels, {count} images"

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import tempfile
+import tokenize
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,15 +21,14 @@ import numpy as np
 from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
-from .probabilities import One2AllProbabilities, sweet_spot
+from .probabilities import sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost
 
-_FORMAT_VERSION = 2  # 2: no per-cell medians
+_FORMAT_VERSION = 3  # 3: only what query, feedback and load read
 # every key save writes; load checks them all before it uses any
-_SCALARS = ("version", "kind", "power", "rho", "n", "k", "ell", "eps", "C", "seed",
-            "sample_seed", "prefix_index", "update_count", "cost_m", "dropped_empty_cells")
-_ARRAYS = ("pi", "p", "members", "member_points", "member_weights", "centroids",
-           "cluster_weights")
+_SCALARS = ("version", "kind", "power", "n", "eps", "C", "sample_seed", "prefix_index",
+            "update_count")
+_ARRAYS = ("p", "members", "member_points", "member_weights")
 
 
 @dataclass
@@ -35,16 +36,12 @@ class OracleState:
     space: MetricSpace = field(repr=False)
     points: np.ndarray | None = field(repr=False)  # None after standalone load
     weights: np.ndarray | None = field(repr=False)
-    probs: One2AllProbabilities = field(repr=False)
     p: np.ndarray = field(repr=False)  # current inclusion probabilities, full length
     sample: CoordinatedSample = field(repr=False)
     C: float
     eps: float
-    k: int
-    ell: int
     prefix_index: int
     update_count: int
-    seed: int
     sample_seed: int
 
     @property
@@ -56,12 +53,11 @@ class OracleState:
         return self.sample.size
 
 
-def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int,
-          k: int | None = None) -> OracleState:
+def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int) -> OracleState:
     """Fixed-threshold oracle: reliable for queries with cost >= C."""
     if C <= 0:
         raise ValueError("C must be positive")
-    return _build(space, X, w, ell, C, eps, seed, ell if k is None else k)
+    return _build(space, X, w, ell, C, eps, seed)
 
 
 def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> OracleState:
@@ -69,7 +65,7 @@ def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> O
     return _build(space, X, w, None, None, eps, seed, k)
 
 
-def _build(space, X, w, ell, C, eps, seed, k) -> OracleState:
+def _build(space, X, w, ell, C, eps, seed, k=None) -> OracleState:
     """Shared build: ell=None means min(2k, n), C=None means C = v_ell.
 
     A zero C (no residual cost) keeps every point: queries are exact.
@@ -92,22 +88,18 @@ def _build(space, X, w, ell, C, eps, seed, k) -> OracleState:
         v_star = float(trace.prefix_costs[i_star - 1])
         p = np.minimum(1.0, max(1.0, v_star / C) * eps**-2 * probs.pi)
     else:
-        i_star, probs = sweet_spot(trace, "rough")
+        i_star, _ = sweet_spot(trace, "rough")
         p = np.ones(X.shape[0])
     return OracleState(
         space=space,
         points=X,
         weights=w,
-        probs=probs,
         p=p,
         sample=draw(X, w, p, sample_seed),
         C=float(C),
         eps=float(eps),
-        k=int(k),
-        ell=trace.ell,
         prefix_index=i_star,
         update_count=0,
-        seed=int(seed),
         sample_seed=int(sample_seed),
     )
 
@@ -148,30 +140,20 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
 
 def save(state: OracleState, path: str) -> None:
     """Serialize to an npz file, atomically (write-new-then-rename)."""
-    probs = state.probs
     payload = {
         "version": np.int64(_FORMAT_VERSION),
         "kind": np.array(state.space.kind),
         "power": np.float64(state.space.power),
-        "rho": np.float64(state.space.rho),
         "n": np.int64(state.p.shape[0]),
-        "k": np.int64(state.k),
-        "ell": np.int64(state.ell),
         "eps": np.float64(state.eps),
         "C": np.float64(state.C),
-        "seed": np.int64(state.seed),
         "sample_seed": np.int64(state.sample_seed),
         "prefix_index": np.int64(state.prefix_index),
         "update_count": np.int64(state.update_count),
-        "pi": probs.pi,
         "p": state.p,
         "members": state.sample.members,
         "member_points": state.sample.member_points(),
         "member_weights": state.sample.weights[state.sample.members],
-        "centroids": probs.M,
-        "cost_m": np.float64(probs.cost_m),
-        "cluster_weights": probs.cluster_weights,
-        "dropped_empty_cells": np.int64(probs.dropped_empty_cells),
     }
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -194,9 +176,16 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
     stored member set bit-exactly.
     """
     try:
+        # numpy stops where an array's header says, short of the CRC-32 check at
+        # the member's end, so a damaged shape or dtype byte would pass unseen
+        with zipfile.ZipFile(path) as zf:
+            damaged = zf.testzip()
+        if damaged is not None:
+            raise ValueError(f"{damaged} fails its CRC check")
         with np.load(path, allow_pickle=False) as z:
             data = {key: z[key] for key in z.files}
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, EOFError, RuntimeError, SyntaxError, zipfile.BadZipFile,
+            tokenize.TokenError) as e:  # what zipfile and numpy raise on a bad file
         raise DataFormatError(f"cannot read oracle file {path}: {e}") from e
     version = data.get("version")
     version = int(version) if version is not None and version.shape == () else None
@@ -215,13 +204,6 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
         space = MetricSpace.euclidean(float(data["power"]))
     p = data["p"]
     members = data["members"]
-    probs = One2AllProbabilities(
-        pi=data["pi"],
-        M=data["centroids"],
-        cost_m=float(data["cost_m"]),
-        cluster_weights=data["cluster_weights"],
-        dropped_empty_cells=int(data["dropped_empty_cells"]),
-    )
     sample_seed = int(data["sample_seed"])
     if points is not None:
         points = as_points(points)
@@ -256,16 +238,12 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
         space=space,
         points=points,
         weights=weights,
-        probs=probs,
         p=p,
         sample=sample,
         C=float(data["C"]),
         eps=float(data["eps"]),
-        k=int(data["k"]),
-        ell=int(data["ell"]),
         prefix_index=int(data["prefix_index"]),
         update_count=int(data["update_count"]),
-        seed=int(data["seed"]),
         sample_seed=sample_seed,
     )
 
@@ -288,10 +266,7 @@ def _check(path: str, data: dict) -> None:
     tail = data["member_points"].shape[1:]  # (d,) for Euclidean points, () for indices
     if len(tail) != (0 if str(data["kind"]) == "matrix" else 1):
         raise DataFormatError(f"{path}: oracle member_points have shape {tail} per point")
-    cells = data["centroids"].shape[:1]
-    want = {"pi": (n,), "p": (n,), "member_points": members.shape + tail,
-            "member_weights": members.shape, "centroids": cells + tail,
-            "cluster_weights": cells}
+    want = {"p": (n,), "member_points": members.shape + tail, "member_weights": members.shape}
     for key, shape in want.items():
         if data[key].shape != shape:
             raise DataFormatError(f"{path}: oracle {key} has shape {data[key].shape}, not {shape}")

@@ -216,19 +216,77 @@ def test_oracle_query_dimension_mismatch(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
-def test_oracle_query_on_a_file_missing_a_key_is_data_error(tmp_path):
+@pytest.fixture
+def saved_oracle(tmp_path):
     data = _gen(tmp_path, n=2000, d=3, k=3)
     path = tmp_path / "o.npz"
     assert main(["oracle-build", "--in", str(data), "--k", "3", "--eps", "0.3",
                  "--out", str(path)]) == 0
+    return path, _write_query(tmp_path, np.zeros((2, 3)))
+
+
+def test_oracle_query_on_a_file_missing_a_key_is_data_error(saved_oracle):
+    path, query = saved_oracle
     blob = dict(np.load(path, allow_pickle=False))
     del blob["p"]
     np.savez(path, **blob)
-    query = _write_query(tmp_path, np.zeros((2, 3)))
     proc = _one2all_process("oracle-query", "--oracle", path, "--query", query)
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     assert b"lacks p" in proc.stderr
+
+
+def _damage(path, how):
+    """Overwrite a saved oracle with its first 5,000 bytes, nothing, or a .npy file."""
+    if how == "truncated":
+        path.write_bytes(path.read_bytes()[:5000])
+    elif how == "empty":
+        path.write_bytes(b"")
+    else:
+        with open(path, "wb") as f:
+            np.save(f, np.zeros(3))
+
+
+@pytest.mark.parametrize("how", ["truncated", "empty", "npy"])
+def test_oracle_query_on_an_unreadable_file_is_data_error(saved_oracle, capsys, how):
+    path, query = saved_oracle
+    _damage(path, how)
+    capsys.readouterr()
+    assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
+    assert "cannot read oracle file" in capsys.readouterr().err
+
+
+def test_oracle_query_on_a_truncated_file_prints_no_traceback(saved_oracle):
+    path, query = saved_oracle
+    _damage(path, "truncated")
+    proc = _one2all_process("oracle-query", "--oracle", path, "--query", query)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr and b"data error" in proc.stderr
+
+
+def test_feedback_session_without_an_update_leaves_the_file(tmp_path, capsys, monkeypatch):
+    # an oracle updated in an earlier session is rewritten only by a session
+    # that updates it again
+    path = _gen(tmp_path, n=800, d=3, k=3, seed=3)
+    oracle_path = tmp_path / "oracle.npz"
+    assert main(["oracle-build", "--in", str(path), "--k", "3", "--eps", "0.3",
+                 "--out", str(oracle_path)]) == 0
+    points = load_delimited(path).points.points
+    low = _write_query(tmp_path, points[::4], "low.csv")
+    feedback = ["--feedback", "--data", str(path)]
+    assert main(["oracle-query", "--oracle", str(oracle_path), "--query", str(low),
+                 *feedback]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("exact")
+    assert one2all.oracle.load(oracle_path).update_count == 1
+    high = _write_query(tmp_path, [[1e4, 1e4, 1e4]], "high.csv")
+
+    def no_save(*args):
+        raise AssertionError("a session without an update saved the oracle")
+
+    monkeypatch.setattr(one2all.oracle, "save", no_save)
+    assert main(["oracle-query", "--oracle", str(oracle_path), "--query", str(high),
+                 *feedback]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("estimate")
 
 
 def test_oracle_fixed_threshold_build(tmp_path, capsys):

@@ -578,6 +578,32 @@ def test_idx_without_labels(tmp_path):
     assert ds.meta["k"] == 0
 
 
+def test_idx_damaged_files_raise_or_load_the_header_shape(tmp_path):
+    # no damaged header may end in OverflowError or MemoryError: every
+    # truncation and 1,500 seeded byte flips per file
+    rng = np.random.default_rng(3)
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    _write_idx_images(ip, rng.integers(0, 256, size=(30, 4, 5), dtype=np.uint8))
+    _write_idx_labels(lp, rng.integers(0, 3, size=30))
+    bad = tmp_path / "bad.idx"
+    for good in (ip, lp):
+        blob = good.read_bytes()
+        damaged = [blob[:cut] for cut in range(len(blob))]
+        for pos, flip in zip(rng.integers(len(blob), size=1500), rng.integers(1, 256, size=1500)):
+            b = bytearray(blob)
+            b[pos] ^= flip
+            damaged.append(bytes(b))
+        paths = (bad, lp) if good == ip else (ip, bad)
+        for data in damaged:
+            bad.write_bytes(data)
+            try:
+                ds = load_idx(*paths)
+            except DataFormatError:
+                continue
+            count, rows, cols = struct.unpack(">III", paths[0].read_bytes()[4:16])
+            assert ds.points.points.shape == (count, rows * cols)
+
+
 def test_idx_error_paths(tmp_path):
     ip = tmp_path / "img.idx"
     with open(ip, "wb") as f:

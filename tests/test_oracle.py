@@ -1,5 +1,8 @@
 """Adaptive cost oracle: build, query, feedback updates, serialization."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 from conftest import rand_instance
@@ -14,6 +17,13 @@ from one2all.probabilities import sweet_spot
 from one2all.sampling import draw, estimate_cost
 
 SP2 = MetricSpace.euclidean(2.0)
+
+
+def _sweet_spot_centroids(X, w, k, eps, seed):
+    """The sweet-spot centroids M that build_feedback(SP2, X, w, k, eps, seed) picks."""
+    trace_seed = int(np.random.SeedSequence(seed).generate_state(2)[0])
+    tr = run_trace(SP2, X, w, 2 * k, seed=trace_seed)
+    return sweet_spot(tr, mode="exact", C=tr.prefix_costs[-1], eps=eps)[1].M
 
 
 def _mixture(seed, n=4000, d=5, k=4, spread=8.0):
@@ -59,7 +69,7 @@ def test_query_error_small_at_m_itself():
     for seed in range(trials):
         X, w = _mixture(seed, n=800, d=3, k=3)
         st = oracle.build_feedback(SP2, X, w, k=3, eps=eps, seed=seed)
-        M = st.probs.M
+        M = _sweet_spot_centroids(X, w, 3, eps, seed)
         v = cost(SP2, X, w, M)
         if v <= 0:
             hits += 1
@@ -269,30 +279,28 @@ def test_load_rejects_bad_version(tmp_path):
 
 
 def test_load_rejects_format_1_files(tmp_path, capsys):
-    # format 1 also stored per-cell medians, which nothing read back
+    # format 1 also stored per-cell medians, format 2 the sweet-spot record;
+    # nothing read either back, and neither is loaded
     X, w = _mixture(37, n=500, d=2, k=2)
-    state = oracle.build_feedback(SP2, X, w, k=2, eps=0.3, seed=9)
     path = tmp_path / "oracle.npz"
-    oracle.save(state, path)
-    blob = dict(np.load(path, allow_pickle=False))
-    assert "medians" not in blob
-    blob.update(version=np.int64(1), medians=np.zeros(state.probs.M.shape[0]))
-    np.savez(path, **blob)
-    with pytest.raises(DataFormatError, match="format 1, expected 2"):
-        oracle.load(path)
+    oracle.save(oracle.build_feedback(SP2, X, w, k=2, eps=0.3, seed=9), path)
     query = tmp_path / "q.csv"
     query.write_text("0.0,0.0\n")
-    capsys.readouterr()
-    assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
-    assert "format 1" in capsys.readouterr().err
+    saved = dict(np.load(path, allow_pickle=False))
+    for version in (1, 2):
+        np.savez(path, **dict(saved, version=np.int64(version)))
+        with pytest.raises(DataFormatError, match=f"format {version}, expected 3"):
+            oracle.load(path)
+        capsys.readouterr()
+        assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
+        assert f"format {version}" in capsys.readouterr().err
 
 
 # malformed files --------------------------------------------------------
 
 _KEYS = (
-    "version", "kind", "power", "rho", "n", "k", "ell", "eps", "C", "seed", "sample_seed",
-    "prefix_index", "update_count", "pi", "p", "members", "member_points",
-    "member_weights", "centroids", "cost_m", "cluster_weights", "dropped_empty_cells",
+    "version", "kind", "power", "n", "eps", "C", "sample_seed", "prefix_index",
+    "update_count", "p", "members", "member_points", "member_weights",
 )
 
 
@@ -331,40 +339,112 @@ def test_load_rejects_missing_key(tmp_path, saved_blob, key, with_points):
 
 _MISMATCHES = {
     "p-short": {"p": lambda a: a[:-5]},
-    "pi-long": {"pi": lambda a: np.r_[a, 0.5]},
     "members-negative": {"members": lambda a: np.r_[-1, a[1:]]},
     "members-past-n": {"members": lambda a: np.r_[a[:-1], 600]},
     "members-float": {"members": lambda a: a.astype(np.float64)},
     "member-weights-short": {"member_weights": lambda a: a[1:]},
     "member-points-d": {"member_points": lambda a: a[:, :2]},
     "member-points-flat": {"member_points": lambda a: a[:, 0]},
-    "centroids-d": {"centroids": lambda a: np.c_[a, a[:, :1]]},
-    "cluster-weights-long": {"cluster_weights": lambda a: np.r_[a, 1.0]},
     "n-not-scalar": {"n": lambda a: np.array([a, a])},
     "p-text": {"p": lambda a: a.astype(str)},
 }
 
 
-@pytest.mark.parametrize("with_points", [False, True], ids=["standalone", "points"])
-@pytest.mark.parametrize("case", sorted(_MISMATCHES))
-def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, with_points):
+_MODES = {"standalone": False, "points": True}
+# member_points are the file's only record of d, so narrower ones make a
+# consistent standalone oracle over fewer dimensions; only the dataset tells
+_CASES = [(case, mode) for case in sorted(_MISMATCHES) for mode in _MODES
+          if (case, mode) != ("member-points-d", "standalone")]
+
+
+@pytest.mark.parametrize("case,mode", _CASES, ids=[f"{c}-{m}" for c, m in _CASES])
+def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, mode):
     with pytest.raises(DataFormatError):
-        _load_changed(tmp_path, saved_blob, with_points, **_MISMATCHES[case])
+        _load_changed(tmp_path, saved_blob, _MODES[mode], **_MISMATCHES[case])
+
+
+_HEADER_EDITS = {  # numpy raises SyntaxError and tokenize.TokenError on these
+    "dtype-digit": lambda npy: npy.replace(b"'<f8'", b"'<08'"),
+    "header-length": lambda npy: npy[:8] + b"\x08" + npy[9:],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
+def test_load_rejects_unparseable_array_headers(tmp_path, saved_blob, edit):
+    # an array header numpy cannot parse, in a member whose CRC-32 is right
+    path = tmp_path / "crafted.npz"
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, value in saved_blob[2].items():
+            buf = io.BytesIO()
+            np.save(buf, value)
+            npy = buf.getvalue()
+            zf.writestr(f"{key}.npy", _HEADER_EDITS[edit](npy) if key == "member_points" else npy)
+    with pytest.raises(DataFormatError):
+        oracle.load(path)
 
 
 def test_feedback_query_after_reload_continues(tmp_path):
-    X, w = _mixture(41, n=1500, d=3, k=3)
-    st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=10)
-    Q = X[:2]
-    oracle.feedback_query(st, Q)
+    # a state saved and reloaded before every query answers, updates and
+    # grows exactly as one that stays in memory, across several updates
+    X, w = _mixture(41, n=6000, d=3, k=3)
+    st = oracle.build_feedback(SP2, X, w, k=3, eps=0.8, seed=10)
+    back = oracle.build_feedback(SP2, X, w, k=3, eps=0.8, seed=10)
     path = tmp_path / "oracle.npz"
-    oracle.save(st, path)
-    back = oracle.load(path, points=X, weights=w)
-    assert back.update_count == st.update_count
-    est_a, ex_a = oracle.feedback_query(st, X[2:4])
-    est_b, ex_b = oracle.feedback_query(back, X[2:4])
-    assert ex_a == ex_b
-    assert est_a == pytest.approx(est_b, rel=1e-12)
+    rng = np.random.default_rng(0)
+    for m in (2, 20, 3, 100, 2, 400, 5, 1500):
+        Q = X[rng.choice(len(X), m, replace=False)]
+        oracle.save(back, path)
+        back = oracle.load(path, points=X, weights=w)
+        assert (back.update_count, back.C) == (st.update_count, st.C)
+        assert oracle.feedback_query(back, Q) == oracle.feedback_query(st, Q)
+        np.testing.assert_array_equal(back.p, st.p)
+        np.testing.assert_array_equal(back.sample.members, st.sample.members)
+    assert st.update_count >= 2
+
+
+def _same_state(a, b) -> bool:
+    return (
+        np.array_equal(a.p, b.p)
+        and np.array_equal(a.sample.members, b.sample.members)
+        and np.array_equal(a.sample.member_points(), b.sample.member_points())
+        and np.array_equal(a.sample.w_prime, b.sample.w_prime)
+        and (a.C, a.eps, a.update_count, a.prefix_index, a.sample_seed)
+        == (b.C, b.eps, b.update_count, b.prefix_index, b.sample_seed)
+    )
+
+
+def test_damaged_files_raise_or_load_unchanged(tmp_path):
+    # every 59th truncation and 400 seeded single-byte corruptions
+    X, w = _mixture(47, n=2000, d=3, k=3)
+    path = tmp_path / "o.npz"
+    oracle.save(oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=12), path)
+    blob = path.read_bytes()
+    refs = {False: oracle.load(path), True: oracle.load(path, points=X, weights=w)}
+    damaged = [blob[:cut] for cut in range(0, len(blob), 59)]
+    # header edits numpy parses: a narrower member_points (the file's only
+    # record of d) and p read as float32 stop short of the member's CRC-32;
+    # zipfile raises EOFError on a last member whose extra field runs past the
+    # end, and RuntimeError on a member flagged as encrypted
+    i = blob.index(b"p.npy")
+    j = blob.index(b"member_weights.npy") - 1  # high byte of the extra-field length
+    k = blob.index(b"PK\x01\x02") + 8  # first central-directory entry's flags
+    damaged += [blob.replace(b", 3), }", b", 2), }"), blob[:i] + blob[i:].replace(b"<f8", b"<f4", 1),
+                blob[:j] + bytes([blob[j] ^ 0xFF]) + blob[j + 1:],
+                blob[:k] + bytes([blob[k] ^ 1]) + blob[k + 1:]]
+    rng = np.random.default_rng(0)
+    for pos, flip in zip(rng.integers(len(blob), size=400), rng.integers(1, 256, size=400)):
+        b = bytearray(blob)
+        b[pos] ^= flip
+        damaged.append(bytes(b))
+    bad = tmp_path / "bad.npz"
+    for data in damaged:
+        bad.write_bytes(data)
+        for with_points in (False, True):
+            try:
+                st = oracle.load(bad, **({"points": X, "weights": w} if with_points else {}))
+            except DataFormatError:
+                continue
+            assert _same_state(st, refs[with_points])
 
 
 # non-finite input -------------------------------------------------------

@@ -8,6 +8,7 @@ from conftest import rand_instance
 
 from one2all import core, kmeanspp, oracle, sampling
 from one2all.core import MetricSpace, cost
+from one2all.probabilities import sweet_spot
 from one2all.sampling import draw, estimate_cost, point_uniforms
 from one2all.wrapper import multi_sample_confirm, run
 
@@ -227,8 +228,12 @@ def _pipeline_outputs(X, w):
     out = [Q.points.tobytes(), repr(rep.log)]
     out += [np.asarray(getattr(rep, f.name)).tobytes() for f in fields(rep) if f.name != "log"]
     st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=6)
-    out += [a.tobytes() for a in (st.probs.pi, st.p, st.sample.members, st.probs.M)]
-    out += [repr((st.probs.cost_m, st.C, st.prefix_index))]
+    out += [a.tobytes() for a in (st.p, st.sample.members)]
+    trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # build's trace
+    trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
+    _, probs = sweet_spot(trace, "exact", C=trace.prefix_costs[-1], eps=0.3)
+    out += [a.tobytes() for a in (probs.pi, probs.M)]
+    out += [repr((probs.cost_m, st.C, st.prefix_index))]
     return out
 
 
