@@ -14,7 +14,7 @@ from .lloyd import BaseClustererConfig, base_cluster, lloyd_step, make_base
 from .oracle import OracleState, build, build_feedback, feedback_query, query
 from .probabilities import One2AllProbabilities, one2all_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
-from .wrapper import WrapperReport, multi_sample_confirm
+from .wrapper import WrapperReport
 from .wrapper import run as cluster_adaptive
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "feedback_query",
     "lloyd_step",
     "make_base",
-    "multi_sample_confirm",
     "nearest",
     "one2all_probs",
     "pairwise",

@@ -161,7 +161,7 @@ def cmd_oracle_build(args) -> int:
         raise _UsageError("need either --k (feedback build) or --ell with --threshold")
     oracle.save(state, args.out)
     print(json.dumps({
-        "out": args.out, "n": int(state.p.shape[0]), "sample_size": state.size,
+        "out": args.out, "n": int(state.sample.p.shape[0]), "sample_size": state.size,
         "C": state.C, "eps": state.eps, "prefix_index": state.prefix_index,
     }, sort_keys=True))
     return 0
@@ -179,10 +179,10 @@ def cmd_oracle_query(args) -> int:
     updates_before = state.update_count
     for qpath in args.query:
         Q = data.load_delimited(qpath, delimiter=args.delimiter).points.points
-        if Q.shape[1] != state.sample.points.shape[1]:
+        if Q.shape[1] != state.sample.member_points.shape[1]:
             raise DataFormatError(
                 f"{qpath}: centroid dimension {Q.shape[1]} does not match "
-                f"the oracle's {state.sample.points.shape[1]}"
+                f"the oracle's {state.sample.member_points.shape[1]}"
             )
         if args.feedback:
             value, was_exact = oracle.feedback_query(state, Q)

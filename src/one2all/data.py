@@ -294,6 +294,10 @@ def load_idx(images_path: str, labels_path: str | None = None) -> LabeledDataset
     """
     with open(images_path, "rb") as f:
         count, rows, cols = _read_idx_header(f, images_path, _MAGIC_IMAGES, 3)
+        if count == 0:
+            raise DataFormatError(f"{images_path}: no data rows")
+        if rows * cols == 0:
+            raise DataFormatError(f"{images_path}: rows have no coordinate columns")
         raw = _read_idx_body(f, images_path, count * rows * cols, "image")
     X = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
     gt = None

@@ -34,19 +34,12 @@ _ARRAYS = ("p", "members", "member_points", "member_weights")
 @dataclass
 class OracleState:
     space: MetricSpace = field(repr=False)
-    points: np.ndarray | None = field(repr=False)  # None after standalone load
-    weights: np.ndarray | None = field(repr=False)
-    p: np.ndarray = field(repr=False)  # current inclusion probabilities, full length
     sample: CoordinatedSample = field(repr=False)
     C: float
     eps: float
     prefix_index: int
     update_count: int
     sample_seed: int
-
-    @property
-    def saturated(self) -> bool:
-        return bool(np.all(self.p >= 1.0))
 
     @property
     def size(self) -> int:
@@ -92,9 +85,6 @@ def _build(space, X, w, ell, C, eps, seed, k=None) -> OracleState:
         p = np.ones(X.shape[0])
     return OracleState(
         space=space,
-        points=X,
-        weights=w,
-        p=p,
         sample=draw(X, w, p, sample_seed),
         C=float(C),
         eps=float(eps),
@@ -119,20 +109,17 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
     saturated state answers exactly and never updates.
     """
     est = query(state, Q)
-    if est > state.C:
+    sample = state.sample
+    if est > state.C or sample.saturated:  # a saturated sample's estimate is exact
         return est, False
-    if state.saturated:
-        return est, False  # sample is the full data; the estimate is exact
-    if state.points is None:
+    if sample.points is None:
         raise ValueError("feedback needs the dataset; load with points and weights")
-    V = cost(state.space, state.points, state.weights, Q)
+    V = cost(state.space, sample.points, sample.weights, Q)
     if V > 0.0:
-        factor = max(2.0, 2.0 * state.C / V)
-        p_new = np.minimum(1.0, factor * state.p)
+        p_new = np.minimum(1.0, max(2.0, 2.0 * state.C / V) * sample.p)
     else:
-        p_new = np.ones_like(state.p)
-    state.p = p_new
-    state.sample = state.sample.with_probabilities(p_new)
+        p_new = np.ones_like(sample.p)
+    state.sample = sample.with_probabilities(p_new)
     state.C = min(state.C, V) / 2.0
     state.update_count += 1
     return V, True
@@ -144,16 +131,16 @@ def save(state: OracleState, path: str) -> None:
         "version": np.int64(_FORMAT_VERSION),
         "kind": np.array(state.space.kind),
         "power": np.float64(state.space.power),
-        "n": np.int64(state.p.shape[0]),
+        "n": np.int64(state.sample.p.shape[0]),
         "eps": np.float64(state.eps),
         "C": np.float64(state.C),
         "sample_seed": np.int64(state.sample_seed),
         "prefix_index": np.int64(state.prefix_index),
         "update_count": np.int64(state.update_count),
-        "p": state.p,
+        "p": state.sample.p,
         "members": state.sample.members,
-        "member_points": state.sample.member_points(),
-        "member_weights": state.sample.weights[state.sample.members],
+        "member_points": state.sample.member_points,
+        "member_weights": state.sample.member_weights,
     }
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -202,8 +189,8 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
                 "oracle was built over a matrix space; pass the space explicitly"
             )
         space = MetricSpace.euclidean(float(data["power"]))
-    p = data["p"]
-    members = data["members"]
+    sample = CoordinatedSample(None, None, None, data["p"], data["members"],
+                               data["member_points"], data["member_weights"])
     sample_seed = int(data["sample_seed"])
     if points is not None:
         points = as_points(points)
@@ -213,32 +200,15 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
                 f"dataset has {n} points but oracle was built over {int(data['n'])}"
             )
         require_finite(points=points)
-        weights = as_weights(weights, n)
-        sample = draw(points, weights, p, sample_seed)
-        if (
-            not np.array_equal(sample.members, members)
-            or not np.array_equal(points[members], data["member_points"])
-            or not np.array_equal(weights[members], data["member_weights"])
-        ):
+        stored, sample = sample, draw(points, weights, sample.p, sample_seed)
+        if not all(np.array_equal(getattr(sample, key), getattr(stored, key))
+                   for key in ("members", "member_points", "member_weights")):
             raise DataFormatError(
                 "stored sample does not match the dataset and seed; "
                 "wrong dataset for this oracle file?"
             )
-    else:
-        weights = None
-        sample = CoordinatedSample(
-            points=data["member_points"],
-            weights=data["member_weights"],
-            u=None,
-            p=p[members],
-            members=np.arange(members.shape[0], dtype=np.intp),
-            w_prime=data["member_weights"] / p[members],
-        )
     return OracleState(
         space=space,
-        points=points,
-        weights=weights,
-        p=p,
         sample=sample,
         C=float(data["C"]),
         eps=float(data["eps"]),
@@ -250,7 +220,9 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
 
 def _check(path: str, data: dict) -> None:
     """Raise DataFormatError unless data holds every key save writes, with
-    the dtypes and shapes that n, the member count and the point shape imply."""
+    the dtypes and shapes that n, the member count and the point shape imply,
+    and values a query can trust: p in [0, 1] and positive at members,
+    positive finite member weights, finite member points."""
     missing = [key for key in _SCALARS + _ARRAYS if key not in data]
     if missing:
         raise DataFormatError(f"{path}: oracle file lacks {', '.join(missing)}")
@@ -270,3 +242,10 @@ def _check(path: str, data: dict) -> None:
     for key, shape in want.items():
         if data[key].shape != shape:
             raise DataFormatError(f"{path}: oracle {key} has shape {data[key].shape}, not {shape}")
+    p, weights = data["p"], data["member_weights"]
+    if not (np.all((p >= 0.0) & (p <= 1.0)) and np.all(p[members] > 0.0)):
+        raise DataFormatError(f"{path}: oracle p are not probabilities, positive at members")
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise DataFormatError(f"{path}: oracle member_weights are not positive and finite")
+    if not np.all(np.isfinite(data["member_points"])):
+        raise DataFormatError(f"{path}: oracle member_points contain NaN or inf")

@@ -25,38 +25,39 @@ def point_uniforms(seed: int, n: int) -> np.ndarray:
 class CoordinatedSample:
     """A Poisson sample S = {x : u_x <= p_x} with inverse-probability weights.
 
-    points/weights are references to the full data; members indexes into
-    them. Growth (with_probabilities) reuses the same u, so it only adds.
+    p is full length and members index into it. member_points and
+    member_weights are the members' rows, gathered once. points, weights and
+    u are the full data, or None for a sample loaded without its dataset.
+    Growth (with_probabilities) reuses the same u, so it only adds members.
     """
 
-    points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    points: np.ndarray | None = field(repr=False)
+    weights: np.ndarray | None = field(repr=False)
     u: np.ndarray | None = field(repr=False)
     p: np.ndarray = field(repr=False)
     members: np.ndarray
-    w_prime: np.ndarray = field(repr=False)
+    member_points: np.ndarray = field(repr=False)
+    member_weights: np.ndarray = field(repr=False)
+    w_prime: np.ndarray = field(init=False, repr=False)
+    saturated: bool = field(init=False)
+
+    def __post_init__(self):
+        self.w_prime = self.member_weights / self.p[self.members]
+        # a saturated sample is the full data, so its estimates are exact
+        self.saturated = bool(np.all(self.p >= 1.0))
 
     @property
     def size(self) -> int:
         return int(self.members.shape[0])
 
-    def member_points(self) -> np.ndarray:
-        return self.points[self.members]
-
     def with_probabilities(self, p_new) -> "CoordinatedSample":
-        """Same u, new (typically grown) probabilities."""
-        if self.u is None:
-            raise ValueError("sample was loaded without its uniforms; cannot regrow")
-        p_new = np.asarray(p_new, dtype=np.float64)
-        members = np.flatnonzero(self.u <= p_new)
-        return CoordinatedSample(
-            points=self.points,
-            weights=self.weights,
-            u=self.u,
-            p=p_new,
-            members=members,
-            w_prime=self.weights[members] / p_new[members],
-        )
+        """Same u, new (typically grown) probabilities; needs the full data."""
+        return _select(self.points, self.weights, self.u, np.asarray(p_new, dtype=np.float64))
+
+
+def _select(points, weights, u, p) -> CoordinatedSample:
+    members = np.flatnonzero(u <= p)
+    return CoordinatedSample(points, weights, u, p, members, points[members], weights[members])
 
 
 def draw(points, weights, probs, seed: int) -> CoordinatedSample:
@@ -69,16 +70,7 @@ def draw(points, weights, probs, seed: int) -> CoordinatedSample:
         raise ValueError("need one probability per point")
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    u = point_uniforms(seed, n)
-    members = np.flatnonzero(u <= probs)
-    return CoordinatedSample(
-        points=points,
-        weights=weights,
-        u=u,
-        p=probs,
-        members=members,
-        w_prime=weights[members] / probs[members],
-    )
+    return _select(points, weights, point_uniforms(seed, n), probs)
 
 
 def estimate_cost(space: MetricSpace, sample: CoordinatedSample, Q) -> float:
@@ -89,5 +81,5 @@ def estimate_cost(space: MetricSpace, sample: CoordinatedSample, Q) -> float:
     """
     if sample.size == 0:
         return 0.0
-    _, dist = nearest(space, sample.member_points(), Q)
+    _, dist = nearest(space, sample.member_points, Q)
     return float(np.sum(sample.w_prime * dist))

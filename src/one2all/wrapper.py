@@ -44,27 +44,6 @@ class WrapperReport:
         return self.sample_size / self.n
 
 
-def multi_sample_confirm(space, X, w, p, base, copies: int, seed: int = 0
-                         ) -> tuple[CentroidSet, float]:
-    """Cluster `copies` independent samples at p; keep the cheapest result."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    seeds = np.random.SeedSequence(seed).generate_state(copies, dtype=np.uint64)
-    best_q, best_v = None, np.inf
-    for s in seeds:
-        sample = draw(X, w, p, int(s))
-        if sample.size == 0:
-            continue
-        Q = base(space, sample.member_points(), sample.w_prime)
-        v = cost(space, X, w, Q)
-        if v < best_v:
-            best_q, best_v = Q, v
-    if best_q is None:  # every sample came up empty; fall back to full data
-        best_q = base(space, X, w)
-        best_v = cost(space, X, w, best_q)
-    return best_q, best_v
-
-
 def run(
     space: MetricSpace,
     X,
@@ -79,12 +58,16 @@ def run(
     """Cluster (X, w) into k centroids over adaptively grown samples.
 
     base maps (space, points, weights) to a CentroidSet and must honor the
-    weights; default is best-of-5 kmeans++ with 20 Lloyd iterations.
+    weights; default is best-of-5 kmeans++ with 20 Lloyd iterations. Each
+    round also clusters copies - 1 independent draws at the same
+    probabilities, skipping empty ones, and keeps the cheapest result.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
     X = as_points(X)
     n = X.shape[0]
     require_finite(points=X)
@@ -110,11 +93,13 @@ def run(
     # every point (pi > 0), so the first round saturates and is exact
     r = v_m / v_end if v_end > 0.0 else np.inf
     inv_eps2 = eps**-2
-    certified = False
-    saturated = False
+
+    def probs_at(r: float) -> np.ndarray:
+        return np.minimum(1.0, r * inv_eps2 * probs.pi)
+
+    certified = saturated = False
     rounds = 0
-    p = np.minimum(1.0, r * inv_eps2 * probs.pi)
-    sample = draw(X, w, p, sample_seed)
+    sample = draw(X, w, probs_at(r), sample_seed)
     for rnd in range(max_rounds):
         rounds = rnd + 1
         this_base = base if base is not None else make_base(
@@ -123,23 +108,22 @@ def run(
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
                         "estimate": 0.0, "action": "empty"})
             r *= 2.0
-            p = np.minimum(1.0, r * inv_eps2 * probs.pi)
-            sample = sample.with_probabilities(p)
+            sample = sample.with_probabilities(probs_at(r))
             continue
-        Q = this_base(space, sample.member_points(), sample.w_prime)
+        Q = this_base(space, sample.member_points, sample.w_prime)
         v_q = cost(space, X, w, Q)
-        if copies > 1:
-            alt_q, alt_v = multi_sample_confirm(
-                space, X, w, p, this_base, copies - 1,
-                seed=confirm_seed + rnd,
-            )
-            if alt_v < v_q:
-                Q, v_q = alt_q, alt_v
+        for s in np.random.SeedSequence(confirm_seed + rnd).generate_state(
+                copies - 1, dtype=np.uint64):
+            extra = draw(X, w, sample.p, int(s))
+            if extra.size:
+                alt_q = this_base(space, extra.member_points, extra.w_prime)
+                alt_v = cost(space, X, w, alt_q)
+                if alt_v < v_q:
+                    Q, v_q = alt_q, alt_v
         if v_q < best_v:
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)
-        # a saturated sample is the full data, so its estimate is exact
-        saturated = bool(np.all(p >= 1.0))
+        saturated = sample.saturated  # this round's; the grow loop may saturate the next
         certified = saturated or (v_q <= (1.0 + eps) * est and v_q >= v_m / r)
         action = "saturated" if saturated else "accept" if certified else "grow"
         log.append({"round": rounds, "r": r, "size": sample.size,
@@ -149,12 +133,9 @@ def run(
         r = max(2.0, v_q / v_m) * r
         # grow until the rejected Q clears the bar (or the sample saturates)
         while True:
-            p = np.minimum(1.0, r * inv_eps2 * probs.pi)
-            sample = sample.with_probabilities(p)
+            sample = sample.with_probabilities(probs_at(r))
             est_rej = estimate_cost(space, sample, Q)
-            if est_rej > min((1.0 + eps) * best_v, (1.0 - eps) * v_q):
-                break
-            if np.all(p >= 1.0):
+            if est_rej > min((1.0 + eps) * best_v, (1.0 - eps) * v_q) or sample.saturated:
                 break
             r *= 2.0
     return best_q, WrapperReport(
@@ -172,6 +153,6 @@ def run(
         k=k,
         seed=seed,
         sample_seed=sample_seed,
-        final_p=p,
+        final_p=sample.p,
         log=log,
     )

@@ -159,8 +159,6 @@ _WEIGHTED_CALLS = {
     "base_cluster": lambda w, path: one2all.base_cluster(
         SP2, _WX, w, one2all.BaseClustererConfig(k=2)),
     "lloyd_step": lambda w, path: one2all.lloyd_step(SP2, _WX, w, _WX[:3]),
-    "multi_sample_confirm": lambda w, path: one2all.multi_sample_confirm(
-        SP2, _WX, w, np.ones(60), lambda sp, X, ww: X[:2], copies=1),
     # the proof checks: a weight they let through would void their verdicts
     "pps_base": lambda w, path: reference.pps_base(SP2, _WX, w, _WX[:3]),
     "mo_pps_bruteforce": lambda w, path: reference.mo_pps_bruteforce(SP2, _WX, w, 1),

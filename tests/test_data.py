@@ -617,6 +617,12 @@ def test_idx_error_paths(tmp_path):
         f.write(bytes(3))
     with pytest.raises(DataFormatError, match="truncated"):
         load_idx(short)
+    for shape, message in (((0, 2, 2), "no data rows"), ((3, 0, 2), "no coordinate columns"),
+                           ((3, 2, 0), "no coordinate columns")):
+        empty = tmp_path / "empty.idx"
+        _write_idx_images(empty, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DataFormatError, match=message):
+            load_idx(empty)
     img_ok = tmp_path / "ok.idx"
     _write_idx_images(img_ok, np.zeros((3, 2, 2), dtype=np.uint8))
     lab_bad = tmp_path / "bad-count.idx"

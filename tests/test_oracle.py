@@ -6,6 +6,8 @@ import zipfile
 import numpy as np
 import pytest
 from conftest import rand_instance
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from reference import mo_pps_bruteforce
 
 from one2all import oracle
@@ -40,7 +42,7 @@ def _mixture(seed, n=4000, d=5, k=4, spread=8.0):
 def test_build_saturates_when_budget_forces_it():
     sp, X, w = rand_instance(0, n=50, d=2)
     st = oracle.build(sp, X, w, ell=4, C=1e-12, eps=0.5, seed=0)
-    assert st.saturated
+    assert st.sample.saturated
     assert st.size == 50
     q = oracle.query(st, X[:3])
     assert q == pytest.approx(cost(sp, X, w, X[:3]), rel=1e-12)
@@ -58,7 +60,7 @@ def test_build_matches_independent_prefix_scan():
     v = tr.prefix_costs[i_star - 1]
     p = np.minimum(1.0, max(1.0, v / C) * eps**-2 * probs.pi)
     assert st.prefix_index == i_star
-    np.testing.assert_array_equal(st.p, p)
+    np.testing.assert_array_equal(st.sample.p, p)
 
 
 def test_query_error_small_at_m_itself():
@@ -89,11 +91,11 @@ def test_query_cv_at_weak_pps_rate():
     Q = tr.prefix(4)
     v = cost(SP2, X, w, Q)
     st = oracle.build(SP2, X, w, ell=8, C=4 * v, eps=eps, seed=1)
-    if st.saturated:
+    if st.sample.saturated:
         pytest.skip("instance too small to exercise sampling")
     ests = np.empty(2000)
     for i, s in enumerate(np.random.SeedSequence(2).generate_state(2000, dtype=np.uint64)):
-        smp = draw(X, w, st.p, int(s))
+        smp = draw(X, w, st.sample.p, int(s))
         ests[i] = estimate_cost(SP2, smp, Q)
     se = ests.std(ddof=1) / np.sqrt(ests.size)
     assert abs(ests.mean() - v) <= 3 * se
@@ -111,7 +113,7 @@ def test_stored_probabilities_dominate_pps_above_threshold():
         for kq in (1, 2):
             psi, _ = mo_pps_bruteforce(sp, X, w, kq, min_cost=C)
             capped = np.minimum(1.0, eps**-2 * psi)
-            assert np.all(st.p >= capped - 1e-12)
+            assert np.all(st.sample.p >= capped - 1e-12)
 
 
 # feedback ---------------------------------------------------------------
@@ -190,7 +192,7 @@ def test_feedback_repeat_query_no_second_update():
 def test_feedback_saturated_returns_exact_without_update():
     sp, X, w = rand_instance(5, n=40, d=2)
     st = oracle.build(sp, X, w, ell=4, C=1e-12, eps=0.5, seed=0)
-    assert st.saturated
+    assert st.sample.saturated
     count = st.update_count
     est, was_exact = oracle.feedback_query(st, X[:2])
     assert not was_exact
@@ -230,13 +232,25 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "oracle.npz"
     oracle.save(st, path)
     back = oracle.load(path, points=X, weights=w)
-    np.testing.assert_array_equal(back.p, st.p)
+    np.testing.assert_array_equal(back.sample.p, st.sample.p)
     np.testing.assert_array_equal(back.sample.members, st.sample.members)
     np.testing.assert_array_equal(back.sample.w_prime, st.sample.w_prime)
     assert back.C == st.C
     assert back.eps == st.eps
     Q = X[:2]
     assert oracle.query(back, Q) == oracle.query(st, Q)
+    # a standalone load saves the same arrays back, and the re-saved file
+    # still matches its dataset
+    again = tmp_path / "again.npz"
+    oracle.save(oracle.load(path), again)
+    assert _arrays(again) == _arrays(path)
+    assert oracle.query(oracle.load(again, points=X, weights=w), Q) == oracle.query(st, Q)
+
+
+def _arrays(path) -> dict:
+    """Each key of a saved oracle file with its dtype and bytes."""
+    with np.load(path, allow_pickle=False) as z:
+        return {key: (z[key].dtype, z[key].shape, z[key].tobytes()) for key in z.files}
 
 
 def test_load_standalone_answers_queries(tmp_path):
@@ -245,12 +259,12 @@ def test_load_standalone_answers_queries(tmp_path):
     path = tmp_path / "oracle.npz"
     oracle.save(st, path)
     back = oracle.load(path)
-    assert back.points is None
+    assert back.sample.points is None
     Q = X[:2]
     assert oracle.query(back, Q) == pytest.approx(oracle.query(st, Q), rel=1e-12)
     # a query under the threshold needs the dataset for the exact answer
-    assert not back.saturated
-    zero_q = back.sample.points
+    assert not back.sample.saturated
+    zero_q = back.sample.member_points
     assert oracle.query(back, zero_q) == 0.0
     with pytest.raises(ValueError):
         oracle.feedback_query(back, zero_q)
@@ -347,6 +361,18 @@ _MISMATCHES = {
     "member-points-flat": {"member_points": lambda a: a[:, 0]},
     "n-not-scalar": {"n": lambda a: np.array([a, a])},
     "p-text": {"p": lambda a: a.astype(str)},
+    # values a query divides by or measures from: each answered nan, inf or
+    # a wrong value, or raised a bare ValueError, before load checked them
+    "p-nan": {"p": lambda a: np.full_like(a, np.nan)},
+    "p-zero-at-members": {"p": np.zeros_like},
+    "p-negative": {"p": lambda a: np.r_[-0.5, a[1:]]},
+    "p-above-one": {"p": lambda a: np.r_[1.5, a[1:]]},
+    "member-weights-nan": {"member_weights": lambda a: np.r_[np.nan, a[1:]]},
+    "member-weights-inf": {"member_weights": lambda a: np.r_[np.inf, a[1:]]},
+    "member-weights-zero": {"member_weights": lambda a: np.r_[0.0, a[1:]]},
+    "member-weights-negative": {"member_weights": lambda a: -a},
+    "member-points-nan": {"member_points": lambda a: np.r_[[np.full(3, np.nan)], a[1:]]},
+    "member-points-inf": {"member_points": lambda a: np.r_[[np.full(3, np.inf)], a[1:]]},
 }
 
 
@@ -397,16 +423,50 @@ def test_feedback_query_after_reload_continues(tmp_path):
         back = oracle.load(path, points=X, weights=w)
         assert (back.update_count, back.C) == (st.update_count, st.C)
         assert oracle.feedback_query(back, Q) == oracle.feedback_query(st, Q)
-        np.testing.assert_array_equal(back.p, st.p)
+        np.testing.assert_array_equal(back.sample.p, st.sample.p)
         np.testing.assert_array_equal(back.sample.members, st.sample.members)
     assert st.update_count >= 2
 
 
+@hst.composite
+def weighted_mixtures(draw):
+    """Small weighted mixtures, some with duplicated or near-identical points."""
+    n, d, k = draw(hst.integers(4, 1500)), draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    centers = rng.normal(size=(k, d)) * draw(hst.sampled_from([0.0, 1.0, 30.0]))
+    X = centers[rng.integers(k, size=n)] + rng.normal(size=(n, d)) * draw(
+        hst.sampled_from([0.0, 1e-9, 1.0]))
+    return np.round(X, draw(hst.sampled_from([1, 15]))), rng.uniform(0.1, 10.0, size=n)
+
+
+@given(weighted_mixtures(), hst.integers(1, 3), hst.sampled_from([0.5, 0.9]), hst.integers(0, 99))
+@settings(max_examples=40, deadline=None)
+def test_save_load_save_roundtrip(tmp_path_factory, mixture, k, eps, seed):
+    # in both load modes a reloaded oracle saves the same file and answers
+    # bit for bit; with its dataset it also updates as if never saved
+    X, w = mixture
+    built = oracle.build_feedback(SP2, X, w, k=min(k, len(X)), eps=eps, seed=seed)
+    path = tmp_path_factory.mktemp("roundtrip") / "o.npz"
+    oracle.save(built, path)
+    queries = [X[:1], X[::2], X + 1e-3, X[-2:] * 0.5]
+    for with_points in (False, True):
+        back = oracle.load(path, **({"points": X, "weights": w} if with_points else {}))
+        again = path.with_name("again.npz")
+        oracle.save(back, again)
+        assert _arrays(again) == _arrays(path)
+        assert [oracle.query(back, Q) for Q in queries] == [oracle.query(built, Q) for Q in queries]
+    for Q in queries:  # back is the state loaded with points; built never reloads
+        assert oracle.feedback_query(back, Q) == oracle.feedback_query(built, Q)
+        oracle.save(back, again)
+        oracle.save(built, path)
+        assert _arrays(again) == _arrays(path)
+
+
 def _same_state(a, b) -> bool:
     return (
-        np.array_equal(a.p, b.p)
+        np.array_equal(a.sample.p, b.sample.p)
         and np.array_equal(a.sample.members, b.sample.members)
-        and np.array_equal(a.sample.member_points(), b.sample.member_points())
+        and np.array_equal(a.sample.member_points, b.sample.member_points)
         and np.array_equal(a.sample.w_prime, b.sample.w_prime)
         and (a.C, a.eps, a.update_count, a.prefix_index, a.sample_seed)
         == (b.C, b.eps, b.update_count, b.prefix_index, b.sample_seed)

@@ -4,13 +4,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import rand_instance
 
 from one2all import core, kmeanspp, oracle, sampling
 from one2all.core import MetricSpace, cost
 from one2all.probabilities import sweet_spot
 from one2all.sampling import draw, estimate_cost, point_uniforms
-from one2all.wrapper import multi_sample_confirm, run
+from one2all.wrapper import run
 
 SP2 = MetricSpace.euclidean(2.0)
 
@@ -158,29 +157,25 @@ def test_validation_inputs():
 
 
 def test_confirm_requires_at_least_one_copy():
-    sp, X, w = rand_instance(2, n=30, d=2)
-    with pytest.raises(ValueError):
-        multi_sample_confirm(sp, X, w, np.ones(30), base=lambda s, p, ww: p[:2], copies=0)
+    X, w = _mixture(13, n=200, d=2, k=2)
+    for copies in (0, -2):
+        with pytest.raises(ValueError, match="copies"):
+            run(SP2, X, w, k=2, eps=0.3, copies=copies)
 
 
-def test_confirm_full_probabilities_equal_full_data_run():
-    from one2all.lloyd import BaseClustererConfig, make_base
-
-    X, w = _mixture(19, n=600, d=3, k=3)
-    base = make_base(BaseClustererConfig(k=3, seed=5))
-    Q, v = multi_sample_confirm(SP2, X, w, np.ones(600), base, copies=2, seed=1)
-    direct = base(SP2, X, w)
-    assert v == pytest.approx(cost(SP2, X, w, direct.points), rel=1e-12)
-
-
-def test_confirm_empty_samples_fall_back_to_full_data():
-    from one2all.lloyd import BaseClustererConfig, make_base
-
-    X, w = _mixture(23, n=300, d=2, k=2)
-    base = make_base(BaseClustererConfig(k=2, seed=7))
-    Q, v = multi_sample_confirm(SP2, X, w, np.zeros(300), base, copies=3, seed=2)
-    direct = base(SP2, X, w)
-    np.testing.assert_array_equal(Q.points, direct.points)
+def test_confirm_copies_that_come_up_empty_are_skipped(monkeypatch):
+    # every draw but the run's own sample gets u = 1, so at p < 1 the
+    # confirmation copies are empty and the run is the one-copy run
+    X, w = _mixture(23, n=10000, d=2, k=2)
+    Q1, rep1 = run(SP2, X, w, k=2, eps=0.5, seed=2)
+    sample_seed = int(np.random.SeedSequence(2).generate_state(4)[1])
+    u = point_uniforms(sample_seed, len(X))
+    monkeypatch.setattr(sampling, "point_uniforms",
+                        lambda seed, n: u if seed == sample_seed else np.ones(n))
+    Q3, rep3 = run(SP2, X, w, k=2, eps=0.5, seed=2, copies=3)
+    assert np.all(rep3.final_p < 1.0)
+    np.testing.assert_array_equal(Q3.points, Q1.points)
+    assert rep3.log == rep1.log
 
 
 def test_run_with_copies_certifies():
@@ -228,7 +223,7 @@ def _pipeline_outputs(X, w):
     out = [Q.points.tobytes(), repr(rep.log)]
     out += [np.asarray(getattr(rep, f.name)).tobytes() for f in fields(rep) if f.name != "log"]
     st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=6)
-    out += [a.tobytes() for a in (st.p, st.sample.members)]
+    out += [a.tobytes() for a in (st.sample.p, st.sample.members)]
     trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # build's trace
     trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
     _, probs = sweet_spot(trace, "exact", C=trace.prefix_costs[-1], eps=0.3)
