@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Cap on elements per temporary buffer in the distance kernels (~32 MB float64).
-_CHUNK_ELEMS = 1 << 22
+# Cap on elements per temporary buffer in the distance kernels (~8 MB float64).
+_CHUNK_ELEMS = 1 << 20
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0  # u = 2^-53
 _UNDERFLOW = 2.0 * np.finfo(np.float64).tiny  # u * 2^-1021 = 2^-1074
 

@@ -17,9 +17,10 @@ import numpy as np
 from . import core
 from .core import MetricSpace, _exact, _lower, as_points, as_weights, pairwise
 
-# Elements per replay gather (512 KB of float64): the gathered rows stay in
-# cache through difference, square and sum, which runs 1.3-2x faster than
-# core._CHUNK_ELEMS-sized gathers at n = 1e5..5e5, d = 10..50 (2-vCPU x86 VM).
+# Elements per replay gather and per first-step block (512 KB of float64):
+# the rows stay in cache through difference, square and sum, which runs
+# 1.3-2x faster than core._CHUNK_ELEMS-sized gathers at n = 1e5..5e5,
+# d = 10..50 (2-vCPU x86 VM).
 _GATHER_ELEMS = 1 << 16
 
 
@@ -67,10 +68,30 @@ def _draw_index(rng: np.random.Generator, mass: np.ndarray) -> int:
     return idx
 
 
+def _first_step(space: MetricSpace, X: np.ndarray, s: int, dist: np.ndarray) -> None:
+    """dist = d(X, X[s]) for every row: step 1 of the trace and of replay.
+
+    Step 1 moves every row, so no screen can skip one. Contiguous blocks of
+    at most _GATHER_ELEMS (and core._CHUNK_ELEMS) elements go through the
+    formula every other step uses, with no gather by index.
+    """
+    if space.kind == "matrix":
+        dist[:] = space.matrix[X, X[s]]
+        return
+    n, d = X.shape
+    step = max(1, min(_GATHER_ELEMS, core._CHUNK_ELEMS) // max(d, 1))
+    block = np.empty((min(step, n), d))
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        np.copyto(block[:m], X[start : start + m])
+        _exact(block[:m], X[s], space.power, out=dist[start : start + m])
+
+
 def _extender(space: MetricSpace, X: np.ndarray):
-    """An empty prefix (dist = inf, owner = 0) and add(s, i), which makes X[s]
-    centroid i: the rows strictly closer to it move to it, in place."""
-    dist = np.full(X.shape[0], np.inf)
+    """A prefix to fill (owner = 0; dist unset until _first_step) and
+    add(s, i), which makes X[s] centroid i >= 1: the rows strictly closer to
+    it move to it, in place."""
+    dist = np.empty(X.shape[0])
     owner = np.zeros(X.shape[0], dtype=np.intp)
     if space.kind == "matrix":
         def add(s: int, i: int) -> None:
@@ -92,7 +113,9 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     """D² seeding: m_1 ~ w_x, then m_i ~ w_x * d(x, prefix).
 
     Maintains per-point distance to the prefix incrementally: one centroid
-    per iteration, with exact distances only where it may be nearer. If
+    per iteration. Step 1 computes every row's exact distance with no
+    screen (replay shares it); later steps compute exact distances only
+    where the new centroid may be nearer. If
     residual mass hits zero before ell centroids (all points coincide with
     centroids) the trace truncates and says so. After step i the rows that
     moved are exactly those with owner i, since every earlier owner is
@@ -116,7 +139,10 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
             break
         s = _draw_index(rng, mass)
         chosen.append(s)
-        add(s, i)
+        if i == 0:
+            _first_step(space, X, s, dist)
+        else:
+            add(s, i)
         moves[i] = np.packbits(owner == i)
         mass = w * dist
         costs.append(float(np.sum(mass)))
@@ -164,18 +190,22 @@ def _row_setter(space: MetricSpace, X: np.ndarray, dist: np.ndarray):
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
     """Yield (i, owner, dist, v_i) for every prefix i = 1..ell.
 
-    Reads each step's moved rows from the trace's move log and computes
+    Step 1 moves every row and is the trace's own _first_step. Each later
+    step reads its moved rows from the trace's move log and computes
     distances for those rows alone, so step i costs O(moved rows) distance
-    work plus an O(n / 8) unpack; step 1 moves every row. The state equals
-    the trace's own after each step, bit for bit. The yielded arrays are
-    reused between iterations; copy them if they must outlive the loop step.
+    work plus an O(n / 8) unpack. The state equals the trace's own after
+    each step, bit for bit. The yielded arrays are reused between
+    iterations; copy them if they must outlive the loop step.
     """
     n = trace.points.shape[0]
-    dist = np.full(n, np.inf)
+    dist = np.empty(n)
     owner = np.zeros(n, dtype=np.intp)
     set_rows = _row_setter(trace.space, trace.points, dist)
     for i, s in enumerate(trace.centroid_indices):
-        rows = np.flatnonzero(np.unpackbits(trace.moves[i], count=n).view(bool))
-        set_rows(rows, s)
-        owner[rows] = i
+        if i == 0:
+            _first_step(trace.space, trace.points, s, dist)
+        else:
+            rows = np.flatnonzero(np.unpackbits(trace.moves[i], count=n).view(bool))
+            set_rows(rows, s)
+            owner[rows] = i
         yield i + 1, owner, dist, float(trace.prefix_costs[i])

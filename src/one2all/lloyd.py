@@ -2,6 +2,11 @@
 
 Works only in squared Euclidean space, where the weighted mean minimizes
 each cell's cost. Other spaces must plug in their own base clusterer.
+
+Every Lloyd step runs through `_step`: the nearest-centroid kernel, then one
+weighted `np.bincount` per coordinate, which adds each cell's rows in row
+order. `base_cluster` computes the weighted rows and the row norms once and
+reuses them in every step; `lloyd_step` computes them for its one step.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, as_weights, nearest
+from .core import CentroidSet, MetricSpace, _lower, as_points, as_weights, require_finite
 from .errors import UnsupportedSpaceError
 from .kmeanspp import run_trace
 
@@ -49,11 +54,29 @@ def lloyd_step(space: MetricSpace, X, w, Q) -> np.ndarray:
     X = as_points(X)
     Q = as_points(Q)
     w = as_weights(w, X.shape[0])
+    require_finite(points=X, centroids=Q)
+    if X.shape[1] != Q.shape[1]:
+        raise ValueError(f"dimension mismatch: points d={X.shape[1]}, centroids d={Q.shape[1]}")
+    return _step(X, w, *_prepare(X, w), Q)
+
+
+def _prepare(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted rows X * w (column-major, so each column is contiguous)
+    and the squared row norms, which every step on (X, w) reuses."""
+    return np.multiply(X, w[:, None], order="F"), np.einsum("ij,ij->i", X, X)
+
+
+def _step(X: np.ndarray, w: np.ndarray, Xw: np.ndarray, norms: np.ndarray,
+          Q: np.ndarray) -> np.ndarray:
+    """lloyd_step on checked arrays, with _prepare(X, w) passed in."""
     k = Q.shape[0]
-    owner, dist = nearest(space, X, Q)
+    dist = np.full(X.shape[0], np.inf)
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    _lower(X, Q, 0, dist, owner, norms)
     wsum = np.bincount(owner, weights=w, minlength=k)
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, owner, X * w[:, None])
+    sums = np.empty((k, X.shape[1]))
+    for j in range(X.shape[1]):
+        sums[:, j] = np.bincount(owner, weights=Xw[:, j], minlength=k)
     new = np.empty_like(sums)
     nonempty = wsum > 0
     new[nonempty] = sums[nonempty] / wsum[nonempty, None]
@@ -69,6 +92,7 @@ def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> Centroid
     _require_sq_euclidean(space)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
+    require_finite(points=X)
     k = min(cfg.k, X.shape[0])
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
     best = None
@@ -79,8 +103,9 @@ def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> Centroid
         if v < best_cost:
             best, best_cost = trace.centroids, v
     Q = np.asarray(best, dtype=np.float64)
+    prepared = _prepare(X, w)
     for _ in range(cfg.lloyd_iters):
-        Q2 = lloyd_step(space, X, w, Q)
+        Q2 = _step(X, w, *prepared, Q)
         if np.array_equal(Q2, Q):
             break
         Q = Q2

@@ -22,7 +22,7 @@ from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
 from .probabilities import sweet_spot
-from .sampling import CoordinatedSample, draw, estimate_cost
+from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
 _FORMAT_VERSION = 3  # 3: only what query, feedback and load read
 # every key save writes; load checks them all before it uses any
@@ -158,9 +158,10 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
     """Rebuild an oracle from disk.
 
     Standalone (no points): queries work off the stored member points;
-    feedback is unavailable. With the original dataset: the per-point
-    uniforms are regenerated from the stored seed and checked against the
-    stored member set bit-exactly.
+    feedback is unavailable. The per-point uniforms are regenerated from
+    the stored seed either way, and the stored members must be exactly the
+    points they select at p. With the original dataset, the members' points
+    and weights must match it bit-exactly too.
     """
     try:
         # numpy stops where an array's header says, short of the CRC-32 check at
@@ -207,6 +208,11 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
                 "stored sample does not match the dataset and seed; "
                 "wrong dataset for this oracle file?"
             )
+    elif not np.array_equal(np.flatnonzero(point_uniforms(sample_seed, sample.p.shape[0])
+                                           <= sample.p), sample.members):
+        raise DataFormatError(
+            f"{path}: stored members are not the sample that p and sample_seed select"
+        )
     return OracleState(
         space=space,
         sample=sample,

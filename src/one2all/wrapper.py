@@ -124,12 +124,16 @@ def run(
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)
         saturated = sample.saturated  # this round's; the grow loop may saturate the next
-        certified = saturated or (v_q <= (1.0 + eps) * est and v_q >= v_m / r)
+        accurate = v_q <= (1.0 + eps) * est
+        in_range = v_q >= v_m / r
+        certified = saturated or (accurate and in_range)
         action = "saturated" if saturated else "accept" if certified else "grow"
         log.append({"round": rounds, "r": r, "size": sample.size,
                     "V_Q": v_q, "estimate": est, "action": action})
         if certified:
             break
+        # which test rejected Q: V_Q > (1+eps) estimate, V_Q < v_m / r, or both
+        log[-1]["reason"] = ("range" if accurate else "accuracy" if in_range else "both")
         r = max(2.0, v_q / v_m) * r
         # grow until the rejected Q clears the bar (or the sample saturates)
         while True:

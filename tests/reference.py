@@ -1,9 +1,11 @@
-"""Proof checks: brute-force pps mass, dominance and tail bounds.
+"""Proof checks and reference kernels the tests compare the package against.
 
-These state the paper's guarantees as code the tests run. They are exact
-but slow (mo_pps_bruteforce enumerates every k-subset), and no run of the
-package needs them: the package builds only the one2all probabilities and
-samples from them.
+The proof checks (brute-force pps mass, dominance and tail bounds) state
+the paper's guarantees as code the tests run. They are exact but slow
+(mo_pps_bruteforce enumerates every k-subset), and no run of the package
+needs them: the package builds only the one2all probabilities and samples
+from them. lloyd_step_add_at is the plain Lloyd step that lloyd.lloyd_step
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -137,3 +139,27 @@ def concentration_check(
         "threshold": threshold,
         "trials": trials,
     }
+
+
+def lloyd_step_add_at(space: MetricSpace, X, w, Q) -> np.ndarray:
+    """One weighted Lloyd step with np.add.at cell sums, in row order.
+
+    Empty cells are re-seeded at the farthest points, as lloyd.lloyd_step
+    documents.
+    """
+    X = as_points(X)
+    Q = as_points(Q)
+    w = as_weights(w, X.shape[0])
+    k = Q.shape[0]
+    owner, dist = nearest(space, X, Q)
+    wsum = np.bincount(owner, weights=w, minlength=k)
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, owner, X * w[:, None])
+    new = np.empty_like(sums)
+    nonempty = wsum > 0
+    new[nonempty] = sums[nonempty] / wsum[nonempty, None]
+    empty = np.flatnonzero(~nonempty)
+    if empty.size:
+        farthest = np.argsort(-dist)[: empty.size]
+        new[empty] = X[farthest]
+    return new

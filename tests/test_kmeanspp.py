@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import rand_instance, ref_cost
 
-from one2all import core
+from one2all import core, kmeanspp
 from one2all.core import MetricSpace, cost, pairwise
 from one2all.data import gen_gmm
 from one2all.kmeanspp import replay, run_trace
@@ -261,3 +261,24 @@ def test_replay_memory_does_not_grow_with_ell():
     # the state, one unpacked step and the gather buffers; one n-array kept
     # per step would pass 40 * 8n bytes
     assert peak < 16 * 8 * X.shape[0]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("power", [2.0, 3.0])
+def test_first_step_is_the_exact_column(power, chunk, monkeypatch):
+    # step 1 fills dist screen-free; it must give pairwise's bits, and replay
+    # shares it, at any chunk size
+    space = MetricSpace.euclidean(power)
+    X = _clustered(6, n=400, d=20)
+    w = np.random.default_rng(7).uniform(0.2, 5.0, size=X.shape[0])
+    if chunk is not None:
+        monkeypatch.setattr(core, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(kmeanspp, "_GATHER_ELEMS", chunk)
+    for seed in range(3):
+        tr = run_trace(space, X, w, 1, seed=seed)
+        s = tr.centroid_indices[0]
+        want = pairwise(space, X, X[s : s + 1])[:, 0]
+        assert _same_bytes(tr.dist, want)
+        assert not tr.owner.any()
+        ((i, owner, dist, v),) = replay(tr)
+        assert _same_bytes(dist, want) and not owner.any()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from conftest import rand_instance
+from reference import lloyd_step_add_at
 
-from one2all.core import MetricSpace, cost, pairwise
+from one2all.core import CentroidSet, MetricSpace, cost, pairwise
 from one2all.data import gen_gmm
 from one2all.errors import UnsupportedSpaceError
 from one2all.kmeanspp import run_trace
@@ -116,3 +117,77 @@ def test_config_validation():
         BaseClustererConfig(k=2, restarts=0)
     with pytest.raises(ValueError):
         BaseClustererConfig(k=2, lloyd_iters=-1)
+
+
+# bit identity with the np.add.at step ---------------------------------------
+
+
+def _lloyd_case(seed, n, d, k, dup=1, distinct=None):
+    """Weighted points (rows repeated dup times, or only `distinct` distinct
+    rows) and k starting centroids, some of them away from every point."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * 3.0 + 10.0 * rng.integers(0, 4, size=(n, 1))
+    if distinct is not None:
+        X = X[rng.integers(0, distinct, size=n)]
+    X = np.repeat(X, dup, axis=0)
+    w = rng.uniform(0.2, 5.0, size=X.shape[0])
+    Q = np.vstack([X[rng.choice(X.shape[0], size=k - 2, replace=False)],
+                   X.max(axis=0) + 50.0, X.min(axis=0) - 50.0])
+    return X, w, Q
+
+
+LLOYD_CASES = {  # points, weights, starting centroids
+    "weighted": _lloyd_case(0, 500, 5, 6),
+    "duplicated": _lloyd_case(1, 120, 4, 5, dup=3),
+    "empty-cell": _lloyd_case(2, 60, 3, 7, distinct=3),  # k > distinct points
+    "d1": _lloyd_case(3, 400, 1, 5),
+    "d50": _lloyd_case(4, 300, 50, 8),
+}
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(LLOYD_CASES))
+def test_lloyd_step_matches_add_at_reference(case):
+    X, w, Q = LLOYD_CASES[case]
+    for i in range(8):
+        want = lloyd_step_add_at(SP2, X, w, Q)
+        assert _same_bytes(lloyd_step(SP2, X, w, Q), want), f"step {i}"
+        Q = want
+
+
+@pytest.mark.parametrize("case", sorted(LLOYD_CASES))
+def test_base_cluster_matches_add_at_reference(case):
+    X, w, Q = LLOYD_CASES[case]
+    cfg = BaseClustererConfig(k=Q.shape[0], seed=9)
+    # base_cluster as written with the reference step
+    traces = [run_trace(SP2, X, w, min(cfg.k, X.shape[0]), int(s))
+              for s in np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)]
+    Q = min(traces, key=lambda tr: tr.prefix_costs[-1]).centroids
+    for _ in range(cfg.lloyd_iters):
+        Q2 = lloyd_step_add_at(SP2, X, w, Q)
+        if np.array_equal(Q2, Q):
+            break
+        Q = Q2
+    assert _same_bytes(base_cluster(SP2, X, w, cfg).points, CentroidSet(Q).points)
+
+
+def test_lloyd_step_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lloyd_step(SP2, np.zeros((4, 3)), None, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_points_and_centroids(bad):
+    X, w, Q = LLOYD_CASES["weighted"]
+    Xb = X.copy()
+    Xb[7, 1] = bad
+    Qb = Q.copy()
+    Qb[0, 0] = bad
+    for args in ((Xb, w, Q), (X, w, Qb)):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            lloyd_step(SP2, *args)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        base_cluster(SP2, Xb, w, BaseClustererConfig(k=3))

@@ -373,6 +373,10 @@ _MISMATCHES = {
     "member-weights-negative": {"member_weights": lambda a: -a},
     "member-points-nan": {"member_points": lambda a: np.r_[[np.full(3, np.nan)], a[1:]]},
     "member-points-inf": {"member_points": lambda a: np.r_[[np.full(3, np.inf)], a[1:]]},
+    # a self-consistent sample that p and sample_seed do not select
+    "members-one-index": {"members": lambda a: np.full_like(a, a[0]),
+                          "member_points": lambda a: np.repeat(a[:1], len(a), axis=0),
+                          "member_weights": lambda a: np.full_like(a, a[0])},
 }
 
 
@@ -387,6 +391,27 @@ _CASES = [(case, mode) for case in sorted(_MISMATCHES) for mode in _MODES
 def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, mode):
     with pytest.raises(DataFormatError):
         _load_changed(tmp_path, saved_blob, _MODES[mode], **_MISMATCHES[case])
+
+
+def test_oracle_query_exits_2_on_members_the_seed_does_not_select(tmp_path, capsys):
+    # every member set to one index, with matching member_points and
+    # member_weights: a standalone load used to answer from that sample
+    X, w = _mixture(29, n=20000, d=3, k=3)
+    path = tmp_path / "oracle.npz"
+    oracle.save(oracle.build_feedback(SP2, X, w, k=3, eps=0.7, seed=7), path)
+    blob = dict(np.load(path, allow_pickle=False))
+    members = blob["members"]
+    assert 0 < members.size < X.shape[0]
+    np.savez(path, **dict(blob, members=np.full_like(members, members[0]),
+                          member_points=np.repeat(X[members[:1]], members.size, axis=0),
+                          member_weights=np.full(members.size, w[members[0]])))
+    query = tmp_path / "q.csv"
+    query.write_text("0.0,0.0,0.0\n")
+    with pytest.raises(DataFormatError, match="sample_seed select"):
+        oracle.load(path)
+    capsys.readouterr()
+    assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
+    assert "sample_seed select" in capsys.readouterr().err
 
 
 _HEADER_EDITS = {  # numpy raises SyntaxError and tokenize.TokenError on these

@@ -108,6 +108,49 @@ def test_round_budget_reports_uncertified(monkeypatch):
     assert rep.log[-1]["action"] == "grow"
 
 
+# failure reasons in the log -----------------------------------------------
+
+
+_EVERY_OTHER = np.arange(0, 2000, 2)
+_REASONS = {  # reason: (rows of X that form Q, rows sampled while p < 1)
+    # Q serves the near blob only, and the far blob is not sampled
+    "accuracy": ([0], np.arange(1000)),
+    # Q holds every other point, so V_Q < v_m / r; every point is sampled
+    # at p <= 1, so the estimate is at least V_Q
+    "range": (_EVERY_OTHER, np.arange(2000)),
+    # as for range, but only Q's own points are sampled: the estimate is 0
+    "both": (_EVERY_OTHER, _EVERY_OTHER),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_REASONS))
+def test_rejected_round_logs_its_reason(reason, monkeypatch):
+    # the base clusterer always returns X[q_rows]; planted uniforms pick the sample
+    q_rows, sampled = _REASONS[reason]
+    X = _two_blobs(n_each=1000)
+    u = np.ones(len(X))
+    u[sampled] = 1e-12
+    _plant(monkeypatch, u)
+    Q = core.CentroidSet(X[q_rows])
+    _, rep = run(SP2, X, None, k=2, eps=0.5, seed=4, max_rounds=1,
+                 base=lambda space, pts, wts: Q)
+    (entry,) = rep.log
+    assert entry["action"] == "grow"
+    inaccurate = entry["V_Q"] > (1 + rep.eps) * entry["estimate"]
+    below = entry["V_Q"] < rep.cost_m / entry["r"]
+    assert (inaccurate, below) == {"accuracy": (True, False), "range": (False, True),
+                                   "both": (True, True)}[reason]
+    assert entry["reason"] == reason
+
+
+def test_only_rejected_rounds_carry_a_reason():
+    X, w = _mixture(5)
+    _, rep = run(SP2, X, w, k=4, eps=0.15, seed=6)
+    assert rep.log[0]["action"] == "grow" and rep.certified
+    for entry in rep.log:
+        assert ("reason" in entry) == (entry["action"] == "grow")
+
+
 # degenerate and saturated paths -----------------------------------------
 
 
