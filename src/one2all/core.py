@@ -2,20 +2,24 @@
 
 Distances are either powered Euclidean, d(x, y) = ||x - y||_2^p (a relaxed
 metric with rho = 2^(p-1) for p > 1), or read from a precomputed symmetric
-matrix.
+matrix whose points are row indices. Two kernels compute every exact
+distance, in either kind of space: `_fill` sets the distances from chosen
+rows to one point (`pairwise`, kmeans++ step 1, `replay`), and `_lower`
+lowers a running nearest-centroid assignment (`nearest`, later kmeans++
+steps, Lloyd). A matrix space reads the distances to one centroid at a
+time from its (contiguous) row, which equals the column by symmetry, so
+memory stays O(n) for any number of centroids.
 
-Every Euclidean distance the package reports is computed one way: the
-difference x - q, squared, then numpy's pairwise sum over the row, as
-`pairwise` does. Owners, distances and costs are therefore the same however
-the work is split into chunks, and whatever BLAS library and thread count
-numpy uses.
+Every Euclidean distance is computed one way, by `_exact`: the difference
+x - q, squared, then numpy's pairwise sum over the row. Owners, distances
+and costs are therefore the same however the work is split into chunks, and
+whatever BLAS library and thread count numpy uses.
 
-The nearest-centroid kernel behind `nearest` and the kmeans++ trace uses a
-GEMM only to decide which of those exact distances to compute. Per chunk of
-rows it scores every centroid as s_j = ||q_j||^2 - 2 x.q_j, so that
-||x - q_j||^2 is about s_j + ||x||^2. With u = 2^-53 and
-gamma_n = n u / (1 - n u), dot-product error bounds hold for any summation
-order, with or without fused multiply-add:
+`_lower` uses a GEMM only to decide which of those exact distances to
+compute. Per chunk of rows it scores every centroid as
+s_j = ||q_j||^2 - 2 x.q_j, so that ||x - q_j||^2 is about s_j + ||x||^2.
+With u = 2^-53 and gamma_n = n u / (1 - n u), dot-product error bounds hold
+for any summation order, with or without fused multiply-add:
 
     |fl(x.q) - x.q|           <= gamma_d ||x|| ||q|| <= gamma_d (||x||^2 + ||q||^2) / 2
     |fl(||v||^2) - ||v||^2|   <= gamma_d ||v||^2
@@ -46,6 +50,10 @@ import numpy as np
 
 # Cap on elements per temporary buffer in the distance kernels (~8 MB float64).
 _CHUNK_ELEMS = 1 << 20
+# Elements per block in _fill (512 KB of float64): the rows stay in cache
+# through difference, square and sum, which runs 1.3-2x faster than
+# _CHUNK_ELEMS-sized blocks at n = 1e5..5e5, d = 10..50 (2-vCPU x86 VM).
+_GATHER_ELEMS = 1 << 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0  # u = 2^-53
 _UNDERFLOW = 2.0 * np.finfo(np.float64).tiny  # u * 2^-1021 = 2^-1074
 
@@ -84,6 +92,7 @@ class MetricSpace:
             raise ValueError("distance matrix must be square")
         if rho < 1.0:
             raise ValueError("rho must be >= 1")
+        require_finite(distances=m)
         if np.any(m < 0):
             raise ValueError("distances must be nonnegative")
         if np.any(np.abs(np.diag(m)) > 0):
@@ -189,26 +198,23 @@ def as_weights(w, n: int) -> np.ndarray:
     return w
 
 
-def pairwise(space: MetricSpace, X, Q) -> np.ndarray:
-    """Full (n, k) matrix of distances from each point to each centroid."""
+def _operands(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
+    """X and Q as arrays; Euclidean ones must agree in dimension."""
     X = as_points(X)
     Q = as_points(Q)
-    if space.kind == "matrix":
-        return space.matrix[np.ix_(X, Q)]
-    if X.shape[1] != Q.shape[1]:
+    if space.kind != "matrix" and X.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: points d={X.shape[1]}, centroids d={Q.shape[1]}")
-    n, d = X.shape
-    k = Q.shape[0]
-    out = np.empty((n, k))
-    step = max(1, _CHUNK_ELEMS // max(d, 1))
-    for start in range(0, n, step):
-        block = X[start : start + step]
-        for j in range(k):
-            diff = block - Q[j]
-            np.square(diff, out=diff)
-            out[start : start + step, j] = diff.sum(axis=1)
-    if space.power != 2.0:
-        out **= space.power / 2.0
+    return X, Q
+
+
+def pairwise(space: MetricSpace, X, Q) -> np.ndarray:
+    """Full (n, k) matrix of distances from each point to each centroid."""
+    X, Q = _operands(space, X, Q)
+    out = np.empty((X.shape[0], Q.shape[0]))
+    for j in range(Q.shape[0]):
+        _fill(space, X, Q[j], out[:, j])
+    if out.size and not np.isfinite(out.max()):
+        require_finite(points=X, centroids=Q)
     return out
 
 
@@ -216,30 +222,35 @@ def nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (owner index, distance) to the nearest centroid.
 
     Memory stays O(n) even for large k; ties go to the lowest index.
+    Euclidean distances are lowered squared and raised to the power once.
     """
-    X = as_points(X)
-    Q = as_points(Q)
-    if space.kind == "matrix":
-        mat = space.matrix[np.ix_(X, Q)]
-        owner = np.argmin(mat, axis=1)
-        return owner, mat[np.arange(X.shape[0]), owner]
-    if X.shape[1] != Q.shape[1]:
-        raise ValueError(f"dimension mismatch: points d={X.shape[1]}, centroids d={Q.shape[1]}")
+    X, Q = _operands(space, X, Q)
     dist = np.full(X.shape[0], np.inf)
     owner = np.zeros(X.shape[0], dtype=np.intp)
-    _lower(X, Q, 0, dist, owner, np.einsum("ij,ij->i", X, X))
+    if space.kind == "matrix":
+        _lower(space, X, Q, 0, dist, owner, None)
+        return owner, dist
+    require_finite(centroids=Q)
+    _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, _row_norms(space, X))
+    if dist.size and not np.isfinite(dist.max()):
+        require_finite(points=X)  # a NaN or inf row keeps its initial inf
     if space.power != 2.0:
         dist **= space.power / 2.0
     return owner, dist
+
+
+def _row_norms(space: MetricSpace, X: np.ndarray) -> np.ndarray | None:
+    """The squared row norms `_lower` takes; a matrix space needs none."""
+    return None if space.kind == "matrix" else np.einsum("ij,ij->i", X, X)
 
 
 def _exact(diff: np.ndarray, q: np.ndarray, power: float, out: np.ndarray | None = None
            ) -> np.ndarray:
     """||x - q||^power for the gathered rows x in diff, which is overwritten.
 
-    This is the one formula behind every distance the kernel and the trace
-    replay report: the difference, squared, numpy's pairwise sum over the
-    row, then the power. out, if given, receives the result.
+    This is the one formula behind every Euclidean distance the package
+    reports: the difference, squared, numpy's pairwise sum over the row,
+    then the power. out, if given, receives the result.
     """
     diff -= q
     np.square(diff, out=diff)
@@ -249,16 +260,47 @@ def _exact(diff: np.ndarray, q: np.ndarray, power: float, out: np.ndarray | None
     return exact
 
 
-def _lower(X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
-           owner: np.ndarray, norms: np.ndarray, power: float = 2.0) -> None:
+def _fill(space: MetricSpace, X: np.ndarray, q, dist: np.ndarray,
+          rows: np.ndarray | None = None) -> None:
+    """dist[rows] = d(X[rows], q), for every row when rows is None.
+
+    No screen: every row asked for gets `_exact`, over blocks of at most
+    _GATHER_ELEMS (and _CHUNK_ELEMS) elements, copied contiguously when rows
+    is None and gathered by index otherwise.
+    """
+    if space.kind == "matrix":
+        sel = slice(None) if rows is None else rows
+        dist[sel] = space.matrix[q, X[sel]]
+        return
+    n = X.shape[0] if rows is None else rows.size
+    step = max(1, min(_GATHER_ELEMS, _CHUNK_ELEMS) // max(X.shape[1], 1))
+    buf = np.empty((min(step, n), X.shape[1]))
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        if rows is None:
+            np.copyto(buf[:m], X[start : start + m])
+            _exact(buf[:m], q, space.power, out=dist[start : start + m])
+        else:
+            part = rows[start : start + m]
+            dist[part] = _exact(np.take(X, part, axis=0, out=buf[:m]), q, space.power)
+
+
+def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
+           owner: np.ndarray, norms: np.ndarray | None) -> None:
     """Lower (dist, owner) in place by the centroids Q, numbered from base.
 
     The result is that of a running minimum over the columns of
-    pairwise(X, Q) with strict improvement: a row moves to centroid base + j
-    only if ||x - Q[j]||^power is below dist, and the lowest index wins
-    ties. dist holds distances raised to that same power; norms holds the
-    squared row norms of X, which callers reuse across calls.
+    pairwise(space, X, Q) with strict improvement, so the lowest index wins
+    ties. A Euclidean space screens with the GEMM described above, and
+    norms = _row_norms(space, X), which callers reuse across calls.
     """
+    if space.kind == "matrix":
+        for j in range(Q.shape[0]):
+            col = space.matrix[Q[j], X]
+            better = col < dist
+            dist[better] = col[better]
+            owner[better] = base + j
+        return
     d = X.shape[1]
     k = Q.shape[0]
     qq = np.einsum("ij,ij->i", Q, Q)
@@ -279,9 +321,9 @@ def _lower(X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
         margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
         bound = best + xx
         bound -= margin  # at most the row's smallest exact distance
-        if power != 2.0:
+        if space.power != 2.0:
             np.maximum(bound, 0.0, out=bound)
-            bound **= power / 2.0
+            bound **= space.power / 2.0
             bound *= 1.0 - 1e-12  # pow is within a few ulps and monotone
         margin *= 2.0
         best += margin  # a score above this cannot be the row's nearest
@@ -291,7 +333,7 @@ def _lower(X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
         cand = np.logical_not(skip, out=skip)  # NaN (overflow) never skips
         for j in range(k):
             rows = np.flatnonzero(cand[j])
-            exact = _exact(block[rows], Q[j], power)
+            exact = _exact(block[rows], Q[j], space.power)
             better = exact < cur[rows]
             rows = rows[better]
             cur[rows] = exact[better]

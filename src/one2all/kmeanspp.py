@@ -14,14 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import core
-from .core import MetricSpace, _exact, _lower, as_points, as_weights, pairwise
-
-# Elements per replay gather and per first-step block (512 KB of float64):
-# the rows stay in cache through difference, square and sum, which runs
-# 1.3-2x faster than core._CHUNK_ELEMS-sized gathers at n = 1e5..5e5,
-# d = 10..50 (2-vCPU x86 VM).
-_GATHER_ELEMS = 1 << 16
+from .core import MetricSpace, _fill, _lower, _row_norms, as_points, as_weights, require_finite
 
 
 @dataclass
@@ -68,54 +61,13 @@ def _draw_index(rng: np.random.Generator, mass: np.ndarray) -> int:
     return idx
 
 
-def _first_step(space: MetricSpace, X: np.ndarray, s: int, dist: np.ndarray) -> None:
-    """dist = d(X, X[s]) for every row: step 1 of the trace and of replay.
-
-    Step 1 moves every row, so no screen can skip one. Contiguous blocks of
-    at most _GATHER_ELEMS (and core._CHUNK_ELEMS) elements go through the
-    formula every other step uses, with no gather by index.
-    """
-    if space.kind == "matrix":
-        dist[:] = space.matrix[X, X[s]]
-        return
-    n, d = X.shape
-    step = max(1, min(_GATHER_ELEMS, core._CHUNK_ELEMS) // max(d, 1))
-    block = np.empty((min(step, n), d))
-    for start in range(0, n, step):
-        m = min(step, n - start)
-        np.copyto(block[:m], X[start : start + m])
-        _exact(block[:m], X[s], space.power, out=dist[start : start + m])
-
-
-def _extender(space: MetricSpace, X: np.ndarray):
-    """A prefix to fill (owner = 0; dist unset until _first_step) and
-    add(s, i), which makes X[s] centroid i >= 1: the rows strictly closer to
-    it move to it, in place."""
-    dist = np.empty(X.shape[0])
-    owner = np.zeros(X.shape[0], dtype=np.intp)
-    if space.kind == "matrix":
-        def add(s: int, i: int) -> None:
-            dnew = pairwise(space, X, X[s : s + 1])[:, 0]
-            better = dnew < dist
-            dist[better] = dnew[better]
-            owner[better] = i
-
-        return dist, owner, add
-    norms = np.einsum("ij,ij->i", X, X)
-
-    def add(s: int, i: int) -> None:
-        _lower(X, X[s : s + 1], i, dist, owner, norms, space.power)
-
-    return dist, owner, add
-
-
 def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     """D² seeding: m_1 ~ w_x, then m_i ~ w_x * d(x, prefix).
 
     Maintains per-point distance to the prefix incrementally: one centroid
-    per iteration. Step 1 computes every row's exact distance with no
-    screen (replay shares it); later steps compute exact distances only
-    where the new centroid may be nearer. If
+    per iteration. Step 1 fills every row's exact distance (`core._fill`,
+    which replay shares); later steps lower it through `core._lower`, which
+    computes exact distances only where the new centroid may be nearer. If
     residual mass hits zero before ell centroids (all points coincide with
     centroids) the trace truncates and says so. After step i the rows that
     moved are exactly those with owner i, since every earlier owner is
@@ -129,7 +81,9 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     if ell > n:
         raise ValueError(f"ell={ell} exceeds n={n}")
     rng = np.random.default_rng(seed)
-    dist, owner, add = _extender(space, X)
+    dist = np.empty(n)
+    owner = np.zeros(n, dtype=np.intp)
+    norms = _row_norms(space, X)
     moves = np.empty((ell, (n + 7) // 8), dtype=np.uint8)
     chosen: list[int] = []
     costs: list[float] = []
@@ -140,12 +94,14 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         s = _draw_index(rng, mass)
         chosen.append(s)
         if i == 0:
-            _first_step(space, X, s, dist)
+            _fill(space, X, X[s], dist)
         else:
-            add(s, i)
+            _lower(space, X, X[s : s + 1], i, dist, owner, norms)
         moves[i] = np.packbits(owner == i)
         mass = w * dist
         costs.append(float(np.sum(mass)))
+        if i == 0 and not np.isfinite(costs[0]):
+            require_finite(points=X)  # NaN or inf points make v_1 NaN or inf
 
     idx = np.asarray(chosen, dtype=np.intp)
     return KmeansPPTrace(
@@ -163,49 +119,24 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     )
 
 
-def _row_setter(space: MetricSpace, X: np.ndarray, dist: np.ndarray):
-    """set_rows(rows, s): dist[rows] = d(X[rows], X[s]), by the formula the
-    trace used. Rows are gathered into buffers allocated once, at most
-    _GATHER_ELEMS (and core._CHUNK_ELEMS) elements at a time."""
-    if space.kind == "matrix":
-        def set_rows(rows: np.ndarray, s: int) -> None:
-            dist[rows] = space.matrix[X[rows], X[s]]
-
-        return set_rows
-    n, d = X.shape
-    step = max(1, min(_GATHER_ELEMS, core._CHUNK_ELEMS) // max(d, 1))
-    gather = np.empty((min(step, n), d))
-    exact = np.empty(gather.shape[0])
-
-    def set_rows(rows: np.ndarray, s: int) -> None:
-        for start in range(0, rows.size, step):
-            part = rows[start : start + step]
-            m = part.size
-            np.take(X, part, axis=0, out=gather[:m])
-            dist[part] = _exact(gather[:m], X[s], space.power, out=exact[:m])
-
-    return set_rows
-
-
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
     """Yield (i, owner, dist, v_i) for every prefix i = 1..ell.
 
-    Step 1 moves every row and is the trace's own _first_step. Each later
-    step reads its moved rows from the trace's move log and computes
-    distances for those rows alone, so step i costs O(moved rows) distance
-    work plus an O(n / 8) unpack. The state equals the trace's own after
-    each step, bit for bit. The yielded arrays are reused between
+    Step 1 moves every row and fills dist as the trace's own step 1 did.
+    Each later step reads its moved rows from the trace's move log and
+    fills distances for those rows alone, so step i costs O(moved rows)
+    distance work plus an O(n / 8) unpack. The state equals the trace's own
+    after each step, bit for bit. The yielded arrays are reused between
     iterations; copy them if they must outlive the loop step.
     """
-    n = trace.points.shape[0]
+    X = trace.points
+    n = X.shape[0]
     dist = np.empty(n)
     owner = np.zeros(n, dtype=np.intp)
-    set_rows = _row_setter(trace.space, trace.points, dist)
     for i, s in enumerate(trace.centroid_indices):
-        if i == 0:
-            _first_step(trace.space, trace.points, s, dist)
-        else:
+        rows = None
+        if i:
             rows = np.flatnonzero(np.unpackbits(trace.moves[i], count=n).view(bool))
-            set_rows(rows, s)
             owner[rows] = i
+        _fill(trace.space, X, X[s], dist, rows)
         yield i + 1, owner, dist, float(trace.prefix_costs[i])

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, _lower, as_points, as_weights, require_finite
+from .core import (CentroidSet, MetricSpace, _lower, _operands, _row_norms, as_points,
+                   as_weights, require_finite)
 from .errors import UnsupportedSpaceError
 from .kmeanspp import run_trace
 
@@ -51,28 +52,25 @@ def lloyd_step(space: MetricSpace, X, w, Q) -> np.ndarray:
     are empty), so the centroid count never shrinks.
     """
     _require_sq_euclidean(space)
-    X = as_points(X)
-    Q = as_points(Q)
+    X, Q = _operands(space, X, Q)
     w = as_weights(w, X.shape[0])
     require_finite(points=X, centroids=Q)
-    if X.shape[1] != Q.shape[1]:
-        raise ValueError(f"dimension mismatch: points d={X.shape[1]}, centroids d={Q.shape[1]}")
-    return _step(X, w, *_prepare(X, w), Q)
+    return _step(space, X, w, *_prepare(space, X, w), Q)
 
 
-def _prepare(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prepare(space: MetricSpace, X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted rows X * w (column-major, so each column is contiguous)
     and the squared row norms, which every step on (X, w) reuses."""
-    return np.multiply(X, w[:, None], order="F"), np.einsum("ij,ij->i", X, X)
+    return np.multiply(X, w[:, None], order="F"), _row_norms(space, X)
 
 
-def _step(X: np.ndarray, w: np.ndarray, Xw: np.ndarray, norms: np.ndarray,
-          Q: np.ndarray) -> np.ndarray:
-    """lloyd_step on checked arrays, with _prepare(X, w) passed in."""
+def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
+          norms: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """lloyd_step on checked arrays, with _prepare(space, X, w) passed in."""
     k = Q.shape[0]
     dist = np.full(X.shape[0], np.inf)
     owner = np.zeros(X.shape[0], dtype=np.intp)
-    _lower(X, Q, 0, dist, owner, norms)
+    _lower(space, X, Q, 0, dist, owner, norms)
     wsum = np.bincount(owner, weights=w, minlength=k)
     sums = np.empty((k, X.shape[1]))
     for j in range(X.shape[1]):
@@ -92,7 +90,6 @@ def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> Centroid
     _require_sq_euclidean(space)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
-    require_finite(points=X)
     k = min(cfg.k, X.shape[0])
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
     best = None
@@ -103,9 +100,9 @@ def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> Centroid
         if v < best_cost:
             best, best_cost = trace.centroids, v
     Q = np.asarray(best, dtype=np.float64)
-    prepared = _prepare(X, w)
+    prepared = _prepare(space, X, w)
     for _ in range(cfg.lloyd_iters):
-        Q2 = _step(X, w, *prepared, Q)
+        Q2 = _step(space, X, w, *prepared, Q)
         if np.array_equal(Q2, Q):
             break
         Q = Q2

@@ -66,7 +66,6 @@ def _build(space, X, w, ell, C, eps, seed, k=None) -> OracleState:
     if eps <= 0:
         raise ValueError("eps must be positive")
     X = as_points(X)
-    require_finite(points=X)
     w = as_weights(w, X.shape[0])
     if ell is None:
         ell = min(2 * k, X.shape[0])
@@ -96,7 +95,6 @@ def _build(space, X, w, ell, C, eps, seed, k=None) -> OracleState:
 
 def query(state: OracleState, Q) -> float:
     """Inverse-probability cost estimate from the frozen sample."""
-    require_finite(centroids=as_points(Q))
     return estimate_cost(state.space, state.sample, Q)
 
 

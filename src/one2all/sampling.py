@@ -79,7 +79,5 @@ def estimate_cost(space: MetricSpace, sample: CoordinatedSample, Q) -> float:
     An empty sample estimates 0 (legitimate only when total mass was capped
     away; callers keep sum(p) >= 1).
     """
-    if sample.size == 0:
-        return 0.0
     _, dist = nearest(space, sample.member_points, Q)
     return float(np.sum(sample.w_prime * dist))

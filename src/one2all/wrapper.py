@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, as_weights, cost, require_finite
+from .core import CentroidSet, MetricSpace, as_points, as_weights, cost
 from .kmeanspp import run_trace
 from .lloyd import BaseClustererConfig, make_base
 from .probabilities import sweet_spot
@@ -70,7 +70,6 @@ def run(
         raise ValueError("copies must be >= 1")
     X = as_points(X)
     n = X.shape[0]
-    require_finite(points=X)
     w = as_weights(w, n)
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")

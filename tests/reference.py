@@ -5,7 +5,8 @@ the paper's guarantees as code the tests run. They are exact but slow
 (mo_pps_bruteforce enumerates every k-subset), and no run of the package
 needs them: the package builds only the one2all probabilities and samples
 from them. lloyd_step_add_at is the plain Lloyd step that lloyd.lloyd_step
-must reproduce bit for bit.
+must reproduce bit for bit, and matrix_nearest is the gathered-block
+nearest that the package's one-centroid-at-a-time matrix kernels must match.
 """
 
 from __future__ import annotations
@@ -163,3 +164,16 @@ def lloyd_step_add_at(space: MetricSpace, X, w, Q) -> np.ndarray:
         farthest = np.argsort(-dist)[: empty.size]
         new[empty] = X[farthest]
     return new
+
+
+def matrix_pairwise(space: MetricSpace, X, Q) -> np.ndarray:
+    """A matrix space's (n, k) block of distances, gathered in one step."""
+    return space.matrix[np.ix_(as_points(X), as_points(Q))]
+
+
+def matrix_nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
+    """nearest on a matrix space from the whole (n, k) block: argmin picks
+    the lowest index among ties."""
+    mat = matrix_pairwise(space, X, Q)
+    owner = np.argmin(mat, axis=1)
+    return owner, mat[np.arange(mat.shape[0]), owner]

@@ -1,5 +1,7 @@
 """Distance kernels, nearest-centroid assignment, and exact cost."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import reference
@@ -221,6 +223,62 @@ def test_matrix_space_rejects_bad_input():
     MetricSpace.from_matrix(m, rho=2.0)  # and accept it at the right rho
 
 
+def test_matrix_space_rejects_nan_or_inf_entries():
+    # NaN was reported as an asymmetry, and a single inf pair slipped past the
+    # sampled triangle checks and into a certified clustering
+    rng = np.random.default_rng(21)
+    P = rng.normal(size=(300, 3))
+    m = pairwise(MetricSpace.euclidean(1.0), P, P)
+    MetricSpace.from_matrix(m)
+    for bad in (np.nan, np.inf):
+        broken = m.copy()
+        broken[5, 9] = broken[9, 5] = bad
+        with pytest.raises(ValueError, match="^distances contain NaN or inf"):
+            MetricSpace.from_matrix(broken)
+
+
+def _with_bad_cell(X, row, bad):
+    X = np.array(X, dtype=np.float64)
+    X[row, 1] = bad
+    return X
+
+
+_KERNEL_CALLS = {
+    "run_trace": lambda X, Q: run_trace(SP2, X, None, 3, 0),
+    "run_trace-p3": lambda X, Q: run_trace(MetricSpace.euclidean(3.0), X, None, 3, 4),
+    "cost": lambda X, Q: cost(SP2, X, None, Q),
+    "cost-weighted": lambda X, Q: cost(MetricSpace.euclidean(1.0), X, np.ones(len(X)), Q),
+    "nearest": lambda X, Q: nearest(SP2, X, Q),
+    "pairwise": lambda X, Q: pairwise(MetricSpace.euclidean(3.0), X, Q),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # NaN reaches the GEMM
+@pytest.mark.parametrize("row", [0, 17, 49])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", sorted(_KERNEL_CALLS))
+def test_kernel_entry_points_reject_nan_or_inf_points(call, bad, row):
+    X = np.random.default_rng(22).normal(size=(50, 3))
+    with pytest.raises(ValueError, match="^points contain NaN or inf"):
+        _KERNEL_CALLS[call](_with_bad_cell(X, row, bad), X[:4])
+    if call.startswith("run_trace"):
+        return
+    with pytest.raises(ValueError, match="^centroids contain NaN or inf"):
+        _KERNEL_CALLS[call](X, _with_bad_cell(X[:4], 2, bad))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflow_is_not_reported_as_nan_or_inf():
+    # finite points whose squared distance overflows keep today's inf result
+    X = np.array([[1e200, 0.0], [0.0, 0.0]])
+    Q = np.array([[-1e200, 0.0]])
+    assert nearest(SP2, X, Q)[1][0] == np.inf
+    assert pairwise(SP2, X, Q)[0, 0] == np.inf
+    assert cost(SP2, X, None, Q) == np.inf
+    assert run_trace(SP2, X, None, 2, 0).prefix_costs[0] == np.inf
+
+
 finite_points = hnp.arrays(
     np.float64,
     st.tuples(st.integers(2, 8), st.integers(1, 4)),
@@ -426,3 +484,85 @@ def test_kernel_matches_on_clustered_data():
     w = rng.uniform(0.5, 2.0, size=3000)
     Q = X[rng.choice(3000, size=10, replace=False)]
     assert_kernel_matches(X, Q, 2.0, w=w, ell=20, seed=4)
+
+
+# Matrix spaces against the gathered (n, k) block --------------------------
+#
+# nearest, pairwise, run_trace and replay read a matrix space one centroid at
+# a time; they must give the bytes of the whole np.ix_ block and argmin.
+
+
+def _tied_matrix_space(seed):
+    """Integer grid points with repeats: duplicate columns, zero off-diagonal
+    distances and many equal distances between different pairs."""
+    rng = np.random.default_rng(seed)
+    P = rng.integers(0, 5, size=(90, 2)).astype(np.float64)
+    P = np.vstack([P, P[:30]])
+    return MetricSpace.from_matrix(pairwise(MetricSpace.euclidean(1.0), P, P))
+
+
+def _tied_queries(sp):
+    m = sp.matrix
+    twin = int(np.flatnonzero((m[3] == 0.0) & (np.arange(m.shape[0]) != 3))[0])
+    return [np.array([3]), np.array([3, twin, 3]), np.array([twin, 3, 50, 7, 50]),
+            np.arange(0, 120, 7), np.arange(119, -1, -3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matrix_nearest_and_pairwise_match_the_gathered_block(seed):
+    sp = _tied_matrix_space(seed)
+    rng = np.random.default_rng(seed)
+    for X in (np.arange(120), rng.permutation(120)[:70], np.array([3, 3, 5])):
+        for Q in _tied_queries(sp):
+            owner, dist = nearest(sp, X, Q)
+            ref_owner, ref_dist = reference.matrix_nearest(sp, X, Q)
+            assert_same_bytes(owner, ref_owner)
+            assert_same_bytes(dist, ref_dist)
+            assert_same_bytes(pairwise(sp, X, Q), reference.matrix_pairwise(sp, X, Q))
+            assert cost(sp, X, None, Q) == float(np.sum(ref_dist))
+
+
+@pytest.mark.parametrize("ell", [8, 40])  # 40 exceeds the distinct points
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_matrix_trace_and_replay_match_the_gathered_block(seed, weighted, ell):
+    sp = _tied_matrix_space(seed)
+    X = np.arange(120)
+    w = np.random.default_rng(seed).uniform(0.2, 5.0, size=120) if weighted else np.ones(120)
+    trace = run_trace(sp, X, w, ell, seed)
+    # an independent trace: the same draws, each state from the whole block
+    rng = np.random.default_rng(seed)
+    mass = w
+    states = []
+    for i in range(ell):
+        if not np.any(mass > 0.0):
+            break
+        assert _draw_index(rng, mass) == trace.centroid_indices[i]
+        owner, dist = reference.matrix_nearest(sp, X, trace.centroids[: i + 1])
+        states.append((owner, dist))
+        mass = w * dist
+        assert trace.prefix_costs[i] == float(np.sum(mass))
+    assert trace.ell == len(states) and trace.truncated == (ell == 40)
+    assert_same_bytes(trace.owner, states[-1][0])
+    assert_same_bytes(trace.dist, states[-1][1])
+    for (i, owner, dist, v), (ref_owner, ref_dist) in zip(replay(trace), states, strict=True):
+        assert_same_bytes(owner, ref_owner)
+        assert_same_bytes(dist, ref_dist)
+        assert v == trace.prefix_costs[i - 1]
+
+
+def test_matrix_nearest_memory_is_linear_in_n():
+    # the gathered block would be n * k * 8 bytes (8 MB here)
+    n = 1000
+    m = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(np.float64)
+    sp = MetricSpace.from_matrix(m)
+    X = np.arange(n)
+    Q = np.arange(n)[::-1].copy()
+    tracemalloc.start()
+    try:
+        owner, dist = nearest(sp, X, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not dist.any() and np.array_equal(owner, n - 1 - X)
+    assert peak < 16 * 8 * n

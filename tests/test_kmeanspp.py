@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import rand_instance, ref_cost
 
-from one2all import core, kmeanspp
+from one2all import core
 from one2all.core import MetricSpace, cost, pairwise
 from one2all.data import gen_gmm
 from one2all.kmeanspp import replay, run_trace
@@ -273,7 +273,7 @@ def test_first_step_is_the_exact_column(power, chunk, monkeypatch):
     w = np.random.default_rng(7).uniform(0.2, 5.0, size=X.shape[0])
     if chunk is not None:
         monkeypatch.setattr(core, "_CHUNK_ELEMS", chunk)
-        monkeypatch.setattr(kmeanspp, "_GATHER_ELEMS", chunk)
+        monkeypatch.setattr(core, "_GATHER_ELEMS", chunk)
     for seed in range(3):
         tr = run_trace(space, X, w, 1, seed=seed)
         s = tr.centroid_indices[0]

@@ -1,7 +1,9 @@
 """Package hygiene, checked on the source with `ast` (no linter is required).
 
 Every module uses each name it imports, and `one2all.__all__` lists exactly
-the names `one2all/__init__.py` imports.
+the names `one2all/__init__.py` imports. The distance layer stays in one
+place: only `core` reads a space's distance matrix or names the kernels'
+block-size constants.
 """
 
 import ast
@@ -42,3 +44,26 @@ def test_every_imported_name_is_used(name):
 
 def test_all_lists_exactly_what_init_imports():
     assert sorted(_imported(_parse("__init__.py"))) == sorted(one2all.__all__)
+
+
+def _mentions(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names the module mentions."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names, attrs
+
+
+BLOCK_SIZES = {"_CHUNK_ELEMS", "_GATHER_ELEMS"}
+
+
+def test_only_core_holds_distance_code():
+    core = _parse("core.py")
+    assigned = {t.id for node in ast.walk(core) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert BLOCK_SIZES <= assigned
+    for name in [*MODULES, "__init__.py"]:
+        if name == "core.py":
+            continue
+        names, attrs = _mentions(_parse(name))
+        assert "matrix" not in attrs, f"{name} reads MetricSpace.matrix"
+        assert not BLOCK_SIZES & (names | attrs), f"{name} names a kernel block size"

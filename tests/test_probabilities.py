@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_instance, ref_one2all
 from reference import pps_base, verify_dominance
 
-from one2all import kmeanspp, probabilities
+from one2all import core, kmeanspp, probabilities
 from one2all.core import MetricSpace, nearest, pairwise
 from one2all.kmeanspp import replay, run_trace
 from one2all.probabilities import one2all_probs, probs_from_assignment, sweet_spot
@@ -286,7 +286,7 @@ def test_sweet_spot_pays_no_distance_pass(mode, monkeypatch):
         raise AssertionError("sweet_spot ran a distance pass")
 
     for module, name in ((probabilities, "nearest"), (probabilities, "one2all_probs"),
-                         (kmeanspp, "_lower"), (kmeanspp, "pairwise")):
+                         (kmeanspp, "_lower"), (core, "pairwise")):
         monkeypatch.setattr(module, name, refuse)
     i_star, probs = _sweet(tr, mode)
     assert i_star == want[0]

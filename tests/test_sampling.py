@@ -160,6 +160,8 @@ def test_estimate_empty_sample_is_zero():
     s = draw(X, w, np.zeros(10), seed=3)
     assert s.size == 0
     assert estimate_cost(sp, s, X[:2]) == 0.0
+    with pytest.raises(ValueError, match="^centroids contain NaN or inf"):
+        estimate_cost(sp, s, np.array([[np.nan, 0.0]]))
 
 
 def test_estimator_unbiased_and_cv_bounded():

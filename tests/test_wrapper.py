@@ -280,6 +280,6 @@ def test_outputs_independent_of_chunk_sizes(monkeypatch):
     want = _pipeline_outputs(X, w)
     for elems in (20, 97):
         monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
-        monkeypatch.setattr(kmeanspp, "_GATHER_ELEMS", elems // 2)
+        monkeypatch.setattr(core, "_GATHER_ELEMS", elems // 2)
         assert _pipeline_outputs(X, w) == want, elems
 
