@@ -10,7 +10,7 @@ from .core import (
 )
 from .errors import DataFormatError, UnsupportedSpaceError
 from .kmeanspp import KmeansPPTrace, run_trace
-from .lloyd import BaseClustererConfig, base_cluster, lloyd_step, make_base
+from .lloyd import base_cluster, lloyd_step
 from .oracle import OracleState, build, build_feedback, feedback_query, query
 from .probabilities import One2AllProbabilities, one2all_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
@@ -20,7 +20,6 @@ from .wrapper import run as cluster_adaptive
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseClustererConfig",
     "CentroidSet",
     "CoordinatedSample",
     "DataFormatError",
@@ -40,7 +39,6 @@ __all__ = [
     "estimate_cost",
     "feedback_query",
     "lloyd_step",
-    "make_base",
     "nearest",
     "one2all_probs",
     "pairwise",

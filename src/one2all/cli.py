@@ -8,13 +8,14 @@ timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import bench, data, oracle
 from .core import MetricSpace
 from .errors import DataFormatError
-from .lloyd import BaseClustererConfig, make_base
+from .lloyd import base_cluster
 from .wrapper import run as wrapper_run
 
 _SPACE = MetricSpace.euclidean(2.0)
@@ -197,10 +198,8 @@ def cmd_oracle_query(args) -> int:
 def cmd_cluster(args) -> int:
     ds = _load(args, args.inp)
     X, w = ds.points.points, ds.points.weights
-    base = make_base(BaseClustererConfig(
-        k=args.k, restarts=args.restarts, lloyd_iters=args.lloyd_iters,
-        seed=args.seed,
-    ))
+    base = functools.partial(base_cluster, restarts=args.restarts,
+                             lloyd_iters=args.lloyd_iters)
     Q, rep = wrapper_run(_SPACE, X, w, args.k, args.eps, base=base,
                          seed=args.seed, max_rounds=args.max_rounds,
                          copies=args.copies)

@@ -67,11 +67,30 @@ class MetricSpace:
     rho: float = 2.0
     matrix: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        """Every space is checked here, however it was built, except for the
+        relaxed triangle inequality (`from_matrix` samples it)."""
+        if self.kind == "euclidean":
+            if not self.power > 0:
+                raise ValueError("power must be positive")
+        elif self.kind == "matrix":
+            m = np.asarray(self.matrix, dtype=np.float64)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError("distance matrix must be square")
+            require_finite(distances=m)
+            if np.any(m < 0):
+                raise ValueError("distances must be nonnegative")
+            if np.any(np.abs(np.diag(m)) > 0):
+                raise ValueError("distance matrix must have zero diagonal")
+            if not np.array_equal(m, m.T):
+                raise ValueError("distance matrix must be symmetric")
+            object.__setattr__(self, "matrix", m)
+        else:
+            raise ValueError(f"space kind must be 'euclidean' or 'matrix', not {self.kind!r}")
+
     @staticmethod
     def euclidean(power: float = 2.0) -> "MetricSpace":
         """Powered Euclidean distance ||x-y||^power; power=2 is squared Euclidean."""
-        if power <= 0:
-            raise ValueError("power must be positive")
         rho = 1.0 if power <= 1.0 else 2.0 ** (power - 1.0)
         return MetricSpace(kind="euclidean", power=float(power), rho=rho)
 
@@ -84,21 +103,13 @@ class MetricSpace:
     ) -> "MetricSpace":
         """Distance matrix space; points are row/column indices.
 
-        Symmetry and the rho-relaxed triangle inequality are validated on a
-        random sample of triples (exhaustive validation is O(n^3)).
+        The rho-relaxed triangle inequality is validated on a random sample
+        of triples (exhaustive validation is O(n^3)).
         """
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("distance matrix must be square")
         if rho < 1.0:
             raise ValueError("rho must be >= 1")
-        require_finite(distances=m)
-        if np.any(m < 0):
-            raise ValueError("distances must be nonnegative")
-        if np.any(np.abs(np.diag(m)) > 0):
-            raise ValueError("distance matrix must have zero diagonal")
-        if not np.array_equal(m, m.T):
-            raise ValueError("distance matrix must be symmetric")
+        space = MetricSpace(kind="matrix", power=float("nan"), rho=float(rho), matrix=matrix)
+        m = space.matrix
         n = m.shape[0]
         if n >= 3 and check_triples > 0:
             rng = np.random.default_rng(seed)
@@ -107,7 +118,7 @@ class MetricSpace:
             via = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
             if np.any(dxy > rho * via * (1.0 + 1e-9)):
                 raise ValueError(f"matrix violates the rho={rho} relaxed triangle inequality")
-        return MetricSpace(kind="matrix", power=float("nan"), rho=float(rho), matrix=m)
+        return space
 
 
 @dataclass

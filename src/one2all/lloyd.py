@@ -1,7 +1,8 @@
 """Default base clusterer: best-of-restarts kmeans++ plus weighted Lloyd.
 
 Works only in squared Euclidean space, where the weighted mean minimizes
-each cell's cost. Other spaces must plug in their own base clusterer.
+each cell's cost. `base_cluster(space, points, weights, k, seed)` is the
+wrapper's default base; other spaces plug in their own with that signature.
 
 Every Lloyd step runs through `_step`: the nearest-centroid kernel, then one
 weighted `np.bincount` per coordinate, which adds each cell's rows in row
@@ -11,30 +12,12 @@ reuses them in every step; `lloyd_step` computes them for its one step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (CentroidSet, MetricSpace, _lower, _operands, _row_norms, as_points,
                    as_weights, require_finite)
 from .errors import UnsupportedSpaceError
 from .kmeanspp import run_trace
-
-
-@dataclass
-class BaseClustererConfig:
-    k: int
-    restarts: int = 5
-    lloyd_iters: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.lloyd_iters < 0:
-            raise ValueError("lloyd_iters must be >= 0")
 
 
 def _require_sq_euclidean(space: MetricSpace):
@@ -85,13 +68,20 @@ def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
     return new
 
 
-def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> CentroidSet:
-    """Best of cfg.restarts kmeans++ inits, refined by cfg.lloyd_iters steps."""
+def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0, restarts: int = 5,
+                 lloyd_iters: int = 20) -> CentroidSet:
+    """Best of `restarts` kmeans++ inits, refined by `lloyd_iters` steps."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if lloyd_iters < 0:
+        raise ValueError("lloyd_iters must be >= 0")
     _require_sq_euclidean(space)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
-    k = min(cfg.k, X.shape[0])
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
+    k = min(k, X.shape[0])
+    seeds = np.random.SeedSequence(seed).generate_state(restarts)
     best = None
     best_cost = np.inf
     for s in seeds:
@@ -101,18 +91,9 @@ def base_cluster(space: MetricSpace, X, w, cfg: BaseClustererConfig) -> Centroid
             best, best_cost = trace.centroids, v
     Q = np.asarray(best, dtype=np.float64)
     prepared = _prepare(space, X, w)
-    for _ in range(cfg.lloyd_iters):
+    for _ in range(lloyd_iters):
         Q2 = _step(space, X, w, *prepared, Q)
         if np.array_equal(Q2, Q):
             break
         Q = Q2
     return CentroidSet(Q)
-
-
-def make_base(cfg: BaseClustererConfig):
-    """Adapt a config to the wrapper's base-clusterer interface."""
-
-    def base(space: MetricSpace, X, w) -> CentroidSet:
-        return base_cluster(space, X, w, cfg)
-
-    return base

@@ -55,6 +55,8 @@ def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int) -
 
 def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> OracleState:
     """Feedback oracle initialization: ell = 2k, threshold C = v_2k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return _build(space, X, w, None, None, eps, seed, k)
 
 

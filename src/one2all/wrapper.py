@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CentroidSet, MetricSpace, as_points, as_weights, cost
 from .kmeanspp import run_trace
-from .lloyd import BaseClustererConfig, make_base
+from .lloyd import base_cluster
 from .probabilities import sweet_spot
 from .sampling import draw, estimate_cost
 
@@ -57,10 +57,11 @@ def run(
 ) -> tuple[CentroidSet, WrapperReport]:
     """Cluster (X, w) into k centroids over adaptively grown samples.
 
-    base maps (space, points, weights) to a CentroidSet and must honor the
-    weights; default is best-of-5 kmeans++ with 20 Lloyd iterations. Each
-    round also clusters copies - 1 independent draws at the same
-    probabilities, skipping empty ones, and keeps the cheapest result.
+    base maps (space, points, weights, k, seed) to a CentroidSet and must
+    honor the weights; default is `lloyd.base_cluster`. Each round passes it k
+    and a seed derived from `seed`, and also clusters copies - 1 independent
+    draws at the same probabilities with that seed, skipping empty ones, and
+    keeps the cheapest result.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -71,12 +72,15 @@ def run(
     X = as_points(X)
     n = X.shape[0]
     w = as_weights(w, n)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
+    base = base_cluster if base is None else base  # at call time, so tracers see it
     trace_seed, sample_seed, base_seed, confirm_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(4)
     )
-    base_seeds = np.random.SeedSequence(base_seed).generate_state(max_rounds, dtype=np.uint64)
+    base_seeds = np.random.SeedSequence(base_seed).generate_state(max_rounds, np.uint64).tolist()
     ell = min(2 * k, n)
     trace = run_trace(space, X, w, ell, trace_seed)
     i_star, probs = sweet_spot(trace, "rough")
@@ -101,21 +105,19 @@ def run(
     sample = draw(X, w, probs_at(r), sample_seed)
     for rnd in range(max_rounds):
         rounds = rnd + 1
-        this_base = base if base is not None else make_base(
-            BaseClustererConfig(k=k, seed=int(base_seeds[rnd])))
         if sample.size == 0:  # all mass capped away at tiny r; force growth
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
                         "estimate": 0.0, "action": "empty"})
             r *= 2.0
             sample = sample.with_probabilities(probs_at(r))
             continue
-        Q = this_base(space, sample.member_points, sample.w_prime)
+        Q = base(space, sample.member_points, sample.w_prime, k, base_seeds[rnd])
         v_q = cost(space, X, w, Q)
         for s in np.random.SeedSequence(confirm_seed + rnd).generate_state(
                 copies - 1, dtype=np.uint64):
             extra = draw(X, w, sample.p, int(s))
             if extra.size:
-                alt_q = this_base(space, extra.member_points, extra.w_prime)
+                alt_q = base(space, extra.member_points, extra.w_prime, k, base_seeds[rnd])
                 alt_v = cost(space, X, w, alt_q)
                 if alt_v < v_q:
                     Q, v_q = alt_q, alt_v

@@ -19,7 +19,7 @@ from one2all.bench import fig2_data, run_cell
 from one2all.core import MetricSpace, WeightedPointSet, cost
 from one2all.data import LabeledDataset, gen_gmm, load_idx
 from one2all.kmeanspp import run_trace
-from one2all.lloyd import BaseClustererConfig, base_cluster
+from one2all.lloyd import base_cluster
 from one2all.oracle import build_feedback, feedback_query
 from one2all.probabilities import one2all_probs
 from one2all.sampling import draw, estimate_cost, point_uniforms
@@ -252,7 +252,7 @@ def test_criterion_8_update_counts(capsys):
         X, w = ds.points.points, ds.points.weights
         st = build_feedback(sp, X, w, k=4, eps=0.4, seed=seed)
         v2k = st.C
-        base = base_cluster(sp, X, w, BaseClustererConfig(k=4, seed=seed))
+        base = base_cluster(sp, X, w, k=4, seed=seed)
         v_base = cost(sp, X, w, base)
         rng = np.random.default_rng(seed)
         for _ in range(12):

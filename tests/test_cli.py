@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output determinism, file outputs."""
 
+import functools
 import json
 import os
 import re
@@ -91,6 +92,23 @@ def test_cluster_repeat_runs_byte_identical(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("seed, restarts, lloyd_iters", [(0, 5, 20), (857383212, 2, 3)])
+def test_cluster_prints_what_cluster_adaptive_returns(tmp_path, capsys, seed, restarts,
+                                                      lloyd_iters):
+    # the CLI seed reaches the base clusterer only through the wrapper's round seeds
+    path = _gen(tmp_path, n=3000, d=4, k=3, seed=5)
+    capsys.readouterr()
+    assert main(["cluster", "--in", str(path), "--k", "3", "--eps", "0.2", "--seed", str(seed),
+                 "--restarts", str(restarts), "--lloyd-iters", str(lloyd_iters)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    ds = load_delimited(path)
+    base = functools.partial(one2all.base_cluster, restarts=restarts, lloyd_iters=lloyd_iters)
+    Q, rep = one2all.cluster_adaptive(one2all.MetricSpace.euclidean(2.0), ds.points.points,
+                                      ds.points.weights, 3, 0.2, base=base, seed=seed)
+    assert lines[:-1] == [",".join(repr(float(v)) for v in q) for q in Q.points]
+    assert json.loads(lines[-1])["best_cost"] == rep.best_cost
 
 
 def test_cluster_missing_file_is_data_error(capsys):

@@ -158,8 +158,7 @@ _WEIGHTED_CALLS = {
     "one2all_probs": lambda w, path: one2all.one2all_probs(SP2, _WX, w, _WX[:3]),
     "cost": lambda w, path: one2all.cost(SP2, _WX, w, _WX[:3]),
     "WeightedPointSet": lambda w, path: WeightedPointSet(_WX, w),
-    "base_cluster": lambda w, path: one2all.base_cluster(
-        SP2, _WX, w, one2all.BaseClustererConfig(k=2)),
+    "base_cluster": lambda w, path: one2all.base_cluster(SP2, _WX, w, k=2),
     "lloyd_step": lambda w, path: one2all.lloyd_step(SP2, _WX, w, _WX[:3]),
     # the proof checks: a weight they let through would void their verdicts
     "pps_base": lambda w, path: reference.pps_base(SP2, _WX, w, _WX[:3]),
@@ -221,6 +220,29 @@ def test_matrix_space_rejects_bad_input():
     with pytest.raises(ValueError):
         MetricSpace.from_matrix(m, rho=1.0)
     MetricSpace.from_matrix(m, rho=2.0)  # and accept it at the right rho
+
+
+def test_directly_built_spaces_are_checked():
+    # the matrix kernels read a centroid's row for its column, so no
+    # constructor may let an asymmetric matrix through
+    asym = np.array([[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricSpace(kind="matrix", matrix=asym)
+    for bad, message in (([[0.0, 1.0]], "square"), ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+                         ([[1.0, 1.0], [1.0, 0.0]], "zero diagonal"),
+                         ([[0.0, np.inf], [np.inf, 0.0]], "NaN or inf"), (None, "square")):
+        with pytest.raises(ValueError, match=message):
+            MetricSpace(kind="matrix", matrix=bad)
+    with pytest.raises(ValueError, match="space kind"):
+        MetricSpace(kind="manhattan")
+    for power in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="power must be positive"):
+            MetricSpace(kind="euclidean", power=power)
+        with pytest.raises(ValueError, match="power must be positive"):
+            MetricSpace.euclidean(power)
+    sp = MetricSpace(kind="matrix", matrix=[[0, 3], [3, 0]])
+    assert sp.matrix.dtype == np.float64
+    np.testing.assert_array_equal(nearest(sp, np.array([0, 1]), np.array([1]))[1], [3.0, 0.0])
 
 
 def test_matrix_space_rejects_nan_or_inf_entries():

@@ -9,7 +9,8 @@ from one2all.core import CentroidSet, MetricSpace, cost, pairwise
 from one2all.data import gen_gmm
 from one2all.errors import UnsupportedSpaceError
 from one2all.kmeanspp import run_trace
-from one2all.lloyd import BaseClustererConfig, base_cluster, lloyd_step, make_base
+from one2all.lloyd import base_cluster, lloyd_step
+from one2all.wrapper import run
 
 SP2 = MetricSpace.euclidean(2.0)
 
@@ -63,13 +64,12 @@ def test_unsupported_spaces_rejected():
     with pytest.raises(UnsupportedSpaceError):
         lloyd_step(MetricSpace.from_matrix(m, rho=2.0), np.arange(2), None, np.arange(2))
     with pytest.raises(UnsupportedSpaceError):
-        base_cluster(MetricSpace.euclidean(1.0), X, None, BaseClustererConfig(k=1))
+        base_cluster(MetricSpace.euclidean(1.0), X, None, k=1)
 
 
 def test_base_cluster_beats_its_initialization():
     sp, X, w = rand_instance(5, n=400, d=3)
-    cfg = BaseClustererConfig(k=5, restarts=5, lloyd_iters=20, seed=7)
-    Q = base_cluster(sp, X, w, cfg)
+    Q = base_cluster(sp, X, w, k=5, seed=7, restarts=5, lloyd_iters=20)
     init_costs = [
         run_trace(sp, X, w, 5, int(s)).prefix_costs[-1]
         for s in np.random.SeedSequence(7).generate_state(5)
@@ -79,7 +79,7 @@ def test_base_cluster_beats_its_initialization():
 
 def test_separated_pairs_found_exactly():
     X = np.array([[0.0, 0.0], [0.0, 2.0], [50.0, 0.0], [50.0, 2.0]])
-    Q = base_cluster(SP2, X, None, BaseClustererConfig(k=2, seed=0))
+    Q = base_cluster(SP2, X, None, k=2, seed=0)
     got = sorted(Q.points.tolist())
     np.testing.assert_allclose(got, [[0.0, 1.0], [50.0, 1.0]])
     assert cost(SP2, X, None, Q.points) == pytest.approx(4.0)
@@ -87,7 +87,7 @@ def test_separated_pairs_found_exactly():
 
 def test_k_equals_n_zero_cost():
     sp, X, w = rand_instance(2, n=12, d=2)
-    Q = base_cluster(sp, X, w, BaseClustererConfig(k=12, lloyd_iters=5, seed=1))
+    Q = base_cluster(sp, X, w, k=12, seed=1, lloyd_iters=5)
     assert cost(sp, X, w, Q.points) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -96,27 +96,37 @@ def test_mixture_recovery_cost_ratio():
     good = 0
     for seed in range(10):
         ds = gen_gmm(10_000, 10, 5, seed=seed)
-        Q = base_cluster(SP2, ds.points.points, None,
-                         BaseClustererConfig(k=5, seed=seed))
+        Q = base_cluster(SP2, ds.points.points, None, k=5, seed=seed)
         ratio = cost(SP2, ds.points.points, None, Q.points) / ds.ground_truth_cost
         good += ratio <= 1.3
     assert good >= 8
 
 
-def test_make_base_interface():
+def test_base_cluster_is_a_wrapper_base():
+    # called positionally as base(space, points, weights, k, seed)
     sp, X, w = rand_instance(4, n=50, d=2)
-    base = make_base(BaseClustererConfig(k=3, seed=2))
-    Q = base(sp, X, w)
+    Q = base_cluster(sp, X, w, 3, 2)
     assert Q.points.shape == (3, 2)
+    calls = []
+
+    def base(space, pts, wts, k, seed):
+        calls.append((k, seed))
+        return base_cluster(space, pts, wts, k, seed)
+
+    Q1, rep1 = run(sp, X, w, k=3, eps=0.3, seed=5)
+    Q2, rep2 = run(sp, X, w, k=3, eps=0.3, seed=5, base=base)
+    assert Q1.points.tobytes() == Q2.points.tobytes() and rep1.log == rep2.log
+    assert len(calls) == rep2.rounds and all(k == 3 for k, _ in calls)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BaseClustererConfig(k=0)
-    with pytest.raises(ValueError):
-        BaseClustererConfig(k=2, restarts=0)
-    with pytest.raises(ValueError):
-        BaseClustererConfig(k=2, lloyd_iters=-1)
+def test_base_cluster_validation():
+    sp, X, w = rand_instance(4, n=50, d=2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        base_cluster(sp, X, w, k=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        base_cluster(sp, X, w, k=2, restarts=0)
+    with pytest.raises(ValueError, match="lloyd_iters must be >= 0"):
+        base_cluster(sp, X, w, k=2, lloyd_iters=-1)
 
 
 # bit identity with the np.add.at step ---------------------------------------
@@ -161,17 +171,17 @@ def test_lloyd_step_matches_add_at_reference(case):
 @pytest.mark.parametrize("case", sorted(LLOYD_CASES))
 def test_base_cluster_matches_add_at_reference(case):
     X, w, Q = LLOYD_CASES[case]
-    cfg = BaseClustererConfig(k=Q.shape[0], seed=9)
+    k, seed, restarts, lloyd_iters = Q.shape[0], 9, 5, 20
     # base_cluster as written with the reference step
-    traces = [run_trace(SP2, X, w, min(cfg.k, X.shape[0]), int(s))
-              for s in np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)]
+    traces = [run_trace(SP2, X, w, min(k, X.shape[0]), int(s))
+              for s in np.random.SeedSequence(seed).generate_state(restarts)]
     Q = min(traces, key=lambda tr: tr.prefix_costs[-1]).centroids
-    for _ in range(cfg.lloyd_iters):
+    for _ in range(lloyd_iters):
         Q2 = lloyd_step_add_at(SP2, X, w, Q)
         if np.array_equal(Q2, Q):
             break
         Q = Q2
-    assert _same_bytes(base_cluster(SP2, X, w, cfg).points, CentroidSet(Q).points)
+    assert _same_bytes(base_cluster(SP2, X, w, k, seed).points, CentroidSet(Q).points)
 
 
 def test_lloyd_step_rejects_dimension_mismatch():
@@ -190,4 +200,4 @@ def test_rejects_non_finite_points_and_centroids(bad):
         with pytest.raises(ValueError, match="NaN or inf"):
             lloyd_step(SP2, *args)
     with pytest.raises(ValueError, match="NaN or inf"):
-        base_cluster(SP2, Xb, w, BaseClustererConfig(k=3))
+        base_cluster(SP2, Xb, w, k=3)

@@ -66,3 +66,44 @@ def test_tracer_installs_records_and_uninstalls():
     names = [span[0] for span in tracer.spans]
     assert names.count("kmeanspp.replay") == 5  # four steps and the exhausted call
     assert "probabilities.sweet_spot" in names and "kmeanspp.run_trace" in names
+
+
+def _traced(call):
+    """Run call() under the tracer; return its spans."""
+    tracer = _load_spans().Tracer()
+    uninstall = tracer.install()
+    try:
+        call()
+    finally:
+        uninstall()
+    return tracer.spans
+
+
+def _base_cluster_spans_with_traces(spans):
+    """How many lloyd.base_cluster spans there are, and how many of them
+    have kmeanspp.run_trace children."""
+    bases = [i for i, span in enumerate(spans) if span[0] == "lloyd.base_cluster"]
+    parents = {span[3] for span in spans if span[0] == "kmeanspp.run_trace"}
+    return len(bases), sum(i in parents for i in bases)
+
+
+def test_default_base_is_traced_from_the_library_and_the_cli(tmp_path, capsys):
+    # a base bound when wrapper.run is defined (or built before tracing)
+    # escapes the hooks, and lloyd.base_cluster.s, lloyd.input_pts and
+    # kmeanspp.run_trace.sample.s then read 0
+    X = np.random.default_rng(0).normal(size=(600, 3))
+    sp = one2all.MetricSpace.euclidean(2.0)
+    spans = _traced(lambda: one2all.cluster_adaptive(sp, X, None, 3, 0.3, seed=1))
+    count, with_traces = _base_cluster_spans_with_traces(spans)
+    assert count >= 1 and with_traces == count
+    path = tmp_path / "data.csv"
+    assert one2all.cli.main(["gen", "--n", "600", "--d", "3", "--k", "3",
+                             "--out", str(path)]) == 0
+    codes = []
+    spans = _traced(lambda: codes.append(one2all.cli.main(
+        ["cluster", "--in", str(path), "--k", "3", "--eps", "0.3"])))
+    assert codes == [0]
+    count, with_traces = _base_cluster_spans_with_traces(spans)
+    assert count >= 1 and with_traces == count
+    assert spans[0][0] == "cli.main"
+    capsys.readouterr()
