@@ -4,11 +4,13 @@ Distances are either powered Euclidean, d(x, y) = ||x - y||_2^p (a relaxed
 metric with rho = 2^(p-1) for p > 1), or read from a precomputed symmetric
 matrix whose points are row indices. Two kernels compute every exact
 distance, in either kind of space: `_fill` sets the distances from chosen
-rows to one point (`pairwise`, kmeans++ step 1, `replay`), and `_lower`
-lowers a running nearest-centroid assignment (`nearest`, later kmeans++
-steps, Lloyd). A matrix space reads the distances to one centroid at a
-time from its (contiguous) row, which equals the column by symmetry, so
-memory stays O(n) for any number of centroids.
+rows to one point (`pairwise`, kmeans++ step 1, `replay`, Lloyd's empty-cell
+re-seed), and `_lower` lowers a running nearest-centroid assignment
+(`nearest`, later kmeans++ steps). A matrix space reads the distances to
+one centroid at a time from its (contiguous) row, which equals the column
+by symmetry, so memory stays O(n) for any number of centroids. `_owners`
+gives Lloyd the owners alone and computes a distance only where the screen
+below cannot name the owner.
 
 Every Euclidean distance is computed one way, by `_exact`: the difference
 x - q, squared, then numpy's pairwise sum over the row. Owners, distances
@@ -39,7 +41,16 @@ current distance. Otherwise only centroids scoring within twice the margin
 of the row's best can be nearest, and each of those gets an exact distance,
 taken in index order with strict improvement. That is the running minimum
 of the plain per-centroid loop, so ties still go to the lowest index. A
-score that overflows to inf or NaN never skips anything.
+score that overflows to inf or NaN never skips anything. With one centroid
+(every kmeans++ step after the first) its score is the row's best, so only
+the test against the current distance applies.
+
+A centroid the screen drops scores more than twice the margin above the
+best, so its exact distance is strictly above the best-scoring centroid's.
+`_owners` screens a fresh assignment (every row at inf): a row left with a
+single candidate is owned by it, with no distance computed, unless
+||x||^2 + max_j ||q_j||^2 >= 2^1020, where that distance may round to inf
+and so own nothing. Every other row gets the exact loop above.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ _CHUNK_ELEMS = 1 << 20
 _GATHER_ELEMS = 1 << 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0  # u = 2^-53
 _UNDERFLOW = 2.0 * np.finfo(np.float64).tiny  # u * 2^-1021 = 2^-1074
+_HUGE = 2.0**1020  # squared sizes past this may overflow to inf in a distance
 
 
 @dataclass(frozen=True)
@@ -229,20 +241,28 @@ def pairwise(space: MetricSpace, X, Q) -> np.ndarray:
     return out
 
 
-def nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
+def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (owner index, distance) to the nearest centroid.
 
     Memory stays O(n) even for large k; ties go to the lowest index.
     Euclidean distances are lowered squared and raised to the power once.
+    norms, if given, are X's squared row norms as `run_trace` keeps them
+    (`KmeansPPTrace.norms`), so this pass need not compute them; a matrix
+    space ignores them.
     """
     X, Q = _operands(space, X, Q)
     dist = np.full(X.shape[0], np.inf)
     owner = np.zeros(X.shape[0], dtype=np.intp)
+    if norms is not None and np.shape(norms) != (X.shape[0],):
+        raise ValueError("norms must be one per point")
     if space.kind == "matrix":
         _lower(space, X, Q, 0, dist, owner, None)
         return owner, dist
     require_finite(centroids=Q)
-    _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, _row_norms(space, X))
+    if norms is None:
+        norms = _row_norms(space, X)
+    _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, norms)
     if dist.size and not np.isfinite(dist.max()):
         require_finite(points=X)  # a NaN or inf row keeps its initial inf
     if space.power != 2.0:
@@ -272,12 +292,14 @@ def _exact(diff: np.ndarray, q: np.ndarray, power: float, out: np.ndarray | None
 
 
 def _fill(space: MetricSpace, X: np.ndarray, q, dist: np.ndarray,
-          rows: np.ndarray | None = None) -> None:
+          rows: np.ndarray | None = None, norms: np.ndarray | None = None) -> None:
     """dist[rows] = d(X[rows], q), for every row when rows is None.
 
     No screen: every row asked for gets `_exact`, over blocks of at most
     _GATHER_ELEMS (and _CHUNK_ELEMS) elements, copied contiguously when rows
-    is None and gathered by index otherwise.
+    is None and gathered by index otherwise. norms, if given (Euclidean, rows
+    None), receives the squared row norms `_lower` takes, each computed from
+    its block while the block is in cache.
     """
     if space.kind == "matrix":
         sel = slice(None) if rows is None else rows
@@ -290,10 +312,68 @@ def _fill(space: MetricSpace, X: np.ndarray, q, dist: np.ndarray,
         m = min(step, n - start)
         if rows is None:
             np.copyto(buf[:m], X[start : start + m])
+            if norms is not None:
+                np.einsum("ij,ij->i", buf[:m], buf[:m], out=norms[start : start + m])
             _exact(buf[:m], q, space.power, out=dist[start : start + m])
         else:
             part = rows[start : start + m]
             dist[part] = _exact(np.take(X, part, axis=0, out=buf[:m]), q, space.power)
+
+
+def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray, dist: np.ndarray | None,
+            power: float):
+    """Yield (rows, cand) per chunk of a Euclidean X: the screen described above.
+
+    rows is a slice of X and cand a (k, rows) mask that is False only where
+    centroid j cannot be the row's nearest, or where no centroid can beat
+    dist[row] (d^power; None stands for a fresh assignment, every row at
+    inf).
+    """
+    d = X.shape[1]
+    k = Q.shape[0]
+    qq = np.einsum("ij,ij->i", Q, Q)
+    slack = qq.max() + _UNDERFLOW
+    # temporaries per row: k scores, then d for the row once it is gathered;
+    # sizing by 2d + k leaves room for the masks and per-row vectors as well
+    step = max(1, _CHUNK_ELEMS // (2 * d + k))
+    for start in range(0, X.shape[0], step):
+        rows = slice(start, start + step)
+        score = Q @ X[rows].T  # one row per centroid
+        score *= -2.0
+        score += qq[:, None]
+        best = score[0] if k == 1 else score.min(axis=0)
+        xx = norms[rows]
+        margin = xx + slack
+        margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
+        bound = best + xx
+        bound -= margin  # at most the row's smallest exact distance
+        if power != 2.0:
+            np.maximum(bound, 0.0, out=bound)
+            bound **= power / 2.0
+            bound *= 1.0 - 1e-12  # pow is within a few ulps and monotone
+        skip = bound >= (np.inf if dist is None else dist[rows])  # cannot beat it
+        if k == 1:
+            skip = skip[None, :]
+        else:
+            margin *= 2.0
+            best += margin  # a score above this cannot be the row's nearest
+            far = score > best
+            skip = np.logical_or(far, skip, out=far)
+        del score
+        yield rows, np.logical_not(skip, out=skip)  # NaN (overflow) never skips
+
+
+def _running_min(block: np.ndarray, Q: np.ndarray, base: int, cand: np.ndarray,
+                 cur: np.ndarray, who: np.ndarray, power: float) -> None:
+    """Lower (cur, who) over the rows of block by each centroid where cand
+    holds: `_exact` distances, in index order, with strict improvement."""
+    for j in range(Q.shape[0]):
+        rows = np.flatnonzero(cand[j])
+        exact = _exact(block[rows], Q[j], power)
+        better = exact < cur[rows]
+        rows = rows[better]
+        cur[rows] = exact[better]
+        who[rows] = base + j
 
 
 def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np.ndarray,
@@ -312,49 +392,42 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
             dist[better] = col[better]
             owner[better] = base + j
         return
-    d = X.shape[1]
+    for rows, cand in _screen(X, Q, norms, dist, space.power):
+        _running_min(X[rows], Q, base, cand, dist[rows], owner[rows], space.power)
+
+
+def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The owners nearest(MetricSpace.euclidean(2.0), X, Q) reports.
+
+    Exact distances only for rows with several candidates (ties, near-ties,
+    overflowing scores) or too large to trust a lone one; see above.
+    """
     k = Q.shape[0]
-    qq = np.einsum("ij,ij->i", Q, Q)
-    slack = qq.max() + _UNDERFLOW
-    # temporaries per row: k scores, then d for the row once it is gathered;
-    # sizing by 2d + k leaves room for the masks and per-row vectors as well
-    step = max(1, _CHUNK_ELEMS // (2 * d + k))
-    for start in range(0, X.shape[0], step):
-        block = X[start : start + step]
-        cur = dist[start : start + step]
-        who = owner[start : start + step]
-        score = Q @ block.T  # one row per centroid
-        score *= -2.0
-        score += qq[:, None]
-        best = score.min(axis=0)
-        xx = norms[start : start + step]
-        margin = xx + slack
-        margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
-        bound = best + xx
-        bound -= margin  # at most the row's smallest exact distance
-        if space.power != 2.0:
-            np.maximum(bound, 0.0, out=bound)
-            bound **= space.power / 2.0
-            bound *= 1.0 - 1e-12  # pow is within a few ulps and monotone
-        margin *= 2.0
-        best += margin  # a score above this cannot be the row's nearest
-        skip = score > best
-        del score
-        skip |= bound >= cur  # cannot beat the row's current distance
-        cand = np.logical_not(skip, out=skip)  # NaN (overflow) never skips
-        for j in range(k):
-            rows = np.flatnonzero(cand[j])
-            exact = _exact(block[rows], Q[j], space.power)
-            better = exact < cur[rows]
-            rows = rows[better]
-            cur[rows] = exact[better]
-            who[rows] = base + j
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    limit = _HUGE - np.einsum("ij,ij->i", Q, Q).max()
+    index = np.arange(k, dtype=np.float64)
+    for rows, cand in _screen(X, Q, norms, None, 2.0):
+        single = cand.sum(axis=0) == 1
+        single &= norms[rows] < limit
+        who = owner[rows]
+        pick = index @ cand  # a lone candidate's index, where single
+        who[single] = pick[single]
+        rest = np.flatnonzero(~single)
+        if rest.size:
+            sub = np.zeros(rest.size, dtype=np.intp)
+            _running_min(X[rows][rest], Q, 0, cand[:, rest], np.full(rest.size, np.inf),
+                         sub, 2.0)
+            who[rest] = sub
+    return owner
 
 
-def cost(space: MetricSpace, X, weights, Q) -> float:
-    """Clustering cost: the weighted sum of point-to-nearest-centroid distances."""
+def cost(space: MetricSpace, X, weights, Q, *, norms: np.ndarray | None = None) -> float:
+    """Clustering cost: the weighted sum of point-to-nearest-centroid distances.
+
+    norms is passed on to `nearest`.
+    """
     X = as_points(X)
-    _, dist = nearest(space, X, Q)
-    if weights is None:
-        return float(np.sum(dist))
-    return float(np.sum(as_weights(weights, X.shape[0]) * dist))
+    dist = nearest(space, X, Q, norms=norms)[1]
+    if weights is not None:
+        dist *= as_weights(weights, X.shape[0])  # in place: the same products
+    return float(np.sum(dist))

@@ -4,7 +4,10 @@ Every downstream stage consumes the same trace: the prefix costs v_i pick
 the sweet spot, the prefix assignments feed the sampling probabilities, and
 the first k centroids seed the base clusterer. The trace logs which rows
 each step moved, so `replay` rebuilds any prefix's assignment from the log
-without a second pass over the rows that stayed put.
+without a second pass over the rows that stayed put. It also keeps what its
+first step computed over every row, the squared row norms and the step-1
+distances, so later passes over the same points (`replay`, the wrapper's
+`cost` checks) need not compute them again.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import MetricSpace, _fill, _lower, _row_norms, as_points, as_weights, require_finite
+from .core import MetricSpace, _fill, _lower, as_points, as_weights, require_finite
 
 
 @dataclass
@@ -25,6 +28,9 @@ class KmeansPPTrace:
     move log: bit x of row i (0-based, np.packbits order) is set when point
     x moved to centroid i, that is, when x's owner in the length-(i+1)
     prefix is i. One (ell, ceil(n/8)) uint8 array holds the whole log.
+    first_dist is the assignment to m_1 alone, where replay starts. norms
+    holds the squared row norms of a Euclidean space's points (None for a
+    matrix space); `cost` and `nearest` take them as `norms=`.
     """
 
     space: MetricSpace = field(repr=False)
@@ -36,6 +42,8 @@ class KmeansPPTrace:
     owner: np.ndarray = field(repr=False)  # final-prefix assignment
     dist: np.ndarray = field(repr=False)
     moves: np.ndarray = field(repr=False)
+    first_dist: np.ndarray = field(repr=False)
+    norms: np.ndarray | None = field(repr=False)
     seed: int
     truncated: bool = False
 
@@ -50,9 +58,13 @@ class KmeansPPTrace:
         return self.centroids[:i]
 
 
-def _draw_index(rng: np.random.Generator, mass: np.ndarray) -> int:
-    """One categorical draw proportional to mass (one uniform, prefix sums)."""
-    cum = np.cumsum(mass)
+def _draw_index(rng: np.random.Generator, mass: np.ndarray, cum: np.ndarray | None = None
+                ) -> int:
+    """One categorical draw proportional to mass (one uniform, prefix sums).
+
+    cum, if given, is an array like mass that receives the prefix sums.
+    """
+    cum = np.cumsum(mass, out=cum)
     r = rng.random() * cum[-1]
     idx = int(np.searchsorted(cum, r, side="right"))
     idx = min(idx, mass.shape[0] - 1)
@@ -66,12 +78,14 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
 
     Maintains per-point distance to the prefix incrementally: one centroid
     per iteration. Step 1 fills every row's exact distance (`core._fill`,
-    which replay shares); later steps lower it through `core._lower`, which
-    computes exact distances only where the new centroid may be nearer. If
-    residual mass hits zero before ell centroids (all points coincide with
-    centroids) the trace truncates and says so. After step i the rows that
-    moved are exactly those with owner i, since every earlier owner is
-    below i; they go into the move log.
+    which replay shares) and the squared row norms in the same sweep; later
+    steps lower it through `core._lower`, which computes exact distances
+    only where the new centroid may be nearer. If residual mass hits zero
+    before ell centroids (all points coincide with centroids) the trace
+    truncates and says so. After step i the rows that moved are exactly
+    those with owner i, since every earlier owner is below i; they go into
+    the move log. The n-length mass, prefix-sum and move buffers are
+    allocated once and reused by every step.
     """
     X = as_points(X)
     n = X.shape[0]
@@ -83,25 +97,28 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     rng = np.random.default_rng(seed)
     dist = np.empty(n)
     owner = np.zeros(n, dtype=np.intp)
-    norms = _row_norms(space, X)
+    norms = None if space.kind == "matrix" else np.empty(n)
     moves = np.empty((ell, (n + 7) // 8), dtype=np.uint8)
+    mass = np.empty(n)
+    cum = np.empty(n)
+    moved = np.empty(n, dtype=bool)
     chosen: list[int] = []
     costs: list[float] = []
-    mass = w  # the first centroid is drawn by weight alone
     for i in range(ell):
-        if not np.any(mass > 0.0):
-            break
-        s = _draw_index(rng, mass)
+        s = _draw_index(rng, mass if i else w, cum)  # the first by weight alone
         chosen.append(s)
         if i == 0:
-            _fill(space, X, X[s], dist)
+            _fill(space, X, X[s], dist, norms=norms)
+            first_dist = dist.copy()
         else:
             _lower(space, X, X[s : s + 1], i, dist, owner, norms)
-        moves[i] = np.packbits(owner == i)
-        mass = w * dist
+        moves[i] = np.packbits(np.equal(owner, i, out=moved))
+        np.multiply(w, dist, out=mass)
         costs.append(float(np.sum(mass)))
         if i == 0 and not np.isfinite(costs[0]):
             require_finite(points=X)  # NaN or inf points make v_1 NaN or inf
+        if not costs[-1] > 0.0:  # no mass left to draw from
+            break
 
     idx = np.asarray(chosen, dtype=np.intp)
     return KmeansPPTrace(
@@ -114,6 +131,8 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         owner=owner,
         dist=dist,
         moves=moves[: len(chosen)],
+        first_dist=first_dist,
+        norms=norms,
         seed=seed,
         truncated=len(chosen) < ell,
     )
@@ -122,21 +141,20 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
     """Yield (i, owner, dist, v_i) for every prefix i = 1..ell.
 
-    Step 1 moves every row and fills dist as the trace's own step 1 did.
-    Each later step reads its moved rows from the trace's move log and
-    fills distances for those rows alone, so step i costs O(moved rows)
-    distance work plus an O(n / 8) unpack. The state equals the trace's own
-    after each step, bit for bit. The yielded arrays are reused between
-    iterations; copy them if they must outlive the loop step.
+    Step 1 starts from a copy of the trace's step-1 distances. Each later
+    step reads its moved rows from the trace's move log and fills distances
+    for those rows alone, so every step costs O(moved rows) distance work
+    plus an O(n / 8) unpack. The state equals the trace's own after each
+    step, bit for bit. The yielded arrays are reused between iterations;
+    copy them if they must outlive the loop step.
     """
     X = trace.points
     n = X.shape[0]
-    dist = np.empty(n)
+    dist = trace.first_dist.copy()
     owner = np.zeros(n, dtype=np.intp)
     for i, s in enumerate(trace.centroid_indices):
-        rows = None
         if i:
             rows = np.flatnonzero(np.unpackbits(trace.moves[i], count=n).view(bool))
             owner[rows] = i
-        _fill(trace.space, X, X[s], dist, rows)
+            _fill(trace.space, X, X[s], dist, rows)
         yield i + 1, owner, dist, float(trace.prefix_costs[i])

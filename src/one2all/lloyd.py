@@ -4,17 +4,19 @@ Works only in squared Euclidean space, where the weighted mean minimizes
 each cell's cost. `base_cluster(space, points, weights, k, seed)` is the
 wrapper's default base; other spaces plug in their own with that signature.
 
-Every Lloyd step runs through `_step`: the nearest-centroid kernel, then one
-weighted `np.bincount` per coordinate, which adds each cell's rows in row
-order. `base_cluster` computes the weighted rows and the row norms once and
-reuses them in every step; `lloyd_step` computes them for its one step.
+Every Lloyd step runs through `_step`: the owners from `core._owners`, which
+computes no distance where the GEMM screen leaves a row one candidate, then
+one weighted `np.bincount` per coordinate, which adds each cell's rows in
+row order. Distances are computed only to re-seed an empty cell.
+`base_cluster` computes the weighted rows and the row norms once and reuses
+them in every step; `lloyd_step` computes them for its one step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (CentroidSet, MetricSpace, _lower, _operands, _row_norms, as_points,
+from .core import (CentroidSet, MetricSpace, _fill, _operands, _owners, _row_norms, as_points,
                    as_weights, require_finite)
 from .errors import UnsupportedSpaceError
 from .kmeanspp import run_trace
@@ -51,9 +53,7 @@ def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
           norms: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """lloyd_step on checked arrays, with _prepare(space, X, w) passed in."""
     k = Q.shape[0]
-    dist = np.full(X.shape[0], np.inf)
-    owner = np.zeros(X.shape[0], dtype=np.intp)
-    _lower(space, X, Q, 0, dist, owner, norms)
+    owner = _owners(X, Q, norms)
     wsum = np.bincount(owner, weights=w, minlength=k)
     sums = np.empty((k, X.shape[1]))
     for j in range(X.shape[1]):
@@ -63,6 +63,9 @@ def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
     new[nonempty] = sums[nonempty] / wsum[nonempty, None]
     empty = np.flatnonzero(~nonempty)
     if empty.size:
+        dist = np.empty(X.shape[0])  # each row's distance to its owner, as nearest has it
+        for j in np.flatnonzero(nonempty):
+            _fill(space, X, Q[j], dist, np.flatnonzero(owner == j))
         farthest = np.argsort(-dist)[: empty.size]
         new[empty] = X[farthest]
     return new

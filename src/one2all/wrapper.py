@@ -89,6 +89,8 @@ def run(
     k_prefix = min(k, trace.ell)
     best_q = CentroidSet(trace.prefix(k_prefix))
     best_v = float(trace.prefix_costs[k_prefix - 1])
+    norms = trace.norms  # the row norms every certification pass reuses
+    del trace  # nothing else of it is read again: let its n-length arrays go
     seed_cost = best_v
     log: list[dict] = []
 
@@ -112,13 +114,13 @@ def run(
             sample = sample.with_probabilities(probs_at(r))
             continue
         Q = base(space, sample.member_points, sample.w_prime, k, base_seeds[rnd])
-        v_q = cost(space, X, w, Q)
+        v_q = cost(space, X, w, Q, norms=norms)
         for s in np.random.SeedSequence(confirm_seed + rnd).generate_state(
                 copies - 1, dtype=np.uint64):
             extra = draw(X, w, sample.p, int(s))
             if extra.size:
                 alt_q = base(space, extra.member_points, extra.w_prime, k, base_seeds[rnd])
-                alt_v = cost(space, X, w, alt_q)
+                alt_v = cost(space, X, w, alt_q, norms=norms)
                 if alt_v < v_q:
                     Q, v_q = alt_q, alt_v
         if v_q < best_v:

@@ -1,0 +1,136 @@
+"""Print one sha256 per fixed-seed output of one2all, to check byte identity.
+
+    PYTHONPATH=src python tests/fingerprint.py > after.txt
+
+Run it in two checkouts (each with its own src) and `diff` the outputs:
+equal lines mean the two produce the same bytes for every output below.
+The CLI runs as `python -m one2all` from the same source, in subprocesses
+inside a temporary directory with relative file names, so stdout never
+holds a path that differs between runs; the library outputs are hashed
+from their arrays and reprs. Oracle files are hashed key by key
+from their arrays, since npz archives carry timestamps.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import fields
+
+import numpy as np
+
+import one2all
+from one2all import cluster_adaptive, oracle, run_trace, sweet_spot
+from one2all.core import MetricSpace, pairwise
+from one2all.data import gen_gmm
+from one2all.kmeanspp import replay
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        elif isinstance(part, bytes):
+            h.update(part)
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def emit(name: str, *parts) -> None:
+    print(f"{digest(*parts)}  {name}", flush=True)
+
+
+def npz_parts(path: str) -> list:
+    with np.load(path) as f:
+        return [x for key in sorted(f.files) for x in (key, f[key])]
+
+
+def cli(tmp: str, *args: str) -> bytes:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(one2all.__file__)))
+    done = subprocess.run([sys.executable, "-m", "one2all", *args], capture_output=True,
+                          check=True, cwd=tmp, env={**os.environ, "PYTHONPATH": src})
+    return done.stdout
+
+
+def cli_outputs(tmp: str) -> None:
+    data = "data.csv"
+    cli(tmp, "gen", "--n", "20000", "--d", "10", "--k", "5", "--seed", "701", "--out", data)
+    data_file = os.path.join(tmp, data)
+    emit("cli gen file", open(data_file, "rb").read())
+    emit("cli cluster stdout", cli(tmp, "cluster", "--in", data, "--k", "5", "--eps", "0.2",
+                                   "--seed", "3"))
+    orc = "oracle.npz"
+    emit("cli oracle-build stdout", cli(tmp, "oracle-build", "--in", data, "--k", "5",
+                                        "--eps", "0.2", "--seed", "4", "--out", orc))
+    emit("cli oracle-build file", *npz_parts(os.path.join(tmp, orc)))
+    queries = []
+    for i, scale in enumerate((1.0, 0.0, 3.0)):
+        path = f"q{i}.csv"
+        Q = scale * np.random.default_rng(i).normal(size=(5, 10)) + [[10.0 * j] + [0.0] * 9
+                                                                   for j in range(5)]
+        with open(os.path.join(tmp, path), "w") as f:
+            f.write("".join(",".join(repr(float(v)) for v in q) + "\n" for q in Q))
+        queries += ["--query", path]
+    emit("cli oracle-query stdout", cli(tmp, "oracle-query", "--oracle", orc, *queries))
+    emit("cli oracle-query --feedback stdout",
+         cli(tmp, "oracle-query", "--oracle", orc, *queries, "--feedback", "--data", data))
+    emit("cli oracle-query --feedback file", *npz_parts(os.path.join(tmp, orc)))
+    jsonl = "bench.jsonl"
+    emit("cli bench table1-small stdout", cli(tmp, "bench", "--preset", "table1-small",
+                                              "--out", jsonl))
+    emit("cli bench table1-small jsonl", open(os.path.join(tmp, jsonl), "rb").read())
+
+
+def state_parts(st) -> list:
+    s = st.sample
+    return [s.p, s.members, s.member_points, s.member_weights,
+            (st.C, st.eps, st.prefix_index, st.update_count, st.sample_seed)]
+
+
+def library_outputs() -> None:
+    ds = gen_gmm(30000, 8, 6, seed=11)
+    X = ds.points.points
+    w = np.random.default_rng(12).uniform(0.5, 2.0, size=X.shape[0])
+    sp2 = MetricSpace.euclidean(2.0)
+    for copies in (1, 3):
+        Q, rep = cluster_adaptive(sp2, X, w, k=6, eps=0.2, seed=5, copies=copies)
+        emit(f"cluster_adaptive copies={copies}", Q.points, repr(rep.log),
+             *(getattr(rep, f.name) for f in fields(rep) if f.name != "log"))
+    emit("oracle build", *state_parts(oracle.build(sp2, X, w, ell=9, C=1e5, eps=0.25, seed=7)))
+    st = oracle.build_feedback(sp2, X, w, k=6, eps=0.25, seed=8)
+    emit("oracle build_feedback", *state_parts(st))
+    answers = [oracle.feedback_query(st, X[[10 * i for i in range(1, 7)]] * s)
+               for s in (1.0, 0.5, 1.0)]
+    emit("oracle feedback_query", answers, *state_parts(st))
+
+    small = X[:3000]
+    cases = {f"power {p:g}": (MetricSpace.euclidean(p), small) for p in (1.0, 2.0, 3.0)}
+    cases["matrix"] = (MetricSpace.from_matrix(pairwise(MetricSpace.euclidean(1.0),
+                                                        small[:600], small[:600])),
+                       np.arange(600))
+    for name, (space, P) in cases.items():
+        tr = run_trace(space, P, w[: P.shape[0]], 12, seed=9)
+        emit(f"run_trace {name}", tr.centroid_indices, tr.prefix_costs, tr.owner, tr.dist,
+             tr.moves, tr.truncated)
+        emit(f"replay {name}", *(x for i, o, d, v in replay(tr) for x in (i, o, d, v)))
+        for mode in ("rough", "exact"):
+            kw = {} if mode == "rough" else {"C": float(tr.prefix_costs[-1]), "eps": 0.3}
+            i_star, probs = sweet_spot(tr, mode, **kw)
+            emit(f"sweet_spot {mode} {name}", i_star, probs.pi, probs.M, probs.cost_m,
+                 probs.cluster_weights, probs.dropped_empty_cells)
+
+
+def main() -> None:
+    library_outputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_outputs(tmp)
+
+
+if __name__ == "__main__":
+    main()

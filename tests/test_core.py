@@ -508,6 +508,122 @@ def test_kernel_matches_on_clustered_data():
     assert_kernel_matches(X, Q, 2.0, w=w, ell=20, seed=4)
 
 
+# Owners without distances --------------------------------------------------
+#
+# core._owners (Lloyd's assignment) must report nearest's owners byte for
+# byte while computing exact distances only for rows the screen leaves with
+# several candidates.
+
+
+def assert_owners_match(X, Q):
+    norms = np.einsum("ij,ij->i", X, X)
+    assert_same_bytes(core._owners(X, Q, norms), nearest(SP2, X, Q)[0])
+
+
+@given(kernel_inputs())
+@settings(max_examples=150, deadline=None)
+def test_owners_match_nearest_property(inputs):
+    assert_owners_match(*inputs)
+
+
+def test_owners_duplicated_centroids_go_to_lowest_index():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(300, 4))
+    Q = rng.normal(size=(5, 4))
+    Q = np.vstack([Q, Q[::-1], Q])
+    assert core._owners(X, Q, np.einsum("ij,ij->i", X, X)).max() < 5
+    assert_owners_match(X, Q)
+
+
+def test_owners_planted_ties_go_to_lowest_index():
+    # integer points and centroids: exact ties on every bisector
+    rng = np.random.default_rng(22)
+    X = rng.integers(-3, 4, size=(600, 3)).astype(np.float64)
+    Q = np.array([[-1.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 1, 1]])
+    for order in (Q, Q[::-1], Q[[2, 0, 4, 1, 3]]):
+        assert_owners_match(X, order)
+    on_bisector = np.array([[0.0, 5.0, 2.0], [0.0, -4.0, 1.0]])  # equidistant to +-e1
+    for pair in (Q[:2], Q[1::-1]):
+        assert_same_bytes(core._owners(on_bisector, pair, np.einsum("ij,ij->i", on_bisector,
+                                                                   on_bisector)),
+                          np.zeros(2, dtype=np.intp))
+
+
+def test_owners_large_offset_and_subnormal_scale():
+    rng = np.random.default_rng(23)
+    assert_owners_match(1e6 + rng.normal(size=(500, 8)), 1e6 + rng.normal(size=(9, 8)))
+    for scale in (1e-155, 1e-158, 1e-161):
+        X = rng.normal(size=(400, 20)) * scale
+        assert_owners_match(X, np.vstack([rng.normal(size=(8, 20)) * scale, X[:2]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_owners_rows_whose_scores_or_distances_overflow():
+    # row 0: its one candidate (centroid 1) is at a distance that rounds to
+    # inf although its score plus ||x||^2 does not, so nearest keeps owner 0;
+    # rows 1-2: the score of centroid 0 overflows; row 3: ||x||^2 overflows
+    X = np.array([[4.202465956147694e153, 0.0], [-1.3e154, 0.0], [-1.3e154, 1.0],
+                  [1e200, 0.0], [1.0, 2.0]])
+    Q = np.array([[-1e154, 0.0], [-9.205341973794902e153, 0.0], [0.0, 0.0]])
+    assert nearest(SP2, X[:1], Q[:2])[1][0] == np.inf
+    for cols in ([0, 1], [0, 1, 2], [2, 1, 0], [1], [0]):
+        assert_owners_match(X, Q[cols])
+
+
+@pytest.mark.parametrize("elems", [20, 97])
+def test_owners_independent_of_chunk_size(elems, monkeypatch):
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(300, 5)) * rng.uniform(0.1, 10.0, size=(300, 1))
+    Q = np.vstack([rng.normal(size=(6, 5)), X[[2, 9, 2]]])
+    want = nearest(SP2, X, Q)[0]
+    monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+    assert_same_bytes(core._owners(X, Q, np.einsum("ij,ij->i", X, X)), want)
+    assert_owners_match(X, Q)
+
+
+# The norms run_trace keeps --------------------------------------------------
+
+
+@pytest.mark.parametrize("elems", [None, 20, 97])
+@pytest.mark.parametrize("d", [1, 3, 10, 50])
+def test_trace_norms_are_the_row_norms(d, elems, monkeypatch):
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(500, d)) * rng.uniform(0.1, 1e3, size=(500, 1))
+    if elems is not None:
+        monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+        monkeypatch.setattr(core, "_GATHER_ELEMS", elems)
+    for p in (1.0, 2.0, 3.0):
+        assert_same_bytes(run_trace(MetricSpace.euclidean(p), X, None, 4, 0).norms,
+                          np.einsum("ij,ij->i", X, X))
+    m = MetricSpace.from_matrix(pairwise(SP2, X[:30], X[:30]), rho=2.0)
+    assert run_trace(m, np.arange(30), None, 3, 0).norms is None
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_cost_and_nearest_with_trace_norms_match(p):
+    sp = MetricSpace.euclidean(p)
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(2000, 6)) + 8.0 * rng.integers(0, 4, size=(2000, 1))
+    w = rng.uniform(0.5, 2.0, size=2000)
+    tr = run_trace(sp, X, w, 8, 1)
+    for Q in (tr.centroids, X[[3, 3, 70]], rng.normal(size=(5, 6))):
+        assert cost(sp, X, w, Q, norms=tr.norms).hex() == cost(sp, X, w, Q).hex()
+        assert cost(sp, X, None, Q, norms=tr.norms).hex() == cost(sp, X, None, Q).hex()
+        for got, want in zip(nearest(sp, X, Q, norms=tr.norms), nearest(sp, X, Q)):
+            assert_same_bytes(got, want)
+
+
+def test_wrong_shape_norms_are_rejected():
+    X = np.random.default_rng(26).normal(size=(40, 3))
+    norms = np.einsum("ij,ij->i", X, X)
+    for bad in (norms[:-1], norms[:, None], np.append(norms, 1.0), np.float64(1.0)):
+        with pytest.raises(ValueError, match="norms must be one per point"):
+            cost(SP2, X, None, X[:2], norms=bad)
+        with pytest.raises(ValueError, match="norms must be one per point"):
+            nearest(SP2, X, X[:2], norms=bad)
+
+
 # Matrix spaces against the gathered (n, k) block --------------------------
 #
 # nearest, pairwise, run_trace and replay read a matrix space one centroid at

@@ -279,6 +279,25 @@ def test_first_step_is_the_exact_column(power, chunk, monkeypatch):
         s = tr.centroid_indices[0]
         want = pairwise(space, X, X[s : s + 1])[:, 0]
         assert _same_bytes(tr.dist, want)
+        assert _same_bytes(tr.first_dist, want)
+        assert _same_bytes(tr.norms, np.einsum("ij,ij->i", X, X))
         assert not tr.owner.any()
         ((i, owner, dist, v),) = replay(tr)
         assert _same_bytes(dist, want) and not owner.any()
+    longer = run_trace(space, X, w, 6, seed=0)
+    s = longer.centroid_indices[0]
+    assert _same_bytes(longer.first_dist, pairwise(space, X, X[s : s + 1])[:, 0])
+
+
+def test_replay_leaves_the_kept_step_one_distances_alone():
+    X = _clustered(8, n=500)
+    tr = run_trace(MetricSpace.euclidean(3.0), X, None, 8, seed=2)
+    kept = tr.first_dist.copy()
+    first = [(owner.copy(), dist.copy()) for _, owner, dist, _ in replay(tr)]
+    for _, owner, dist, _ in replay(tr):
+        dist[:] = -1.0  # a caller that scribbles on the yielded array
+        owner[:] = 7
+    assert _same_bytes(tr.first_dist, kept)
+    again = [(owner.copy(), dist.copy()) for _, owner, dist, _ in replay(tr)]
+    for (o1, d1), (o2, d2) in zip(first, again, strict=True):
+        assert _same_bytes(o1, o2) and _same_bytes(d1, d2)

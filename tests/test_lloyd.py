@@ -5,7 +5,7 @@ import pytest
 from conftest import rand_instance
 from reference import lloyd_step_add_at
 
-from one2all.core import CentroidSet, MetricSpace, cost, pairwise
+from one2all.core import CentroidSet, MetricSpace, cost, nearest, pairwise
 from one2all.data import gen_gmm
 from one2all.errors import UnsupportedSpaceError
 from one2all.kmeanspp import run_trace
@@ -182,6 +182,19 @@ def test_base_cluster_matches_add_at_reference(case):
             break
         Q = Q2
     assert _same_bytes(base_cluster(SP2, X, w, k, seed).points, CentroidSet(Q).points)
+
+
+def test_planted_empty_cells_match_add_at_reference():
+    # a repeated centroid and three far ones own nothing: four cells are
+    # re-seeded at the farthest points, whose distances the step computes
+    X, w, Q = LLOYD_CASES["weighted"]
+    Q = np.vstack([Q[:3], Q[1], X.max(axis=0) + 80.0, Q[3:]])
+    owner = nearest(SP2, X, Q)[0]
+    assert np.setdiff1d(np.arange(Q.shape[0]), owner).size == 4
+    want = lloyd_step_add_at(SP2, X, w, Q)
+    assert _same_bytes(lloyd_step(SP2, X, w, Q), want)
+    Q2 = np.vstack([Q, Q[0]])
+    assert _same_bytes(lloyd_step(SP2, X, w, Q2), lloyd_step_add_at(SP2, X, w, Q2))
 
 
 def test_lloyd_step_rejects_dimension_mismatch():

@@ -285,9 +285,17 @@ def test_sweet_spot_pays_no_distance_pass(mode, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sweet_spot ran a distance pass")
 
+    fill = kmeanspp._fill
+
+    def moved_rows_only(space, X, q, dist, rows=None, norms=None):
+        if rows is None:
+            raise AssertionError("sweet_spot filled every row")
+        fill(space, X, q, dist, rows, norms)
+
     for module, name in ((probabilities, "nearest"), (probabilities, "one2all_probs"),
                          (kmeanspp, "_lower"), (core, "pairwise")):
         monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(kmeanspp, "_fill", moved_rows_only)
     i_star, probs = _sweet(tr, mode)
     assert i_star == want[0]
     _assert_fields_equal(probs, want[1])

@@ -297,7 +297,7 @@ def _pipeline_outputs(X, w):
     trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # build's trace
     trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
     _, probs = sweet_spot(trace, "exact", C=trace.prefix_costs[-1], eps=0.3)
-    out += [a.tobytes() for a in (probs.pi, probs.M)]
+    out += [a.tobytes() for a in (probs.pi, probs.M, trace.norms, trace.first_dist)]
     out += [repr((probs.cost_m, st.C, st.prefix_index))]
     return out
 
