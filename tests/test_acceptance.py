@@ -292,6 +292,37 @@ def test_criterion_9_sweet_spot_shape(capsys):
     assert ok
 
 
+def test_criterion_11_clustering_carries_over(capsys):
+    # The paper's claim: the wrapper's sample is large enough that a
+    # clustering's quality on it carries over to the full data. So a
+    # certified Q should cost at most (1+eps) times what the same base
+    # clusterer (same k and seed) finds on the full data. The allowance is 0
+    # of 120: on these mixtures the worst ratio measured was 1.043 for
+    # doubling growth and 1.055 with the rejected-Q re-test, so a run over
+    # 1.2 is a certificate that failed, not noise. Never loosen it.
+    t0 = time.perf_counter()
+    sp, eps = SP[2.0], 0.2
+    ratios = []
+    uncertified = 0
+    for k, spacing in ((5, 10.0), (8, 4.0)):
+        for seed in range(60):
+            X = gen_gmm(2 * 10**4, 10, k, seed=seed, spacing=spacing).points.points
+            _, rep = wrapper_run(sp, X, None, k, eps, seed=seed)
+            if not rep.certified:
+                uncertified += 1
+                continue
+            full = cost(sp, X, None, base_cluster(sp, X, None, k, seed=seed))
+            ratios.append(rep.best_cost / full)
+    over = sum(r > 1.0 + eps for r in ratios)
+    elapsed = time.perf_counter() - t0
+    ok = over == 0
+    _report(capsys, 11, "clustering-carries-over", ok,
+            f"{len(ratios)} certified of 120 runs (n=2*10^4, d=10, eps={eps}); "
+            f"V(Q)/V(full-data base) median {np.median(ratios):.4f}, max {max(ratios):.4f}, "
+            f"{over} over {1.0 + eps} (allowed 0), {uncertified} uncertified, {elapsed:.1f}s")
+    assert ok
+
+
 def _find_idx_datasets():
     roots = [os.environ.get("ONE2ALL_DATA", ""), "data", "datasets"]
     names = [
