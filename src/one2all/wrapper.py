@@ -5,6 +5,27 @@ against the full data, and grow the sample until the clustering it found is
 certified: its true cost is within (1+eps) of its sample cost and not below
 the cost range the sample supports. The per-point uniforms are fixed once,
 so every growth step only adds points.
+
+A rejected round grows the sample by one of two rules:
+
+- Q failed only the range test (V_Q < v_m / r): set r to
+  max(r (1+eps), (1+eps) v_m / V_Q), which puts V_Q above the new floor, and
+  grow once. The next round first re-tests that Q on the grown sample: its
+  V_Q is exact already, so this costs one estimate over the sample and no
+  base call or full-data pass. If it passes, the round accepts Q (logged
+  with "retest": True); if not, the same round clusters the grown sample
+  as usual (logged with "retest": False).
+- Q failed the accuracy test (V_Q > (1+eps) estimate), alone or with the
+  range test: at least double r, then keep doubling until the sample's
+  estimate of the rejected Q clears the bar or the sample saturates.
+
+The re-test keeps the certificate's meaning. Its range test reads only the
+exact V_Q and r. Its accuracy test V_Q <= (1+eps) estimate uses a sample
+that contains the one Q was fit on (growth only adds points), so the fit
+can only bias the estimate low, which makes the test stricter, as in any
+round, where Q was fit on the whole certifying sample. (A confirmation
+copy's Q was fit on an independent draw; its estimate is unbiased.)
+`rounds` counts a re-test round like any other.
 """
 
 from __future__ import annotations
@@ -104,6 +125,7 @@ def run(
 
     certified = saturated = False
     rounds = 0
+    retest = None  # (Q, V_Q) of a range-only rejection, to test again after growth
     sample = draw(X, w, probs_at(r), sample_seed)
     for rnd in range(max_rounds):
         rounds = rnd + 1
@@ -113,6 +135,19 @@ def run(
             r *= 2.0
             sample = sample.with_probabilities(probs_at(r))
             continue
+        saturated = sample.saturated  # this round's; the growth below may saturate the next
+        note = {}
+        if retest is not None:
+            Q, v_q = retest
+            retest = None
+            est = estimate_cost(space, sample, Q)
+            if v_q <= (1.0 + eps) * est and v_q >= v_m / r:
+                certified = True
+                log.append({"round": rounds, "r": r, "size": sample.size, "V_Q": v_q,
+                            "estimate": est, "action": "saturated" if saturated else "accept",
+                            "retest": True})
+                break
+            note = {"retest": False}  # Q failed again: cluster this same sample
         Q = base(space, sample.member_points, sample.w_prime, k, base_seeds[rnd])
         v_q = cost(space, X, w, Q, norms=norms)
         for s in np.random.SeedSequence(confirm_seed + rnd).generate_state(
@@ -126,17 +161,21 @@ def run(
         if v_q < best_v:
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)
-        saturated = sample.saturated  # this round's; the grow loop may saturate the next
         accurate = v_q <= (1.0 + eps) * est
         in_range = v_q >= v_m / r
         certified = saturated or (accurate and in_range)
         action = "saturated" if saturated else "accept" if certified else "grow"
         log.append({"round": rounds, "r": r, "size": sample.size,
-                    "V_Q": v_q, "estimate": est, "action": action})
+                    "V_Q": v_q, "estimate": est, "action": action, **note})
         if certified:
             break
         # which test rejected Q: V_Q > (1+eps) estimate, V_Q < v_m / r, or both
         log[-1]["reason"] = ("range" if accurate else "accuracy" if in_range else "both")
+        if accurate and v_q > 0.0:  # (a zero V_Q is below every floor: only saturation helps)
+            r = max(r * (1.0 + eps), (1.0 + eps) * v_m / v_q)
+            sample = sample.with_probabilities(probs_at(r))
+            retest = (Q, v_q)
+            continue
         r = max(2.0, v_q / v_m) * r
         # grow until the rejected Q clears the bar (or the sample saturates)
         while True:

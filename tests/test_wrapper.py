@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from one2all import core, kmeanspp, oracle, sampling
+from one2all import core, kmeanspp, oracle, sampling, wrapper
 from one2all.core import MetricSpace, cost
 from one2all.data import gen_gmm
 from one2all.probabilities import sweet_spot
@@ -142,6 +142,87 @@ def test_rejected_round_logs_its_reason(reason, monkeypatch):
     assert (inaccurate, below) == {"accuracy": (True, False), "range": (False, True),
                                    "both": (True, True)}[reason]
     assert entry["reason"] == reason
+
+
+# growth rules and the re-test ----------------------------------------------
+
+
+# Q holds 8 spread points: below the floor v_m / r, but by a factor that
+# range-only growth covers without saturating the sample
+_SHALLOW_RANGE = (np.arange(0, 2000, 250), np.arange(2000))
+
+
+def _counted_run(monkeypatch, case, max_rounds, planted=None):
+    """Run a planted (q_rows, sampled) case as in _REASONS, recording what
+    each base call and estimate got and counting full-data cost passes;
+    planted maps the n-th estimate (from 1) to the value it returns instead."""
+    q_rows, sampled = case
+    X = _two_blobs(n_each=1000)
+    u = np.ones(len(X))
+    u[sampled] = 1e-12
+    _plant(monkeypatch, u)
+    Q = core.CentroidSet(X[q_rows])
+    calls = {"base": [], "cost": 0, "estimate": []}
+
+    def base(space, pts, wts, k, seed):
+        calls["base"].append(pts)
+        return Q
+
+    def counted_cost(*args, **kwargs):
+        calls["cost"] += 1
+        return cost(*args, **kwargs)
+
+    def counted_estimate(space, sample, Q):
+        calls["estimate"].append(sample)
+        return (planted or {}).get(len(calls["estimate"]), estimate_cost(space, sample, Q))
+
+    monkeypatch.setattr(wrapper, "cost", counted_cost)
+    monkeypatch.setattr(wrapper, "estimate_cost", counted_estimate)
+    _, rep = run(SP2, X, None, k=2, eps=0.5, seed=4, max_rounds=max_rounds, base=base)
+    return rep, calls
+
+
+def test_range_only_failure_grows_once_to_just_past_the_floor(monkeypatch):
+    rep, calls = _counted_run(monkeypatch, _SHALLOW_RANGE, max_rounds=1)
+    (entry,) = rep.log
+    assert entry["reason"] == "range"
+    assert rep.r == max(entry["r"] * 1.5, 1.5 * rep.cost_m / entry["V_Q"])
+    assert len(calls["estimate"]) == 1  # the round's own: no grow loop
+
+
+@pytest.mark.parametrize("reason", ["accuracy", "both"])
+def test_accuracy_failures_double_then_grow_until_the_bar(monkeypatch, reason):
+    rep, calls = _counted_run(monkeypatch, _REASONS[reason], max_rounds=1)
+    (entry,) = rep.log
+    assert entry["reason"] == reason
+    doublings = len(calls["estimate"]) - 2  # the round's own, then one per grow step
+    assert doublings >= 0
+    assert rep.r == max(2.0, entry["V_Q"] / rep.cost_m) * entry["r"] * 2.0**doublings
+
+
+def test_retest_accepts_the_rejected_q_with_no_base_call_or_full_pass(monkeypatch):
+    rep, calls = _counted_run(monkeypatch, _SHALLOW_RANGE, max_rounds=2)
+    first, second = rep.log
+    assert first["reason"] == "range"
+    assert second["action"] == "accept" and second["retest"] is True
+    assert second["V_Q"] == first["V_Q"] and second["r"] == rep.r
+    assert second["V_Q"] <= 1.5 * second["estimate"]
+    assert second["V_Q"] >= rep.cost_m / second["r"]
+    assert rep.certified and rep.rounds == 2
+    assert (len(calls["base"]), calls["cost"], len(calls["estimate"])) == (1, 1, 2)
+
+
+def test_failed_retest_clusters_the_same_sample(monkeypatch):
+    # the re-test's estimate (the second) reads 0, so Q fails the accuracy test
+    rep, calls = _counted_run(monkeypatch, _SHALLOW_RANGE, max_rounds=2, planted={2: 0.0})
+    first, second = rep.log
+    assert first["reason"] == "range"
+    assert second["retest"] is False and second["action"] == "accept"
+    assert second["r"] == rep.r  # no growth between the re-test and the base call
+    retest_sample = calls["estimate"][1]
+    assert calls["base"][1] is retest_sample.member_points
+    assert calls["estimate"][2] is retest_sample
+    assert (len(calls["base"]), calls["cost"], len(calls["estimate"])) == (2, 2, 3)
 
 
 def test_only_rejected_rounds_carry_a_reason():
