@@ -190,9 +190,15 @@ def test_range_only_failure_grows_once_to_just_past_the_floor(monkeypatch):
     assert len(calls["estimate"]) == 1  # the round's own: no grow loop
 
 
-@pytest.mark.parametrize("reason", ["accuracy", "both"])
-def test_accuracy_failures_double_then_grow_until_the_bar(monkeypatch, reason):
-    rep, calls = _counted_run(monkeypatch, _REASONS[reason], max_rounds=1)
+@pytest.mark.parametrize("case, reason", [
+    (_REASONS["accuracy"], "accuracy"),
+    (_REASONS["both"], "both"),
+    # a base that returns every point: V_Q = 0 is below every floor, and no
+    # r short of saturation lifts it over one
+    ((np.arange(2000), np.arange(2000)), "range"),
+], ids=["accuracy", "both", "zero-V_Q"])
+def test_doubling_growth_until_the_bar(monkeypatch, case, reason):
+    rep, calls = _counted_run(monkeypatch, case, max_rounds=1)
     (entry,) = rep.log
     assert entry["reason"] == reason
     doublings = len(calls["estimate"]) - 2  # the round's own, then one per grow step
