@@ -23,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 import one2all
-from one2all import cluster_adaptive, oracle, run_trace, sweet_spot
+from one2all import cluster_adaptive, one2all_probs, oracle, run_trace, sweet_spot
 from one2all.core import MetricSpace, pairwise
 from one2all.data import gen_gmm
 from one2all.kmeanspp import replay
@@ -85,6 +85,13 @@ def cli_outputs(tmp: str) -> None:
     emit("cli bench table1-small stdout", cli(tmp, "bench", "--preset", "table1-small",
                                               "--out", jsonl))
     emit("cli bench table1-small jsonl", open(os.path.join(tmp, jsonl), "rb").read())
+    for name, source in (("file", ["--in", data]), ("generated", ["--n", "20000"])):
+        out = f"fig-{name}"
+        emit(f"cli figdata {name} stdout", cli(tmp, "figdata", *source, "--k", "5",
+                                              "--seed", "6", "--out", out))
+        for suffix in ("cost", "overhead"):
+            emit(f"cli figdata {name} {suffix}.tsv",
+                 open(os.path.join(tmp, f"{out}-{suffix}.tsv"), "rb").read())
 
 
 def state_parts(st) -> list:
@@ -101,13 +108,22 @@ def library_outputs() -> None:
     for copies in (1, 3):
         Q, rep = cluster_adaptive(sp2, X, w, k=6, eps=0.2, seed=5, copies=copies)
         emit(f"cluster_adaptive copies={copies}", Q.points, repr(rep.log),
-             *(getattr(rep, f.name) for f in fields(rep) if f.name != "log"))
+             *(getattr(rep, f.name) for f in fields(rep) if f.name not in ("log", "k", "seed")))
     emit("oracle build", *state_parts(oracle.build(sp2, X, w, ell=9, C=1e5, eps=0.25, seed=7)))
     st = oracle.build_feedback(sp2, X, w, k=6, eps=0.25, seed=8)
     emit("oracle build_feedback", *state_parts(st))
     answers = [oracle.feedback_query(st, X[[10 * i for i in range(1, 7)]] * s)
                for s in (1.0, 0.5, 1.0)]
     emit("oracle feedback_query", answers, *state_parts(st))
+    # four distinct points leave no residual cost at ell = 2k: the zero-threshold build
+    few = np.repeat(X[:4], 50, axis=0)
+    for k in (2, 3):
+        emit(f"oracle build_feedback zero threshold k={k}",
+             *state_parts(oracle.build_feedback(sp2, few, w[: few.shape[0]], k=k, eps=0.3,
+                                                seed=k)))
+    M = np.vstack([X[:5], X[:2], X[:5] + 1e6])  # the far copies own no point
+    probs = one2all_probs(sp2, X, w, M)
+    emit("one2all_probs empty cells", probs.pi, probs.M, probs.cost_m, probs.dropped_empty_cells)
 
     small = X[:3000]
     cases = {f"power {p:g}": (MetricSpace.euclidean(p), small) for p in (1.0, 2.0, 3.0)}
@@ -123,7 +139,7 @@ def library_outputs() -> None:
             kw = {} if mode == "rough" else {"C": float(tr.prefix_costs[-1]), "eps": 0.3}
             i_star, probs = sweet_spot(tr, mode, **kw)
             emit(f"sweet_spot {mode} {name}", i_star, probs.pi, probs.M, probs.cost_m,
-                 probs.cluster_weights, probs.dropped_empty_cells)
+                 probs.dropped_empty_cells)
 
 
 def main() -> None:
