@@ -60,11 +60,9 @@ class RunReport:
     ground_truth_cost: float | None
     wall: dict = field(default_factory=dict)
 
-    def to_json(self, include_wall: bool = False) -> str:
-        payload = {k: v for k, v in self.__dict__.items() if k != "wall"}
-        if include_wall:
-            payload["wall"] = self.wall
-        return json.dumps(payload, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps({k: v for k, v in self.__dict__.items() if k != "wall"},
+                          sort_keys=True)
 
 
 _COLUMNS = (
@@ -73,21 +71,18 @@ _COLUMNS = (
 ).split()
 
 
-def summary_row(r: RunReport) -> str:
-    vals = [
-        r.n, r.d, r.k, r.eps, r.seed,
-        f"{r.adaptive_fraction:.4f}", f"{r.worst_case_fraction:.4f}",
-        f"{r.gain:.1f}", f"{r.est_err:.4f}",
-        "-" if r.cost_ratio_final is None else f"{r.cost_ratio_final:.3f}",
-        "-" if r.cost_ratio_seed is None else f"{r.cost_ratio_seed:.3f}",
-        r.sweet_spot, int(r.certified),
-    ]
-    return "\t".join(str(v) for v in vals)
-
-
-def summary_table(reports) -> str:
+def summary_table(reports: list[RunReport]) -> str:
     lines = ["\t".join(_COLUMNS)]
-    lines += [summary_row(r) for r in reports if isinstance(r, RunReport)]
+    for r in reports:
+        vals = [
+            r.n, r.d, r.k, r.eps, r.seed,
+            f"{r.adaptive_fraction:.4f}", f"{r.worst_case_fraction:.4f}",
+            f"{r.gain:.1f}", f"{r.est_err:.4f}",
+            "-" if r.cost_ratio_final is None else f"{r.cost_ratio_final:.3f}",
+            "-" if r.cost_ratio_seed is None else f"{r.cost_ratio_seed:.3f}",
+            r.sweet_spot, int(r.certified),
+        ]
+        lines.append("\t".join(str(v) for v in vals))
     return "\n".join(lines)
 
 
@@ -116,7 +111,7 @@ def run_cell(dataset: LabeledDataset, k: int, eps: float, seed: int) -> RunRepor
                            _REDRAWS, seed=rep.sample_seed + 1)
     t2 = time.perf_counter()
     worst_fraction = worst_case_size(n, d, k, eps) / n
-    adaptive_fraction = rep.sample_size / n
+    adaptive_fraction = rep.sample_fraction
     gt = dataset.ground_truth_cost
     return RunReport(
         n=n, d=d, k=k, eps=eps, seed=seed,
@@ -174,7 +169,7 @@ def run_grid(cells, repetitions: int = 1, base_seed: int = 0):
 
 
 def _aggregate(cell: dict, reports: list[RunReport]) -> dict:
-    med = lambda vals: float(np.median([v for v in vals if v is not None]))
+    med = lambda vals: float(np.median(vals))
     out = dict(cell)
     out.update(
         runs=len(reports),
@@ -210,5 +205,4 @@ def fig2_data(dataset: LabeledDataset, k: int, seed: int, ell: int | None = None
         "i": i,
         "cost_ratio": v / denom,
         "overhead": i * v / denom,
-        "denominator": denom,
     }

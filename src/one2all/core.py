@@ -107,25 +107,19 @@ class MetricSpace:
         return MetricSpace(kind="euclidean", power=float(power), rho=rho)
 
     @staticmethod
-    def from_matrix(
-        matrix: np.ndarray,
-        rho: float = 1.0,
-        check_triples: int = 1000,
-        seed: int = 0,
-    ) -> "MetricSpace":
+    def from_matrix(matrix: np.ndarray, rho: float = 1.0) -> "MetricSpace":
         """Distance matrix space; points are row/column indices.
 
-        The rho-relaxed triangle inequality is validated on a random sample
-        of triples (exhaustive validation is O(n^3)).
+        The rho-relaxed triangle inequality is validated on 1000 triples
+        drawn with seed 0 (exhaustive validation is O(n^3)).
         """
         if rho < 1.0:
             raise ValueError("rho must be >= 1")
         space = MetricSpace(kind="matrix", power=float("nan"), rho=float(rho), matrix=matrix)
         m = space.matrix
         n = m.shape[0]
-        if n >= 3 and check_triples > 0:
-            rng = np.random.default_rng(seed)
-            idx = rng.integers(0, n, size=(check_triples, 3))
+        if n >= 3:
+            idx = np.random.default_rng(0).integers(0, n, size=(1000, 3))
             dxy = m[idx[:, 0], idx[:, 1]]
             via = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
             if np.any(dxy > rho * via * (1.0 + 1e-9)):

@@ -114,20 +114,18 @@ def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> 
 def load_delimited(
     path: str,
     delimiter: str = ",",
-    has_header: bool = False,
     weight_column: int | None = None,
 ) -> LabeledDataset:
     """Rows become points; comment lines from a native dump are honored.
 
     Lines end at \\n, \\r\\n or \\r. A line that str.strip() empties is
     skipped; one that then starts with '#' is a comment, of which
-    '# weights: last-column' and '# ground-truth: <cells>' are read. With
-    has_header the first remaining line is skipped. Every other line is a
-    row of cells split on delimiter; each cell gives the float64 that
-    float() gives for it, bit for bit, and all rows need the same number of
-    cells. weight_column (0-based; negative counts from the end) pulls
-    weights out of the data columns. Errors name the path and the 1-based
-    file line ("row N").
+    '# weights: last-column' and '# ground-truth: <cells>' are read. Every
+    other line is a row of cells split on delimiter; each cell gives the
+    float64 that float() gives for it, bit for bit, and all rows need the
+    same number of cells. weight_column (0-based; negative counts from the
+    end) pulls weights out of the data columns. Errors name the path and the
+    1-based file line ("row N").
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
@@ -164,9 +162,6 @@ def load_delimited(
                 gt_error = (i + 1, f"{path}: row {i + 1}: {e}")
     rows.extend(lines[start:])
     line_of = np.delete(np.arange(1, len(lines) + 1), skipped)
-    if has_header and rows:
-        del rows[0]
-        line_of = line_of[1:]
     if gt_error is not None:
         above = int(np.searchsorted(line_of, gt_error[0]))
         if above:  # a bad row above the bad ground-truth line is named first

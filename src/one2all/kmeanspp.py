@@ -44,7 +44,6 @@ class KmeansPPTrace:
     moves: np.ndarray = field(repr=False)
     first_dist: np.ndarray = field(repr=False)
     norms: np.ndarray | None = field(repr=False)
-    seed: int
     truncated: bool = False
 
     @property
@@ -133,7 +132,6 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         moves=moves[: len(chosen)],
         first_dist=first_dist,
         norms=norms,
-        seed=seed,
         truncated=len(chosen) < ell,
     )
 

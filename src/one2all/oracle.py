@@ -21,7 +21,7 @@ import numpy as np
 from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
-from .probabilities import sweet_spot
+from .probabilities import sample_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
 _FORMAT_VERSION = 3  # 3: only what query, feedback and load read
@@ -57,20 +57,20 @@ def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> O
     """Feedback oracle initialization: ell = 2k, threshold C = v_2k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _build(space, X, w, None, None, eps, seed, k)
+    X = as_points(X)
+    return _build(space, X, w, min(2 * k, X.shape[0]), None, eps, seed)
 
 
-def _build(space, X, w, ell, C, eps, seed, k=None) -> OracleState:
-    """Shared build: ell=None means min(2k, n), C=None means C = v_ell.
+def _build(space, X, w, ell, C, eps, seed) -> OracleState:
+    """Shared build: C=None means C = v_ell.
 
-    A zero C (no residual cost) keeps every point: queries are exact.
+    A zero C (no residual cost) keeps every point: queries are exact. The
+    trace stops at its first zero cost, so that prefix is the whole trace.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     X = as_points(X)
     w = as_weights(w, X.shape[0])
-    if ell is None:
-        ell = min(2 * k, X.shape[0])
     trace_seed, sample_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(2)
     )
@@ -80,10 +80,9 @@ def _build(space, X, w, ell, C, eps, seed, k=None) -> OracleState:
     if C > 0.0:
         i_star, probs = sweet_spot(trace, "exact", C=C, eps=eps)
         v_star = float(trace.prefix_costs[i_star - 1])
-        p = np.minimum(1.0, max(1.0, v_star / C) * eps**-2 * probs.pi)
+        p = sample_probs(probs.pi, max(1.0, v_star / C), eps)
     else:
-        i_star, _ = sweet_spot(trace, "rough")
-        p = np.ones(X.shape[0])
+        i_star, p = trace.ell, np.ones(X.shape[0])
     return OracleState(
         space=space,
         sample=draw(X, w, p, sample_seed),

@@ -18,12 +18,11 @@ from .kmeanspp import KmeansPPTrace, replay
 
 @dataclass
 class One2AllProbabilities:
-    """pi per point, plus the per-cluster quantities used to build it."""
+    """pi per point, plus the centroids and cost it was built from."""
 
     pi: np.ndarray
     M: np.ndarray = field(repr=False)  # centroids kept after empty-cell drop
     cost_m: float = 0.0
-    cluster_weights: np.ndarray | None = None
     dropped_empty_cells: int = 0
 
     @property
@@ -45,16 +44,14 @@ def probs_from_assignment(
     every prefix. Centroids (rows of M) owning no points are dropped first
     (they change neither the assignment nor the cost); the count is kept as
     a diagnostic. Weights are positive, so a cell is empty exactly when its
-    weight sum is 0.
+    weight sum is 0; no point's owner is an empty cell, so owner indexes the
+    weight sums of all cells as it stands.
     """
     cluster_w = np.bincount(owner, weights=w, minlength=M.shape[0])
     keep = cluster_w > 0.0
     dropped = int(keep.size - np.count_nonzero(keep))
     if dropped:
-        remap = np.cumsum(keep) - 1
-        owner = remap[owner]
         M = M[keep]
-        cluster_w = cluster_w[keep]
     pi = 8.0 * rho**2 * w
     pi /= cluster_w[owner]
     if cost_m > 0.0:  # V(M)=0: only the within-cluster term remains
@@ -62,13 +59,13 @@ def probs_from_assignment(
         term1 *= dist
         np.maximum(term1, pi, out=pi)
     np.minimum(1.0, pi, out=pi)
-    return One2AllProbabilities(
-        pi=pi,
-        M=M,
-        cost_m=cost_m,
-        cluster_weights=cluster_w,
-        dropped_empty_cells=dropped,
-    )
+    return One2AllProbabilities(pi=pi, M=M, cost_m=cost_m, dropped_empty_cells=dropped)
+
+
+def sample_probs(pi: np.ndarray, alpha: float, eps: float) -> np.ndarray:
+    """Sampling probabilities min{1, alpha eps^-2 pi} at scale alpha."""
+    p = alpha * eps**-2 * pi
+    return np.minimum(1.0, p, out=p)
 
 
 def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
@@ -111,8 +108,7 @@ def sweet_spot(
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
         cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i)
-        p = max(1.0, v_i / C) * eps**-2 * cand.pi
-        total = float(np.sum(np.minimum(1.0, p, out=p)))
+        total = float(np.sum(sample_probs(cand.pi, max(1.0, v_i / C), eps)))
         if i == 1 or total < best:
             best, i_star, probs = total, i, cand
     return i_star, probs

@@ -37,7 +37,7 @@ import numpy as np
 from .core import CentroidSet, MetricSpace, as_points, as_weights, cost
 from .kmeanspp import run_trace
 from .lloyd import base_cluster
-from .probabilities import sweet_spot
+from .probabilities import sample_probs, sweet_spot
 from .sampling import draw, estimate_cost
 
 
@@ -54,8 +54,6 @@ class WrapperReport:
     sweet_spot_index: int
     cost_m: float  # v at the sweet-spot prefix
     eps: float
-    k: int
-    seed: int
     sample_seed: int
     final_p: np.ndarray = field(repr=False)
     log: list = field(default_factory=list, repr=False)
@@ -118,22 +116,18 @@ def run(
     # fewer than 2k distinct points leave no residual cost: r = inf keeps
     # every point (pi > 0), so the first round saturates and is exact
     r = v_m / v_end if v_end > 0.0 else np.inf
-    inv_eps2 = eps**-2
-
-    def probs_at(r: float) -> np.ndarray:
-        return np.minimum(1.0, r * inv_eps2 * probs.pi)
 
     certified = saturated = False
     rounds = 0
     retest = None  # (Q, V_Q) of a range-only rejection, to test again after growth
-    sample = draw(X, w, probs_at(r), sample_seed)
+    sample = draw(X, w, sample_probs(probs.pi, r, eps), sample_seed)
     for rnd in range(max_rounds):
         rounds = rnd + 1
         if sample.size == 0:  # all mass capped away at tiny r; force growth
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
                         "estimate": 0.0, "action": "empty"})
             r *= 2.0
-            sample = sample.with_probabilities(probs_at(r))
+            sample = sample.with_probabilities(sample_probs(probs.pi, r, eps))
             continue
         saturated = sample.saturated  # this round's; the growth below may saturate the next
         note = {}
@@ -173,13 +167,13 @@ def run(
         log[-1]["reason"] = ("range" if accurate else "accuracy" if in_range else "both")
         if accurate and v_q > 0.0:  # (a zero V_Q is below every floor: only saturation helps)
             r = max(r * (1.0 + eps), (1.0 + eps) * v_m / v_q)
-            sample = sample.with_probabilities(probs_at(r))
+            sample = sample.with_probabilities(sample_probs(probs.pi, r, eps))
             retest = (Q, v_q)
             continue
         r = max(2.0, v_q / v_m) * r
         # grow until the rejected Q clears the bar (or the sample saturates)
         while True:
-            sample = sample.with_probabilities(probs_at(r))
+            sample = sample.with_probabilities(sample_probs(probs.pi, r, eps))
             est_rej = estimate_cost(space, sample, Q)
             if est_rej > min((1.0 + eps) * best_v, (1.0 - eps) * v_q) or sample.saturated:
                 break
@@ -196,8 +190,6 @@ def run(
         sweet_spot_index=i_star,
         cost_m=v_m,
         eps=eps,
-        k=k,
-        seed=seed,
         sample_seed=sample_seed,
         final_p=sample.p,
         log=log,

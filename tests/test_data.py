@@ -20,13 +20,13 @@ SP2 = MetricSpace.euclidean(2.0)
 
 
 # references: the per-cell loader and the per-row writer that the bulk ones
-# replaced, kept verbatim but for returning plain values ---------------------
+# replaced, kept verbatim but for returning plain values and the loader's
+# retired header option --------------------------------------------------------
 
 
-def reference_load_delimited(path, delimiter=",", has_header=False, weight_column=None):
+def reference_load_delimited(path, delimiter=",", weight_column=None):
     gt_rows: list[list[float]] = []
     rows: list[list[float]] = []
-    header_skipped = not has_header
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -39,9 +39,6 @@ def reference_load_delimited(path, delimiter=",", has_header=False, weight_colum
                 elif body.startswith("ground-truth:"):
                     payload = body.split(":", 1)[1]
                     gt_rows.append([float(v) for v in payload.split(delimiter)])
-                continue
-            if not header_skipped:
-                header_skipped = True
                 continue
             cells = line.split(delimiter)
             try:
@@ -206,8 +203,8 @@ def test_load_plain_csv_with_weight_column(tmp_path):
 
 def test_load_skips_header_and_blank_lines(tmp_path):
     path = tmp_path / "header.csv"
-    path.write_text("x,y\n\n1.0,2.0\n\n3.0,4.0\n")
-    ds = load_delimited(path, has_header=True)
+    path.write_text("# x,y\n\n1.0,2.0\n\n3.0,4.0\n")  # a header is a comment line
+    ds = load_delimited(path)
     assert ds.n == 2
 
 
@@ -357,7 +354,7 @@ _COMMENTS = ["# a note", "   # indented", "#", "#weights: last-column",
 
 @st.composite
 def delimited_files(draw):
-    """(text, delimiter, has_header, weight_column) for a small delimited file."""
+    """(text, delimiter, weight_column) for a small delimited file."""
     delim = draw(st.sampled_from([",", "\t", ";", "::", " "]))
     weight_column = draw(st.sampled_from([None, None, 0, -1]))
     ncols = draw(st.sampled_from([1, 2, 2, 3, 3, 4]))
@@ -371,8 +368,7 @@ def delimited_files(draw):
     def width(n):
         return max(1, n + draw(st.sampled_from([0] * 12 + [1, -1])))
 
-    has_header = draw(st.booleans())
-    lines = [delim.join("abcd"[:ncols])] if has_header and draw(st.booleans()) else []
+    lines = []
     for kind in draw(st.lists(st.sampled_from(
             ["data"] * 6 + ["comment", "blank", "truth"]), min_size=1, max_size=14)):
         if kind == "data":
@@ -388,17 +384,16 @@ def delimited_files(draw):
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""
-    return "".join(map(str.__add__, lines, ends)), delim, has_header, weight_column
+    return "".join(map(str.__add__, lines, ends)), delim, weight_column
 
 
-def _expected_message(ref_error, path, delimiter, has_header):
+def _expected_message(ref_error, path, delimiter):
     """The reference's error as the loader reports it now: file lines, always
     a DataFormatError; messages that named a file line already are unchanged."""
     message = str(ref_error)
     with open(path) as f:
         lines = [line.strip() for line in f]
     data_lines = [i for i, s in enumerate(lines, 1) if s and not s.startswith("#")]
-    data_lines = data_lines[1:] if has_header else data_lines
     truth = [(i, s[1:].strip().split(":", 1)[1].split(delimiter))
              for i, s in enumerate(lines, 1)
              if s.startswith("#") and s[1:].strip().startswith("ground-truth:")]
@@ -426,9 +421,9 @@ def _bits(a):
     return None if a is None else (a.shape, a.dtype.str, a.tobytes())
 
 
-def _check_against_reference(path, delimiter=",", has_header=False, weight_column=None):
+def _check_against_reference(path, delimiter=",", weight_column=None):
     """Same bits as the reference loader, or its error as now reported."""
-    kwargs = dict(delimiter=delimiter, has_header=has_header, weight_column=weight_column)
+    kwargs = dict(delimiter=delimiter, weight_column=weight_column)
     with np.errstate(over="ignore", invalid="ignore"):  # costs of values near 1e308
         _compare_with_reference(path, kwargs)
 
@@ -439,8 +434,7 @@ def _compare_with_reference(path, kwargs):
     except ValueError as e:
         with pytest.raises(DataFormatError) as got:
             load_delimited(path, **kwargs)
-        assert str(got.value) == _expected_message(e, path, kwargs["delimiter"],
-                                                   kwargs["has_header"])
+        assert str(got.value) == _expected_message(e, path, kwargs["delimiter"])
         return
     ds = load_delimited(path, **kwargs)
     assert _bits(ds.points.points) == _bits(points.points)
@@ -454,11 +448,11 @@ def _compare_with_reference(path, kwargs):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_loader_matches_reference(tmp_path, case):
-    text, delimiter, has_header, weight_column = case
+    text, delimiter, weight_column = case
     path = tmp_path / "case.txt"
     with open(path, "w", newline="") as f:
         f.write(text)
-    _check_against_reference(path, delimiter, has_header, weight_column)
+    _check_against_reference(path, delimiter, weight_column)
 
 
 @pytest.mark.parametrize("text, kwargs", [
@@ -469,7 +463,7 @@ def test_loader_matches_reference(tmp_path, case):
     ("1\t2\t\n3\t4\t\n", {"delimiter": "\t"}),
     (" 1,2 \n  # note\n\t\n3,4", {}),
     ("1,2\r3,4\r\n5,6", {}),
-    ("a,b\n1,2\n", {"has_header": True}),
+    ("a,b\n1,2\n", {}),  # a header line is a bad row, named as row 1
     ("1::2::0.5\n3::4::2\n", {"delimiter": "::", "weight_column": -1}),
     ("1,2,\n3,4,\n", {}),
 ])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from reference import mo_pps_bruteforce
 
-from one2all import oracle
+from one2all import kmeanspp, oracle, probabilities
 from one2all.cli import main
 from one2all.core import MetricSpace, cost
 from one2all.errors import DataFormatError
@@ -46,6 +46,25 @@ def test_build_saturates_when_budget_forces_it():
     assert st.size == 50
     q = oracle.query(st, X[:3])
     assert q == pytest.approx(cost(sp, X, w, X[:3]), rel=1e-12)
+
+
+def test_zero_threshold_build_keeps_every_point_without_a_prefix_scan(monkeypatch):
+    # three distinct points leave no residual cost within ell = 2k = 4 steps
+    X = np.repeat([[0.0, 0.0], [5.0, 1.0], [-2.0, 7.0]], [30, 20, 10], axis=0)
+    w = np.linspace(0.5, 2.0, X.shape[0])
+    trace_seed = int(np.random.SeedSequence(4).generate_state(2)[0])
+    tr = run_trace(SP2, X, w, 4, seed=trace_seed)
+    assert tr.prefix_costs[-1] == 0.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero-threshold build scanned the prefixes")
+
+    monkeypatch.setattr(oracle, "sweet_spot", refuse)
+    monkeypatch.setattr(probabilities, "replay", refuse)
+    monkeypatch.setattr(kmeanspp, "replay", refuse)
+    st = oracle.build_feedback(SP2, X, w, k=2, eps=0.3, seed=4)
+    assert st.C == 0.0 and st.sample.saturated
+    assert st.prefix_index == tr.ell
 
 
 def test_build_matches_independent_prefix_scan():

@@ -23,7 +23,7 @@ def test_tiny_instance_saturates():
     probs = one2all_probs(SP2, X, None, np.array([[0.0], [10.0]]))
     np.testing.assert_array_equal(probs.pi, [1.0, 1.0, 1.0])
     assert probs.cost_m == pytest.approx(16.0)
-    np.testing.assert_array_equal(probs.cluster_weights, [2.0, 1.0])
+    np.testing.assert_array_equal(probs.M, [[0.0], [10.0]])
 
 
 def test_every_point_its_own_centroid():
@@ -63,7 +63,7 @@ def test_per_point_lower_bounds():
     probs = one2all_probs(sp, X, w, tr.centroids)
     owner, dist = nearest(sp, X, probs.M)
     rho = sp.rho
-    t2 = np.minimum(1, 8 * rho**2 * w / probs.cluster_weights[owner])
+    t2 = np.minimum(1, 8 * rho**2 * w / np.bincount(owner, weights=w)[owner])
     t1 = np.minimum(1, 2 * rho * w * dist / probs.cost_m)
     assert np.all(probs.pi >= t2 - 1e-15)
     assert np.all(probs.pi >= t1 - 1e-15)
@@ -108,7 +108,7 @@ def test_probs_from_assignment_matches_two_bincount_reference():
                                         8.0 * rho**2 * w / ref_cw[ref_owner]))
     assert got.dropped_empty_cells == 3
     assert got.cost_m == cost_m
-    for a, b in ((got.pi, ref_pi), (got.cluster_weights, ref_cw), (got.M, M[keep])):
+    for a, b in ((got.pi, ref_pi), (got.M, M[keep])):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -240,7 +240,7 @@ def test_probs_from_assignment_agrees_with_direct():
 
 # sweet spot from the move log ---------------------------------------------
 
-PROB_FIELDS = ("pi", "M", "cost_m", "cluster_weights", "dropped_empty_cells")
+PROB_FIELDS = ("pi", "M", "cost_m", "dropped_empty_cells")
 
 
 def _sweet_instance(kind):
