@@ -23,6 +23,7 @@ _GT_SPACE = MetricSpace.euclidean(2.0)
 _MAGIC_IMAGES = 0x00000803
 _MAGIC_LABELS = 0x00000801
 _DUMP_ROWS = 1 << 14  # rows formatted per write, which bounds a dump's memory
+_READ_CHARS = 1 << 20  # characters read and parsed at a time, which bounds a load's memory
 # str.isspace() and numpy's text reader count these as whitespace, float()
 # does not: numpy reads the cell "1\x1c" as 1.0 where float() refuses it.
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
@@ -69,12 +70,15 @@ def gen_gmm(n: int, d: int, k: int, seed: int, spacing: float = 10.0) -> Labeled
     sigmas = spacing * (1.0 - rng.random(k))  # in (0, spacing]
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
-    parts = []
-    for child, mean, sigma, size in zip(root.spawn(k), means, sigmas, sizes):
-        comp = np.random.default_rng(child)
-        parts.append(mean + sigma * comp.standard_normal((size, d)))
+    X = np.empty((n, d))
+    ends = np.cumsum(sizes)
+    for child, mean, sigma, end, size in zip(root.spawn(k), means, sigmas, ends, sizes):
+        block = X[end - size : end]  # mean + sigma * z, filled in place
+        np.random.default_rng(child).standard_normal(out=block)
+        block *= sigma
+        block += mean
     return LabeledDataset(
-        points=WeightedPointSet(np.vstack(parts)),
+        points=WeightedPointSet(X),
         ground_truth=CentroidSet(means),
         meta={
             "name": f"gmm-n{n}-d{d}-k{k}-s{seed}",
@@ -103,12 +107,13 @@ def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> 
     if dataset.ground_truth is not None:
         head += ["# ground-truth: " + delimiter.join(map(repr, q)) + "\n"
                  for q in dataset.ground_truth.points.tolist()]
-    rows = np.column_stack([pts, w]) if weighted else pts
     with open(path, "w") as f:
         f.write("".join(head))
-        for start in range(0, rows.shape[0], _DUMP_ROWS):
-            block = rows[start : start + _DUMP_ROWS].tolist()
-            f.write("".join([delimiter.join(map(repr, row)) + "\n" for row in block]))
+        for start in range(0, pts.shape[0], _DUMP_ROWS):
+            block = pts[start : start + _DUMP_ROWS]
+            if weighted:
+                block = np.column_stack([block, w[start : start + _DUMP_ROWS]])
+            f.write("".join([delimiter.join(map(repr, row)) + "\n" for row in block.tolist()]))
 
 
 def load_delimited(
@@ -125,54 +130,27 @@ def load_delimited(
     float64 that float() gives for it, bit for bit, and all rows need the
     same number of cells. weight_column (0-based; negative counts from the
     end) pulls weights out of the data columns. Errors name the path and the
-    1-based file line ("row N").
+    1-based file line ("row N"): undecodable bytes anywhere come first, then
+    the first bad row or ground-truth line in the file. The text is read and
+    parsed one block of lines at a time, so memory holds the result and one
+    block, never the whole file as strings.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
-    lines = _read_lines(path)
-    # Only lines that start with '#' or whitespace need a closer look; any
-    # other line is a data row as it stands. Whitespace at its end needs no
-    # strip: a cell's edges are ignored, and where it would add an empty cell
-    # (a whitespace delimiter) numpy refuses and the float() loop strips.
-    odd = [i for i, s in enumerate(lines) if s[0] == "#" or s[0].isspace()]
-    rows: list[str] = []
-    skipped: list[int] = []  # 0-based indices of the lines that hold no row
-    gt_rows: list[list[float]] = []
-    gt_lines: list[int] = []
-    gt_error = None  # (file line, message) of the first bad ground-truth line
-    start = 0
-    for i in odd:
-        rows.extend(lines[start:i])
-        start = i + 1
-        line = lines[i].strip()
-        if line and line[0] != "#":
-            rows.append(line)
-            continue
-        skipped.append(i)
-        if not line:
-            continue
-        body = line[1:].strip()
-        if body.startswith("weights: last-column") and weight_column is None:
-            weight_column = -1
-        elif body.startswith("ground-truth:") and gt_error is None:
+    with open(path) as f:
+        try:
             try:
-                gt_rows.append([float(v) for v in body.split(":", 1)[1].split(delimiter)])
-                gt_lines.append(i + 1)
-            except ValueError as e:
-                gt_error = (i + 1, f"{path}: row {i + 1}: {e}")
-    rows.extend(lines[start:])
-    line_of = np.delete(np.arange(1, len(lines) + 1), skipped)
-    if gt_error is not None:
-        above = int(np.searchsorted(line_of, gt_error[0]))
-        if above:  # a bad row above the bad ground-truth line is named first
-            _parse_rows(path, rows[:above], line_of[:above], delimiter)
-        raise DataFormatError(gt_error[1])
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    arr = _parse_rows(path, rows, line_of, delimiter)
+                arr, skipped, gt_rows, gt_lines, weight_column = _read_rows(
+                    f, path, delimiter, weight_column)
+            except DataFormatError:
+                while f.read(_READ_CHARS):  # undecodable bytes further on win
+                    pass
+                raise
+        except UnicodeDecodeError:
+            raise _undecodable(path, f.encoding) from None
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        bad = line_of[np.flatnonzero(~finite)[0]]
+        bad = _file_line(skipped, np.flatnonzero(~finite)[0])
         raise DataFormatError(f"{path}: row {bad}: NaN or inf in a data row")
     weights = None
     if weight_column is not None:
@@ -186,7 +164,7 @@ def load_delimited(
         weights = arr[:, col]
         arr = np.delete(arr, col, axis=1)
         if np.any(weights <= 0):
-            bad = line_of[np.flatnonzero(weights <= 0)[0]]
+            bad = _file_line(skipped, np.flatnonzero(weights <= 0)[0])
             raise DataFormatError(f"{path}: row {bad}: nonpositive weight")
     if arr.shape[1] == 0:
         raise DataFormatError(f"{path}: rows have no coordinate columns")
@@ -218,13 +196,94 @@ def load_delimited(
     )
 
 
-def _read_lines(path) -> list[str]:
-    """The lines that text-mode iteration over the file gives, newlines kept."""
-    with open(path) as f:
-        try:
-            return f.readlines()
-        except UnicodeDecodeError:
-            encoding = f.encoding
+def _read_rows(f, path, delimiter: str, weight_column: int | None):
+    """Sort and parse a text file's lines, one block of lines at a time.
+
+    Returns the rows as an (n, d) float64 array, the sorted 1-based file
+    lines that hold no row, the ground-truth rows and their file lines, and
+    the weight column as the file's comments leave it.
+    """
+    out = None  # the result, sized from the line count once d is known
+    n = 0  # rows parsed so far
+    base = 0  # file lines before the block
+    skipped: list[int] = []
+    gt_rows: list[list[float]] = []
+    gt_lines: list[int] = []
+    while lines := f.readlines(_READ_CHARS):
+        # Only lines that start with '#' or whitespace need a closer look; any
+        # other line is a data row as it stands. Whitespace at its end needs
+        # no strip: a cell's edges are ignored, and where it would add an
+        # empty cell (a whitespace delimiter) numpy refuses and the float()
+        # loop strips.
+        odd = [i for i, s in enumerate(lines) if s[0] == "#" or s[0].isspace()]
+        rows: list[str] = []
+        gt_error = None
+        start = 0
+        for i in odd:
+            rows.extend(lines[start:i])
+            start = i + 1
+            line = lines[i].strip()
+            if line and line[0] != "#":
+                rows.append(line)
+                continue
+            skipped.append(base + i + 1)
+            if not line:
+                continue
+            body = line[1:].strip()
+            if body.startswith("weights: last-column") and weight_column is None:
+                weight_column = -1
+            elif body.startswith("ground-truth:"):
+                try:
+                    gt_rows.append([float(v) for v in body.split(":", 1)[1].split(delimiter)])
+                    gt_lines.append(base + i + 1)
+                except ValueError as e:
+                    gt_error = DataFormatError(f"{path}: row {base + i + 1}: {e}")
+                    break  # only a bad row above it is named first
+        else:
+            rows.extend(lines[start:])
+        if rows:
+            ncols = None if out is None else out.shape[1]
+            block = _parse_rows(path, rows, n, skipped, delimiter, ncols)
+            if gt_error is None:
+                if out is None:
+                    out = np.empty((_line_count(path), block.shape[1]))
+                if n + len(block) > len(out):  # the file grew since it was counted
+                    out.resize((2 * (n + len(block)), out.shape[1]), refcheck=False)
+                out[n : n + len(block)] = block
+                n += len(block)
+        if gt_error is not None:
+            raise gt_error
+        base += len(lines)
+    if out is None:
+        raise DataFormatError(f"{path}: no data rows")
+    out.resize((n, out.shape[1]), refcheck=False)  # shrinks in place, no copy
+    return out, skipped, gt_rows, gt_lines, weight_column
+
+
+def _line_count(path) -> int:
+    """At least as many as the lines text-mode reading gives: one per \\n,
+    \\r or \\r\\n (counted twice if a read splits it), one for an unended
+    last line."""
+    count = 1
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            b = np.frombuffer(chunk, dtype=np.uint8)
+            count += np.count_nonzero(b == 10)
+            if b"\r" in chunk:
+                cr = b == 13
+                count += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (b[1:] == 10))
+    return int(count)
+
+
+def _file_line(skipped: list[int], row: int) -> int:
+    """The 1-based file line of the 0-based row, given the sorted file lines
+    that hold no row: row + 1 plus the count of those lines above it."""
+    above = np.asarray(skipped, dtype=np.int64) - np.arange(len(skipped))
+    return int(row) + 1 + int(np.searchsorted(above, row + 1, side="right"))
+
+
+def _undecodable(path, encoding: str) -> DataFormatError:
+    """The error that names the line of the file's first undecodable byte."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
@@ -232,31 +291,40 @@ def _read_lines(path) -> list[str]:
     except UnicodeDecodeError as e:
         raw = raw[: e.start]
     line = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
-    raise DataFormatError(f"{path}: row {line}: not valid {encoding} text")
+    return DataFormatError(f"{path}: row {line}: not valid {encoding} text")
 
 
-def _parse_rows(path, rows: list[str], line_of: np.ndarray, delimiter: str) -> np.ndarray:
+def _parse_rows(path, rows: list[str], first: int, skipped: list[int], delimiter: str,
+                ncols: int | None) -> np.ndarray:
     """The rows' cells as an (n, d) float64 array, bit for bit as float() parses.
 
-    numpy's C reader takes the common case. Where it refuses (a cell only
-    float() reads, such as "1_0" or non-ASCII digits, a bad cell, a ragged
-    row, a delimiter longer than one character) the per-cell float() loop
-    reads the rows instead, and names the first bad line.
+    first is the 0-based row number of rows[0] in the file. Every row needs
+    ncols cells, or as many as rows[0] when ncols is None. numpy's C reader
+    takes the common case. Where it refuses (a cell only float() reads, such
+    as "1_0" or non-ASCII digits, a bad cell, a ragged row, a delimiter longer
+    than one character) or gives another column count, the per-cell float()
+    loop reads the rows instead, and names the first bad line.
     """
-    if not any(c in s for s in rows for c in _NOT_FLOAT_SPACE):
+    text = "".join(rows)
+    if not any(c in text for c in _NOT_FLOAT_SPACE):
         try:
-            return np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
+            arr = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
         except (ValueError, TypeError):
             pass
+        else:
+            if ncols is None or arr.shape[1] == ncols:
+                return arr
     parsed: list[list[float]] = []
-    for line, lineno in zip(rows, line_of.tolist()):
+    for j, line in enumerate(rows):
         try:
             parsed.append([float(c) for c in line.strip().split(delimiter)])
         except ValueError as e:
-            raise DataFormatError(f"{path}: row {lineno}: {e}") from None
-        if len(parsed[-1]) != len(parsed[0]):
+            raise DataFormatError(f"{path}: row {_file_line(skipped, first + j)}: {e}") from None
+        if ncols is None:
+            ncols = len(parsed[0])
+        if len(parsed[-1]) != ncols:
             raise DataFormatError(
-                f"{path}: row {lineno}: expected {len(parsed[0])} columns, "
+                f"{path}: row {_file_line(skipped, first + j)}: expected {ncols} columns, "
                 f"got {len(parsed[-1])}"
             )
     return np.asarray(parsed, dtype=np.float64)

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,24 @@ from one2all.errors import DataFormatError
 SP2 = MetricSpace.euclidean(2.0)
 
 
-# references: the per-cell loader and the per-row writer that the bulk ones
-# replaced, kept verbatim but for returning plain values and the loader's
-# retired header option --------------------------------------------------------
+# references: the per-cell loader, the per-row writer and the stacking
+# generator that the bulk ones replaced, kept verbatim but for returning plain
+# values and the loader's retired header option ---------------------------------
+
+
+def reference_gen_gmm_points(n, d, k, seed, spacing=10.0):
+    means = np.zeros((k, d))
+    means[:, 0] = spacing * np.arange(k)
+    root = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(root)
+    sigmas = spacing * (1.0 - rng.random(k))
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    parts = []
+    for child, mean, sigma, size in zip(root.spawn(k), means, sigmas, sizes):
+        comp = np.random.default_rng(child)
+        parts.append(mean + sigma * comp.standard_normal((size, d)))
+    return np.vstack(parts)
 
 
 def reference_load_delimited(path, delimiter=",", weight_column=None):
@@ -159,6 +175,13 @@ def test_gmm_components_recoverable_when_separated():
     assert found >= 1  # sigma ~ U(0, 10]: P(both <= 2.5) = 1/16 per seed
 
 
+@pytest.mark.parametrize("n, d, k, seed", [(200_000, 10, 5, 0), (1000, 3, 7, 5),
+                                           (12345, 50, 20, 9)])
+def test_gmm_bytes_match_stacking_reference(n, d, k, seed):
+    got = gen_gmm(n, d, k, seed=seed).points.points
+    assert _bits(got) == _bits(reference_gen_gmm_points(n, d, k, seed))
+
+
 def test_gmm_validates_arguments():
     with pytest.raises(ValueError):
         gen_gmm(2, 3, 3, seed=0)
@@ -260,14 +283,18 @@ def test_custom_delimiter(tmp_path):
     assert ds.n == 2 and ds.d == 2
 
 
-def test_dump_bytes_match_per_row_writer(tmp_path):
+def test_dump_bytes_match_per_row_writer(tmp_path, monkeypatch):
     ds = gen_gmm(300, 3, 2, seed=9)
     weighted = gen_gmm(50, 2, 2, seed=10)
     weighted.points.weights[:] = np.random.default_rng(1).uniform(0.5, 2.0, size=50)
-    for name, dataset, delim in [("a", ds, ","), ("b", ds, "\t"), ("c", weighted, "::")]:
-        dump_delimited(dataset, tmp_path / f"{name}.new", delimiter=delim)
-        reference_dump_delimited(dataset, tmp_path / f"{name}.ref", delimiter=delim)
-        assert (tmp_path / f"{name}.new").read_bytes() == (tmp_path / f"{name}.ref").read_bytes()
+    cases = [("a", ds, ","), ("b", ds, "\t"), ("c", weighted, "::"), ("d", weighted, ",")]
+    for rows in (data._DUMP_ROWS, 7):  # one block, and blocks of 7 rows with a short last
+        monkeypatch.setattr(data, "_DUMP_ROWS", rows)
+        for name, dataset, delim in cases:
+            dump_delimited(dataset, tmp_path / f"{name}.new", delimiter=delim)
+            reference_dump_delimited(dataset, tmp_path / f"{name}.ref", delimiter=delim)
+            new = (tmp_path / f"{name}.new").read_bytes()
+            assert new == (tmp_path / f"{name}.ref").read_bytes()
 
 
 def test_ground_truth_cost_computed_on_first_read(tmp_path, monkeypatch):
@@ -444,18 +471,35 @@ def _compare_with_reference(path, kwargs):
     assert ds.meta == meta
 
 
-@given(delimited_files())
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-def test_loader_matches_reference(tmp_path, case):
-    text, delimiter, weight_column = case
-    path = tmp_path / "case.txt"
+def _write_and_check(path, text, delimiter=",", weight_column=None):
     with open(path, "w", newline="") as f:
         f.write(text)
     _check_against_reference(path, delimiter, weight_column)
 
 
-@pytest.mark.parametrize("text, kwargs", [
+@given(delimited_files())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_loader_matches_reference(tmp_path, case):
+    _write_and_check(tmp_path / "case.txt", *case)
+
+
+# The loader reads a file in blocks of data._READ_CHARS characters; blocks of
+# 1 and 7 end after every line or after a few, so rows, comments and errors
+# fall in later blocks and numpy and float() mix within a file.
+SMALL_BLOCKS = [1, 7]
+
+
+@pytest.mark.parametrize("chars", SMALL_BLOCKS)
+@given(case=delimited_files())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_loader_matches_reference_in_small_blocks(tmp_path, monkeypatch, chars, case):
+    monkeypatch.setattr(data, "_READ_CHARS", chars)
+    _write_and_check(tmp_path / "case.txt", *case)
+
+
+EDGE_FILES = [
     ("1.0,2.0\n3.0\x1c,4.0\n", {}),  # numpy alone would read "3.0\x1c"
     ("1.0,2.0\n3.0,\x1f4.0\n", {}),
     ("1_0,2\n3,4_5.5\n", {}),
@@ -466,12 +510,94 @@ def test_loader_matches_reference(tmp_path, case):
     ("a,b\n1,2\n", {}),  # a header line is a bad row, named as row 1
     ("1::2::0.5\n3::4::2\n", {"delimiter": "::", "weight_column": -1}),
     ("1,2,\n3,4,\n", {}),
-])
+]
+
+
+@pytest.mark.parametrize("text, kwargs", EDGE_FILES)
 def test_edge_files_match_reference(tmp_path, text, kwargs):
-    path = tmp_path / "edge.txt"
-    with open(path, "w", newline="") as f:
-        f.write(text)
-    _check_against_reference(path, **kwargs)
+    _write_and_check(tmp_path / "edge.txt", text, **kwargs)
+
+
+@pytest.mark.parametrize("chars", SMALL_BLOCKS)
+def test_edge_files_match_reference_in_small_blocks(tmp_path, monkeypatch, chars):
+    monkeypatch.setattr(data, "_READ_CHARS", chars)
+    for text, kwargs in EDGE_FILES:
+        _write_and_check(tmp_path / "edge.txt", text, **kwargs)
+
+
+def _rows(n, width=2):
+    return "".join(",".join(f"{i}.{j}5" for j in range(width)) + "\n" for i in range(n))
+
+
+def _load_outcome(path, **kwargs):
+    try:
+        ds = load_delimited(path, **kwargs)
+    except DataFormatError as e:
+        return str(e)
+    return (_bits(ds.points.points), _bits(ds.points.weights),
+            _bits(ds.ground_truth and ds.ground_truth.points))
+
+
+@pytest.mark.parametrize("blob, message", [
+    # a ragged row in a later block
+    (_rows(40) + "1.0,2.0,3.0\n" + _rows(5), "row 41: expected 2 columns, got 3"),
+    # a cell only float() reads, in a later block: that block alone takes the loop
+    (_rows(40) + "1_0,2\n" + _rows(40), None),
+    # a bad ground-truth line after a block boundary, without and with a bad row above
+    (_rows(40) + "# ground-truth: 1.0,y\n" + _rows(5),
+     "row 41: could not convert string to float: 'y'"),
+    (_rows(20) + "3.0,x\n" + _rows(20) + "# ground-truth: 1.0,y\n" + _rows(5),
+     "row 21: could not convert string to float: 'x'"),
+    # a bad row before undecodable bytes: the bytes are named, also when more
+    # than the reader's 8 KiB decoding chunk lies between them
+    (_rows(20) + "3.0,x\n" + _rows(2000) + "\udcff\n", "row 2022: not valid utf-8 text"),
+    # the weights comment after the first block still applies
+    (_rows(40, 3) + "# weights: last-column\n" + _rows(5, 3), None),
+], ids=["ragged-row", "float-only-cell", "bad-truth", "bad-row-above-bad-truth",
+        "bad-row-above-bad-bytes", "weights-comment-later"])
+def test_multi_block_loads_match_one_block(tmp_path, monkeypatch, blob, message):
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(blob.encode("utf-8", "surrogateescape"))
+    monkeypatch.setattr(data, "_READ_CHARS", 1 << 30)
+    whole = _load_outcome(path)
+    outcomes = {"parsed": 0, "refused": 0}
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        try:
+            arr = real_loadtxt(*args, **kwargs)
+        except ValueError:
+            outcomes["refused"] += 1
+            raise
+        outcomes["parsed"] += 1
+        return arr
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    for chars in (16, 100, 333):  # 2 to 30 lines per block
+        monkeypatch.setattr(data, "_READ_CHARS", chars)
+        assert _load_outcome(path) == whole
+    if message is None:
+        assert outcomes["parsed"] > 3  # numpy read most blocks ...
+        if "1_0" in blob:  # ... and refused the one with 1_0, once per block size
+            assert outcomes["refused"] == 3
+        _check_against_reference(path)
+    else:
+        assert whole.lower() == f"{path}: {message}".lower()
+    monkeypatch.setattr(data, "_line_count", lambda path: 1)  # as if the file grew
+    assert _load_outcome(path) == whole
+
+
+def test_load_holds_the_result_and_one_block(tmp_path):
+    # The whole file as strings (the old reader) took 4.4 times the array.
+    path = tmp_path / "dump.csv"
+    dump_delimited(gen_gmm(100_000, 10, 5, seed=0), path)
+    tracemalloc.start()
+    try:
+        ds = load_delimited(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ds.points.points.nbytes
 
 
 # fuzz: truncated and corrupted native dumps -----------------------------------
@@ -490,6 +616,16 @@ def _outcome(load, path):
 
 
 def test_fuzzed_native_dumps_load_like_reference_or_fail_cleanly(tmp_path, capsys):
+    _fuzz_native_dumps(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("chars", SMALL_BLOCKS)
+def test_fuzzed_native_dumps_in_small_blocks(tmp_path, capsys, monkeypatch, chars):
+    monkeypatch.setattr(data, "_READ_CHARS", chars)
+    _fuzz_native_dumps(tmp_path, capsys)
+
+
+def _fuzz_native_dumps(tmp_path, capsys):
     ds = gen_gmm(12, 2, 2, seed=4)
     ds.points.weights[:] = np.random.default_rng(2).uniform(0.5, 2.0, size=12)
     clean = tmp_path / "clean.csv"
