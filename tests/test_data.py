@@ -529,13 +529,10 @@ def _rows(n, width=2):
     return "".join(",".join(f"{i}.{j}5" for j in range(width)) + "\n" for i in range(n))
 
 
-def _load_outcome(path, **kwargs):
-    try:
-        ds = load_delimited(path, **kwargs)
-    except DataFormatError as e:
-        return str(e)
-    return (_bits(ds.points.points), _bits(ds.points.weights),
-            _bits(ds.ground_truth and ds.ground_truth.points))
+def _load_outcome(path):
+    """The loaded bits, or the error message."""
+    got = _outcome(load_delimited, path)
+    return got if isinstance(got, tuple) else str(got)
 
 
 @pytest.mark.parametrize("blob, message", [
