@@ -25,7 +25,7 @@ import numpy as np
 import one2all
 from one2all import cluster_adaptive, one2all_probs, oracle, run_trace, sweet_spot
 from one2all.core import MetricSpace, pairwise
-from one2all.data import gen_gmm
+from one2all.data import dump_delimited, gen_gmm, load_delimited
 from one2all.kmeanspp import replay
 
 
@@ -94,6 +94,22 @@ def cli_outputs(tmp: str) -> None:
                  open(os.path.join(tmp, f"{out}-{suffix}.tsv"), "rb").read())
 
 
+def file_outputs(tmp: str) -> None:
+    """A weighted dump, and one large enough to be parsed in parallel spans
+    (about 19 MB; load_delimited splits files of twice data._SPAN_MIN bytes
+    and more), each through load_delimited and `one2all cluster --in`."""
+    weighted = gen_gmm(20000, 10, 5, seed=702)
+    weighted.points.weights[:] = np.random.default_rng(703).uniform(0.5, 2.0, size=weighted.n)
+    for name, ds in (("weighted", weighted), ("large", gen_gmm(100000, 10, 5, seed=704))):
+        path = f"{name}.csv"
+        dump_delimited(ds, os.path.join(tmp, path))
+        back = load_delimited(os.path.join(tmp, path))
+        emit(f"load_delimited {name} file", back.points.points, back.points.weights,
+             back.ground_truth.points, back.meta["n"], back.meta["d"], back.meta["k"])
+        emit(f"cli cluster {name} file stdout", cli(tmp, "cluster", "--in", path, "--k", "5",
+                                                    "--eps", "0.2", "--seed", "3"))
+
+
 def state_parts(st) -> list:
     s = st.sample
     return [s.p, s.members, s.member_points, s.member_weights,
@@ -146,6 +162,7 @@ def main() -> None:
     library_outputs()
     with tempfile.TemporaryDirectory() as tmp:
         cli_outputs(tmp)
+        file_outputs(tmp)
 
 
 if __name__ == "__main__":

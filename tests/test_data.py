@@ -1,5 +1,7 @@
 """Synthetic mixtures, delimited text round trips and loader checks, IDX parsing."""
 
+import io
+import os
 import re
 import struct
 import subprocess
@@ -535,7 +537,7 @@ def _load_outcome(path):
     return got if isinstance(got, tuple) else str(got)
 
 
-@pytest.mark.parametrize("blob, message", [
+MULTI_BLOCK_FILES = [
     # a ragged row in a later block
     (_rows(40) + "1.0,2.0,3.0\n" + _rows(5), "row 41: expected 2 columns, got 3"),
     # a cell only float() reads, in a later block: that block alone takes the loop
@@ -550,8 +552,12 @@ def _load_outcome(path):
     (_rows(20) + "3.0,x\n" + _rows(2000) + "\udcff\n", "row 2022: not valid utf-8 text"),
     # the weights comment after the first block still applies
     (_rows(40, 3) + "# weights: last-column\n" + _rows(5, 3), None),
-], ids=["ragged-row", "float-only-cell", "bad-truth", "bad-row-above-bad-truth",
-        "bad-row-above-bad-bytes", "weights-comment-later"])
+]
+MULTI_BLOCK_IDS = ["ragged-row", "float-only-cell", "bad-truth", "bad-row-above-bad-truth",
+                   "bad-row-above-bad-bytes", "weights-comment-later"]
+
+
+@pytest.mark.parametrize("blob, message", MULTI_BLOCK_FILES, ids=MULTI_BLOCK_IDS)
 def test_multi_block_loads_match_one_block(tmp_path, monkeypatch, blob, message):
     path = tmp_path / "blocks.csv"
     path.write_bytes(blob.encode("utf-8", "surrogateescape"))
@@ -597,6 +603,221 @@ def test_load_holds_the_result_and_one_block(tmp_path):
     assert peak < 3 * ds.points.points.nbytes
 
 
+def test_weighted_load_holds_only_points_and_weights(tmp_path):
+    # A weights view into the parsed (n, d + 1) array kept all of it alive.
+    ds = gen_gmm(30_000, 10, 5, seed=0)
+    ds.points.weights[:] = np.random.default_rng(1).uniform(0.5, 2.0, size=ds.n)
+    path = tmp_path / "weighted.csv"
+    dump_delimited(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_delimited(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    w = back.points.weights
+    assert w.flags.owndata and w.flags.c_contiguous
+    assert _bits(w) == _bits(ds.points.weights)
+    assert held <= 1.2 * (back.points.points.nbytes + w.nbytes)
+
+
+# parallel spans ----------------------------------------------------------------
+
+# The loader parses a file of at least 2 * data._SPAN_MIN bytes in byte spans,
+# one per usable CPU, each after the first in a forked child. With the minimum
+# at one byte and the CPU count forced, small files split into 2 or 3 spans,
+# so rows, comments and errors fall in children's spans.
+SPANS = [2, 3]
+
+
+def _force_spans(monkeypatch, count):
+    monkeypatch.setattr(data, "_SPAN_MIN", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("spans", SPANS)
+@given(case=delimited_files())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_loader_matches_reference_in_spans(tmp_path, monkeypatch, spans, case):
+    _force_spans(monkeypatch, spans)
+    _write_and_check(tmp_path / "case.txt", *case)
+
+
+@pytest.mark.parametrize("spans", SPANS)
+def test_edge_files_match_reference_in_spans(tmp_path, monkeypatch, spans):
+    _force_spans(monkeypatch, spans)
+    for text, kwargs in EDGE_FILES:
+        _write_and_check(tmp_path / "edge.txt", text, **kwargs)
+
+
+@pytest.mark.parametrize("spans", SPANS)
+@pytest.mark.parametrize("blob, message", MULTI_BLOCK_FILES, ids=MULTI_BLOCK_IDS)
+def test_multi_block_files_load_alike_in_spans(tmp_path, monkeypatch, spans, blob, message):
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(blob.encode("utf-8", "surrogateescape"))
+    whole = _load_outcome(path)
+    _force_spans(monkeypatch, spans)
+    for chars in (data._READ_CHARS, 16):
+        monkeypatch.setattr(data, "_READ_CHARS", chars)
+        assert _load_outcome(path) == whole
+    if message is not None:
+        assert whole.lower() == f"{path}: {message}".lower()
+
+
+def _pad(part: bytes, size: int) -> bytes:
+    """part grown to size bytes by spaces before the end of its last line."""
+    end = len(part) - (2 if part.endswith(b"\r\n") else part[-1:] in (b"\r", b"\n"))
+    return part[:end] + b" " * (size - len(part)) + part[end:]
+
+
+def _write_spans(path, parts):
+    """Write the parts as one file that a load in len(parts) spans cuts exactly
+    between them: the goals the cuts search from fall in each part's padding."""
+    k = len(parts)
+    size = max(map(len, parts)) + 4 * k
+    path.write_bytes(b"".join(_pad(p, size - 2 * k * (i == k - 1)) for i, p in enumerate(parts)))
+    assert [span[0] for span in data._spans(path, k)] == [i * size for i in range(k)]
+
+
+SPLIT_FILES = [
+    # \r\n ends span 1 and a lone \r opens span 2: file lines stay exact
+    ((b"1,2\r3,4\r\n", b"\r5,6\r7,nan\r\n"), "row 5: NaN or inf in a data row"),
+    ((b"1,2\r3,4\r\n", b"\r5,6\r\n7,8\r"), None),
+    ((b"1,2\n3,4\n", b"5,6\n7,8"), None),
+    # a span of comments and blank lines only, first or between two others
+    ((b"# one2all\n\n", b"1,2\n3,4\n"), None),
+    ((b"1,2\n3,4\n", b"# a note\n\n  \t\n", b"5,6\n7,nan\n"), "row 7: NaN or inf in a data row"),
+    ((b"1,2,0.5\n3,4,2\n", b"# weights: last-column\n# ground-truth: 1.5,2.5\n5,6,1\n"), None),
+    ((b"1,2\n3,x\n", b"5,6\n7,\xff\n"), "row 4: not valid utf-8 text"),
+    ((b"1,2\n3,4\n", b"5,6,7\n8,9,10\n"), "row 3: expected 2 columns, got 3"),
+    ((b"1,2\n3,x\n", b"# ground-truth: 1,y\n5,6\n"),
+     "row 2: could not convert string to float: 'x'"),
+    ((b"# c\n1,2\n", b"3,4\n5,x\n"), "row 4: could not convert string to float: 'x'"),
+    ((b"1,2\n3,4\n", b"# ground-truth: 1,y\n5,6\n"),
+     "row 3: could not convert string to float: 'y'"),
+    ((b"1,2\n3,nan\n", b"# c\n5,6\n"), "row 2: NaN or inf in a data row"),
+]
+SPLIT_IDS = ["crlf-then-cr", "cr-endings", "no-final-newline", "comments-first",
+             "comments-between", "weights-and-truth-later", "bytes-beat-an-earlier-row",
+             "columns-change-at-span-2", "row-beats-a-later-truth", "bad-row-in-span-2",
+             "bad-truth-in-span-2", "nan-above-a-later-comment"]
+
+
+@pytest.mark.parametrize("parts, message", SPLIT_FILES, ids=SPLIT_IDS)
+def test_split_files_load_alike_in_1_2_and_3_spans(tmp_path, monkeypatch, parts, message):
+    path = tmp_path / "split.csv"
+    _write_spans(path, parts)
+    outcomes = []
+    for spans in (1, 2, 3):
+        _force_spans(monkeypatch, spans)
+        outcomes.append(_load_outcome(path))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if message is None:
+        _check_against_reference(path)
+    else:
+        assert outcomes[0].lower() == f"{path}: {message}".lower()
+
+
+def test_spans_count_line_ends_exactly(tmp_path):
+    # \r\n pairs on both sides of the binary pass's 2**20-byte reads, lone
+    # \r's, and a last line without an end
+    blob = b"1,2\r3,4\r\n5,6"
+    blob += b" " * ((1 << 20) - 1 - len(blob)) + b"\r\n7,8"  # the first read ends in \r
+    blob += b" " * ((2 << 20) - 1 - len(blob)) + b"\r9,10\r\n11,12"
+    assert blob[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+    path = tmp_path / "ends.csv"
+    path.write_bytes(blob)
+    lines = io.StringIO(blob.decode(), newline=None).readlines()
+    assert data._line_count(path) == len(lines)  # the last line has no end
+    for parts in (2, 3, 4):
+        spans = data._spans(path, parts)
+        assert len(spans) > 1
+        for start, stop, base, ends in spans:
+            assert base == len(io.StringIO(blob[:start].decode(), newline=None).readlines())
+            assert blob[start - 1 : start] in (b"", b"\n")
+        assert spans[-1][2] + spans[-1][3] == len(lines) - 1
+
+
+def test_spans_only_in_encodings_that_cut_at_newline_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "text.csv"
+    path.write_text("1,2\n" * 100, encoding="utf-16")
+    _force_spans(monkeypatch, 3)
+    for encoding, count in (("utf-8", 3), ("latin-1", 3), ("utf-16", 1)):
+        with open(path, encoding=encoding) as f:
+            assert data._span_count(f) == count
+    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    with open(path) as f:
+        assert data._span_count(f) == 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,4\n" * 50, None),
+    ("1,x\n" + "1,2\n" * 50, "row 1: could not convert"),
+    ("1,2\n" * 50 + "1,x\n", "row 51: could not convert"),
+], ids=["loads", "error-in-span-1", "error-in-span-2"])
+def test_parallel_loads_leave_no_child(tmp_path, monkeypatch, text, message):
+    path = tmp_path / "spans.csv"
+    path.write_text(text)
+    _force_spans(monkeypatch, 2)
+    forks = []
+    real_fork = data._fork
+    monkeypatch.setattr(data, "_fork", lambda *args: forks.append(1) or real_fork(*args))
+    if message is None:
+        assert load_delimited(path).n == 100
+    else:
+        with pytest.raises(DataFormatError, match=message):
+            load_delimited(path)
+    assert forks == [1]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("sent", [0, 10, -8], ids=["nothing", "part-of-the-head",
+                                                  "part-of-the-rows"])
+def test_a_child_that_exits_early_leaves_its_span_to_the_parent(tmp_path, monkeypatch, sent):
+    ds = gen_gmm(300, 3, 2, seed=1)
+    ds.points.weights[:] = np.random.default_rng(0).uniform(0.5, 2.0, size=300)
+    path = tmp_path / "dump.csv"
+    dump_delimited(ds, path)
+    whole = _load_outcome(path)
+    _force_spans(monkeypatch, 3)
+    real_send_span = data._send_span
+
+    def send_span(pipe, *args):  # sends the first bytes of its result only
+        result = io.BytesIO()
+        real_send_span(result, *args)
+        pipe.write(result.getvalue()[:sent])
+        pipe.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(data, "_send_span", send_span)
+    assert _load_outcome(path) == whole
+    _no_child_left()
+
+
+def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_text("1,2\n" * 3000)
+    _force_spans(monkeypatch, 3)
+    parent = os.getpid()
+    real_parse_rows = data._parse_rows
+
+    def parse_rows(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("not a data error")
+        return real_parse_rows(*args)
+
+    monkeypatch.setattr(data, "_parse_rows", parse_rows)
+    with pytest.raises(RuntimeError, match="not a data error"):
+        load_delimited(path)
+    _no_child_left()
+
+
 # fuzz: truncated and corrupted native dumps -----------------------------------
 
 
@@ -622,7 +843,15 @@ def test_fuzzed_native_dumps_in_small_blocks(tmp_path, capsys, monkeypatch, char
     _fuzz_native_dumps(tmp_path, capsys)
 
 
-def _fuzz_native_dumps(tmp_path, capsys):
+@pytest.mark.parametrize("spans", SPANS)
+def test_fuzzed_native_dumps_in_spans(tmp_path, capsys, monkeypatch, spans):
+    _force_spans(monkeypatch, spans)
+    _fuzz_native_dumps(tmp_path, capsys, every=24)
+
+
+def _fuzz_native_dumps(tmp_path, capsys, every=1):
+    """Every truncation of a weighted native dump and 400 seeded byte
+    changes, or each every-th of those."""
     ds = gen_gmm(12, 2, 2, seed=4)
     ds.points.weights[:] = np.random.default_rng(2).uniform(0.5, 2.0, size=12)
     clean = tmp_path / "clean.csv"
@@ -632,6 +861,7 @@ def _fuzz_native_dumps(tmp_path, capsys):
     variants = [raw[:cut] for cut in range(len(raw))]
     for pos, byte in zip(rng.integers(0, len(raw), 400), rng.integers(0, 256, 400)):
         variants.append(raw[:pos] + bytes([byte]) + raw[pos + 1:])
+    variants = variants[::every]
     path = tmp_path / "fuzz.csv"
     failures = 0
     for blob in variants:
