@@ -140,25 +140,24 @@ def load_delimited(
     same number of cells. weight_column (0-based; negative counts from the
     end) pulls weights out of the data columns. Errors name the path and the
     1-based file line ("row N"): undecodable bytes anywhere come first, then
-    the first bad row or ground-truth line in the file. The text is read and
-    parsed one block of lines at a time, so memory holds the result and one
-    block, never the whole file as strings. A large file is parsed in byte
-    spans on every usable CPU, each span after the first in a forked
-    process, with the same values and messages as one pass over the file.
+    the first bad row or ground-truth line in the file. Every file is read in
+    byte spans: a large one in one span per usable CPU, each span after the
+    first in a forked process, and any other in one span in this process.
+    Each span's text is read and parsed one block of lines at a time, so
+    memory holds the result and one block, never the whole file as strings.
+    A load that fails decodes the file 1 MiB at a time to find undecodable
+    bytes, so it never holds the whole file either.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
-    rows = _Rows(path, weight_column)
     with open(path) as f:
         try:
-            parts = _span_count(f)
-            spans = _spans(path, parts) if parts > 1 else []
-            if len(spans) > 1:
-                _read_in_spans(path, spans, delimiter, rows)
-            else:
-                _read_rows(f, path, delimiter, rows, 0)
-        except UnicodeDecodeError:
-            raise _undecodable(path, f.encoding) from None
+            rows = _read_in_spans(path, _spans(path, _span_count(f)), delimiter, weight_column)
+        except (DataFormatError, UnicodeDecodeError):
+            error = _undecodable(path, f.encoding)
+            if error is None:
+                raise
+            raise error from None
     if rows.out is None:
         raise DataFormatError(f"{path}: no data rows")
     arr, skipped, weight_column = rows.out, rows.skipped, rows.weight_column
@@ -219,12 +218,11 @@ class _Rows:
     skipped holds the sorted 1-based file lines that hold no row; gt_rows and
     gt_lines the ground-truth rows and their file lines; weight_column the
     weight column as the comments leave it. out is allocated at the first
-    rows, with room for `lines` rows (the file's line count if None).
+    rows, with room for `lines` rows.
     """
 
-    path: str
     weight_column: int | None
-    lines: int | None = None
+    lines: int
     out: np.ndarray | None = None
     n: int = 0
     skipped: list[int] = field(default_factory=list)
@@ -234,7 +232,7 @@ class _Rows:
     def room(self, m: int, d: int) -> np.ndarray:
         """out[n : n + m], for m more rows of d columns."""
         if self.out is None:
-            self.out = np.empty((self.lines or _line_count(self.path), d))
+            self.out = np.empty((self.lines, d))
         if self.n + m > len(self.out):  # the file grew since it was counted
             self.out.resize((2 * (self.n + m), d), refcheck=False)
         return self.out[self.n : self.n + m]
@@ -243,56 +241,50 @@ class _Rows:
 def _read_rows(f, path, delimiter: str, rows: _Rows, base: int) -> None:
     """Sort and parse a text file's lines into rows, one block of lines at a time.
 
-    base is the count of file lines above f's first. A DataFormatError is
-    raised once the rest of f has decoded: undecodable bytes further on win.
+    base is the count of file lines above f's first.
     """
-    try:
-        while lines := f.readlines(_READ_CHARS):
-            # Only lines that start with '#' or whitespace need a closer look;
-            # any other line is a data row as it stands. Whitespace at its end
-            # needs no strip: a cell's edges are ignored, and where it would
-            # add an empty cell (a whitespace delimiter) numpy refuses and the
-            # float() loop strips.
-            odd = [i for i, s in enumerate(lines) if s[0] == "#" or s[0].isspace()]
-            row_lines: list[str] = []
-            gt_error = None
-            start = 0
-            for i in odd:
-                row_lines.extend(lines[start:i])
-                start = i + 1
-                line = lines[i].strip()
-                if line and line[0] != "#":
-                    row_lines.append(line)
-                    continue
-                rows.skipped.append(base + i + 1)
-                if not line:
-                    continue
-                body = line[1:].strip()
-                if body.startswith("weights: last-column") and rows.weight_column is None:
-                    rows.weight_column = -1
-                elif body.startswith("ground-truth:"):
-                    try:
-                        rows.gt_rows.append(
-                            [float(v) for v in body.split(":", 1)[1].split(delimiter)])
-                        rows.gt_lines.append(base + i + 1)
-                    except ValueError as e:
-                        gt_error = DataFormatError(f"{path}: row {base + i + 1}: {e}")
-                        break  # only a bad row above it is named first
-            else:
-                row_lines.extend(lines[start:])
-            if row_lines:
-                ncols = None if rows.out is None else rows.out.shape[1]
-                block = _parse_rows(path, row_lines, rows.n, rows.skipped, delimiter, ncols)
-                if gt_error is None:
-                    rows.room(*block.shape)[:] = block
-                    rows.n += len(block)
-            if gt_error is not None:
-                raise gt_error
-            base += len(lines)
-    except DataFormatError:
-        while f.read(_READ_CHARS):
-            pass
-        raise
+    while lines := f.readlines(_READ_CHARS):
+        # Only lines that start with '#' or whitespace need a closer look;
+        # any other line is a data row as it stands. Whitespace at its end
+        # needs no strip: a cell's edges are ignored, and where it would
+        # add an empty cell (a whitespace delimiter) numpy refuses and the
+        # float() loop strips.
+        odd = [i for i, s in enumerate(lines) if s[0] == "#" or s[0].isspace()]
+        row_lines: list[str] = []
+        gt_error = None
+        start = 0
+        for i in odd:
+            row_lines.extend(lines[start:i])
+            start = i + 1
+            line = lines[i].strip()
+            if line and line[0] != "#":
+                row_lines.append(line)
+                continue
+            rows.skipped.append(base + i + 1)
+            if not line:
+                continue
+            body = line[1:].strip()
+            if body.startswith("weights: last-column") and rows.weight_column is None:
+                rows.weight_column = -1
+            elif body.startswith("ground-truth:"):
+                try:
+                    rows.gt_rows.append(
+                        [float(v) for v in body.split(":", 1)[1].split(delimiter)])
+                    rows.gt_lines.append(base + i + 1)
+                except ValueError as e:
+                    gt_error = DataFormatError(f"{path}: row {base + i + 1}: {e}")
+                    break  # only a bad row above it is named first
+        else:
+            row_lines.extend(lines[start:])
+        if row_lines:
+            ncols = None if rows.out is None else rows.out.shape[1]
+            block = _parse_rows(path, row_lines, rows.n, rows.skipped, delimiter, ncols)
+            if gt_error is None:
+                rows.room(*block.shape)[:] = block
+                rows.n += len(block)
+        if gt_error is not None:
+            raise gt_error
+        base += len(lines)
 
 
 def _cpus() -> int:
@@ -324,13 +316,8 @@ def _spans(path, parts: int) -> list[tuple[int, int | None, int, int]]:
     goals = [size * i // parts for i in range(1, parts)]
     spans = []
     start = base = ends = pos = 0
-    cr = False  # the last read ended in \r
     with open(path, "rb") as f:
-        while chunk := f.read(1 << 20):
-            b = np.frombuffer(chunk, dtype=np.uint8)
-            if cr and chunk[0] == 10:  # a \r\n that two reads split, counted twice
-                ends -= 1
-            cr = chunk[-1] == 13
+        for chunk, b in _reads(f):
             lo = 0
             while goals:
                 cut = chunk.find(b"\n", max(goals[0] - pos, lo)) + 1
@@ -346,6 +333,15 @@ def _spans(path, parts: int) -> list[tuple[int, int | None, int, int]]:
     return spans
 
 
+def _reads(f):
+    """Binary f's 1 MiB reads, each with its bytes as uint8. A read that would
+    end between the \\r and \\n of a \\r\\n takes the \\n too."""
+    while chunk := f.read(1 << 20):
+        if chunk[-1] == 13 and f.peek(1)[:1] == b"\n":
+            chunk += f.read(1)
+        yield chunk, np.frombuffer(chunk, dtype=np.uint8)
+
+
 def _line_ends(chunk: bytes, b: np.ndarray, lo: int, hi: int) -> int:
     """The line ends in chunk[lo:hi]; b is chunk as uint8."""
     ends = np.count_nonzero(b[lo:hi] == 10)
@@ -353,11 +349,6 @@ def _line_ends(chunk: bytes, b: np.ndarray, lo: int, hi: int) -> int:
         cr = b[lo:hi] == 13
         ends += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (b[lo + 1 : hi] == 10))
     return int(ends)
-
-
-def _line_count(path) -> int:
-    """One more than the file's line ends: at least the lines text-mode reading gives."""
-    return _spans(path, 1)[0][3] + 1
 
 
 class _ByteSpan(io.RawIOBase):
@@ -388,37 +379,28 @@ def _open_span(path, span) -> io.TextIOWrapper:
     return io.TextIOWrapper(_ByteSpan(open(path, "rb", buffering=0), span[0], span[1]))
 
 
-def _read_in_spans(path, spans, delimiter: str, rows: _Rows) -> None:
-    """Read the spans into rows: the first in this process, each other in a
-    forked child, as one serial read would.
+def _read_in_spans(path, spans, delimiter: str, weight_column: int | None) -> _Rows:
+    """The file's rows, read from the spans: the first in this process, each
+    other in a forked child, as one read of the whole file would give them.
 
     The children's rows merge in file order. A span whose child fails, dies
     or gives another column count is read again here, where the lines above
-    it are known, so its error and line are those of a serial read. After a
-    DataFormatError the children left are killed and their spans only
-    decoded here, since undecodable bytes further on win.
+    it are known, so its error and line are those of one read of the file.
+    On an error the children left are killed.
     """
-    rows.lines = spans[-1][2] + spans[-1][3] + 1
+    rows = _Rows(weight_column, spans[-1][2] + spans[-1][3] + 1)
     children: list = [None]  # (pid, pipe) per span while it runs; the first is read here
     try:
         for span in spans[1:]:
-            children.append(_fork(path, span, delimiter, rows.weight_column, children))
+            children.append(_fork(path, span, delimiter, weight_column, children))
         for i, span in enumerate(spans):
             child, children[i] = children[i], None
-            if _collect(child, rows):
-                continue
-            try:
+            if not _collect(child, rows):
                 with _open_span(path, span) as f:
                     _read_rows(f, path, delimiter, rows, span[2])
-            except DataFormatError:
-                _stop(children)
-                for later in spans[i + 1 :]:
-                    with _open_span(path, later) as f:
-                        while f.read(_READ_CHARS):
-                            pass
-                raise
     finally:
         _stop(children)
+    return rows
 
 
 def _fork(path, span, delimiter: str, weight_column: int | None, children: list):
@@ -459,7 +441,7 @@ def _send_span(pipe, path, span, delimiter: str, weight_column: int | None) -> N
     part is None if the span did not read cleanly; a message made here would
     lack the lines above the span, so the parent reads that span again.
     """
-    rows = _Rows(path, weight_column, lines=span[3] + 1)
+    rows = _Rows(weight_column, span[3] + 1)
     part = None
     try:
         with _open_span(path, span) as f:
@@ -528,16 +510,24 @@ def _file_line(skipped: list[int], row: int) -> int:
     return int(row) + 1 + int(np.searchsorted(above, row + 1, side="right"))
 
 
-def _undecodable(path, encoding: str) -> DataFormatError:
-    """The error that names the line of the file's first undecodable byte."""
+def _undecodable(path, encoding: str) -> DataFormatError | None:
+    """The error that names the line of the file's first undecodable byte, or
+    None if the file decodes. The file is decoded one read at a time, and its
+    line ends counted as _spans counts them."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    ends = 0
     with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        raw.decode(encoding)
-    except UnicodeDecodeError as e:
-        raw = raw[: e.start]
-    line = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
-    return DataFormatError(f"{path}: row {line}: not valid {encoding} text")
+        for chunk, b in _reads(f):
+            try:
+                decoder.decode(chunk, final=not f.peek(1))
+            except UnicodeDecodeError as e:
+                # e.object ends where chunk does. A bad byte in the read
+                # before began a character the decoder held back, and those
+                # bytes are never \n or \r in the encodings open() uses.
+                ends += _line_ends(chunk, b, 0, max(0, len(chunk) - len(e.object) + e.start))
+                return DataFormatError(f"{path}: row {ends + 1}: not valid {encoding} text")
+            ends += _line_ends(chunk, b, 0, len(chunk))
+    return None
 
 
 def _parse_rows(path, rows: list[str], first: int, skipped: list[int], delimiter: str,
@@ -617,7 +607,7 @@ def load_idx(images_path: str, labels_path: str | None = None) -> LabeledDataset
             lraw = _read_idx_body(f, labels_path, lcount, "label")
         if lcount != count:
             raise DataFormatError(
-                f"labels/images count mismatch: {lcount} labels, {count} images"
+                f"{labels_path}: labels/images count mismatch: {lcount} labels, {count} images"
             )
         labels = np.frombuffer(lraw, dtype=np.uint8)
         classes = np.unique(labels)

@@ -586,7 +586,8 @@ def test_multi_block_loads_match_one_block(tmp_path, monkeypatch, blob, message)
         _check_against_reference(path)
     else:
         assert whole.lower() == f"{path}: {message}".lower()
-    monkeypatch.setattr(data, "_line_count", lambda path: 1)  # as if the file grew
+    real_spans = data._spans  # spans with no line ends, as if the file grew
+    monkeypatch.setattr(data, "_spans", lambda *args: [s[:3] + (0,) for s in real_spans(*args)])
     assert _load_outcome(path) == whole
 
 
@@ -601,6 +602,22 @@ def test_load_holds_the_result_and_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * ds.points.points.nbytes
+
+
+def test_a_failing_load_holds_blocks_not_the_file(tmp_path):
+    # Reading and decoding the whole file to find its undecodable byte took
+    # about 3 times the file.
+    path = tmp_path / "comments.csv"
+    comment = b"# " + b"x" * 1000 + b"\n"
+    path.write_bytes(b"1,2\n" + comment * 6000 + b"3,\xff\n" + comment)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="(?i)row 6002: not valid utf-8 text"):
+            load_delimited(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_weighted_load_holds_only_points_and_weights(tmp_path):
@@ -729,7 +746,7 @@ def test_spans_count_line_ends_exactly(tmp_path):
     path = tmp_path / "ends.csv"
     path.write_bytes(blob)
     lines = io.StringIO(blob.decode(), newline=None).readlines()
-    assert data._line_count(path) == len(lines)  # the last line has no end
+    assert data._spans(path, 1)[0][3] + 1 == len(lines)  # the last line has no end
     for parts in (2, 3, 4):
         spans = data._spans(path, parts)
         assert len(spans) > 1
@@ -749,6 +766,50 @@ def test_spans_only_in_encodings_that_cut_at_newline_bytes(tmp_path, monkeypatch
     monkeypatch.setattr(data, "_cpus", lambda: 1)
     with open(path) as f:
         assert data._span_count(f) == 1
+
+
+def _whole_file_message(path):
+    """The undecodable-bytes message found by decoding the whole file at once."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raw = raw[: e.start]
+    line = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n") + 1
+    return f"{path}: row {line}: not valid utf-8 text"
+
+
+def _comments(size):
+    """size bytes of comment lines, 64 bytes each but the last."""
+    lines, rest = divmod(size, 64)
+    return (b"#" * 63 + b"\n") * lines + b"#" * (rest - 1) + b"\n" * (rest > 0)
+
+
+MIB = 1 << 20
+SCAN_EDGE_FILES = [
+    # a two-byte character across the 1 MiB reads, then a bad byte
+    b"1,2\n" + _comments(MIB - 6) + b"#\xc3\xa9\n" + b"3,4\n" * 3 + b"5,\xff\n6,7\n",
+    # a character that a bad byte cuts, across the reads
+    b"1,2\n" + _comments(MIB - 6) + b"#\xc3A\n" + b"3,4\n",
+    # a \r\n across the reads, then a bad byte
+    b"1,2\n" + _comments(MIB - 8) + b"3,4\r\n" + b"5,6\r" * 3 + b"7,\xff\n",
+    # the file ends inside a three-byte character, at the end of a 1 MiB read
+    b"1,2\n" + _comments(MIB - 8) + b"3,\xe2\x82",
+]
+
+
+@pytest.mark.parametrize("spans", [1, 2])
+@pytest.mark.parametrize("blob", SCAN_EDGE_FILES,
+                         ids=["split-character", "bad-split-character", "split-crlf",
+                              "cut-character-at-the-end"])
+def test_undecodable_bytes_across_reads_name_the_line(tmp_path, monkeypatch, spans, blob):
+    assert blob[MIB - 1 : MIB + 1] in (b"\xc3\xa9", b"\xc3A", b"\r\n") or len(blob) == MIB
+    path = tmp_path / "scan.csv"
+    path.write_bytes(blob)
+    _force_spans(monkeypatch, spans)
+    with pytest.raises(DataFormatError) as got:
+        load_delimited(path)
+    assert str(got.value).lower() == _whole_file_message(path).lower()
 
 
 def _no_child_left():
@@ -984,5 +1045,6 @@ def test_idx_error_paths(tmp_path):
     _write_idx_images(img_ok, np.zeros((3, 2, 2), dtype=np.uint8))
     lab_bad = tmp_path / "bad-count.idx"
     _write_idx_labels(lab_bad, [0, 1])
-    with pytest.raises(DataFormatError, match="mismatch"):
+    with pytest.raises(DataFormatError) as got:
         load_idx(img_ok, lab_bad)
+    assert str(got.value) == f"{lab_bad}: labels/images count mismatch: 2 labels, 3 images"

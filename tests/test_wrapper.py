@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from one2all import core, kmeanspp, oracle, sampling, wrapper
 from one2all.core import MetricSpace, cost
@@ -351,6 +353,66 @@ def test_logged_estimate_matches_recomputation():
         sample = draw(X, w, rep.final_p, rep.sample_seed)
         est = estimate_cost(SP2, sample, Q.points)
         assert est == pytest.approx(last["estimate"], rel=1e-9)
+
+
+# the certificate holds when recomputed ----------------------------------
+
+
+def _plain_cost(X, w, Q):
+    """sum of w_x min_q |x - q|^2, from the differences, with no screen."""
+    return float(w @ np.min([((X - q) ** 2).sum(axis=1) for q in Q], axis=0))
+
+
+@hst.composite
+def _adaptive_inputs(draw):
+    """(X, w, k, eps, seed): at most n / 2 distinct points, so duplicates,
+    weighted or not, spread out, squeezed near a line, or near one point."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    n = draw(hst.sampled_from([300, 3000, 10_000]))
+    d = draw(hst.integers(1, 3))
+    distinct = rng.normal(size=(n // draw(hst.sampled_from([2, 3, 10, 100])), d)) * 10.0
+    shape = draw(hst.sampled_from(["spread", "line", "point"]))
+    if shape == "line":
+        distinct[:, 1:] *= 1e-9
+    elif shape == "point":
+        distinct = 1e3 + 1e-9 * distinct
+    X = distinct[rng.integers(len(distinct), size=n)]
+    w = rng.uniform(0.5, 2.0, size=n) if draw(hst.booleans()) else None
+    k = draw(hst.integers(1, 4))
+    # at eps = 2.0 the samples are small enough that some fail the accuracy test
+    eps = draw(hst.sampled_from([0.2, 0.5, 2.0]))
+    return X, w, k, eps, draw(hst.integers(0, 2**16))
+
+
+@given(_adaptive_inputs())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_certified_report_passes_its_round_tests_again(case):
+    X, w, k, eps, seed = case
+    fits = []
+
+    def base(*args):  # the last Q fit is the one the last round certified
+        fits.append(wrapper.base_cluster(*args))
+        return fits[-1]
+
+    _, rep = run(SP2, X, w, k=k, eps=eps, seed=seed, base=base)
+    if not rep.certified:
+        return
+    last = rep.log[-1]
+    Q = fits[-1].points
+    w = np.ones(len(X)) if w is None else w
+    # V_Q and the estimate again, the latter from the sample the report names
+    v_q = _plain_cost(X, w, Q)
+    members = np.flatnonzero(point_uniforms(rep.sample_seed, len(X)) <= rep.final_p)
+    est = _plain_cost(X[members], w[members] / rep.final_p[members], Q)
+    assert v_q == pytest.approx(last["V_Q"], rel=1e-9, abs=1e-300)
+    assert est == pytest.approx(last["estimate"], rel=1e-9, abs=1e-300)
+    slack = 1.0 + 1e-9  # for the rounding of the two ways of summing
+    assert v_q <= (1.0 + eps) * est * slack
+    if last["action"] == "accept":
+        assert v_q * slack >= rep.cost_m / last["r"]
+    else:  # a saturated sample is the full data: its estimate is the cost
+        assert last["action"] == "saturated" and len(members) == len(X)
+        assert est == pytest.approx(v_q, rel=1e-9, abs=1e-300)
 
 
 # non-finite input -------------------------------------------------------
