@@ -33,7 +33,7 @@ def worst_case_size(n: int, d: int, k: int, eps: float) -> float:
     (natural logs; the constant is itself an underestimate, which only makes
     the reported gains conservative).
     """
-    if min(n, d, k) < 1 or eps <= 0:
+    if min(n, d, k) < 1 or not eps > 0:
         raise ValueError("n, d, k must be >= 1 and eps > 0")
     structural = min(log(max(k, 2)) * log(n), min(n, d / eps))
     return float(min(n, 3000.0 * k * eps**-2 * structural))

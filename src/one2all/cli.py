@@ -101,9 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--k", type=_positive(int, "--k"), required=True)
     p.add_argument("--eps", type=_positive(float, "--eps"), required=True)
-    p.add_argument("--restarts", type=_positive(int, "--restarts"), default=5)
     p.add_argument("--lloyd-iters", type=_nonnegative(int, "--lloyd-iters"), default=20)
-    p.add_argument("--copies", type=_positive(int, "--copies"), default=1)
     p.add_argument("--max-rounds", type=_positive(int, "--max-rounds"), default=40)
     p.add_argument("--weight-column", type=int, default=None)
     _add_common(p)
@@ -198,11 +196,9 @@ def cmd_oracle_query(args) -> int:
 def cmd_cluster(args) -> int:
     ds = _load(args, args.inp)
     X, w = ds.points.points, ds.points.weights
-    base = functools.partial(base_cluster, restarts=args.restarts,
-                             lloyd_iters=args.lloyd_iters)
+    base = functools.partial(base_cluster, lloyd_iters=args.lloyd_iters)
     Q, rep = wrapper_run(_SPACE, X, w, args.k, args.eps, base=base,
-                         seed=args.seed, max_rounds=args.max_rounds,
-                         copies=args.copies)
+                         seed=args.seed, max_rounds=args.max_rounds)
     for q in Q.points:
         print(args.delimiter.join(repr(float(v)) for v in q))
     print(json.dumps({

@@ -113,7 +113,7 @@ class MetricSpace:
         The rho-relaxed triangle inequality is validated on 1000 triples
         drawn with seed 0 (exhaustive validation is O(n^3)).
         """
-        if rho < 1.0:
+        if not rho >= 1.0:
             raise ValueError("rho must be >= 1")
         space = MetricSpace(kind="matrix", power=float("nan"), rho=float(rho), matrix=matrix)
         m = space.matrix

@@ -1,4 +1,4 @@
-"""Default base clusterer: best-of-restarts kmeans++ plus weighted Lloyd.
+"""Default base clusterer: kmeans++, LocalSearch++ swaps, weighted Lloyd.
 
 Works only in squared Euclidean space, where the weighted mean minimizes
 each cell's cost. `base_cluster(space, points, weights, k, seed)` is the
@@ -19,7 +19,7 @@ import numpy as np
 from .core import (CentroidSet, MetricSpace, _fill, _operands, _owners, _row_norms, as_points,
                    as_weights, require_finite)
 from .errors import UnsupportedSpaceError
-from .kmeanspp import run_trace
+from .kmeanspp import _draw_index, run_trace
 
 
 def _require_sq_euclidean(space: MetricSpace):
@@ -71,28 +71,62 @@ def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
     return new
 
 
-def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0, restarts: int = 5,
+def _swaps(space: MetricSpace, X: np.ndarray, w: np.ndarray, idx: np.ndarray, swaps: int,
+           rng: np.random.Generator) -> np.ndarray:
+    """LocalSearch++ (Lattanzi and Sohler, ICML 2019) on the centroids X[idx]:
+    each swap draws p by w * d(p, Q) and replaces the centroid whose
+    replacement costs least, if the cost falls. Returns the new indices.
+
+    dist has one `_fill` column per centroid. With d1 a row's nearest
+    distance, a a centroid at it and d2 the nearest of the others, replacing
+    centroid i changes the cost by the sum of w (min(d2, d_p) - min(d1, d_p))
+    over rows with a = i: one bincount scores every i.
+    """
+    idx = idx.copy()
+    m, k = X.shape[0], idx.size
+    dist = np.empty((m, k), order="F")
+    for j in range(k):
+        _fill(space, X, X[idx[j]], dist[:, j])
+    d_p = np.empty(m)
+    taken = True
+    for _ in range(swaps):
+        if taken:
+            owner = dist.argmin(axis=1)
+            d1 = dist.min(axis=1)
+            d2 = dist.copy(order="F")
+            d2[np.arange(m), owner] = np.inf
+            d2 = d2.min(axis=1)
+            current = float(np.sum(w * d1))
+        if not current > 0.0:  # every row is a centroid: nothing to draw
+            break
+        p = _draw_index(rng, w * d1)
+        _fill(space, X, X[p], d_p)
+        stay = np.minimum(d1, d_p)
+        moved = np.minimum(d2, d_p)
+        i = int(np.argmin(np.bincount(owner, weights=w * (moved - stay), minlength=k)))
+        # summed as the cost is, so no rounding error takes a swap
+        taken = float(np.sum(w * np.where(owner == i, moved, stay))) < current
+        if taken:
+            dist[:, i] = d_p
+            idx[i] = p
+    return idx
+
+
+def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0,
                  lloyd_iters: int = 20) -> CentroidSet:
-    """Best of `restarts` kmeans++ inits, refined by `lloyd_iters` steps."""
+    """One kmeans++ seeding, 2k LocalSearch++ swaps, then up to `lloyd_iters`
+    Lloyd steps."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if lloyd_iters < 0:
         raise ValueError("lloyd_iters must be >= 0")
     _require_sq_euclidean(space)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
     k = min(k, X.shape[0])
-    seeds = np.random.SeedSequence(seed).generate_state(restarts)
-    best = None
-    best_cost = np.inf
-    for s in seeds:
-        trace = run_trace(space, X, w, k, int(s))
-        v = float(trace.prefix_costs[-1])
-        if v < best_cost:
-            best, best_cost = trace.centroids, v
-    Q = np.asarray(best, dtype=np.float64)
+    trace_seed, swap_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    idx = run_trace(space, X, w, k, trace_seed).centroid_indices
+    Q = X[_swaps(space, X, w, idx, 2 * k, np.random.default_rng(swap_seed))]
     prepared = _prepare(space, X, w)
     for _ in range(lloyd_iters):
         Q2 = _step(space, X, w, *prepared, Q)

@@ -48,7 +48,7 @@ class OracleState:
 
 def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int) -> OracleState:
     """Fixed-threshold oracle: reliable for queries with cost >= C."""
-    if C <= 0:
+    if not C > 0:
         raise ValueError("C must be positive")
     return _build(space, X, w, ell, C, eps, seed)
 
@@ -67,7 +67,7 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
     A zero C (no residual cost) keeps every point: queries are exact. The
     trace stops at its first zero cost, so that prefix is the whole trace.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     X = as_points(X)
     w = as_weights(w, X.shape[0])

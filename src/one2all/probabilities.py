@@ -103,7 +103,7 @@ def sweet_spot(
         return i_star, probs_from_assignment(w, owner, dist, rho, trace.prefix(i_star), v_i)
     if mode != "exact":
         raise ValueError(f"unknown sweet-spot mode {mode!r}")
-    if C is None or C <= 0 or eps is None or eps <= 0:
+    if C is None or not C > 0 or eps is None or not eps > 0:
         raise ValueError("exact mode needs C > 0 and eps > 0")
     best = np.inf
     for i, owner, dist, v_i in replay(trace):

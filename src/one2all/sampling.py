@@ -68,7 +68,7 @@ def draw(points, weights, probs, seed: int) -> CoordinatedSample:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (n,):
         raise ValueError("need one probability per point")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
     return _select(points, weights, point_uniforms(seed, n), probs)
 

@@ -23,9 +23,8 @@ The re-test keeps the certificate's meaning. Its range test reads only the
 exact V_Q and r. Its accuracy test V_Q <= (1+eps) estimate uses a sample
 that contains the one Q was fit on (growth only adds points), so the fit
 can only bias the estimate low, which makes the test stricter, as in any
-round, where Q was fit on the whole certifying sample. (A confirmation
-copy's Q was fit on an independent draw; its estimate is unbiased.)
-`rounds` counts a re-test round like any other.
+round, where Q was fit on the whole certifying sample. `rounds` counts a
+re-test round like any other.
 """
 
 from __future__ import annotations
@@ -72,22 +71,18 @@ def run(
     base=None,
     seed: int = 0,
     max_rounds: int = 40,
-    copies: int = 1,
 ) -> tuple[CentroidSet, WrapperReport]:
     """Cluster (X, w) into k centroids over adaptively grown samples.
 
     base maps (space, points, weights, k, seed) to a CentroidSet and must
-    honor the weights; default is `lloyd.base_cluster`. Each round passes it k
-    and a seed derived from `seed`, and also clusters copies - 1 independent
-    draws at the same probabilities with that seed, skipping empty ones, and
-    keeps the cheapest result.
+    honor the weights; default is `lloyd.base_cluster`. Each round that
+    clusters calls it once, on the round's sample, with k and a seed derived
+    from `seed`.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
     X = as_points(X)
     n = X.shape[0]
     w = as_weights(w, n)
@@ -96,8 +91,8 @@ def run(
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     base = base_cluster if base is None else base  # at call time, so tracers see it
-    trace_seed, sample_seed, base_seed, confirm_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(4)
+    trace_seed, sample_seed, base_seed = (
+        int(s) for s in np.random.SeedSequence(seed).generate_state(3)
     )
     base_seeds = np.random.SeedSequence(base_seed).generate_state(max_rounds, np.uint64).tolist()
     ell = min(2 * k, n)
@@ -144,14 +139,6 @@ def run(
             note = {"retest": False}  # Q failed again: cluster this same sample
         Q = base(space, sample.member_points, sample.w_prime, k, base_seeds[rnd])
         v_q = cost(space, X, w, Q, norms=norms)
-        for s in np.random.SeedSequence(confirm_seed + rnd).generate_state(
-                copies - 1, dtype=np.uint64):
-            extra = draw(X, w, sample.p, int(s))
-            if extra.size:
-                alt_q = base(space, extra.member_points, extra.w_prime, k, base_seeds[rnd])
-                alt_v = cost(space, X, w, alt_q, norms=norms)
-                if alt_v < v_q:
-                    Q, v_q = alt_q, alt_v
         if v_q < best_v:
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)

@@ -121,10 +121,9 @@ def library_outputs() -> None:
     X = ds.points.points
     w = np.random.default_rng(12).uniform(0.5, 2.0, size=X.shape[0])
     sp2 = MetricSpace.euclidean(2.0)
-    for copies in (1, 3):
-        Q, rep = cluster_adaptive(sp2, X, w, k=6, eps=0.2, seed=5, copies=copies)
-        emit(f"cluster_adaptive copies={copies}", Q.points, repr(rep.log),
-             *(getattr(rep, f.name) for f in fields(rep) if f.name not in ("log", "k", "seed")))
+    Q, rep = cluster_adaptive(sp2, X, w, k=6, eps=0.2, seed=5)
+    emit("cluster_adaptive", Q.points, repr(rep.log),
+         *(getattr(rep, f.name) for f in fields(rep) if f.name not in ("log", "k", "seed")))
     emit("oracle build", *state_parts(oracle.build(sp2, X, w, ell=9, C=1e5, eps=0.25, seed=7)))
     st = oracle.build_feedback(sp2, X, w, k=6, eps=0.25, seed=8)
     emit("oracle build_feedback", *state_parts(st))

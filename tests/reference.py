@@ -5,7 +5,8 @@ the paper's guarantees as code the tests run. They are exact but slow
 (mo_pps_bruteforce enumerates every k-subset), and no run of the package
 needs them: the package builds only the one2all probabilities and samples
 from them. lloyd_step_add_at is the plain Lloyd step that lloyd.lloyd_step
-must reproduce bit for bit, and matrix_nearest is the gathered-block
+must reproduce bit for bit, local_search_swaps the plain swap loop that
+lloyd.base_cluster's swaps must reproduce, and matrix_nearest is the gathered-block
 nearest that the package's one-centroid-at-a-time matrix kernels must match.
 """
 
@@ -18,6 +19,7 @@ from math import comb, exp, log
 import numpy as np
 
 from one2all.core import MetricSpace, as_points, as_weights, cost, nearest
+from one2all.kmeanspp import _draw_index
 from one2all.probabilities import One2AllProbabilities
 from one2all.sampling import draw, estimate_cost
 
@@ -164,6 +166,30 @@ def lloyd_step_add_at(space: MetricSpace, X, w, Q) -> np.ndarray:
         farthest = np.argsort(-dist)[: empty.size]
         new[empty] = X[farthest]
     return new
+
+
+def local_search_swaps(space: MetricSpace, X, w, idx, swaps: int, seed: int) -> np.ndarray:
+    """LocalSearch++ swaps on the centroids X[idx], by plain loop.
+
+    Each swap draws p with probability proportional to w * d(p, Q) (one
+    kmeanspp._draw_index draw from a default_rng(seed) stream), prices the
+    replacement of each centroid by p with a full `cost` pass, and takes the
+    cheapest, lowest index first, if it costs less than Q. Returns the indices.
+    """
+    X = as_points(X)
+    w = as_weights(w, X.shape[0])
+    idx = [int(i) for i in idx]
+    rng = np.random.default_rng(seed)
+    current = cost(space, X, w, X[idx])
+    for _ in range(swaps):
+        if current <= 0.0:
+            break
+        p = _draw_index(rng, w * nearest(space, X, X[idx])[1])
+        costs = [cost(space, X, w, X[idx[:i] + [p] + idx[i + 1:]]) for i in range(len(idx))]
+        i = int(np.argmin(costs))
+        if costs[i] < current:
+            idx[i], current = p, costs[i]
+    return np.asarray(idx)
 
 
 def matrix_pairwise(space: MetricSpace, X, Q) -> np.ndarray:

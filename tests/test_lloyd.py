@@ -1,15 +1,17 @@
-"""Weighted Lloyd refinement and the best-of-restarts base clusterer."""
+"""Weighted Lloyd refinement and the base clusterer: one kmeans++ seeding,
+2k LocalSearch++ swaps, then Lloyd."""
 
 import numpy as np
 import pytest
 from conftest import rand_instance
-from reference import lloyd_step_add_at
+from reference import local_search_swaps, lloyd_step_add_at
 
 from one2all.core import CentroidSet, MetricSpace, cost, nearest, pairwise
 from one2all.data import gen_gmm
 from one2all.errors import UnsupportedSpaceError
 from one2all.kmeanspp import run_trace
 from one2all.lloyd import base_cluster, lloyd_step
+from one2all.sampling import draw
 from one2all.wrapper import run
 
 SP2 = MetricSpace.euclidean(2.0)
@@ -67,14 +69,24 @@ def test_unsupported_spaces_rejected():
         base_cluster(MetricSpace.euclidean(1.0), X, None, k=1)
 
 
+def _seeding_seeds(seed):
+    """The seeds base_cluster gives its one kmeans++ seeding and its swaps."""
+    return (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+
+
 def test_base_cluster_beats_its_initialization():
-    sp, X, w = rand_instance(5, n=400, d=3)
-    Q = base_cluster(sp, X, w, k=5, seed=7, restarts=5, lloyd_iters=20)
-    init_costs = [
-        run_trace(sp, X, w, 5, int(s)).prefix_costs[-1]
-        for s in np.random.SeedSequence(7).generate_state(5)
-    ]
-    assert cost(sp, X, w, Q) <= min(init_costs) * (1 + 1e-9)
+    # swaps are taken only when the cost falls: with no Lloyd step, the
+    # result costs no more than its one seeding
+    sp, X, w = rand_instance(5, n=4000, d=3)
+    sample = draw(X, w, np.full(len(X), 0.1), 3)
+    cases = {"sample": (sample.member_points, sample.w_prime),
+             "weighted": LLOYD_CASES["weighted"][:2],
+             "duplicated": LLOYD_CASES["duplicated"][:2]}
+    trace_seed, _ = _seeding_seeds(7)
+    for name, (P, W) in cases.items():
+        seeding = run_trace(sp, P, W, 5, trace_seed).prefix_costs[-1]
+        Q = base_cluster(sp, P, W, k=5, seed=7, lloyd_iters=0)
+        assert cost(sp, P, W, Q) <= seeding, name
 
 
 def test_separated_pairs_found_exactly():
@@ -123,8 +135,6 @@ def test_base_cluster_validation():
     sp, X, w = rand_instance(4, n=50, d=2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         base_cluster(sp, X, w, k=0)
-    with pytest.raises(ValueError, match="restarts must be >= 1"):
-        base_cluster(sp, X, w, k=2, restarts=0)
     with pytest.raises(ValueError, match="lloyd_iters must be >= 0"):
         base_cluster(sp, X, w, k=2, lloyd_iters=-1)
 
@@ -171,11 +181,11 @@ def test_lloyd_step_matches_add_at_reference(case):
 @pytest.mark.parametrize("case", sorted(LLOYD_CASES))
 def test_base_cluster_matches_add_at_reference(case):
     X, w, Q = LLOYD_CASES[case]
-    k, seed, restarts, lloyd_iters = Q.shape[0], 9, 5, 20
-    # base_cluster as written with the reference step
-    traces = [run_trace(SP2, X, w, min(k, X.shape[0]), int(s))
-              for s in np.random.SeedSequence(seed).generate_state(restarts)]
-    Q = min(traces, key=lambda tr: tr.prefix_costs[-1]).centroids
+    k, seed, lloyd_iters = Q.shape[0], 9, 20
+    # base_cluster as written with the reference swaps and step
+    trace_seed, swap_seed = _seeding_seeds(seed)
+    idx = run_trace(SP2, X, w, k, trace_seed).centroid_indices
+    Q = X[local_search_swaps(SP2, X, w, idx, 2 * k, swap_seed)]
     for _ in range(lloyd_iters):
         Q2 = lloyd_step_add_at(SP2, X, w, Q)
         if np.array_equal(Q2, Q):

@@ -3,15 +3,17 @@
 Every module uses each name it imports, and `one2all.__all__` lists exactly
 the names `one2all/__init__.py` imports. The distance layer stays in one
 place: only `core` reads a space's distance matrix or names the kernels'
-block-size constants.
+block-size constants. Every public entry point refuses a NaN parameter.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import one2all
+from one2all import MetricSpace, bench, oracle
 
 SRC = Path(one2all.__file__).resolve().parent
 
@@ -67,3 +69,26 @@ def test_only_core_holds_distance_code():
         names, attrs = _mentions(_parse(name))
         assert "matrix" not in attrs, f"{name} reads MetricSpace.matrix"
         assert not BLOCK_SIZES & (names | attrs), f"{name} names a kernel block size"
+
+
+_X = np.random.default_rng(0).normal(size=(40, 2))
+_SP2 = MetricSpace.euclidean(2.0)
+_NAN = float("nan")
+NAN_PARAMETERS = {  # NaN fails every comparison, so each check must be one it fails
+    "cluster_adaptive eps": lambda: one2all.cluster_adaptive(_SP2, _X, None, 2, _NAN),
+    "draw probabilities": lambda: one2all.draw(_X, None, np.full(40, _NAN), 0),
+    "worst_case_size eps": lambda: bench.worst_case_size(1000, 2, 2, _NAN),
+    "build C": lambda: oracle.build(_SP2, _X, None, ell=3, C=_NAN, eps=0.3, seed=0),
+    "build_feedback eps": lambda: oracle.build_feedback(_SP2, _X, None, k=2, eps=_NAN, seed=0),
+    "from_matrix rho": lambda: MetricSpace.from_matrix(np.zeros((2, 2)), rho=_NAN),
+    "sweet_spot C": lambda: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0), "exact",
+                                               C=_NAN, eps=0.3),
+    "sweet_spot eps": lambda: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0),
+                                                 "exact", C=1.0, eps=_NAN),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAN_PARAMETERS))
+def test_nan_parameters_are_refused(call):
+    with pytest.raises(ValueError):
+        NAN_PARAMETERS[call]()
