@@ -53,9 +53,20 @@ def _nonnegative(kind, name):
     return _checked(kind, name, lambda v: v >= 0, "nonnegative")
 
 
-def _add_common(p):
+def _delimiter(write):
+    def convert(text):
+        try:
+            data.check_delimiter(text, write=write)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return text
+
+    return convert
+
+
+def _add_common(p, write=False):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter(write), default=",")
 
 
 def build_parser() -> _Parser:
@@ -69,7 +80,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta-spacing", type=_positive(float, "--delta-spacing"),
                    default=10.0)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, write=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("oracle-build", help="build and serialize a cost oracle")

@@ -5,6 +5,11 @@ centroids (means on a line, one spacing apart), delimited text, and IDX
 image files (big-endian, the MNIST container format). Ground-truth cost is
 always measured in squared Euclidean distance, the space the benchmark
 pipeline runs in, and computed only when first read.
+
+Delimited text is read and written in spans, one per usable CPU for a large
+regular file and one otherwise: every span after the first is parsed or
+formatted in a forked child, and a span whose child fails is done again in
+this process, so bytes, values and errors never depend on the cut.
 """
 
 from __future__ import annotations
@@ -14,9 +19,12 @@ import functools
 import io
 import os
 import pickle
+import shutil
 import signal
+import stat
 import struct
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +36,15 @@ _GT_SPACE = MetricSpace.euclidean(2.0)
 _MAGIC_IMAGES = 0x00000803
 _MAGIC_LABELS = 0x00000801
 _DUMP_ROWS = 1 << 14  # rows formatted per write, which bounds a dump's memory
+_DUMP_MIN = 1 << 18  # cells: a file is written in parallel row spans of at least this many
 _READ_CHARS = 1 << 20  # characters read and parsed at a time, which bounds a load's memory
 _SPAN_MIN = 1 << 22  # bytes: a file is parsed in parallel spans of at least this size
 # Encodings in which a b"\n" byte always ends a line and the bytes on either
-# side decode apart, so a file in them can be cut into spans after one.
+# side decode apart, so a file in them can be cut into spans after one, and
+# which write no BOM, so spans encoded apart join into the bytes of the whole.
 _SPLITTABLE = ("utf-8", "ascii", "iso8859-1")
+# Every character repr() writes for a float, finite or not.
+_FLOAT_CHARS = frozenset("0123456789.e+-infa")
 # str.isspace() and numpy's text reader count these as whitespace, float()
 # does not: numpy reads the cell "1\x1c" as 1.0 where float() refuses it.
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
@@ -100,29 +112,117 @@ def gen_gmm(n: int, d: int, k: int, seed: int, spacing: float = 10.0) -> Labeled
     )
 
 
+def check_delimiter(delimiter: str, write: bool) -> None:
+    """Raise ValueError for a delimiter load_delimited cannot split on (an
+    empty one) or, with write, one that dump_delimited's rows could not be
+    read back with: one that holds a line break or a character of a float's
+    repr ("0-9 . e + - i n f a")."""
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
+    if write and ("\n" in delimiter or "\r" in delimiter):
+        raise ValueError(f"delimiter {delimiter!r} holds a line break")
+    if write and _FLOAT_CHARS.intersection(delimiter):
+        raise ValueError(f"delimiter {delimiter!r} shares a character with a number")
+
+
 def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> None:
     """Native dump: header and ground truth as comment lines, then rows.
 
     Floats are written with repr so a read-back is bit-identical. Non-unit
-    weights go in an extra last column, announced in the header.
+    weights go in an extra last column, announced in the header. A delimiter
+    the rows could not be read back with raises ValueError (check_delimiter).
+    The rows are written in contiguous spans, one per usable CPU and each of
+    at least _DUMP_MIN cells (one span where _parts allows no more): this
+    process writes the header and the first span, a forked child writes each
+    other span to an anonymous file in path's directory, and this process
+    appends those files in order. Each process formats _DUMP_ROWS rows at a
+    time, so memory holds one block per process, never a span or the file as
+    text.
     """
+    check_delimiter(delimiter, write=True)
     pts = dataset.points.points
     w = dataset.points.weights
-    weighted = not np.all(w == 1.0)
+    if np.all(w == 1.0):
+        w = None
     k = dataset.meta.get("k", dataset.ground_truth.k if dataset.ground_truth else 0)
     head = [f"# one2all-dataset v1 n={pts.shape[0]} d={pts.shape[1]} k={k}\n"]
-    if weighted:
+    if w is not None:
         head.append("# weights: last-column\n")
     if dataset.ground_truth is not None:
         head += ["# ground-truth: " + delimiter.join(map(repr, q)) + "\n"
                  for q in dataset.ground_truth.points.tolist()]
     with open(path, "w") as f:
         f.write("".join(head))
-        for start in range(0, pts.shape[0], _DUMP_ROWS):
-            block = pts[start : start + _DUMP_ROWS]
-            if weighted:
-                block = np.column_stack([block, w[start : start + _DUMP_ROWS]])
-            f.write("".join([delimiter.join(map(repr, row)) + "\n" for row in block.tolist()]))
+        n = pts.shape[0]
+        parts = _parts(f, n * (pts.shape[1] + (w is not None)), _DUMP_MIN)
+        spans = [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+        children: list = [None]  # (pid, file) per span while it runs; the first is written here
+        try:
+            for span in spans[1:]:
+                children.append(_fork_rows(f, path, pts, w, span, delimiter))
+            for i, span in enumerate(spans):
+                child, children[i] = children[i], None
+                if not _append(f, child):
+                    _write_rows(f, pts, w, span, delimiter)
+        finally:
+            _stop(children)
+
+
+def _write_rows(f, pts: np.ndarray, w: np.ndarray | None, span, delimiter: str) -> None:
+    """Write rows span[0] to span[1] of pts to f, with w as a last column
+    unless it is None, one block of _DUMP_ROWS rows at a time."""
+    lo, hi = span
+    for start in range(lo, hi, _DUMP_ROWS):
+        stop = min(start + _DUMP_ROWS, hi)
+        block = pts[start:stop]
+        if w is not None:
+            block = np.column_stack([block, w[start:stop]])
+        f.write("".join([delimiter.join(map(repr, row)) + "\n" for row in block.tolist()]))
+
+
+def _fork_rows(f, path, pts: np.ndarray, w: np.ndarray | None, span, delimiter: str):
+    """A forked child that writes the span's rows, encoded as f encodes them,
+    to an anonymous file in path's directory: (pid, file), or None if no file
+    or child could be made."""
+    try:
+        tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+    except OSError:
+        return None
+    try:
+        # Safe for the reasons _fork gives: the child formats and writes text
+        # only, makes no BLAS call, starts no thread and leaves by os._exit,
+        # so the parent's unflushed buffers are never written twice.
+        pid = os.fork()
+    except OSError:
+        tmp.close()
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            with open(tmp.fileno(), "w", encoding=f.encoding, errors=f.errors,
+                      closefd=False) as out:
+                _write_rows(out, pts, w, span, delimiter)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
+def _append(f, child) -> bool:
+    """Append a child's file to f once the child has exited, then close it.
+    False if there is no child, or it exited nonzero or died."""
+    if child is None:
+        return False
+    pid, tmp = child
+    try:
+        if os.waitpid(pid, 0)[1] != 0:
+            return False
+        f.flush()
+        tmp.seek(0)
+        shutil.copyfileobj(tmp, f.buffer, 1 << 20)
+        return True
+    finally:
+        tmp.close()
 
 
 def load_delimited(
@@ -148,11 +248,11 @@ def load_delimited(
     A load that fails decodes the file 1 MiB at a time to find undecodable
     bytes, so it never holds the whole file either.
     """
-    if not delimiter:
-        raise ValueError("delimiter must not be empty")
+    check_delimiter(delimiter, write=False)
     with open(path) as f:
+        parts = _parts(f, os.fstat(f.fileno()).st_size, _SPAN_MIN)
         try:
-            rows = _read_in_spans(path, _spans(path, _span_count(f)), delimiter, weight_column)
+            rows = _read_in_spans(path, _spans(path, parts), delimiter, weight_column)
         except (DataFormatError, UnicodeDecodeError):
             error = _undecodable(path, f.encoding)
             if error is None:
@@ -269,7 +369,7 @@ def _read_rows(f, path, delimiter: str, rows: _Rows, base: int) -> None:
             elif body.startswith("ground-truth:"):
                 try:
                     rows.gt_rows.append(
-                        [float(v) for v in body.split(":", 1)[1].split(delimiter)])
+                        [float(v) for v in body.split(":", 1)[1].strip().split(delimiter)])
                     rows.gt_lines.append(base + i + 1)
                 except ValueError as e:
                     gt_error = DataFormatError(f"{path}: row {base + i + 1}: {e}")
@@ -294,13 +394,15 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _span_count(f) -> int:
-    """How many byte spans to parse the open text file f in: one per usable
-    CPU, each of at least _SPAN_MIN bytes; one where no child can be forked
-    or where a byte span may end inside a character."""
-    if not hasattr(os, "fork") or codecs.lookup(f.encoding).name not in _SPLITTABLE:
+def _parts(f, size: int, least: int) -> int:
+    """How many spans to read or write the open text file f in, for size units
+    of work and at least `least` per span: one per usable CPU; one where no
+    child can be forked, f is not a regular file, or a span's bytes may not
+    decode or encode apart from the others' (f's encoding is not _SPLITTABLE)."""
+    if (not hasattr(os, "fork") or not stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            or codecs.lookup(f.encoding).name not in _SPLITTABLE):
         return 1
-    return max(1, min(_cpus(), os.fstat(f.fileno()).st_size // _SPAN_MIN))
+    return max(1, min(_cpus(), size // least))
 
 
 def _spans(path, parts: int) -> list[tuple[int, int | None, int, int]]:
@@ -488,7 +590,7 @@ def _collect(child, rows: _Rows) -> bool:
 
 
 def _stop(children: list) -> None:
-    """Kill and reap the children still listed."""
+    """Kill and reap the children still listed: (pid, pipe or file) each."""
     for i, child in enumerate(children):
         if child:
             children[i] = None
@@ -497,7 +599,8 @@ def _stop(children: list) -> None:
 
 
 def _reap(child) -> None:
-    """Close the child's pipe, which ends a write it is blocked in, and wait for it."""
+    """Close the child's pipe or file, which ends a write it is blocked in on
+    a pipe, and wait for it."""
     pid, pipe = child
     pipe.close()
     os.waitpid(pid, 0)

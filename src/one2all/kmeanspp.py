@@ -1,13 +1,14 @@
 """Weighted kmeans++ (D²) seeding that keeps the whole centroid trace.
 
-Every downstream stage consumes the same trace: the prefix costs v_i pick
-the sweet spot, the prefix assignments feed the sampling probabilities, and
-the first k centroids seed the base clusterer. The trace logs which rows
-each step moved, so `replay` rebuilds any prefix's assignment from the log
-without a second pass over the rows that stayed put. It also keeps what its
-first step computed over every row, the squared row norms and the step-1
-distances, so later passes over the same points (`replay`, the wrapper's
-`cost` checks) need not compute them again.
+The wrapper and the oracle consume the same trace: the prefix costs v_i
+pick the sweet spot, the prefix assignments feed the sampling probabilities,
+and the wrapper takes the first k centroids as its first candidate Q and its
+cost. The base clusterer runs a trace of its own on each sample to seed from.
+The trace logs which rows each step moved, so `replay` rebuilds any prefix's
+assignment from the log without a second pass over the rows that stayed put.
+It also keeps what its first step computed over every row, the squared row
+norms and the step-1 distances, so later passes over the same points
+(`replay`, the wrapper's `cost` checks) need not compute them again.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     truncates and says so. After step i the rows that moved are exactly
     those with owner i, since every earlier owner is below i; they go into
     the move log. The n-length mass, prefix-sum and move buffers are
-    allocated once and reused by every step.
+    allocated once and reused by every step; with unit weights the mass is
+    the distances themselves.
     """
     X = as_points(X)
     n = X.shape[0]
@@ -98,7 +100,8 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     owner = np.zeros(n, dtype=np.intp)
     norms = None if space.kind == "matrix" else np.empty(n)
     moves = np.empty((ell, (n + 7) // 8), dtype=np.uint8)
-    mass = np.empty(n)
+    # With unit weights w·dist is dist bit for bit, so mass aliases dist.
+    mass = dist if np.all(w == 1.0) else np.empty(n)
     cum = np.empty(n)
     moved = np.empty(n, dtype=bool)
     chosen: list[int] = []
@@ -112,7 +115,8 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         else:
             _lower(space, X, X[s : s + 1], i, dist, owner, norms)
         moves[i] = np.packbits(np.equal(owner, i, out=moved))
-        np.multiply(w, dist, out=mass)
+        if mass is not dist:
+            np.multiply(w, dist, out=mass)
         costs.append(float(np.sum(mass)))
         if i == 0 and not np.isfinite(costs[0]):
             require_finite(points=X)  # NaN or inf points make v_1 NaN or inf

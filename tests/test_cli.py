@@ -67,6 +67,27 @@ def test_gen_rejects_bad_arguments(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("delim", ["", ".", "\n", "-"])
+def test_gen_rejects_a_delimiter_it_cannot_read_back(tmp_path, capsys, delim):
+    path = tmp_path / "data.csv"
+    assert main(["gen", "--n", "5", "--d", "2", "--k", "1", "--out", str(path),
+                 "--delimiter", delim]) == 1
+    assert "--delimiter" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("delim", [" ", "\t"])
+def test_gen_then_cluster_with_a_whitespace_delimiter(tmp_path, capsys, delim):
+    path = tmp_path / "data.txt"
+    assert main(["gen", "--n", "300", "--d", "3", "--k", "2", "--out", str(path),
+                 "--delimiter", delim]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--in", str(path), "--k", "2", "--eps", "0.3",
+                 "--delimiter", delim]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [len(line.split(delim)) for line in lines[:-1]] == [3, 3]
+
+
 # cluster --------------------------------------------------------------------
 
 
@@ -376,6 +397,19 @@ def test_figdata_accepts_dataset_file(tmp_path, capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_empty_delimiter_is_usage_error_for_every_command(tmp_path, capsys):
+    # rejected while parsing, before any input file is read
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["gen", "--n", "5", "--d", "2", "--k", "1", "--out", missing],
+                 ["cluster", "--in", missing, "--k", "2", "--eps", "0.3"],
+                 ["oracle-build", "--in", missing, "--k", "2", "--eps", "0.3", "--out", missing],
+                 ["oracle-query", "--oracle", missing, "--query", missing],
+                 ["bench", "--preset", "table1-small"],
+                 ["figdata", "--in", missing, "--k", "2", "--out", missing]):
+        assert main([*argv, "--delimiter", ""]) == 1
+        assert "delimiter must not be empty" in capsys.readouterr().err
 
 
 def test_cluster_stdout_independent_of_blas_threads(tmp_path):

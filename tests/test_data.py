@@ -3,9 +3,11 @@
 import io
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,8 @@ SP2 = MetricSpace.euclidean(2.0)
 
 # references: the per-cell loader, the per-row writer and the stacking
 # generator that the bulk ones replaced, kept verbatim but for returning plain
-# values and the loader's retired header option ---------------------------------
+# values, the loader's retired header option, and the strip of a ground-truth
+# line's cells, which lets a whitespace delimiter read them back ----------------
 
 
 def reference_gen_gmm_points(n, d, k, seed, spacing=10.0):
@@ -55,7 +58,7 @@ def reference_load_delimited(path, delimiter=",", weight_column=None):
                 if body.startswith("weights: last-column") and weight_column is None:
                     weight_column = -1
                 elif body.startswith("ground-truth:"):
-                    payload = body.split(":", 1)[1]
+                    payload = body.split(":", 1)[1].strip()
                     gt_rows.append([float(v) for v in payload.split(delimiter)])
                 continue
             cells = line.split(delimiter)
@@ -285,18 +288,101 @@ def test_custom_delimiter(tmp_path):
     assert ds.n == 2 and ds.d == 2
 
 
-def test_dump_bytes_match_per_row_writer(tmp_path, monkeypatch):
+def _dump_cases():
     ds = gen_gmm(300, 3, 2, seed=9)
     weighted = gen_gmm(50, 2, 2, seed=10)
     weighted.points.weights[:] = np.random.default_rng(1).uniform(0.5, 2.0, size=50)
-    cases = [("a", ds, ","), ("b", ds, "\t"), ("c", weighted, "::"), ("d", weighted, ",")]
+    return [("a", ds, ","), ("b", ds, "\t"), ("c", weighted, "::"), ("d", weighted, ",")]
+
+
+def _force_dump_spans(monkeypatch, count):
+    """Write every dump in `count` row spans: the minimum at one cell, the CPUs forced."""
+    monkeypatch.setattr(data, "_DUMP_MIN", 1)
+    monkeypatch.setattr(data, "_cpus", lambda: count)
+
+
+def test_dump_bytes_match_per_row_writer(tmp_path, monkeypatch):
     for rows in (data._DUMP_ROWS, 7):  # one block, and blocks of 7 rows with a short last
         monkeypatch.setattr(data, "_DUMP_ROWS", rows)
-        for name, dataset, delim in cases:
-            dump_delimited(dataset, tmp_path / f"{name}.new", delimiter=delim)
-            reference_dump_delimited(dataset, tmp_path / f"{name}.ref", delimiter=delim)
-            new = (tmp_path / f"{name}.new").read_bytes()
-            assert new == (tmp_path / f"{name}.ref").read_bytes()
+        for spans in (1, 2, 3):  # in this process alone, and with 1 or 2 forked children
+            _force_dump_spans(monkeypatch, spans)
+            for name, dataset, delim in _dump_cases():
+                dump_delimited(dataset, tmp_path / f"{name}.new", delimiter=delim)
+                reference_dump_delimited(dataset, tmp_path / f"{name}.ref", delimiter=delim)
+                new = (tmp_path / f"{name}.new").read_bytes()
+                assert new == (tmp_path / f"{name}.ref").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == sorted(f"{name}.{end}" for name in "abcd"
+                                                  for end in ("new", "ref"))
+
+
+def _fail_fork():
+    raise OSError("no fork")
+
+
+def _child_fails(how):
+    """A _write_rows that fails in a forked child: it raises, or kills its process."""
+    real, parent = data._write_rows, os.getpid()
+
+    def write_rows(*args):
+        if os.getpid() != parent:
+            if how == "raises":
+                raise OSError("disk full")
+            os.kill(os.getpid(), signal.SIGKILL)
+        real(*args)
+
+    return write_rows
+
+
+@pytest.mark.parametrize("how", ["fork-fails", "raises", "is-killed"])
+def test_dump_spans_whose_child_fails_are_written_here(tmp_path, monkeypatch, how):
+    _force_dump_spans(monkeypatch, 3)
+    if how == "fork-fails":
+        monkeypatch.setattr(data.os, "fork", _fail_fork)
+    else:
+        monkeypatch.setattr(data, "_write_rows", _child_fails(how))
+    for name, dataset, delim in _dump_cases():
+        dump_delimited(dataset, tmp_path / "new.csv", delimiter=delim)
+        reference_dump_delimited(dataset, tmp_path / "ref.csv", delimiter=delim)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "ref.csv"]
+
+
+def test_dump_to_a_fifo_or_device_is_one_span(tmp_path, monkeypatch):
+    _force_dump_spans(monkeypatch, 3)
+    monkeypatch.setattr(data.os, "fork", lambda: pytest.fail("forked for a file that is "
+                                                             "not a regular file"))
+    _, dataset, delim = _dump_cases()[2]
+    dump_delimited(dataset, os.devnull, delimiter=delim)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        dump_delimited(dataset, fifo, delimiter=delim)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    reference_dump_delimited(dataset, tmp_path / "ref.csv", delimiter=delim)
+    assert got == [(tmp_path / "ref.csv").read_bytes()]
+
+
+@pytest.mark.parametrize("delim", ["", "\n", ",\r", ".", "e", " - ", "a", "inf"])
+def test_dump_rejects_a_delimiter_it_cannot_read_back(tmp_path, delim):
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match="delimiter"):
+        dump_delimited(gen_gmm(5, 2, 1, seed=0), path, delimiter=delim)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("delim", [" ", "\t"])
+def test_whitespace_delimiters_read_back(tmp_path, delim):
+    ds = gen_gmm(40, 3, 2, seed=4)
+    path = tmp_path / "data.txt"
+    dump_delimited(ds, path, delimiter=delim)
+    back = load_delimited(path, delimiter=delim)
+    assert _bits(back.points.points) == _bits(ds.points.points)
+    assert _bits(back.ground_truth.points) == _bits(ds.ground_truth.points)
 
 
 def test_ground_truth_cost_computed_on_first_read(tmp_path, monkeypatch):
@@ -423,7 +509,7 @@ def _expected_message(ref_error, path, delimiter):
     with open(path) as f:
         lines = [line.strip() for line in f]
     data_lines = [i for i, s in enumerate(lines, 1) if s and not s.startswith("#")]
-    truth = [(i, s[1:].strip().split(":", 1)[1].split(delimiter))
+    truth = [(i, s[1:].strip().split(":", 1)[1].strip().split(delimiter))
              for i, s in enumerate(lines, 1)
              if s.startswith("#") and s[1:].strip().startswith("ground-truth:")]
     m = re.fullmatch(re.escape(str(path)) + r": (NaN or inf|nonpositive weight) in data row (\d+)",
@@ -760,12 +846,13 @@ def test_spans_only_in_encodings_that_cut_at_newline_bytes(tmp_path, monkeypatch
     path = tmp_path / "text.csv"
     path.write_text("1,2\n" * 100, encoding="utf-16")
     _force_spans(monkeypatch, 3)
+    size = path.stat().st_size
     for encoding, count in (("utf-8", 3), ("latin-1", 3), ("utf-16", 1)):
         with open(path, encoding=encoding) as f:
-            assert data._span_count(f) == count
+            assert data._parts(f, size, data._SPAN_MIN) == count
     monkeypatch.setattr(data, "_cpus", lambda: 1)
     with open(path) as f:
-        assert data._span_count(f) == 1
+        assert data._parts(f, size, data._SPAN_MIN) == 1
 
 
 def _whole_file_message(path):

@@ -98,6 +98,19 @@ def test_same_seed_reproduces_bit_exactly():
     np.testing.assert_array_equal(a.dist, b.dist)
 
 
+def test_unit_weights_trace_as_any_equal_weights():
+    # Unit weights skip the w·dist multiply. Doubling every weight doubles
+    # each mass, prefix sum and draw exactly, so that trace, which multiplies,
+    # draws the same rows at twice the costs, bit for bit.
+    X = gen_gmm(3000, 4, 5, seed=8).points.points
+    for space in (SP2, MetricSpace.euclidean(1.0)):
+        unit = run_trace(space, X, None, 12, seed=4)
+        double = run_trace(space, X, np.full(len(X), 2.0), 12, seed=4)
+        np.testing.assert_array_equal(unit.centroid_indices, double.centroid_indices)
+        assert (2.0 * unit.prefix_costs).tobytes() == double.prefix_costs.tobytes()
+        assert unit.dist.tobytes() == double.dist.tobytes()
+
+
 def test_truncates_when_distinct_points_run_out():
     X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
     tr = run_trace(SP2, X, None, 5, seed=0)
