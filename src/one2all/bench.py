@@ -18,6 +18,7 @@ import numpy as np
 from .core import MetricSpace
 from .data import LabeledDataset, gen_gmm
 from .kmeanspp import run_trace
+from .probabilities import check_eps
 from .sampling import draw, estimate_cost
 from .wrapper import run as wrapper_run
 
@@ -33,8 +34,9 @@ def worst_case_size(n: int, d: int, k: int, eps: float) -> float:
     (natural logs; the constant is itself an underestimate, which only makes
     the reported gains conservative).
     """
-    if min(n, d, k) < 1 or not eps > 0:
-        raise ValueError("n, d, k must be >= 1 and eps > 0")
+    if min(n, d, k) < 1:
+        raise ValueError("n, d, k must be >= 1")
+    check_eps(eps)
     structural = min(log(max(k, 2)) * log(n), min(n, d / eps))
     return float(min(n, 3000.0 * k * eps**-2 * structural))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import bench, data, oracle
@@ -38,6 +39,8 @@ def _checked(kind, name, ok, what):
             v = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number")
+        if abs(v) == math.inf:
+            raise argparse.ArgumentTypeError(f"{name} must be finite")
         if not ok(v):
             raise argparse.ArgumentTypeError(f"{name} must be {what}")
         return v

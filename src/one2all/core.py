@@ -83,8 +83,8 @@ class MetricSpace:
         """Every space is checked here, however it was built, except for the
         relaxed triangle inequality (`from_matrix` samples it)."""
         if self.kind == "euclidean":
-            if not self.power > 0:
-                raise ValueError("power must be positive")
+            if not 0 < self.power < np.inf:
+                raise ValueError("power must be positive and finite")
         elif self.kind == "matrix":
             m = np.asarray(self.matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -113,8 +113,8 @@ class MetricSpace:
         The rho-relaxed triangle inequality is validated on 1000 triples
         drawn with seed 0 (exhaustive validation is O(n^3)).
         """
-        if not rho >= 1.0:
-            raise ValueError("rho must be >= 1")
+        if not 1.0 <= rho < np.inf:
+            raise ValueError("rho must be >= 1 and finite")
         space = MetricSpace(kind="matrix", power=float("nan"), rho=float(rho), matrix=matrix)
         m = space.matrix
         n = m.shape[0]

@@ -7,9 +7,12 @@ always measured in squared Euclidean distance, the space the benchmark
 pipeline runs in, and computed only when first read.
 
 Delimited text is read and written in spans, one per usable CPU for a large
-regular file and one otherwise: every span after the first is parsed or
-formatted in a forked child, and a span whose child fails is done again in
-this process, so bytes, values and errors never depend on the cut.
+regular file and one otherwise. Every span after the first is parsed or
+formatted in a child that one helper forks (_fork): the child writes its
+result to an anonymous file, and its exit status says whether the result is
+whole (_join). A span whose file cannot be made, whose child cannot be forked
+or whose child fails is done again in this process, so bytes, values and
+errors never depend on the cut.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ def gen_gmm(n: int, d: int, k: int, seed: int, spacing: float = 10.0) -> Labeled
     across components with the remainder going to the first ones. The means
     are the ground truth.
     """
-    if not (n >= k >= 1 and d >= 1):
-        raise ValueError("need n >= k >= 1 and d >= 1")
+    if not (n >= k >= 1 and d >= 1 and 0 < spacing < np.inf):
+        raise ValueError("need n >= k >= 1, d >= 1 and a finite spacing > 0")
     means = np.zeros((k, d))
     means[:, 0] = spacing * np.arange(k)
     root = np.random.SeedSequence(seed)
@@ -156,14 +159,19 @@ def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> 
         n = pts.shape[0]
         parts = _parts(f, n * (pts.shape[1] + (w is not None)), _DUMP_MIN)
         spans = [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+        tmpdir = os.path.dirname(os.path.abspath(path))
         children: list = [None]  # (pid, file) per span while it runs; the first is written here
         try:
             for span in spans[1:]:
-                children.append(_fork_rows(f, path, pts, w, span, delimiter))
+                children.append(_fork(tmpdir, _write_span, f, pts, w, span, delimiter))
             for i, span in enumerate(spans):
-                child, children[i] = children[i], None
-                if not _append(f, child):
+                out = _join(children, i)
+                if out is None:
                     _write_rows(f, pts, w, span, delimiter)
+                    continue
+                with out:
+                    f.flush()
+                    shutil.copyfileobj(out, f.buffer, 1 << 20)
         finally:
             _stop(children)
 
@@ -180,49 +188,12 @@ def _write_rows(f, pts: np.ndarray, w: np.ndarray | None, span, delimiter: str) 
         f.write("".join([delimiter.join(map(repr, row)) + "\n" for row in block.tolist()]))
 
 
-def _fork_rows(f, path, pts: np.ndarray, w: np.ndarray | None, span, delimiter: str):
-    """A forked child that writes the span's rows, encoded as f encodes them,
-    to an anonymous file in path's directory: (pid, file), or None if no file
-    or child could be made."""
-    try:
-        tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-    except OSError:
-        return None
-    try:
-        # Safe for the reasons _fork gives: the child formats and writes text
-        # only, makes no BLAS call, starts no thread and leaves by os._exit,
-        # so the parent's unflushed buffers are never written twice.
-        pid = os.fork()
-    except OSError:
-        tmp.close()
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            with open(tmp.fileno(), "w", encoding=f.encoding, errors=f.errors,
-                      closefd=False) as out:
-                _write_rows(out, pts, w, span, delimiter)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, tmp
-
-
-def _append(f, child) -> bool:
-    """Append a child's file to f once the child has exited, then close it.
-    False if there is no child, or it exited nonzero or died."""
-    if child is None:
-        return False
-    pid, tmp = child
-    try:
-        if os.waitpid(pid, 0)[1] != 0:
-            return False
-        f.flush()
-        tmp.seek(0)
-        shutil.copyfileobj(tmp, f.buffer, 1 << 20)
-        return True
-    finally:
-        tmp.close()
+def _write_span(out, f, *args) -> None:
+    """In a child: _write_rows(*args) to the binary file out, encoded as the
+    text file f encodes."""
+    text = io.TextIOWrapper(out, f.encoding, f.errors)
+    _write_rows(text, *args)
+    text.detach()  # flushes into out and leaves it open
 
 
 def load_delimited(
@@ -491,13 +462,14 @@ def _read_in_spans(path, spans, delimiter: str, weight_column: int | None) -> _R
     On an error the children left are killed.
     """
     rows = _Rows(weight_column, spans[-1][2] + spans[-1][3] + 1)
-    children: list = [None]  # (pid, pipe) per span while it runs; the first is read here
+    children: list = [None]  # (pid, file) per span while it runs; the first is read here
     try:
         for span in spans[1:]:
-            children.append(_fork(path, span, delimiter, weight_column, children))
+            # the default temporary directory: path's may be read-only
+            children.append(_fork(None, _send_span, path, span, delimiter, weight_column))
         for i, span in enumerate(spans):
-            child, children[i] = children[i], None
-            if not _collect(child, rows):
+            out = _join(children, i)
+            if out is None or not _merge(out, rows):
                 with _open_span(path, span) as f:
                     _read_rows(f, path, delimiter, rows, span[2])
     finally:
@@ -505,105 +477,89 @@ def _read_in_spans(path, spans, delimiter: str, weight_column: int | None) -> _R
     return rows
 
 
-def _fork(path, span, delimiter: str, weight_column: int | None, children: list):
-    """A forked child that reads span and sends it up a pipe: (pid, pipe), or
-    None if no pipe or child could be made."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        # Safe although numpy's BLAS may have started threads, which a fork
-        # does not copy: the child makes no BLAS call and starts no thread. It
-        # only decodes and parses text and writes to its pipe, and it leaves
-        # by os._exit, so it never returns into the caller, flushes stdio or
-        # runs atexit.
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        try:
-            os.close(r)
-            for child in children:  # the earlier children's pipes end in the parent only
-                if child:
-                    os.close(child[1].fileno())
-            with os.fdopen(w, "wb") as pipe:
-                _send_span(pipe, path, span, delimiter, weight_column)
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
-def _send_span(pipe, path, span, delimiter: str, weight_column: int | None) -> None:
-    """In a child: read span, then send a pickled part and its rows as raw bytes.
-
-    part is None if the span did not read cleanly; a message made here would
-    lack the lines above the span, so the parent reads that span again.
-    """
+def _send_span(out, path, span, delimiter: str, weight_column: int | None) -> None:
+    """In a child: read span, then write a pickled part and its rows as raw
+    bytes to out. A span that does not read cleanly raises: a message made
+    here would lack the lines above the span, so the parent reads it again."""
     rows = _Rows(weight_column, span[3] + 1)
-    part = None
-    try:
-        with _open_span(path, span) as f:
-            _read_rows(f, path, delimiter, rows, span[2])
-        d = 0 if rows.out is None else rows.out.shape[1]
-        part = (rows.n, d, rows.skipped, rows.gt_rows, rows.gt_lines, rows.weight_column)
-    except (DataFormatError, UnicodeDecodeError):
-        pass
-    pickle.dump(part, pipe)
-    if part and rows.n:
-        pipe.write(rows.out[: rows.n])
+    with _open_span(path, span) as f:
+        _read_rows(f, path, delimiter, rows, span[2])
+    d = 0 if rows.out is None else rows.out.shape[1]
+    pickle.dump((rows.n, d, rows.skipped, rows.gt_rows, rows.gt_lines, rows.weight_column), out)
+    if rows.n:
+        out.write(rows.out[: rows.n])
 
 
-def _collect(child, rows: _Rows) -> bool:
-    """Merge a child's span into rows, then reap it. False if there is no
-    child, or it sent no part, died before it sent all, or its rows have
-    another column count than rows."""
-    if child is None:
-        return False
-    pipe = child[1]
-    try:
-        try:
-            part = pickle.load(pipe)  # bytes that this module's child wrote
-        except (EOFError, pickle.UnpicklingError):  # it died before it sent them all
-            return False
-        if part is None:
-            return False
-        n, d, skipped, gt_rows, gt_lines, weight_column = part
+def _merge(out, rows: _Rows) -> bool:
+    """Merge the part a child wrote to out into rows, then close out. False if
+    its rows have another column count than rows."""
+    with out:
+        n, d, skipped, gt_rows, gt_lines, weight_column = pickle.load(out)  # this module's bytes
         if n:
             if rows.out is not None and rows.out.shape[1] != d:
                 return False
-            buf = memoryview(rows.room(n, d)).cast("B")
-            if pipe.readinto(buf) < len(buf):
-                return False
+            out.readinto(memoryview(rows.room(n, d)).cast("B"))
             rows.n += n
-        rows.skipped += skipped
-        rows.gt_rows += gt_rows
-        rows.gt_lines += gt_lines
-        if rows.weight_column is None:
-            rows.weight_column = weight_column
-        return True
-    finally:
-        _reap(child)
+    rows.skipped += skipped
+    rows.gt_rows += gt_rows
+    rows.gt_lines += gt_lines
+    if rows.weight_column is None:
+        rows.weight_column = weight_column
+    return True
+
+
+def _fork(tmpdir, job, *args):
+    """Run job(out, *args) in a forked child, where out is an anonymous file
+    in tmpdir (None: the default temporary directory): (pid, out), or None if
+    no file or child could be made. The child exits 0 once its job has
+    finished and out is flushed, and 1 on any other end.
+
+    Safe although numpy's BLAS may have started threads, which a fork does
+    not copy: a job makes no BLAS call and starts no thread. It only parses
+    or formats text and writes to out, and the child leaves by os._exit, so
+    it never returns into the caller, flushes the parent's buffers twice or
+    runs atexit.
+    """
+    try:
+        out = tempfile.TemporaryFile(dir=tmpdir)
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        out.close()
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            job(out, *args)
+            out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, out
+
+
+def _join(children: list, i: int):
+    """Take child i off the list and wait for it: its file, rewound, if it
+    exited 0, else None (with the file closed). None if there is no child."""
+    child, children[i] = children[i], None
+    if child is None:
+        return None
+    pid, out = child
+    if os.waitpid(pid, 0)[1] != 0:
+        out.close()
+        return None
+    out.seek(0)
+    return out
 
 
 def _stop(children: list) -> None:
-    """Kill and reap the children still listed: (pid, pipe or file) each."""
-    for i, child in enumerate(children):
-        if child:
-            children[i] = None
-            os.kill(child[0], signal.SIGKILL)
-            _reap(child)
-
-
-def _reap(child) -> None:
-    """Close the child's pipe or file, which ends a write it is blocked in on
-    a pipe, and wait for it."""
-    pid, pipe = child
-    pipe.close()
-    os.waitpid(pid, 0)
+    """Kill, close and reap the children still listed."""
+    for child in filter(None, children):
+        os.kill(child[0], signal.SIGKILL)
+        child[1].close()
+        os.waitpid(child[0], 0)
 
 
 def _file_line(skipped: list[int], row: int) -> int:

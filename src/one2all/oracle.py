@@ -21,7 +21,7 @@ import numpy as np
 from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import run_trace
-from .probabilities import sample_probs, sweet_spot
+from .probabilities import check_eps, sample_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
 _FORMAT_VERSION = 3  # 3: only what query, feedback and load read
@@ -48,8 +48,8 @@ class OracleState:
 
 def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int) -> OracleState:
     """Fixed-threshold oracle: reliable for queries with cost >= C."""
-    if not C > 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError("C must be positive and finite")
     return _build(space, X, w, ell, C, eps, seed)
 
 
@@ -67,8 +67,7 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
     A zero C (no residual cost) keeps every point: queries are exact. The
     trace stops at its first zero cost, so that prefix is the whole trace.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
     trace_seed, sample_seed = (

@@ -62,6 +62,17 @@ def probs_from_assignment(
     return One2AllProbabilities(pi=pi, M=M, cost_m=cost_m, dropped_empty_cells=dropped)
 
 
+# The smallest eps taken: eps**-2, the scale of every sampling probability,
+# is then 2**1022, and it overflows a float64 at eps = 2**-512.
+_EPS_MIN = 2.0**-511
+
+
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless 2**-511 <= eps < inf (NaN included)."""
+    if not _EPS_MIN <= eps < np.inf:
+        raise ValueError(f"eps must be finite and at least 2**-511, not {eps!r}")
+
+
 def sample_probs(pi: np.ndarray, alpha: float, eps: float) -> np.ndarray:
     """Sampling probabilities min{1, alpha eps^-2 pi} at scale alpha."""
     p = alpha * eps**-2 * pi
@@ -103,8 +114,9 @@ def sweet_spot(
         return i_star, probs_from_assignment(w, owner, dist, rho, trace.prefix(i_star), v_i)
     if mode != "exact":
         raise ValueError(f"unknown sweet-spot mode {mode!r}")
-    if C is None or not C > 0 or eps is None or not eps > 0:
-        raise ValueError("exact mode needs C > 0 and eps > 0")
+    if C is None or not 0 < C < np.inf or eps is None:
+        raise ValueError("exact mode needs a finite C > 0 and eps")
+    check_eps(eps)
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
         cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i)

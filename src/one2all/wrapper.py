@@ -36,7 +36,7 @@ import numpy as np
 from .core import CentroidSet, MetricSpace, as_points, as_weights, cost
 from .kmeanspp import run_trace
 from .lloyd import base_cluster
-from .probabilities import sample_probs, sweet_spot
+from .probabilities import check_eps, sample_probs, sweet_spot
 from .sampling import draw, estimate_cost
 
 
@@ -79,8 +79,7 @@ def run(
     clusters calls it once, on the round's sample, with k and a seed derived
     from `seed`.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     X = as_points(X)

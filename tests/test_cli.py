@@ -243,6 +243,29 @@ def test_cluster_negative_lloyd_iters_is_usage_error(tmp_path, capsys):
                  "--eps", "0.3", "--lloyd-iters", "0"]) == 2  # 0 parses; the file is missing
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--in", "x.csv", "--k", "2", "--eps", "inf"],
+    ["oracle-build", "--in", "x.csv", "--k", "2", "--eps", "Infinity", "--out", "o.npz"],
+    ["oracle-build", "--in", "x.csv", "--ell", "2", "--threshold", "inf", "--eps", "0.3",
+     "--out", "o.npz"],
+    ["gen", "--n", "10", "--d", "2", "--k", "2", "--delta-spacing", "inf", "--out", "x.csv"],
+    ["bench", "--n", "10", "--d", "2", "--k", "2", "--eps", "inf"],
+], ids=["cluster-eps", "oracle-build-eps", "oracle-build-threshold", "gen-spacing", "bench-eps"])
+def test_infinite_parameters_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # refused while parsing: no file is read or written
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cluster_with_an_eps_too_small_to_square_prints_no_traceback(tmp_path):
+    path = _gen(tmp_path, n=100, d=2, k=2, seed=4)
+    proc = _one2all_process("cluster", "--in", path, "--k", "2", "--eps", "1e-300")
+    assert proc.returncode != 0
+    assert b"Traceback" not in proc.stderr and b"2**-511" in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_oracle_query_dimension_mismatch(tmp_path, capsys):
     path = _gen(tmp_path, n=100, d=3, k=2, seed=6)
     oracle_path = tmp_path / "o.npz"

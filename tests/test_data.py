@@ -966,6 +966,82 @@ def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
     _no_child_left()
 
 
+def _dump_and_load_cases(tmp_path):
+    """Dump every _dump_cases dataset and load it back: each dump must equal
+    the reference writer's bytes, and each load the dataset's bits."""
+    for name, dataset, delim in _dump_cases():
+        path = tmp_path / f"{name}.csv"
+        dump_delimited(dataset, path, delimiter=delim)
+        reference_dump_delimited(dataset, tmp_path / "ref.csv", delimiter=delim)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        got = load_delimited(path, delimiter=delim)
+        assert _bits(got.points.points) == _bits(dataset.points.points)
+        assert _bits(got.points.weights) == _bits(dataset.points.weights)
+        yield dataset
+
+
+@pytest.mark.parametrize("spans", SPANS)
+def test_children_spans_are_used_not_done_again(tmp_path, monkeypatch, spans):
+    # A span whose child fails is done again here with the same bytes and
+    # values, only slower: so this process must read and write span 0 alone.
+    parent, calls = os.getpid(), []
+    real_read_rows, real_write_rows = data._read_rows, data._write_rows
+
+    def read_rows(f, path, delimiter, rows, base):
+        if os.getpid() == parent:
+            calls.append(("read", base))
+        real_read_rows(f, path, delimiter, rows, base)
+
+    def write_rows(f, pts, w, span, delimiter):
+        if os.getpid() == parent:
+            calls.append(("write", span))
+        real_write_rows(f, pts, w, span, delimiter)
+
+    monkeypatch.setattr(data, "_read_rows", read_rows)
+    monkeypatch.setattr(data, "_write_rows", write_rows)
+    _force_spans(monkeypatch, spans)
+    _force_dump_spans(monkeypatch, spans)
+    for dataset in _dump_and_load_cases(tmp_path):
+        assert calls == [("write", (0, dataset.n // spans)), ("read", 0)]
+        calls.clear()
+    _no_child_left()
+
+
+def _no_temporary_file(*args, **kwargs):
+    raise OSError("no space left on device")
+
+
+def test_spans_are_done_here_when_no_temporary_file_can_be_made(tmp_path, monkeypatch):
+    monkeypatch.setattr(data.tempfile, "TemporaryFile", _no_temporary_file)
+    monkeypatch.setattr(data.os, "fork", lambda: pytest.fail("forked without a file"))
+    _force_spans(monkeypatch, 3)
+    _force_dump_spans(monkeypatch, 3)
+    assert len(list(_dump_and_load_cases(tmp_path))) == 4
+    _no_child_left()
+
+
+def test_loads_leave_nothing_in_the_temporary_directory(tmp_path, monkeypatch):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(data.tempfile, "tempdir", str(tmp))
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("1,2\n" * 300)
+    bad.write_text("1,2\n" * 300 + "1,x\n")
+    _force_spans(monkeypatch, 3)
+    assert load_delimited(good).n == 300
+    with pytest.raises(DataFormatError, match="row 301: could not convert"):
+        load_delimited(bad)
+    assert os.listdir(tmp) == []
+
+    def send_span(out, *args):  # a child killed before it has written anything
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(data, "_send_span", send_span)
+    assert load_delimited(good).n == 300
+    assert os.listdir(tmp) == []
+    _no_child_left()
+
+
 # fuzz: truncated and corrupted native dumps -----------------------------------
 
 

@@ -3,7 +3,8 @@
 Every module uses each name it imports, and `one2all.__all__` lists exactly
 the names `one2all/__init__.py` imports. The distance layer stays in one
 place: only `core` reads a space's distance matrix or names the kernels'
-block-size constants. Every public entry point refuses a NaN parameter.
+block-size constants. Only `data` forks, at one call site. Every public entry
+point refuses a NaN or infinite parameter, and an eps too small to square.
 """
 
 import ast
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import one2all
-from one2all import MetricSpace, bench, oracle
+from one2all import MetricSpace, bench, data, oracle
 
 SRC = Path(one2all.__file__).resolve().parent
 
@@ -71,24 +72,53 @@ def test_only_core_holds_distance_code():
         assert not BLOCK_SIZES & (names | attrs), f"{name} names a kernel block size"
 
 
+def test_os_fork_is_called_in_one_place():
+    # one fork, hand-back and failure protocol for every child process
+    sites = [(name, node.lineno) for name in MODULES for node in ast.walk(_parse(name))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "fork" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "os"]
+    assert len(sites) == 1 and sites[0][0] == "data.py", sites
+
+
 _X = np.random.default_rng(0).normal(size=(40, 2))
 _SP2 = MetricSpace.euclidean(2.0)
-_NAN = float("nan")
-NAN_PARAMETERS = {  # NaN fails every comparison, so each check must be one it fails
-    "cluster_adaptive eps": lambda: one2all.cluster_adaptive(_SP2, _X, None, 2, _NAN),
-    "draw probabilities": lambda: one2all.draw(_X, None, np.full(40, _NAN), 0),
-    "worst_case_size eps": lambda: bench.worst_case_size(1000, 2, 2, _NAN),
-    "build C": lambda: oracle.build(_SP2, _X, None, ell=3, C=_NAN, eps=0.3, seed=0),
-    "build_feedback eps": lambda: oracle.build_feedback(_SP2, _X, None, k=2, eps=_NAN, seed=0),
-    "from_matrix rho": lambda: MetricSpace.from_matrix(np.zeros((2, 2)), rho=_NAN),
-    "sweet_spot C": lambda: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0), "exact",
-                                               C=_NAN, eps=0.3),
-    "sweet_spot eps": lambda: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0),
-                                                 "exact", C=1.0, eps=_NAN),
+NAN_PARAMETERS = {  # each entry point with one parameter set to x
+    "cluster_adaptive eps": lambda x: one2all.cluster_adaptive(_SP2, _X, None, 2, x),
+    "draw probabilities": lambda x: one2all.draw(_X, None, np.full(40, x), 0),
+    "worst_case_size eps": lambda x: bench.worst_case_size(1000, 2, 2, x),
+    "build C": lambda x: oracle.build(_SP2, _X, None, ell=3, C=x, eps=0.3, seed=0),
+    "build_feedback eps": lambda x: oracle.build_feedback(_SP2, _X, None, k=2, eps=x, seed=0),
+    "from_matrix rho": lambda x: MetricSpace.from_matrix(np.zeros((2, 2)), rho=x),
+    "euclidean power": lambda x: MetricSpace.euclidean(x),
+    "sweet_spot C": lambda x: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0),
+                                                 "exact", C=x, eps=0.3),
+    "sweet_spot eps": lambda x: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0),
+                                                   "exact", C=1.0, eps=x),
+    "gen_gmm spacing": lambda x: data.gen_gmm(10, 2, 2, seed=0, spacing=x),
 }
 
 
 @pytest.mark.parametrize("call", sorted(NAN_PARAMETERS))
 def test_nan_parameters_are_refused(call):
+    # NaN fails every comparison, so each check must be one it fails
     with pytest.raises(ValueError):
-        NAN_PARAMETERS[call]()
+        NAN_PARAMETERS[call](float("nan"))
+
+
+# inf for every parameter; and an eps whose eps**-2, the scale of every
+# sampling probability, overflows a float64
+BAD_PARAMETERS = [(call, np.inf) for call in sorted(NAN_PARAMETERS)]
+BAD_PARAMETERS += [(call, 1e-300) for call in sorted(NAN_PARAMETERS) if call.endswith("eps")]
+
+
+@pytest.mark.parametrize("call, x", BAD_PARAMETERS)
+def test_infinite_and_overflowing_parameters_are_refused(call, x):
+    with pytest.raises(ValueError):
+        NAN_PARAMETERS[call](x)
+
+
+def test_the_smallest_eps_is_taken():
+    assert bench.worst_case_size(1000, 2, 2, 2.0**-511) == 1000
+    with pytest.raises(ValueError, match="2\\*\\*-511"):
+        bench.worst_case_size(1000, 2, 2, 2.0**-512)
