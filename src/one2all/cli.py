@@ -8,7 +8,6 @@ timings go to stderr only.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -16,7 +15,6 @@ import sys
 from . import bench, data, oracle
 from .core import MetricSpace
 from .errors import DataFormatError
-from .lloyd import base_cluster
 from .wrapper import run as wrapper_run
 
 _SPACE = MetricSpace.euclidean(2.0)
@@ -52,10 +50,6 @@ def _positive(kind, name):
     return _checked(kind, name, lambda v: v > 0, "positive")
 
 
-def _nonnegative(kind, name):
-    return _checked(kind, name, lambda v: v >= 0, "nonnegative")
-
-
 def _delimiter(write):
     def convert(text):
         try:
@@ -67,9 +61,11 @@ def _delimiter(write):
     return convert
 
 
-def _add_common(p, write=False):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delimiter", type=_delimiter(write), default=",")
+def _add_common(p, seed=True, delimiter=True, write=False):
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if delimiter:
+        p.add_argument("--delimiter", type=_delimiter(write), default=",")
 
 
 def build_parser() -> _Parser:
@@ -88,12 +84,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-build", help="build and serialize a cost oracle")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--k", type=_positive(int, "--k"),
-                   help="feedback-style build: ell=2k, threshold=v_2k")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=_positive(int, "--k"),
+                      help="feedback-style build: ell=2k, threshold=v_2k")
+    mode.add_argument("--threshold", type=_positive(float, "--threshold"),
+                      help="supported cost threshold C (requires --ell)")
     p.add_argument("--ell", type=_positive(int, "--ell"),
                    help="trace length for a fixed-threshold build")
-    p.add_argument("--threshold", type=_positive(float, "--threshold"),
-                   help="supported cost threshold C (requires --ell)")
     p.add_argument("--eps", type=_positive(float, "--eps"), required=True)
     p.add_argument("--weight-column", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -107,16 +104,14 @@ def build_parser() -> _Parser:
     p.add_argument("--feedback", action="store_true",
                    help="grow the oracle on low-cost queries (needs --data)")
     p.add_argument("--data", help="original dataset, required for --feedback")
-    p.add_argument("--weight-column", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--weight-column", type=int, default=None, help="weights of --data")
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_oracle_query)
 
     p = sub.add_parser("cluster", help="cluster a dataset via adaptive sampling")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--k", type=_positive(int, "--k"), required=True)
     p.add_argument("--eps", type=_positive(float, "--eps"), required=True)
-    p.add_argument("--lloyd-iters", type=_nonnegative(int, "--lloyd-iters"), default=20)
-    p.add_argument("--max-rounds", type=_positive(int, "--max-rounds"), default=40)
     p.add_argument("--weight-column", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
@@ -129,13 +124,13 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=_positive(float, "--eps"), action="append")
     p.add_argument("--reps", type=_positive(int, "--reps"), default=1)
     p.add_argument("--out", help="write one JSON report per line here")
-    _add_common(p)
+    _add_common(p, delimiter=False)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("figdata", help="emit per-prefix cost/overhead plot data")
     p.add_argument("--in", dest="inp", help="dataset file (default: generate)")
-    p.add_argument("--n", type=_positive(int, "--n"), default=100_000)
-    p.add_argument("--d", type=_positive(int, "--d"), default=10)
+    p.add_argument("--n", type=_positive(int, "--n"), help="generated rows (default 100000)")
+    p.add_argument("--d", type=_positive(int, "--d"), help="generated columns (default 10)")
     p.add_argument("--k", type=_positive(int, "--k"), required=True)
     p.add_argument("--ell", type=_positive(int, "--ell"), default=None)
     p.add_argument("--weight-column", type=int, default=None)
@@ -160,18 +155,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle_build(args) -> int:
+    if (args.ell is None) != (args.threshold is None):
+        raise _UsageError("--ell and --threshold go together, without --k")
     ds = _load(args, args.inp)
     X, w = ds.points.points, ds.points.weights
-    if args.threshold is not None:
-        if args.ell is None:
-            raise _UsageError("--threshold requires --ell")
+    if args.k is None:
         state = oracle.build(_SPACE, X, w, ell=args.ell, C=args.threshold,
                              eps=args.eps, seed=args.seed)
-    elif args.k is not None:
+    else:
         state = oracle.build_feedback(_SPACE, X, w, k=args.k, eps=args.eps,
                                       seed=args.seed)
-    else:
-        raise _UsageError("need either --k (feedback build) or --ell with --threshold")
     oracle.save(state, args.out)
     print(json.dumps({
         "out": args.out, "n": int(state.sample.p.shape[0]), "sample_size": state.size,
@@ -183,6 +176,8 @@ def cmd_oracle_build(args) -> int:
 def cmd_oracle_query(args) -> int:
     if args.feedback and not args.data:
         raise _UsageError("--feedback requires --data (exact costs need the dataset)")
+    if args.weight_column is not None and not args.data:
+        raise _UsageError("--weight-column requires --data (it is a column of the dataset)")
     if args.data:
         ds = _load(args, args.data)
         state = oracle.load(args.oracle, points=ds.points.points,
@@ -210,9 +205,7 @@ def cmd_oracle_query(args) -> int:
 def cmd_cluster(args) -> int:
     ds = _load(args, args.inp)
     X, w = ds.points.points, ds.points.weights
-    base = functools.partial(base_cluster, lloyd_iters=args.lloyd_iters)
-    Q, rep = wrapper_run(_SPACE, X, w, args.k, args.eps, base=base,
-                         seed=args.seed, max_rounds=args.max_rounds)
+    Q, rep = wrapper_run(_SPACE, X, w, args.k, args.eps, seed=args.seed)
     for q in Q.points:
         print(args.delimiter.join(repr(float(v)) for v in q))
     print(json.dumps({
@@ -252,9 +245,13 @@ def cmd_bench(args) -> int:
 
 def cmd_figdata(args) -> int:
     if args.inp:
+        if args.n is not None or args.d is not None:
+            raise _UsageError("--n and --d size generated data, so they do not go with --in")
         ds = _load(args, args.inp)
     else:
-        ds = data.gen_gmm(args.n, args.d, args.k, seed=args.seed)
+        if args.weight_column is not None:
+            raise _UsageError("--weight-column requires --in (generated data has no columns)")
+        ds = data.gen_gmm(args.n or 100_000, args.d or 10, args.k, seed=args.seed)
     table = bench.fig2_data(ds, args.k, seed=args.seed, ell=args.ell)
     paths = []
     for suffix, column in (("cost", "cost_ratio"), ("overhead", "overhead")):

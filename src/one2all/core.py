@@ -75,17 +75,29 @@ class MetricSpace:
     """A relaxed metric: symmetric, d(x,x)=0, and d(x,y) <= rho*(d(x,z)+d(z,y))."""
 
     kind: str  # "euclidean" or "matrix"
-    power: float = 2.0
-    rho: float = 2.0
+    power: float | None = None  # Euclidean: 2 unless given; matrix: NaN
+    rho: float | None = None  # Euclidean: 2^(power-1), or 1 for power <= 1; matrix: 1 unless given
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        """Every space is checked here, however it was built, except for the
-        relaxed triangle inequality (`from_matrix` samples it)."""
+        """Every space is checked here, however it was built. A matrix is
+        checked against the relaxed triangle inequality on 1000 triples drawn
+        with seed 0 (exhaustive validation is O(n^3))."""
         if self.kind == "euclidean":
-            if not 0 < self.power < np.inf:
-                raise ValueError("power must be positive and finite")
+            power = 2.0 if self.power is None else float(self.power)
+            if not 0 < power < 1025:  # 2^(p-1) overflows a float64 from p = 1025 on
+                raise ValueError(f"power must be positive and below 1025, not {power!r}")
+            rho = 1.0 if power <= 1.0 else 2.0 ** (power - 1.0)
+            if self.rho is not None and self.rho != rho:
+                raise ValueError(f"power {power!r} gives rho {rho!r}, not {self.rho!r}")
+            if self.matrix is not None:
+                raise ValueError("a Euclidean space takes no distance matrix")
         elif self.kind == "matrix":
+            if self.power is not None and not np.isnan(self.power):
+                raise ValueError("a matrix space takes no power")
+            power, rho = float("nan"), 1.0 if self.rho is None else float(self.rho)
+            if not 1.0 <= rho < np.inf:
+                raise ValueError("rho must be >= 1 and finite")
             m = np.asarray(self.matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("distance matrix must be square")
@@ -96,35 +108,25 @@ class MetricSpace:
                 raise ValueError("distance matrix must have zero diagonal")
             if not np.array_equal(m, m.T):
                 raise ValueError("distance matrix must be symmetric")
+            if m.shape[0] >= 3:
+                x, y, z = np.random.default_rng(0).integers(0, m.shape[0], size=(1000, 3)).T
+                if np.any(m[x, y] > rho * (m[x, z] + m[z, y]) * (1.0 + 1e-9)):
+                    raise ValueError(f"matrix violates the rho={rho} relaxed triangle inequality")
             object.__setattr__(self, "matrix", m)
         else:
             raise ValueError(f"space kind must be 'euclidean' or 'matrix', not {self.kind!r}")
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "rho", rho)
 
     @staticmethod
     def euclidean(power: float = 2.0) -> "MetricSpace":
         """Powered Euclidean distance ||x-y||^power; power=2 is squared Euclidean."""
-        rho = 1.0 if power <= 1.0 else 2.0 ** (power - 1.0)
-        return MetricSpace(kind="euclidean", power=float(power), rho=rho)
+        return MetricSpace("euclidean", power)
 
     @staticmethod
     def from_matrix(matrix: np.ndarray, rho: float = 1.0) -> "MetricSpace":
-        """Distance matrix space; points are row/column indices.
-
-        The rho-relaxed triangle inequality is validated on 1000 triples
-        drawn with seed 0 (exhaustive validation is O(n^3)).
-        """
-        if not 1.0 <= rho < np.inf:
-            raise ValueError("rho must be >= 1 and finite")
-        space = MetricSpace(kind="matrix", power=float("nan"), rho=float(rho), matrix=matrix)
-        m = space.matrix
-        n = m.shape[0]
-        if n >= 3:
-            idx = np.random.default_rng(0).integers(0, n, size=(1000, 3))
-            dxy = m[idx[:, 0], idx[:, 1]]
-            via = m[idx[:, 0], idx[:, 2]] + m[idx[:, 2], idx[:, 1]]
-            if np.any(dxy > rho * via * (1.0 + 1e-9)):
-                raise ValueError(f"matrix violates the rho={rho} relaxed triangle inequality")
-        return space
+        """Distance matrix space; points are row/column indices."""
+        return MetricSpace("matrix", rho=rho, matrix=matrix)
 
 
 @dataclass
@@ -181,8 +183,12 @@ def _dedup_rows(points: np.ndarray) -> np.ndarray:
 
 
 def as_points(x) -> np.ndarray:
-    """Normalize a CentroidSet / WeightedPointSet / array-like to an array."""
-    if isinstance(x, (CentroidSet, WeightedPointSet)):
+    """Normalize a CentroidSet or array-like to an array. A WeightedPointSet
+    is refused, since its weights would be dropped."""
+    if isinstance(x, WeightedPointSet):
+        raise TypeError("pass a WeightedPointSet's .points and .weights separately; "
+                        "as points alone its weights would be dropped")
+    if isinstance(x, CentroidSet):
         return x.points
     arr = np.asarray(x)
     if arr.dtype.kind in "iu" and arr.ndim == 1:

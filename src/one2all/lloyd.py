@@ -21,6 +21,8 @@ from .core import (CentroidSet, MetricSpace, _fill, _operands, _owners, _row_nor
 from .errors import UnsupportedSpaceError
 from .kmeanspp import _draw_index, run_trace
 
+_LLOYD_ITERS = 20  # most Lloyd steps base_cluster takes after the swaps
+
 
 def _require_sq_euclidean(space: MetricSpace):
     if space.kind != "euclidean" or space.power != 2.0:
@@ -112,14 +114,10 @@ def _swaps(space: MetricSpace, X: np.ndarray, w: np.ndarray, idx: np.ndarray, sw
     return idx
 
 
-def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0,
-                 lloyd_iters: int = 20) -> CentroidSet:
-    """One kmeans++ seeding, 2k LocalSearch++ swaps, then up to `lloyd_iters`
-    Lloyd steps."""
+def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0) -> CentroidSet:
+    """One kmeans++ seeding, 2k LocalSearch++ swaps, then up to `_LLOYD_ITERS` Lloyd steps."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lloyd_iters < 0:
-        raise ValueError("lloyd_iters must be >= 0")
     _require_sq_euclidean(space)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
@@ -128,7 +126,7 @@ def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0,
     idx = run_trace(space, X, w, k, trace_seed).centroid_indices
     Q = X[_swaps(space, X, w, idx, 2 * k, np.random.default_rng(swap_seed))]
     prepared = _prepare(space, X, w)
-    for _ in range(lloyd_iters):
+    for _ in range(_LLOYD_ITERS):
         Q2 = _step(space, X, w, *prepared, Q)
         if np.array_equal(Q2, Q):
             break

@@ -155,6 +155,7 @@ def save(state: OracleState, path: str) -> None:
 def load(path: str, space: MetricSpace | None = None, points=None, weights=None) -> OracleState:
     """Rebuild an oracle from disk.
 
+    A space passed must have the file's kind and, if Euclidean, its power.
     Standalone (no points): queries work off the stored member points;
     feedback is unavailable. The per-point uniforms are regenerated from
     the stored seed either way, and the stored members must be exactly the
@@ -188,6 +189,9 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
                 "oracle was built over a matrix space; pass the space explicitly"
             )
         space = MetricSpace.euclidean(float(data["power"]))
+    elif space.kind != kind or (kind == "euclidean" and space.power != float(data["power"])):
+        raise DataFormatError(f"{path}: the oracle's space (kind {kind}, power "
+                              f"{float(data['power'])!r}) is not {space!r}")
     sample = CoordinatedSample(None, None, None, data["p"], data["members"],
                                data["member_points"], data["member_weights"])
     sample_seed = int(data["sample_seed"])

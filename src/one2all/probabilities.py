@@ -99,13 +99,15 @@ def sweet_spot(
     exact mode minimizes |min{1, max{1, v_i/C} eps^-2 pi^(M_i)}|_1 over all
     prefixes (pi per prefix from the assignment `replay` reads off the
     trace's move log); rough mode minimizes the proxy score i*v_i without
-    touching pi. Ties go to the shortest prefix. Returns the 1-based winning
-    index and its pi, built from the replayed prefix assignment: no distance
-    pass beyond the moved rows'.
+    touching pi, and takes no C or eps. Ties go to the shortest prefix.
+    Returns the 1-based winning index and its pi, built from the replayed
+    prefix assignment: no distance pass beyond the moved rows'.
     """
     w = trace.weights
     rho = trace.space.rho
     if mode == "rough":
+        if C is not None or eps is not None:
+            raise ValueError("rough mode reads no C or eps")
         scores = np.arange(1, trace.ell + 1) * trace.prefix_costs
         i_star = int(np.argmin(scores)) + 1
         for i, owner, dist, v_i in replay(trace):

@@ -39,6 +39,8 @@ from .lloyd import base_cluster
 from .probabilities import check_eps, sample_probs, sweet_spot
 from .sampling import draw, estimate_cost
 
+_MAX_ROUNDS = 40  # rounds before an uncertified run gives up
+
 
 @dataclass
 class WrapperReport:
@@ -52,7 +54,6 @@ class WrapperReport:
     seed_cost: float  # cost of the first-k kmeans++ prefix
     sweet_spot_index: int
     cost_m: float  # v at the sweet-spot prefix
-    eps: float
     sample_seed: int
     final_p: np.ndarray = field(repr=False)
     log: list = field(default_factory=list, repr=False)
@@ -70,7 +71,6 @@ def run(
     eps: float,
     base=None,
     seed: int = 0,
-    max_rounds: int = 40,
 ) -> tuple[CentroidSet, WrapperReport]:
     """Cluster (X, w) into k centroids over adaptively grown samples.
 
@@ -80,8 +80,6 @@ def run(
     from `seed`.
     """
     check_eps(eps)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     X = as_points(X)
     n = X.shape[0]
     w = as_weights(w, n)
@@ -93,7 +91,7 @@ def run(
     trace_seed, sample_seed, base_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3)
     )
-    base_seeds = np.random.SeedSequence(base_seed).generate_state(max_rounds, np.uint64).tolist()
+    base_seeds = np.random.SeedSequence(base_seed).generate_state(_MAX_ROUNDS, np.uint64).tolist()
     ell = min(2 * k, n)
     trace = run_trace(space, X, w, ell, trace_seed)
     i_star, probs = sweet_spot(trace, "rough")
@@ -115,7 +113,7 @@ def run(
     rounds = 0
     retest = None  # (Q, V_Q) of a range-only rejection, to test again after growth
     sample = draw(X, w, sample_probs(probs.pi, r, eps), sample_seed)
-    for rnd in range(max_rounds):
+    for rnd in range(_MAX_ROUNDS):
         rounds = rnd + 1
         if sample.size == 0:  # all mass capped away at tiny r; force growth
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
@@ -175,7 +173,6 @@ def run(
         seed_cost=seed_cost,
         sweet_spot_index=i_star,
         cost_m=v_m,
-        eps=eps,
         sample_seed=sample_seed,
         final_p=sample.p,
         log=log,

@@ -123,7 +123,7 @@ def library_outputs() -> None:
     sp2 = MetricSpace.euclidean(2.0)
     Q, rep = cluster_adaptive(sp2, X, w, k=6, eps=0.2, seed=5)
     emit("cluster_adaptive", Q.points, repr(rep.log),
-         *(getattr(rep, f.name) for f in fields(rep) if f.name not in ("log", "k", "seed")))
+         *(getattr(rep, f.name) for f in fields(rep) if f.name not in ("log", "k", "seed", "eps")))
     emit("oracle build", *state_parts(oracle.build(sp2, X, w, ell=9, C=1e5, eps=0.25, seed=7)))
     st = oracle.build_feedback(sp2, X, w, k=6, eps=0.25, seed=8)
     emit("oracle build_feedback", *state_parts(st))

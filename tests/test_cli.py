@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, output determinism, file outputs."""
 
-import functools
 import json
 import os
 import re
@@ -115,18 +114,17 @@ def test_cluster_repeat_runs_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("seed, lloyd_iters", [(0, 20), (857383212, 3)])
-def test_cluster_prints_what_cluster_adaptive_returns(tmp_path, capsys, seed, lloyd_iters):
+@pytest.mark.parametrize("seed", [0, 857383212])
+def test_cluster_prints_what_cluster_adaptive_returns(tmp_path, capsys, seed):
     # the CLI seed reaches the base clusterer only through the wrapper's round seeds
     path = _gen(tmp_path, n=3000, d=4, k=3, seed=5)
     capsys.readouterr()
-    assert main(["cluster", "--in", str(path), "--k", "3", "--eps", "0.2", "--seed", str(seed),
-                 "--lloyd-iters", str(lloyd_iters)]) == 0
+    assert main(["cluster", "--in", str(path), "--k", "3", "--eps", "0.2",
+                 "--seed", str(seed)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     ds = load_delimited(path)
-    base = functools.partial(one2all.base_cluster, lloyd_iters=lloyd_iters)
     Q, rep = one2all.cluster_adaptive(one2all.MetricSpace.euclidean(2.0), ds.points.points,
-                                      ds.points.weights, 3, 0.2, base=base, seed=seed)
+                                      ds.points.weights, 3, 0.2, seed=seed)
     assert lines[:-1] == [",".join(repr(float(v)) for v in q) for q in Q.points]
     assert json.loads(lines[-1])["best_cost"] == rep.best_cost
 
@@ -231,16 +229,29 @@ def test_oracle_usage_errors(tmp_path, capsys):
     assert rc == 1
 
 
-def test_cluster_negative_lloyd_iters_is_usage_error(tmp_path, capsys):
-    # rejected while parsing, before the (missing) input file is read
-    rc = main(["cluster", "--in", str(tmp_path / "missing.csv"), "--k", "2",
-               "--eps", "0.3", "--lloyd-iters", "-1"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "--lloyd-iters must be nonnegative" in err
-    assert "data error" not in err
-    assert main(["cluster", "--in", str(tmp_path / "missing.csv"), "--k", "2",
-                 "--eps", "0.3", "--lloyd-iters", "0"]) == 2  # 0 parses; the file is missing
+_BUILD = ["oracle-build", "--in", "x.csv", "--eps", "0.3", "--out", "o.npz"]
+_FIGDATA = ["figdata", "--k", "2", "--out", "fig"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_BUILD, "--k", "3", "--ell", "10", "--threshold", "5"], "not allowed with"),
+    ([*_BUILD, "--k", "3", "--ell", "10"], "--ell and --threshold go together"),
+    ([*_BUILD, "--threshold", "5"], "--ell and --threshold go together"),
+    (_BUILD, "one of the arguments --k --threshold is required"),
+    ([*_FIGDATA, "--in", "x.csv", "--n", "7", "--d", "2"], "do not go with --in"),
+    ([*_FIGDATA, "--in", "x.csv", "--n", "7"], "do not go with --in"),
+    ([*_FIGDATA, "--n", "50", "--weight-column", "1"], "--weight-column requires --in"),
+    (["oracle-query", "--oracle", "o.npz", "--query", "q.csv", "--weight-column", "1"],
+     "--weight-column requires --data"),
+], ids=["oracle-build-k-and-threshold", "oracle-build-k-and-ell", "oracle-build-threshold-alone",
+        "oracle-build-no-mode", "figdata-in-n-d", "figdata-in-n", "figdata-weight-column",
+        "oracle-query-weight-column"])
+def test_a_setting_the_mode_ignores_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    # refused before any input is read or output written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,13 +434,13 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_empty_delimiter_is_usage_error_for_every_command(tmp_path, capsys):
-    # rejected while parsing, before any input file is read
+    # rejected while parsing, before any input file is read; bench reads no
+    # delimited file and takes no --delimiter
     missing = str(tmp_path / "missing.csv")
     for argv in (["gen", "--n", "5", "--d", "2", "--k", "1", "--out", missing],
                  ["cluster", "--in", missing, "--k", "2", "--eps", "0.3"],
                  ["oracle-build", "--in", missing, "--k", "2", "--eps", "0.3", "--out", missing],
                  ["oracle-query", "--oracle", missing, "--query", missing],
-                 ["bench", "--preset", "table1-small"],
                  ["figdata", "--in", missing, "--k", "2", "--out", missing]):
         assert main([*argv, "--delimiter", ""]) == 1
         assert "delimiter must not be empty" in capsys.readouterr().err

@@ -245,6 +245,44 @@ def test_directly_built_spaces_are_checked():
     np.testing.assert_array_equal(nearest(sp, np.array([0, 1]), np.array([1]))[1], [3.0, 0.0])
 
 
+def test_a_euclidean_space_derives_its_rho():
+    for power, rho in ((0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (3.0, 4.0), (1024.5, 2.0**1023.5)):
+        assert MetricSpace.euclidean(power).rho == rho
+    assert MetricSpace("euclidean", 2.0, 2.0) == MetricSpace.euclidean(2.0)
+    for rho in (0.5, 1.0, 4.0, np.nan):  # a wrong rho would scale every pi wrongly
+        with pytest.raises(ValueError, match="gives rho 2.0"):
+            MetricSpace("euclidean", 2.0, rho)
+    with pytest.raises(ValueError, match="no distance matrix"):
+        MetricSpace("euclidean", matrix=np.zeros((2, 2)))
+
+
+def test_a_matrix_space_built_directly_is_built_as_from_matrix_builds_it():
+    pts = np.array([[0.0], [1.0], [2.0]])
+    m = pairwise(MetricSpace.euclidean(2.0), pts, pts)  # relaxed, at rho = 2 only
+    with pytest.raises(ValueError, match="rho=1.0 relaxed triangle"):
+        MetricSpace.from_matrix(m)
+    with pytest.raises(ValueError, match="rho=1.0 relaxed triangle"):
+        MetricSpace(kind="matrix", matrix=m)
+    m = pairwise(MetricSpace.euclidean(1.0), pts, pts)
+    direct, built = MetricSpace(kind="matrix", matrix=m), MetricSpace.from_matrix(m)
+    assert (direct.kind, direct.rho) == (built.kind, built.rho) == ("matrix", 1.0)
+    assert np.isnan(direct.power) and np.isnan(built.power)  # NaN != NaN: compared apart
+    np.testing.assert_array_equal(direct.matrix, built.matrix)
+    with pytest.raises(ValueError, match="no power"):
+        MetricSpace("matrix", 2.0, matrix=m)
+
+
+def test_as_points_refuses_a_weighted_point_set():
+    # as plain points its weights were dropped: cost read 40.0, the weighted cost is 112.0
+    X = np.arange(6.0).reshape(3, 2)
+    ps = WeightedPointSet(X, np.array([1.0, 2.0, 3.0]))
+    assert cost(SP2, ps.points, ps.weights, X[:1]) == 112.0
+    for call in (lambda: cost(SP2, ps, None, X[:1]), lambda: CentroidSet(ps),
+                 lambda: one2all.one2all_probs(SP2, ps, None, X[:1])):
+        with pytest.raises(TypeError, match=r"\.points and \.weights"):
+            call()
+
+
 def test_matrix_space_rejects_nan_or_inf_entries():
     # NaN was reported as an asymmetry, and a single inf pair slipped past the
     # sampled triangle checks and into a certified clustering

@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_instance
 from reference import local_search_swaps, lloyd_step_add_at
 
+from one2all import lloyd
 from one2all.core import CentroidSet, MetricSpace, cost, nearest, pairwise
 from one2all.data import gen_gmm
 from one2all.errors import UnsupportedSpaceError
@@ -74,9 +75,10 @@ def _seeding_seeds(seed):
     return (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
 
 
-def test_base_cluster_beats_its_initialization():
+def test_base_cluster_beats_its_initialization(monkeypatch):
     # swaps are taken only when the cost falls: with no Lloyd step, the
     # result costs no more than its one seeding
+    monkeypatch.setattr(lloyd, "_LLOYD_ITERS", 0)
     sp, X, w = rand_instance(5, n=4000, d=3)
     sample = draw(X, w, np.full(len(X), 0.1), 3)
     cases = {"sample": (sample.member_points, sample.w_prime),
@@ -85,7 +87,7 @@ def test_base_cluster_beats_its_initialization():
     trace_seed, _ = _seeding_seeds(7)
     for name, (P, W) in cases.items():
         seeding = run_trace(sp, P, W, 5, trace_seed).prefix_costs[-1]
-        Q = base_cluster(sp, P, W, k=5, seed=7, lloyd_iters=0)
+        Q = base_cluster(sp, P, W, k=5, seed=7)
         assert cost(sp, P, W, Q) <= seeding, name
 
 
@@ -99,7 +101,7 @@ def test_separated_pairs_found_exactly():
 
 def test_k_equals_n_zero_cost():
     sp, X, w = rand_instance(2, n=12, d=2)
-    Q = base_cluster(sp, X, w, k=12, seed=1, lloyd_iters=5)
+    Q = base_cluster(sp, X, w, k=12, seed=1)
     assert cost(sp, X, w, Q.points) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -135,8 +137,6 @@ def test_base_cluster_validation():
     sp, X, w = rand_instance(4, n=50, d=2)
     with pytest.raises(ValueError, match="k must be >= 1"):
         base_cluster(sp, X, w, k=0)
-    with pytest.raises(ValueError, match="lloyd_iters must be >= 0"):
-        base_cluster(sp, X, w, k=2, lloyd_iters=-1)
 
 
 # bit identity with the np.add.at step ---------------------------------------

@@ -12,7 +12,7 @@ from reference import mo_pps_bruteforce
 
 from one2all import kmeanspp, oracle, probabilities
 from one2all.cli import main
-from one2all.core import MetricSpace, cost
+from one2all.core import MetricSpace, cost, pairwise
 from one2all.errors import DataFormatError
 from one2all.kmeanspp import run_trace
 from one2all.probabilities import sweet_spot
@@ -297,6 +297,25 @@ def test_load_rejects_wrong_dataset(tmp_path):
     X2 = X + 1.0
     with pytest.raises(DataFormatError):
         oracle.load(path, points=X2, weights=w)
+
+
+def test_load_rejects_a_space_other_than_the_files(tmp_path):
+    # a p=2 oracle answered queries in p=1 distances under a p=1 space
+    X, w = _mixture(31, n=800, d=3, k=3)
+    path = tmp_path / "oracle.npz"
+    oracle.save(oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=8), path)
+    assert oracle.load(path, space=MetricSpace.euclidean(2.0), points=X, weights=w).space == SP2
+    m = pairwise(MetricSpace.euclidean(1.0), X[:60], X[:60])
+    for space in (MetricSpace.euclidean(1.0), MetricSpace.from_matrix(m)):
+        with pytest.raises(DataFormatError, match="oracle's space"):
+            oracle.load(path, space=space, points=X, weights=w)
+    # a matrix file has no power: only its kind is checked
+    path = tmp_path / "matrix.npz"
+    oracle.save(oracle.build_feedback(MetricSpace.from_matrix(m), np.arange(60), None, k=2,
+                                      eps=0.3, seed=8), path)
+    assert oracle.load(path, space=MetricSpace.from_matrix(m, rho=2.0)).space.rho == 2.0
+    with pytest.raises(DataFormatError, match="oracle's space"):
+        oracle.load(path, space=SP2)
 
 
 def test_load_rejects_bad_version(tmp_path):

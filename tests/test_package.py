@@ -5,6 +5,7 @@ the names `one2all/__init__.py` imports. The distance layer stays in one
 place: only `core` reads a space's distance matrix or names the kernels'
 block-size constants. Only `data` forks, at one call site. Every public entry
 point refuses a NaN or infinite parameter, and an eps too small to square.
+Every CLI option is read by its command.
 """
 
 import ast
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import one2all
-from one2all import MetricSpace, bench, data, oracle
+from one2all import MetricSpace, bench, cli, data, oracle
 
 SRC = Path(one2all.__file__).resolve().parent
 
@@ -106,10 +107,12 @@ def test_nan_parameters_are_refused(call):
         NAN_PARAMETERS[call](float("nan"))
 
 
-# inf for every parameter; and an eps whose eps**-2, the scale of every
-# sampling probability, overflows a float64
+# inf for every parameter; an eps whose eps**-2, the scale of every
+# sampling probability, overflows a float64; and a power whose rho does
 BAD_PARAMETERS = [(call, np.inf) for call in sorted(NAN_PARAMETERS)]
 BAD_PARAMETERS += [(call, 1e-300) for call in sorted(NAN_PARAMETERS) if call.endswith("eps")]
+BAD_PARAMETERS += [("euclidean power", 1025.0), ("euclidean power", 2000.0),
+                   ("euclidean power", 1e300)]
 
 
 @pytest.mark.parametrize("call, x", BAD_PARAMETERS)
@@ -122,3 +125,32 @@ def test_the_smallest_eps_is_taken():
     assert bench.worst_case_size(1000, 2, 2, 2.0**-511) == 1000
     with pytest.raises(ValueError, match="2\\*\\*-511"):
         bench.worst_case_size(1000, 2, 2, 2.0**-512)
+
+
+def _args_read(function, functions: dict, seen: set) -> set[str]:
+    """The `args.<name>` attributes a cli function reads, directly or
+    through the cli functions it calls."""
+    seen.add(function.name)
+    reads = set()
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in functions and node.func.id not in seen):
+            reads |= _args_read(functions[node.func.id], functions, seen)
+    return reads
+
+
+def test_every_cli_option_is_read_by_its_command():
+    functions = {node.name: node for node in _parse("cli.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    (commands,) = [a for a in cli.build_parser()._actions if a.choices]
+    unread, options = [], 0
+    for name, parser in commands.choices.items():
+        reads = _args_read(functions[parser.get_default("func").__name__], functions, set())
+        dests = [a.dest for a in parser._actions if a.option_strings and a.dest != "help"]
+        options += len(dests)
+        unread += [f"{name}: {dest}" for dest in dests if dest not in reads]
+    assert unread == []
+    assert options == 45

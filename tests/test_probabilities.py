@@ -219,6 +219,14 @@ def test_exact_mode_validation():
         sweet_spot(tr, "bogus")
 
 
+@pytest.mark.parametrize("kw", [{"C": -5.0, "eps": float("nan")}, {"C": 1.0}, {"eps": 0.3}],
+                         ids=["C-and-eps", "C", "eps"])
+def test_rough_mode_refuses_the_c_and_eps_it_ignores(kw):
+    tr = run_trace(*rand_instance(9, n=20, d=2), 2, seed=0)
+    with pytest.raises(ValueError, match="rough mode reads no C or eps"):
+        sweet_spot(tr, "rough", **kw)
+
+
 def test_flat_cost_profile_high_dim_blob_picks_one():
     # no cluster structure: v_i falls slower than 1/i, so i*v_i rises
     for seed in range(3):
