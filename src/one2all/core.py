@@ -85,8 +85,8 @@ class MetricSpace:
         with seed 0 (exhaustive validation is O(n^3))."""
         if self.kind == "euclidean":
             power = 2.0 if self.power is None else float(self.power)
-            if not 0 < power < 1025:  # 2^(p-1) overflows a float64 from p = 1025 on
-                raise ValueError(f"power must be positive and below 1025, not {power!r}")
+            if not 0 < power < 511.5:  # 8 rho^2 = 2^(2p+1) overflows a float64 from p = 511.5 on
+                raise ValueError(f"power must be positive and below 511.5, not {power!r}")
             rho = 1.0 if power <= 1.0 else 2.0 ** (power - 1.0)
             if self.rho is not None and self.rho != rho:
                 raise ValueError(f"power {power!r} gives rho {rho!r}, not {self.rho!r}")

@@ -6,13 +6,16 @@ image files (big-endian, the MNIST container format). Ground-truth cost is
 always measured in squared Euclidean distance, the space the benchmark
 pipeline runs in, and computed only when first read.
 
-Delimited text is read and written in spans, one per usable CPU for a large
-regular file and one otherwise. Every span after the first is parsed or
-formatted in a child that one helper forks (_fork): the child writes its
-result to an anonymous file, and its exit status says whether the result is
-whole (_join). A span whose file cannot be made, whose child cannot be forked
-or whose child fails is done again in this process, so bytes, values and
-errors never depend on the cut.
+Delimited text is read once and written in spans. A large regular file is
+cut into at least two spans, one per usable CPU. A load parses every span of
+a cut file in a child, and a dump each span after the first. One helper
+forks them (_fork): a child writes its result to an anonymous file, and its
+exit status says whether the result is whole (_join). Any other file, pipes
+and devices included, is read once from the handle the load opened, and so
+is a cut file whose child cannot be made or fails; a dump writes a span
+whose child fails itself. So bytes, values and errors never depend on the
+cut, and only a failed load of a regular file reads it again, to name the
+line of its first undecodable byte.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import shutil
 import signal
 import stat
 import struct
-import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -134,13 +136,13 @@ def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> 
     Floats are written with repr so a read-back is bit-identical. Non-unit
     weights go in an extra last column, announced in the header. A delimiter
     the rows could not be read back with raises ValueError (check_delimiter).
-    The rows are written in contiguous spans, one per usable CPU and each of
-    at least _DUMP_MIN cells (one span where _parts allows no more): this
-    process writes the header and the first span, a forked child writes each
-    other span to an anonymous file in path's directory, and this process
-    appends those files in order. Each process formats _DUMP_ROWS rows at a
-    time, so memory holds one block per process, never a span or the file as
-    text.
+    The rows are written in contiguous spans, one per usable CPU and at least
+    two, each of at least _DUMP_MIN cells (one span where _parts allows no
+    more): this process writes the header and the first span, a forked child
+    writes each other span to an anonymous file in path's directory, and this
+    process appends those files in order. Each process formats _DUMP_ROWS
+    rows at a time, so memory holds one block per process, never a span or
+    the file as text.
     """
     check_delimiter(delimiter, write=True)
     pts = dataset.points.points
@@ -210,26 +212,39 @@ def load_delimited(
     float64 that float() gives for it, bit for bit, and all rows need the
     same number of cells. weight_column (0-based; negative counts from the
     end) pulls weights out of the data columns. Errors name the path and the
-    1-based file line ("row N"): undecodable bytes anywhere come first, then
-    the first bad row or ground-truth line in the file. Every file is read in
-    byte spans: a large one in one span per usable CPU, each span after the
-    first in a forked process, and any other in one span in this process.
-    Each span's text is read and parsed one block of lines at a time, so
-    memory holds the result and one block, never the whole file as strings.
-    A load that fails decodes the file 1 MiB at a time to find undecodable
-    bytes, so it never holds the whole file either.
+    1-based file line ("row N"): in a regular file, undecodable bytes anywhere
+    come first, then the first bad row or ground-truth line in the file. A
+    large regular file is cut into byte spans, at least two and one per
+    usable CPU, each parsed in a forked process; any other file, a pipe or a
+    device included, is read once in this process from the handle opened
+    here, and so is a cut file when a child fails. Text is read and parsed
+    one block of lines at a time, so memory holds the result and one block,
+    never the whole file as strings. A regular file that fails to load is
+    decoded 1 MiB at a time to find undecodable bytes, so that never holds
+    the whole file either; a pipe's undecodable bytes are named without a
+    line.
     """
     check_delimiter(delimiter, write=False)
     with open(path) as f:
-        parts = _parts(f, os.fstat(f.fileno()).st_size, _SPAN_MIN)
-        try:
+        info = os.fstat(f.fileno())
+        parts = _parts(f, info.st_size, _SPAN_MIN)
+        rows = None
+        if parts > 1:
             rows = _read_in_spans(path, _spans(path, parts), delimiter, weight_column)
-        except (DataFormatError, UnicodeDecodeError):
-            error = _undecodable(path, f.encoding)
-            if error is None:
-                raise
-            raise error from None
-    if rows.out is None:
+        if rows is None:
+            rows = _Rows(weight_column)
+            try:
+                _read_rows(f, path, delimiter, rows)
+            except (DataFormatError, UnicodeDecodeError) as e:
+                error = None
+                if stat.S_ISREG(info.st_mode):
+                    error = _undecodable(path, f.encoding)
+                elif isinstance(e, UnicodeDecodeError):
+                    error = DataFormatError(f"{path}: not valid {f.encoding} text")
+                if error is None:
+                    raise
+                raise error from None
+    if not rows.n:
         raise DataFormatError(f"{path}: no data rows")
     arr, skipped, weight_column = rows.out, rows.skipped, rows.weight_column
     arr.resize((rows.n, arr.shape[1]), refcheck=False)  # shrinks in place, no copy
@@ -286,14 +301,14 @@ def load_delimited(
 class _Rows:
     """A file's rows read so far, out[:n] in file order, and its other lines.
 
-    skipped holds the sorted 1-based file lines that hold no row; gt_rows and
-    gt_lines the ground-truth rows and their file lines; weight_column the
-    weight column as the comments leave it. out is allocated at the first
-    rows, with room for `lines` rows.
+    lines counts the file lines read; skipped holds the sorted 1-based file
+    lines that hold no row; gt_rows and gt_lines the ground-truth rows and
+    their file lines; weight_column the weight column as the comments leave
+    it. out is allocated at the first rows and doubles when it is full.
     """
 
     weight_column: int | None
-    lines: int
+    lines: int = 0
     out: np.ndarray | None = None
     n: int = 0
     skipped: list[int] = field(default_factory=list)
@@ -303,18 +318,17 @@ class _Rows:
     def room(self, m: int, d: int) -> np.ndarray:
         """out[n : n + m], for m more rows of d columns."""
         if self.out is None:
-            self.out = np.empty((self.lines, d))
-        if self.n + m > len(self.out):  # the file grew since it was counted
+            self.out = np.empty((m, d))
+        elif self.n + m > len(self.out):
             self.out.resize((2 * (self.n + m), d), refcheck=False)
         return self.out[self.n : self.n + m]
 
 
-def _read_rows(f, path, delimiter: str, rows: _Rows, base: int) -> None:
-    """Sort and parse a text file's lines into rows, one block of lines at a time.
-
-    base is the count of file lines above f's first.
-    """
+def _read_rows(f, path, delimiter: str, rows: _Rows) -> None:
+    """Sort and parse a text file's lines into rows, one block of lines at a
+    time, numbering them on from rows.lines."""
     while lines := f.readlines(_READ_CHARS):
+        base = rows.lines
         # Only lines that start with '#' or whitespace need a closer look;
         # any other line is a data row as it stands. Whitespace at its end
         # needs no strip: a cell's edges are ignored, and where it would
@@ -355,7 +369,7 @@ def _read_rows(f, path, delimiter: str, rows: _Rows, base: int) -> None:
                 rows.n += len(block)
         if gt_error is not None:
             raise gt_error
-        base += len(lines)
+        rows.lines += len(lines)
 
 
 def _cpus() -> int:
@@ -367,71 +381,43 @@ def _cpus() -> int:
 
 def _parts(f, size: int, least: int) -> int:
     """How many spans to read or write the open text file f in, for size units
-    of work and at least `least` per span: one per usable CPU; one where no
-    child can be forked, f is not a regular file, or a span's bytes may not
-    decode or encode apart from the others' (f's encoding is not _SPLITTABLE)."""
+    of work and at least `least` per span: one per usable CPU and at least
+    two, so that no process holds much more than its share of the result; one
+    where no child can be forked, f is not a regular file, or a span's bytes
+    may not decode or encode apart from the others' (f's encoding is not
+    _SPLITTABLE)."""
     if (not hasattr(os, "fork") or not stat.S_ISREG(os.fstat(f.fileno()).st_mode)
             or codecs.lookup(f.encoding).name not in _SPLITTABLE):
         return 1
-    return max(1, min(_cpus(), size // least))
+    return max(1, min(max(2, _cpus()), size // least))
 
 
-def _spans(path, parts: int) -> list[tuple[int, int | None, int, int]]:
-    """Up to `parts` byte spans that cover the file, found in one binary pass.
-
-    Each is (start, stop, base, ends): the bytes [start, stop), where stop is
-    None for the last span, which runs to the end of the file; the line ends
-    before start; and the line ends within. A line ends at \\n, \\r\\n or a
-    lone \\r, as text-mode reading has it. Every span but the last ends just
-    after the first \\n at or past its share of the file's size.
-    """
+def _spans(path, parts: int) -> list[tuple[int, int]]:
+    """Up to `parts` byte spans [start, stop) that cover the file. Every span
+    but the last ends just after the first \\n at or past its share of the
+    file's size, found by a seek and a read on to it."""
     size = os.path.getsize(path)
-    goals = [size * i // parts for i in range(1, parts)]
-    spans = []
-    start = base = ends = pos = 0
+    starts = [0]
     with open(path, "rb") as f:
-        for chunk, b in _reads(f):
-            lo = 0
-            while goals:
-                cut = chunk.find(b"\n", max(goals[0] - pos, lo)) + 1
-                if cut == 0 or pos + cut >= size:
-                    break
-                ends += _line_ends(chunk, b, lo, cut)
-                spans.append((start, pos + cut, base, ends))
-                start, base, ends, lo = pos + cut, base + ends, 0, cut
-                goals = [g for g in goals if g >= start]
-            ends += _line_ends(chunk, b, lo, len(chunk))
-            pos += len(chunk)
-    spans.append((start, None, base, ends))
-    return spans
-
-
-def _reads(f):
-    """Binary f's 1 MiB reads, each with its bytes as uint8. A read that would
-    end between the \\r and \\n of a \\r\\n takes the \\n too."""
-    while chunk := f.read(1 << 20):
-        if chunk[-1] == 13 and f.peek(1)[:1] == b"\n":
-            chunk += f.read(1)
-        yield chunk, np.frombuffer(chunk, dtype=np.uint8)
-
-
-def _line_ends(chunk: bytes, b: np.ndarray, lo: int, hi: int) -> int:
-    """The line ends in chunk[lo:hi]; b is chunk as uint8."""
-    ends = np.count_nonzero(b[lo:hi] == 10)
-    if chunk.find(b"\r", lo, hi) >= 0:
-        cr = b[lo:hi] == 13
-        ends += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (b[lo + 1 : hi] == 10))
-    return int(ends)
+        for i in range(1, parts):
+            goal = size * i // parts
+            if goal < starts[-1]:
+                continue
+            f.seek(goal)
+            cut = goal + len(f.readline())
+            if cut >= size:
+                break
+            starts.append(cut)
+    return list(zip(starts, starts[1:] + [size]))
 
 
 class _ByteSpan(io.RawIOBase):
-    """Bytes [start, stop) of an unbuffered binary file, or from start to its
-    end if stop is None."""
+    """Bytes [start, stop) of an unbuffered binary file."""
 
-    def __init__(self, f, start: int, stop: int | None):
+    def __init__(self, f, start: int, stop: int):
         self._f = f
         self._f.seek(start)
-        self._left = sys.maxsize if stop is None else stop - start
+        self._left = stop - start
 
     def readable(self) -> bool:
         return True
@@ -446,66 +432,61 @@ class _ByteSpan(io.RawIOBase):
         super().close()
 
 
-def _open_span(path, span) -> io.TextIOWrapper:
-    """The span as text, decoded as open(path) decodes: the same default
-    encoding, universal newlines."""
-    return io.TextIOWrapper(_ByteSpan(open(path, "rb", buffering=0), span[0], span[1]))
-
-
-def _read_in_spans(path, spans, delimiter: str, weight_column: int | None) -> _Rows:
-    """The file's rows, read from the spans: the first in this process, each
-    other in a forked child, as one read of the whole file would give them.
-
-    The children's rows merge in file order. A span whose child fails, dies
-    or gives another column count is read again here, where the lines above
-    it are known, so its error and line are those of one read of the file.
-    On an error the children left are killed.
+def _read_in_spans(path, spans, delimiter: str, weight_column: int | None) -> _Rows | None:
+    """The file's rows, read from the spans, each in a forked child, as one
+    read of the whole file gives them; None if a child cannot be made or
+    fails, or two spans' rows have different column counts, where one read
+    of the file gives the values or the error. The result is allocated once,
+    from the children's row counts. On any return the children left are
+    killed.
     """
-    rows = _Rows(weight_column, spans[-1][2] + spans[-1][3] + 1)
-    children: list = [None]  # (pid, file) per span while it runs; the first is read here
+    children: list = []  # (pid, file) per span while it runs
+    outs, parts = [], []
     try:
-        for span in spans[1:]:
+        for span in spans:
             # the default temporary directory: path's may be read-only
             children.append(_fork(None, _send_span, path, span, delimiter, weight_column))
-        for i, span in enumerate(spans):
+        for i in range(len(spans)):
             out = _join(children, i)
-            if out is None or not _merge(out, rows):
-                with _open_span(path, span) as f:
-                    _read_rows(f, path, delimiter, rows, span[2])
+            if out is None:
+                return None
+            outs.append(out)
+            parts.append(pickle.load(out))  # this module's bytes
+        widths = {part.out.shape[1] for part in parts if part.n}
+        if len(widths) > 1:
+            return None
+        rows = _Rows(weight_column)
+        rows.out = np.empty((sum(part.n for part in parts), max(widths, default=0)))
+        for out, part in zip(outs, parts):
+            out.readinto(rows.out[rows.n : rows.n + part.n])
+            rows.n += part.n
+            rows.skipped += [rows.lines + line for line in part.skipped]
+            rows.gt_rows += part.gt_rows
+            rows.gt_lines += [rows.lines + line for line in part.gt_lines]
+            rows.lines += part.lines
+            if rows.weight_column is None:
+                rows.weight_column = part.weight_column
+        return rows
     finally:
         _stop(children)
-    return rows
+        for out in outs:
+            out.close()
 
 
 def _send_span(out, path, span, delimiter: str, weight_column: int | None) -> None:
-    """In a child: read span, then write a pickled part and its rows as raw
-    bytes to out. A span that does not read cleanly raises: a message made
-    here would lack the lines above the span, so the parent reads it again."""
-    rows = _Rows(weight_column, span[3] + 1)
-    with _open_span(path, span) as f:
-        _read_rows(f, path, delimiter, rows, span[2])
-    d = 0 if rows.out is None else rows.out.shape[1]
-    pickle.dump((rows.n, d, rows.skipped, rows.gt_rows, rows.gt_lines, rows.weight_column), out)
-    if rows.n:
-        out.write(rows.out[: rows.n])
-
-
-def _merge(out, rows: _Rows) -> bool:
-    """Merge the part a child wrote to out into rows, then close out. False if
-    its rows have another column count than rows."""
-    with out:
-        n, d, skipped, gt_rows, gt_lines, weight_column = pickle.load(out)  # this module's bytes
-        if n:
-            if rows.out is not None and rows.out.shape[1] != d:
-                return False
-            out.readinto(memoryview(rows.room(n, d)).cast("B"))
-            rows.n += n
-    rows.skipped += skipped
-    rows.gt_rows += gt_rows
-    rows.gt_lines += gt_lines
-    if rows.weight_column is None:
-        rows.weight_column = weight_column
-    return True
+    """In a child: read span, decoded as open(path) decodes (the same default
+    encoding, universal newlines) and its lines numbered from 1, then write
+    to out its _Rows, pickled with out cut to no rows, and the rows as raw
+    bytes. A span that does not read cleanly raises: a message made here
+    would lack the lines above the span, so the parent reads the whole file
+    instead."""
+    rows = _Rows(weight_column)
+    with io.TextIOWrapper(_ByteSpan(open(path, "rb", buffering=0), *span)) as f:
+        _read_rows(f, path, delimiter, rows)
+    block = np.empty((0, 0)) if rows.out is None else rows.out[: rows.n]
+    rows.out = block[:0]
+    pickle.dump(rows, out)
+    out.write(block)
 
 
 def _fork(tmpdir, job, *args):
@@ -570,22 +551,28 @@ def _file_line(skipped: list[int], row: int) -> int:
 
 
 def _undecodable(path, encoding: str) -> DataFormatError | None:
-    """The error that names the line of the file's first undecodable byte, or
-    None if the file decodes. The file is decoded one read at a time, and its
-    line ends counted as _spans counts them."""
+    """The error that names the line of a regular file's first undecodable
+    byte, or None if the file decodes. The file is decoded 1 MiB at a time,
+    and its line ends counted as text-mode reading has them: \\n, \\r\\n or
+    a lone \\r."""
     decoder = codecs.getincrementaldecoder(encoding)()
     ends = 0
     with open(path, "rb") as f:
-        for chunk, b in _reads(f):
+        while chunk := f.read(1 << 20):
+            if chunk[-1] == 13 and f.peek(1)[:1] == b"\n":  # keep a \r\n in one read
+                chunk += f.read(1)
+            error = None
             try:
                 decoder.decode(chunk, final=not f.peek(1))
             except UnicodeDecodeError as e:
                 # e.object ends where chunk does. A bad byte in the read
                 # before began a character the decoder held back, and those
                 # bytes are never \n or \r in the encodings open() uses.
-                ends += _line_ends(chunk, b, 0, max(0, len(chunk) - len(e.object) + e.start))
+                error = e
+                chunk = chunk[: max(0, len(chunk) - len(e.object) + e.start)]
+            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            if error is not None:
                 return DataFormatError(f"{path}: row {ends + 1}: not valid {encoding} text")
-            ends += _line_ends(chunk, b, 0, len(chunk))
     return None
 
 

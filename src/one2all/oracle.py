@@ -229,8 +229,10 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
 def _check(path: str, data: dict) -> None:
     """Raise DataFormatError unless data holds every key save writes, with
     the dtypes and shapes that n, the member count and the point shape imply,
-    and values a query can trust: p in [0, 1] and positive at members,
-    positive finite member weights, finite member points."""
+    and values a query can trust: a known kind, a finite C >= 0 (a zero
+    residual saves 0), a nonnegative integer sample_seed, p in [0, 1] and
+    positive at members, positive finite member weights, finite member
+    points."""
     missing = [key for key in _SCALARS + _ARRAYS if key not in data]
     if missing:
         raise DataFormatError(f"{path}: oracle file lacks {', '.join(missing)}")
@@ -238,13 +240,21 @@ def _check(path: str, data: dict) -> None:
         a = data[key]
         if (key in _SCALARS and a.shape != ()) or (key != "kind" and a.dtype.kind not in "iuf"):
             raise DataFormatError(f"{path}: oracle {key} has dtype {a.dtype} and shape {a.shape}")
+    kind = str(data["kind"])
+    if kind not in ("euclidean", "matrix"):
+        raise DataFormatError(f"{path}: oracle kind {kind!r} is not euclidean or matrix")
+    if not 0.0 <= data["C"] < np.inf:
+        raise DataFormatError(f"{path}: oracle C {float(data['C'])!r} is not finite and >= 0")
+    seed = data["sample_seed"]
+    if seed.dtype.kind not in "iu" or seed < 0:
+        raise DataFormatError(f"{path}: oracle sample_seed {seed} is not an integer >= 0")
     n = int(data["n"])
     members = data["members"]
     if members.ndim != 1 or members.dtype.kind not in "iu" or (
             members.size and not 0 <= members.min() <= members.max() < n):
         raise DataFormatError(f"{path}: oracle members are not indices in 0..{n - 1}")
     tail = data["member_points"].shape[1:]  # (d,) for Euclidean points, () for indices
-    if len(tail) != (0 if str(data["kind"]) == "matrix" else 1):
+    if len(tail) != (0 if kind == "matrix" else 1):
         raise DataFormatError(f"{path}: oracle member_points have shape {tail} per point")
     want = {"p": (n,), "member_points": members.shape + tail, "member_weights": members.shape}
     for key, shape in want.items():

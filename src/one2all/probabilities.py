@@ -55,7 +55,10 @@ def probs_from_assignment(
     pi = 8.0 * rho**2 * w
     pi /= cluster_w[owner]
     if cost_m > 0.0:  # V(M)=0: only the within-cluster term remains
-        term1 = (2.0 * rho / cost_m) * w
+        scale = 2.0 * rho / cost_m  # 0 if V(M) overflowed, inf if it underflowed
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"2 rho / V(M) is {scale!r}: V(M) = {cost_m!r} at rho = {rho!r}")
+        term1 = scale * w
         term1 *= dist
         np.maximum(term1, pi, out=pi)
     np.minimum(1.0, pi, out=pi)

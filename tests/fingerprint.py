@@ -51,10 +51,13 @@ def npz_parts(path: str) -> list:
         return [x for key in sorted(f.files) for x in (key, f[key])]
 
 
-def cli(tmp: str, *args: str) -> bytes:
+def cli(tmp: str, *args: str, stdin: bytes | None = None) -> bytes:
+    """stdout of `one2all args`, with stdin piped in if given. A run fed
+    stdin may fail: it then prints nothing, and its line differs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(one2all.__file__)))
     done = subprocess.run([sys.executable, "-m", "one2all", *args], capture_output=True,
-                          check=True, cwd=tmp, env={**os.environ, "PYTHONPATH": src})
+                          check=stdin is None, cwd=tmp, env={**os.environ, "PYTHONPATH": src},
+                          input=stdin)
     return done.stdout
 
 
@@ -97,7 +100,8 @@ def cli_outputs(tmp: str) -> None:
 def file_outputs(tmp: str) -> None:
     """A weighted dump, and one large enough to be parsed in parallel spans
     (about 19 MB; load_delimited splits files of twice data._SPAN_MIN bytes
-    and more), each through load_delimited and `one2all cluster --in`."""
+    and more), each through load_delimited and `one2all cluster --in`, from
+    the file and piped through stdin."""
     weighted = gen_gmm(20000, 10, 5, seed=702)
     weighted.points.weights[:] = np.random.default_rng(703).uniform(0.5, 2.0, size=weighted.n)
     for name, ds in (("weighted", weighted), ("large", gen_gmm(100000, 10, 5, seed=704))):
@@ -106,8 +110,11 @@ def file_outputs(tmp: str) -> None:
         back = load_delimited(os.path.join(tmp, path))
         emit(f"load_delimited {name} file", back.points.points, back.points.weights,
              back.ground_truth.points, back.meta["n"], back.meta["d"], back.meta["k"])
-        emit(f"cli cluster {name} file stdout", cli(tmp, "cluster", "--in", path, "--k", "5",
-                                                    "--eps", "0.2", "--seed", "3"))
+        argv = ("--k", "5", "--eps", "0.2", "--seed", "3")
+        emit(f"cli cluster {name} file stdout", cli(tmp, "cluster", "--in", path, *argv))
+        with open(os.path.join(tmp, path), "rb") as f:
+            emit(f"cli cluster {name} stdin stdout",
+                 cli(tmp, "cluster", "--in", "/dev/stdin", *argv, stdin=f.read()))
 
 
 def state_parts(st) -> list:

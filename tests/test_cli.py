@@ -24,13 +24,14 @@ def _gen(tmp_path, n=400, d=3, k=2, seed=0, name="data.csv"):
     return path
 
 
-def _one2all_process(*argv, **env):
-    """Run `python -m one2all argv` on this source tree, with extra environment."""
+def _one2all_process(*argv, stdin=None, **env):
+    """Run `python -m one2all argv` on this source tree, with extra environment
+    and the bytes stdin, if given, piped in."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(one2all.__file__)))
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "one2all", *map(str, argv)],
-                          capture_output=True, timeout=300, env=env)
+                          capture_output=True, timeout=300, env=env, input=stdin)
 
 
 def _write_query(tmp_path, Q, name="query.csv"):
@@ -139,6 +140,20 @@ def test_cluster_on_a_directory_is_data_error(tmp_path):
     proc = _one2all_process("cluster", "--in", tmp_path, "--k", "2", "--eps", "0.3")
     assert proc.returncode == 2
     assert b"data error" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_cluster_reads_a_pipe_as_it_reads_the_file(tmp_path):
+    path = _gen(tmp_path, n=3000, d=4, k=3, seed=2)
+    argv = ("cluster", "--k", "3", "--eps", "0.3", "--seed", "1")
+    from_file = _one2all_process(*argv, "--in", path)
+    piped = _one2all_process(*argv, "--in", "/dev/stdin", stdin=path.read_bytes())
+    assert from_file.returncode == piped.returncode == 0, piped.stderr.decode()
+    assert piped.stdout == from_file.stdout
+    for blob, message in ((b"1,2\n# c\n3,x\n", b"/dev/stdin: row 3: could not convert"),
+                          (b"1,2\n3,\xff\n", b"/dev/stdin: not valid utf-8 text")):
+        bad = _one2all_process(*argv, "--in", "/dev/stdin", stdin=blob)
+        assert bad.returncode == 2
+        assert message in bad.stderr.lower() and b"Traceback" not in bad.stderr
 
 
 def test_non_finite_input_is_data_error(tmp_path, capsys):

@@ -672,9 +672,6 @@ def test_multi_block_loads_match_one_block(tmp_path, monkeypatch, blob, message)
         _check_against_reference(path)
     else:
         assert whole.lower() == f"{path}: {message}".lower()
-    real_spans = data._spans  # spans with no line ends, as if the file grew
-    monkeypatch.setattr(data, "_spans", lambda *args: [s[:3] + (0,) for s in real_spans(*args)])
-    assert _load_outcome(path) == whole
 
 
 def test_load_holds_the_result_and_one_block(tmp_path):
@@ -822,26 +819,6 @@ def test_split_files_load_alike_in_1_2_and_3_spans(tmp_path, monkeypatch, parts,
         assert outcomes[0].lower() == f"{path}: {message}".lower()
 
 
-def test_spans_count_line_ends_exactly(tmp_path):
-    # \r\n pairs on both sides of the binary pass's 2**20-byte reads, lone
-    # \r's, and a last line without an end
-    blob = b"1,2\r3,4\r\n5,6"
-    blob += b" " * ((1 << 20) - 1 - len(blob)) + b"\r\n7,8"  # the first read ends in \r
-    blob += b" " * ((2 << 20) - 1 - len(blob)) + b"\r9,10\r\n11,12"
-    assert blob[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
-    path = tmp_path / "ends.csv"
-    path.write_bytes(blob)
-    lines = io.StringIO(blob.decode(), newline=None).readlines()
-    assert data._spans(path, 1)[0][3] + 1 == len(lines)  # the last line has no end
-    for parts in (2, 3, 4):
-        spans = data._spans(path, parts)
-        assert len(spans) > 1
-        for start, stop, base, ends in spans:
-            assert base == len(io.StringIO(blob[:start].decode(), newline=None).readlines())
-            assert blob[start - 1 : start] in (b"", b"\n")
-        assert spans[-1][2] + spans[-1][3] == len(lines) - 1
-
-
 def test_spans_only_in_encodings_that_cut_at_newline_bytes(tmp_path, monkeypatch):
     path = tmp_path / "text.csv"
     path.write_text("1,2\n" * 100, encoding="utf-16")
@@ -850,9 +827,9 @@ def test_spans_only_in_encodings_that_cut_at_newline_bytes(tmp_path, monkeypatch
     for encoding, count in (("utf-8", 3), ("latin-1", 3), ("utf-16", 1)):
         with open(path, encoding=encoding) as f:
             assert data._parts(f, size, data._SPAN_MIN) == count
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(data, "_cpus", lambda: 1)  # still two spans, each in a child
     with open(path) as f:
-        assert data._parts(f, size, data._SPAN_MIN) == 1
+        assert data._parts(f, size, data._SPAN_MIN) == 2
 
 
 def _whole_file_message(path):
@@ -921,7 +898,7 @@ def test_parallel_loads_leave_no_child(tmp_path, monkeypatch, text, message):
     else:
         with pytest.raises(DataFormatError, match=message):
             load_delimited(path)
-    assert forks == [1]
+    assert forks == [1, 1]  # every span is read in a child
     _no_child_left()
 
 
@@ -953,14 +930,14 @@ def test_a_failing_parent_kills_and_reaps_its_children(tmp_path, monkeypatch):
     path.write_text("1,2\n" * 3000)
     _force_spans(monkeypatch, 3)
     parent = os.getpid()
-    real_parse_rows = data._parse_rows
+    real_load = data.pickle.load
 
-    def parse_rows(*args):
+    def load(*args):  # the parent fails at the first child's part, before the others end
         if os.getpid() == parent:
             raise RuntimeError("not a data error")
-        return real_parse_rows(*args)
+        return real_load(*args)
 
-    monkeypatch.setattr(data, "_parse_rows", parse_rows)
+    monkeypatch.setattr(data.pickle, "load", load)
     with pytest.raises(RuntimeError, match="not a data error"):
         load_delimited(path)
     _no_child_left()
@@ -982,15 +959,16 @@ def _dump_and_load_cases(tmp_path):
 
 @pytest.mark.parametrize("spans", SPANS)
 def test_children_spans_are_used_not_done_again(tmp_path, monkeypatch, spans):
-    # A span whose child fails is done again here with the same bytes and
-    # values, only slower: so this process must read and write span 0 alone.
+    # A failing child leaves its span's writing, or the whole file's reading,
+    # to this process with the same bytes and values, only slower: so this
+    # process must write span 0 alone and read no span.
     parent, calls = os.getpid(), []
     real_read_rows, real_write_rows = data._read_rows, data._write_rows
 
-    def read_rows(f, path, delimiter, rows, base):
+    def read_rows(f, path, delimiter, rows):
         if os.getpid() == parent:
-            calls.append(("read", base))
-        real_read_rows(f, path, delimiter, rows, base)
+            calls.append(("read", rows.lines))
+        real_read_rows(f, path, delimiter, rows)
 
     def write_rows(f, pts, w, span, delimiter):
         if os.getpid() == parent:
@@ -1002,7 +980,7 @@ def test_children_spans_are_used_not_done_again(tmp_path, monkeypatch, spans):
     _force_spans(monkeypatch, spans)
     _force_dump_spans(monkeypatch, spans)
     for dataset in _dump_and_load_cases(tmp_path):
-        assert calls == [("write", (0, dataset.n // spans)), ("read", 0)]
+        assert calls == [("write", (0, dataset.n // spans))]
         calls.clear()
     _no_child_left()
 
@@ -1039,6 +1017,90 @@ def test_loads_leave_nothing_in_the_temporary_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_send_span", send_span)
     assert load_delimited(good).n == 300
     assert os.listdir(tmp) == []
+    _no_child_left()
+
+
+# one read: pipes and files that load without a second pass --------------------
+
+
+def _load_from_fifo(tmp_path, blob):
+    """The outcome of loading blob from a FIFO that a thread writes it to,
+    with the FIFO's path in a message replaced by "<path>". Once blob is
+    written, the thread ends every later open of the FIFO at once, with no
+    bytes, so a load that opens it twice fails rather than waits forever."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    loaded = threading.Event()
+
+    def write():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(blob)
+        except BrokenPipeError:  # the load stopped reading at an error
+            pass
+        while not loaded.wait(0.05):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is waiting
+                pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        got = _load_outcome(fifo)
+    finally:
+        loaded.set()
+        writer.join(timeout=30)
+        fifo.unlink()
+    assert not writer.is_alive()
+    return got if isinstance(got, tuple) else got.replace(str(fifo), "<path>")
+
+
+@pytest.mark.parametrize("spans", [1, *SPANS])
+def test_a_fifo_loads_as_the_file_does(tmp_path, monkeypatch, spans):
+    ds = gen_gmm(300, 3, 2, seed=1)
+    ds.points.weights[:] = np.random.default_rng(0).uniform(0.5, 2.0, size=300)
+    path = tmp_path / "dump.csv"
+    dump_delimited(ds, path)
+    if spans > 1:
+        _force_spans(monkeypatch, spans)
+    assert _load_from_fifo(tmp_path, path.read_bytes()) == _load_outcome(path)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"1,2\n# c\n\n3,x\n5,6\n", "row 4: could not convert string to float: 'x'"),
+    (b"1,2\r\n3,4\r5,nan\n", "row 3: NaN or inf in a data row"),
+    (b"1,2\n3,4\n5,6,7\n", "row 3: expected 2 columns, got 3"),
+    (b"1,2\n3,\xff\n", "not valid utf-8 text"),  # no line: the bytes cannot be read again
+], ids=["bad-cell", "nan-row", "ragged-row", "undecodable"])
+def test_a_fifo_names_the_line_of_a_bad_row(tmp_path, blob, message):
+    assert _load_from_fifo(tmp_path, blob).lower() == f"<path>: {message}".lower()
+
+
+def _bytes_read() -> int:
+    """The bytes this process has read so far, from any file."""
+    with open("/proc/self/io") as f:
+        return int(f.readline().split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+@pytest.mark.parametrize("cut", [False, True])
+def test_a_load_that_succeeds_reads_the_file_once(tmp_path, monkeypatch, cut):
+    # Only a failed load of a regular file reads it again, to count the line
+    # ends above its first undecodable byte. A cut file is read by the
+    # children, whose reads Linux adds to this process's once it reaps them,
+    # and this process reads their rows back; _spans reads a few blocks.
+    monkeypatch.setattr(data, "_undecodable", lambda *args: pytest.fail("read again"))
+    if cut:
+        _force_spans(monkeypatch, 3)
+    ds = gen_gmm(3000, 3, 2, seed=1)
+    path = tmp_path / "dump.csv"
+    dump_delimited(ds, path)
+    before = _bytes_read()
+    back = load_delimited(path)
+    rows = back.points.points.nbytes if cut else 0
+    assert _bytes_read() - before < path.stat().st_size + rows + (1 << 16)
+    assert _bits(back.points.points) == _bits(ds.points.points)
     _no_child_left()
 
 

@@ -431,6 +431,38 @@ def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, mode):
         _load_changed(tmp_path, saved_blob, _MODES[mode], **_MISMATCHES[case])
 
 
+# scalars the load took as they stood: a NaN C answered every feedback query
+# exactly and grew the sample to all points, a negative sample_seed raised
+# OverflowError in point_uniforms, and an unknown kind read as a matrix space
+_BAD_SCALARS = [("C", np.nan), ("C", -1.0), ("C", np.inf), ("sample_seed", -1),
+                ("sample_seed", 3.0), ("kind", "manhattan")]
+
+
+@pytest.mark.parametrize("with_points", [False, True], ids=["standalone", "points"])
+@pytest.mark.parametrize("key, value", _BAD_SCALARS)
+def test_load_rejects_damaged_scalars(tmp_path, saved_blob, key, value, with_points):
+    with pytest.raises(DataFormatError, match=f"oracle {key} "):
+        _load_changed(tmp_path, saved_blob, with_points, **{key: lambda a: np.array(value)})
+
+
+def test_load_takes_a_zero_threshold(tmp_path, saved_blob):
+    # a build whose residual cost is 0 saves C = 0
+    assert _load_changed(tmp_path, saved_blob, True, C=np.zeros_like).C == 0.0
+
+
+@pytest.mark.parametrize("key, value", _BAD_SCALARS)
+def test_oracle_query_exits_2_on_damaged_scalars(tmp_path, saved_blob, capsys, key, value):
+    blob = dict(saved_blob[2], **{key: np.array(value)})
+    path = tmp_path / "oracle.npz"
+    np.savez(path, **blob)
+    query = tmp_path / "q.csv"
+    query.write_text("0.0,0.0,0.0\n")
+    capsys.readouterr()
+    assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
+    err = capsys.readouterr().err
+    assert f"oracle {key} " in err and "Traceback" not in err
+
+
 def test_oracle_query_exits_2_on_members_the_seed_does_not_select(tmp_path, capsys):
     # every member set to one index, with matching member_points and
     # member_weights: a standalone load used to answer from that sample

@@ -108,11 +108,10 @@ def test_nan_parameters_are_refused(call):
 
 
 # inf for every parameter; an eps whose eps**-2, the scale of every
-# sampling probability, overflows a float64; and a power whose rho does
+# sampling probability, overflows a float64; and a power whose 8 rho**2 does
 BAD_PARAMETERS = [(call, np.inf) for call in sorted(NAN_PARAMETERS)]
 BAD_PARAMETERS += [(call, 1e-300) for call in sorted(NAN_PARAMETERS) if call.endswith("eps")]
-BAD_PARAMETERS += [("euclidean power", 1025.0), ("euclidean power", 2000.0),
-                   ("euclidean power", 1e300)]
+BAD_PARAMETERS += [("euclidean power", p) for p in (511.5, 600.0, 1025.0, 2000.0, 1e300)]
 
 
 @pytest.mark.parametrize("call, x", BAD_PARAMETERS)

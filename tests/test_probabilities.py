@@ -79,6 +79,16 @@ def test_zero_cost_m_uses_cell_term_only():
     np.testing.assert_allclose(probs.pi, want)
 
 
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+def test_a_cost_out_of_float_range_is_refused(scale):
+    # at power 400 the distances of points of norm about 0.1 are subnormal or
+    # 0, so 2 rho / V(M) overflows, and those of norm about 10 overflow, so
+    # V(M) does: either way some probabilities would be NaN
+    X = scale * np.random.default_rng(0).normal(size=(50, 2))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="2 rho / V"):
+        one2all_probs(MetricSpace.euclidean(400.0), X, None, X[:2])
+
+
 def test_empty_cell_centroid_dropped_without_effect():
     X = np.array([[0.0], [1.0]])
     M = np.array([[0.0], [1.0], [0.5]])  # 0.5 owns nothing (ties go left)
