@@ -53,7 +53,6 @@ class RunReport:
     gain: float
     est_err: float
     cost_ratio_final: float | None
-    cost_ratio_seed: float | None
     sweet_spot: int
     sample_size: int
     rounds: int
@@ -67,10 +66,7 @@ class RunReport:
                           sort_keys=True)
 
 
-_COLUMNS = (
-    "n d k eps seed fraction worst gain est_err cost_ratio seed_ratio "
-    "sweet_spot certified"
-).split()
+_COLUMNS = "n d k eps seed fraction worst gain est_err cost_ratio sweet_spot certified".split()
 
 
 def summary_table(reports: list[RunReport]) -> str:
@@ -81,7 +77,6 @@ def summary_table(reports: list[RunReport]) -> str:
             f"{r.adaptive_fraction:.4f}", f"{r.worst_case_fraction:.4f}",
             f"{r.gain:.1f}", f"{r.est_err:.4f}",
             "-" if r.cost_ratio_final is None else f"{r.cost_ratio_final:.3f}",
-            "-" if r.cost_ratio_seed is None else f"{r.cost_ratio_seed:.3f}",
             r.sweet_spot, int(r.certified),
         ]
         lines.append("\t".join(str(v) for v in vals))
@@ -122,7 +117,6 @@ def run_cell(dataset: LabeledDataset, k: int, eps: float, seed: int) -> RunRepor
         gain=worst_fraction / adaptive_fraction if adaptive_fraction > 0 else np.inf,
         est_err=err,
         cost_ratio_final=None if not gt else rep.best_cost / gt,
-        cost_ratio_seed=None if not gt else rep.seed_cost / gt,
         sweet_spot=rep.sweet_spot_index,
         sample_size=rep.sample_size,
         rounds=rep.rounds,
@@ -183,9 +177,6 @@ def _aggregate(cell: dict, reports: list[RunReport]) -> dict:
     ratios = [r.cost_ratio_final for r in reports if r.cost_ratio_final is not None]
     if ratios:
         out["cost_ratio_final"] = float(np.median(ratios))
-        out["cost_ratio_seed"] = float(
-            np.median([r.cost_ratio_seed for r in reports])
-        )
     return out
 
 

@@ -1,14 +1,13 @@
 """Weighted kmeans++ (D²) seeding that keeps the whole centroid trace.
 
-The wrapper and the oracle consume the same trace: the prefix costs v_i
-pick the sweet spot, the prefix assignments feed the sampling probabilities,
-and the wrapper takes the first k centroids as its first candidate Q and its
-cost. The base clusterer runs a trace of its own on each sample to seed from.
-The trace logs which rows each step moved, so `replay` rebuilds any prefix's
-assignment from the log without a second pass over the rows that stayed put.
-It also keeps what its first step computed over every row, the squared row
-norms and the step-1 distances, so later passes over the same points
-(`replay`, the wrapper's `cost` checks) need not compute them again.
+The oracle traces the full data: the prefix costs v_i pick the sweet spot and
+the prefix assignments feed the sampling probabilities. The wrapper traces a
+uniform subsample only, and the base clusterer a trace of its own on each
+sample to seed from. The trace logs which rows each step moved, so `replay`
+rebuilds any prefix's assignment from the log without a second pass over the
+rows that stayed put. It also keeps what its first step computed over every
+row, the squared row norms and the step-1 distances, so later passes over the
+same points (`replay`, or `cost` through `norms=`) need not compute them again.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
     if C is None:
         C = float(trace.prefix_costs[-1])
     if C > 0.0:
-        i_star, probs = sweet_spot(trace, "exact", C=C, eps=eps)
+        i_star, probs = sweet_spot(trace, C, eps)
         v_star = float(trace.prefix_costs[i_star - 1])
         p = sample_probs(probs.pi, max(1.0, v_star / C), eps)
     else:
@@ -230,9 +230,9 @@ def _check(path: str, data: dict) -> None:
     """Raise DataFormatError unless data holds every key save writes, with
     the dtypes and shapes that n, the member count and the point shape imply,
     and values a query can trust: a known kind, a finite C >= 0 (a zero
-    residual saves 0), a nonnegative integer sample_seed, p in [0, 1] and
-    positive at members, positive finite member weights, finite member
-    points."""
+    residual saves 0), an eps `check_eps` takes (feedback grows p from it), a
+    nonnegative integer sample_seed, p in [0, 1] and positive at members,
+    positive finite member weights, finite member points."""
     missing = [key for key in _SCALARS + _ARRAYS if key not in data]
     if missing:
         raise DataFormatError(f"{path}: oracle file lacks {', '.join(missing)}")
@@ -245,6 +245,10 @@ def _check(path: str, data: dict) -> None:
         raise DataFormatError(f"{path}: oracle kind {kind!r} is not euclidean or matrix")
     if not 0.0 <= data["C"] < np.inf:
         raise DataFormatError(f"{path}: oracle C {float(data['C'])!r} is not finite and >= 0")
+    try:
+        check_eps(float(data["eps"]))
+    except ValueError as e:
+        raise DataFormatError(f"{path}: oracle {e}") from e
     seed = data["sample_seed"]
     if seed.dtype.kind not in "iu" or seed < 0:
         raise DataFormatError(f"{path}: oracle sample_seed {seed} is not an integer >= 0")

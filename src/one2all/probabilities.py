@@ -91,37 +91,19 @@ def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
     return probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
 
 
-def sweet_spot(
-    trace: KmeansPPTrace,
-    mode: str = "exact",
-    C: float | None = None,
-    eps: float | None = None,
-) -> tuple[int, One2AllProbabilities]:
+def sweet_spot(trace: KmeansPPTrace, C: float, eps: float) -> tuple[int, One2AllProbabilities]:
     """Pick the kmeans++ prefix whose candidate sample is smallest.
 
-    exact mode minimizes |min{1, max{1, v_i/C} eps^-2 pi^(M_i)}|_1 over all
-    prefixes (pi per prefix from the assignment `replay` reads off the
-    trace's move log); rough mode minimizes the proxy score i*v_i without
-    touching pi, and takes no C or eps. Ties go to the shortest prefix.
-    Returns the 1-based winning index and its pi, built from the replayed
-    prefix assignment: no distance pass beyond the moved rows'.
+    Minimizes |min{1, max{1, v_i/C} eps^-2 pi^(M_i)}|_1 over all prefixes, ties
+    to the shortest, with pi per prefix built from the assignment `replay` reads
+    off the trace's move log: no distance pass beyond the moved rows'. Returns
+    the 1-based winning index and its pi.
     """
+    if not 0 < C < np.inf:
+        raise ValueError("sweet_spot needs a finite C > 0")
+    check_eps(eps)
     w = trace.weights
     rho = trace.space.rho
-    if mode == "rough":
-        if C is not None or eps is not None:
-            raise ValueError("rough mode reads no C or eps")
-        scores = np.arange(1, trace.ell + 1) * trace.prefix_costs
-        i_star = int(np.argmin(scores)) + 1
-        for i, owner, dist, v_i in replay(trace):
-            if i == i_star:
-                break
-        return i_star, probs_from_assignment(w, owner, dist, rho, trace.prefix(i_star), v_i)
-    if mode != "exact":
-        raise ValueError(f"unknown sweet-spot mode {mode!r}")
-    if C is None or not 0 < C < np.inf or eps is None:
-        raise ValueError("exact mode needs a finite C > 0 and eps")
-    check_eps(eps)
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
         cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i)

@@ -25,6 +25,15 @@ that contains the one Q was fit on (growth only adds points), so the fit
 can only bias the estimate low, which makes the test stricter, as in any
 round, where Q was fit on the whole certifying sample. `rounds` counts a
 re-test round like any other.
+
+M, the centroid set the probabilities come from, is the prefix of a 2k-step
+kmeans++ trace minimizing i v_i, traced on a uniform subsample S0 of at most
+_SUBSAMPLE rows (drawn by the call seed alone, each weighing w n / |S0|). One
+exact pass over all rows gives v_M, the assignment, the row norms every
+cost(Q) reuses and, read after M's first k centroids, the first candidate Q;
+r starts at v_M over S0's v_2k. The one2all bound holds for any M, and both
+round tests read exact costs only: S0 sets the sample's size, never what a
+certificate means.
 """
 
 from __future__ import annotations
@@ -33,13 +42,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, as_weights, cost
+from .core import (CentroidSet, MetricSpace, _fill, _lower, as_points, as_weights, cost,
+                   require_finite)
 from .kmeanspp import run_trace
 from .lloyd import base_cluster
-from .probabilities import check_eps, sample_probs, sweet_spot
+from .probabilities import check_eps, probs_from_assignment, sample_probs
 from .sampling import draw, estimate_cost
 
 _MAX_ROUNDS = 40  # rounds before an uncertified run gives up
+_SUBSAMPLE = 10_000  # rows of S0, the subsample M is seeded on
 
 
 @dataclass
@@ -51,7 +62,6 @@ class WrapperReport:
     sample_size: int
     n: int
     best_cost: float
-    seed_cost: float  # cost of the first-k kmeans++ prefix
     sweet_spot_index: int
     cost_m: float  # v at the sweet-spot prefix
     sample_seed: int
@@ -61,6 +71,11 @@ class WrapperReport:
     @property
     def sample_fraction(self) -> float:
         return self.sample_size / self.n
+
+
+def _pick(prefix_costs: np.ndarray) -> int:
+    """The prefix length i >= 1 minimizing the rough score i v_i, the shortest on ties."""
+    return int(np.argmin(np.arange(1, prefix_costs.size + 1) * prefix_costs)) + 1
 
 
 def run(
@@ -88,25 +103,35 @@ def run(
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     base = base_cluster if base is None else base  # at call time, so tracers see it
-    trace_seed, sample_seed, base_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(3)
+    trace_seed, sample_seed, base_seed, sub_seed = (
+        int(s) for s in np.random.SeedSequence(seed).generate_state(4)
     )
     base_seeds = np.random.SeedSequence(base_seed).generate_state(_MAX_ROUNDS, np.uint64).tolist()
-    ell = min(2 * k, n)
-    trace = run_trace(space, X, w, ell, trace_seed)
-    i_star, probs = sweet_spot(trace, "rough")
-    v_m = float(trace.prefix_costs[i_star - 1])
-    v_end = float(trace.prefix_costs[-1])
-    k_prefix = min(k, trace.ell)
-    best_q = CentroidSet(trace.prefix(k_prefix))
-    best_v = float(trace.prefix_costs[k_prefix - 1])
-    norms = trace.norms  # the row norms every certification pass reuses
-    del trace  # nothing else of it is read again: let its n-length arrays go
-    seed_cost = best_v
+    rows = np.sort(np.random.default_rng(sub_seed).choice(n, min(n, _SUBSAMPLE), replace=False))
+    trace = run_trace(space, X[rows], w[rows] * (n / rows.size), min(2 * k, rows.size),
+                      trace_seed)
+    i_star = _pick(trace.prefix_costs)
+    M, v_end = trace.prefix(i_star), float(trace.prefix_costs[-1])
+    del rows, trace  # S0 goes before the full-data pass
+    # one exact pass over every row for M, read after its first k0 centroids
+    dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
+    norms = None if space.kind == "matrix" else np.empty(n)  # reused by every cost(Q)
+    _fill(space, X, M[0], dist, norms=norms)
+    k0 = min(k, i_star)
+    if k0 > 1:
+        _lower(space, X, M[1:k0], 1, dist, owner, norms)
+    best_q, best_v = CentroidSet(M[:k0]), float(np.sum(w * dist))
+    if i_star > k0:
+        _lower(space, X, M[k0:], k0, dist, owner, norms)
+    v_m = float(np.sum(w * dist))
+    if not np.isfinite(v_m):
+        require_finite(points=X)  # NaN or inf points make v_M NaN or inf
+    probs = probs_from_assignment(w, owner, dist, space.rho, M, v_m)
+    del dist, owner
     log: list[dict] = []
 
-    # fewer than 2k distinct points leave no residual cost: r = inf keeps
-    # every point (pi > 0), so the first round saturates and is exact
+    # fewer than 2k distinct points in S0 leave no residual cost there: r = inf
+    # keeps every point (pi > 0), so the first round saturates and is exact
     r = v_m / v_end if v_end > 0.0 else np.inf
 
     certified = saturated = False
@@ -170,7 +195,6 @@ def run(
         sample_size=sample.size,
         n=n,
         best_cost=best_v,
-        seed_cost=seed_cost,
         sweet_spot_index=i_star,
         cost_m=v_m,
         sample_seed=sample_seed,

@@ -157,11 +157,9 @@ def library_outputs() -> None:
         emit(f"run_trace {name}", tr.centroid_indices, tr.prefix_costs, tr.owner, tr.dist,
              tr.moves, tr.truncated)
         emit(f"replay {name}", *(x for i, o, d, v in replay(tr) for x in (i, o, d, v)))
-        for mode in ("rough", "exact"):
-            kw = {} if mode == "rough" else {"C": float(tr.prefix_costs[-1]), "eps": 0.3}
-            i_star, probs = sweet_spot(tr, mode, **kw)
-            emit(f"sweet_spot {mode} {name}", i_star, probs.pi, probs.M, probs.cost_m,
-                 probs.dropped_empty_cells)
+        i_star, probs = sweet_spot(tr, C=float(tr.prefix_costs[-1]), eps=0.3)
+        emit(f"sweet_spot exact {name}", i_star, probs.pi, probs.M, probs.cost_m,
+             probs.dropped_empty_cells)
 
 
 def main() -> None:

@@ -89,7 +89,6 @@ def test_run_cell_report_identities():
     assert r.n == 3000 and r.d == 4
     assert r.gain == pytest.approx(r.worst_case_fraction / r.adaptive_fraction)
     assert r.cost_ratio_final == pytest.approx(r.best_cost / ds.ground_truth_cost)
-    assert r.cost_ratio_seed is not None
     assert r.certified
     assert 0 < r.adaptive_fraction <= 1
     assert r.est_err <= 2 * 0.25
@@ -110,7 +109,7 @@ def test_summary_table_shape_and_none_ratios():
     blank = RunReport(
         n=10, d=2, k=2, eps=0.5, seed=0, adaptive_fraction=1.0,
         worst_case_fraction=1.0, gain=1.0, est_err=0.0,
-        cost_ratio_final=None, cost_ratio_seed=None, sweet_spot=1,
+        cost_ratio_final=None, sweet_spot=1,
         sample_size=10, rounds=1, certified=True, best_cost=1.0,
         ground_truth_cost=None,
     )

@@ -323,6 +323,17 @@ def test_oracle_query_on_a_file_missing_a_key_is_data_error(saved_oracle):
     assert b"lacks p" in proc.stderr
 
 
+def test_oracle_query_on_a_file_with_a_bad_eps_is_data_error(saved_oracle):
+    path, query = saved_oracle
+    blob = dict(np.load(path, allow_pickle=False))
+    blob["eps"] = np.float64(np.nan)
+    np.savez(path, **blob)
+    proc = _one2all_process("oracle-query", "--oracle", path, "--query", query)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"oracle eps must be finite" in proc.stderr
+
+
 def _damage(path, how):
     """Overwrite a saved oracle with its first 5,000 bytes, nothing, or a .npy file."""
     if how == "truncated":

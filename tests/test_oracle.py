@@ -25,7 +25,7 @@ def _sweet_spot_centroids(X, w, k, eps, seed):
     """The sweet-spot centroids M that build_feedback(SP2, X, w, k, eps, seed) picks."""
     trace_seed = int(np.random.SeedSequence(seed).generate_state(2)[0])
     tr = run_trace(SP2, X, w, 2 * k, seed=trace_seed)
-    return sweet_spot(tr, mode="exact", C=tr.prefix_costs[-1], eps=eps)[1].M
+    return sweet_spot(tr, C=tr.prefix_costs[-1], eps=eps)[1].M
 
 
 def _mixture(seed, n=4000, d=5, k=4, spread=8.0):
@@ -75,7 +75,7 @@ def test_build_matches_independent_prefix_scan():
     eps = 0.25
     C = tr.prefix_costs[3]
     st = oracle.build(sp, X, w, ell=8, C=C, eps=eps, seed=3)
-    i_star, probs = sweet_spot(tr, mode="exact", C=C, eps=eps)
+    i_star, probs = sweet_spot(tr, C=C, eps=eps)
     v = tr.prefix_costs[i_star - 1]
     p = np.minimum(1.0, max(1.0, v / C) * eps**-2 * probs.pi)
     assert st.prefix_index == i_star
@@ -433,9 +433,11 @@ def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, mode):
 
 # scalars the load took as they stood: a NaN C answered every feedback query
 # exactly and grew the sample to all points, a negative sample_seed raised
-# OverflowError in point_uniforms, and an unknown kind read as a matrix space
+# OverflowError in point_uniforms, an unknown kind read as a matrix space, and
+# an eps that no build takes loaded and answered feedback queries
 _BAD_SCALARS = [("C", np.nan), ("C", -1.0), ("C", np.inf), ("sample_seed", -1),
-                ("sample_seed", 3.0), ("kind", "manhattan")]
+                ("sample_seed", 3.0), ("kind", "manhattan"), ("eps", np.nan), ("eps", 0.0),
+                ("eps", -0.3), ("eps", np.inf)]
 
 
 @pytest.mark.parametrize("with_points", [False, True], ids=["standalone", "points"])

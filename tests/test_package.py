@@ -93,9 +93,9 @@ NAN_PARAMETERS = {  # each entry point with one parameter set to x
     "from_matrix rho": lambda x: MetricSpace.from_matrix(np.zeros((2, 2)), rho=x),
     "euclidean power": lambda x: MetricSpace.euclidean(x),
     "sweet_spot C": lambda x: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0),
-                                                 "exact", C=x, eps=0.3),
+                                                 C=x, eps=0.3),
     "sweet_spot eps": lambda x: one2all.sweet_spot(one2all.run_trace(_SP2, _X, None, 3, 0),
-                                                   "exact", C=1.0, eps=x),
+                                                   C=1.0, eps=x),
     "gen_gmm spacing": lambda x: data.gen_gmm(10, 2, 2, seed=0, spacing=x),
 }
 

@@ -55,7 +55,7 @@ def test_tracer_installs_records_and_uninstalls():
             assert getattr(_module(t[0]), t[1]) is not before[t], t
         X = np.random.default_rng(0).normal(size=(200, 2))
         trace = one2all.kmeanspp.run_trace(one2all.MetricSpace.euclidean(2.0), X, None, 4, 0)
-        one2all.probabilities.sweet_spot(trace, "exact", C=1.0, eps=0.5)
+        one2all.probabilities.sweet_spot(trace, C=1.0, eps=0.5)
     finally:
         uninstall()
     for t in targets:

@@ -11,6 +11,7 @@ from one2all import core, kmeanspp, probabilities
 from one2all.core import MetricSpace, nearest, pairwise
 from one2all.kmeanspp import replay, run_trace
 from one2all.probabilities import one2all_probs, probs_from_assignment, sweet_spot
+from one2all.wrapper import _pick
 
 SP2 = MetricSpace.euclidean(2.0)
 
@@ -176,30 +177,19 @@ def test_dominance_zero_cost_query():
 # sweet spot -------------------------------------------------------------
 
 
-def _fake_costs(trace, costs):
-    trace.prefix_costs = np.asarray(costs, dtype=np.float64)
-    return trace
+# the wrapper's pick: the prefix minimizing the rough score i * v_i
 
 
 def test_rough_flat_curve_picks_first():
-    sp, X, w = rand_instance(1, n=30, d=2)
-    tr = _fake_costs(run_trace(sp, X, w, 4, seed=0), [50.0, 50.0, 50.0, 50.0])
-    i, _ = sweet_spot(tr, "rough")
-    assert i == 1
+    assert _pick(np.array([50.0, 50.0, 50.0, 50.0])) == 1
 
 
 def test_rough_example_scores():
-    sp, X, w = rand_instance(2, n=30, d=2)
-    tr = _fake_costs(run_trace(sp, X, w, 4, seed=0), [100.0, 40.0, 39.0, 39.0])
-    i, _ = sweet_spot(tr, "rough")
-    assert i == 2  # scores 100, 80, 117, 156
+    assert _pick(np.array([100.0, 40.0, 39.0, 39.0])) == 2  # scores 100, 80, 117, 156
 
 
 def test_rough_tie_goes_to_smallest_index():
-    sp, X, w = rand_instance(3, n=30, d=2)
-    tr = _fake_costs(run_trace(sp, X, w, 3, seed=0), [100.0, 50.0, 100.0 / 3])
-    i, _ = sweet_spot(tr, "rough")
-    assert i == 1
+    assert _pick(np.array([100.0, 50.0, 100.0 / 3])) == 1
 
 
 def test_exact_mode_matches_independent_scan():
@@ -207,7 +197,7 @@ def test_exact_mode_matches_independent_scan():
     tr = run_trace(sp, X, w, 6, seed=7)
     C = float(tr.prefix_costs[-1])
     eps = 0.4
-    i_star, probs = sweet_spot(tr, "exact", C=C, eps=eps)
+    i_star, probs = sweet_spot(tr, C=C, eps=eps)
     totals = []
     for i in range(1, 7):
         pi = one2all_probs(sp, X, w, tr.prefix(i)).pi
@@ -221,20 +211,9 @@ def test_exact_mode_matches_independent_scan():
 def test_exact_mode_validation():
     sp, X, w = rand_instance(9, n=20, d=2)
     tr = run_trace(sp, X, w, 2, seed=0)
-    with pytest.raises(ValueError):
-        sweet_spot(tr, "exact")
-    with pytest.raises(ValueError):
-        sweet_spot(tr, "exact", C=-1.0, eps=0.5)
-    with pytest.raises(ValueError):
-        sweet_spot(tr, "bogus")
-
-
-@pytest.mark.parametrize("kw", [{"C": -5.0, "eps": float("nan")}, {"C": 1.0}, {"eps": 0.3}],
-                         ids=["C-and-eps", "C", "eps"])
-def test_rough_mode_refuses_the_c_and_eps_it_ignores(kw):
-    tr = run_trace(*rand_instance(9, n=20, d=2), 2, seed=0)
-    with pytest.raises(ValueError, match="rough mode reads no C or eps"):
-        sweet_spot(tr, "rough", **kw)
+    for C, eps in ((-1.0, 0.5), (0.0, 0.5), (np.inf, 0.5), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            sweet_spot(tr, C=C, eps=eps)
 
 
 def test_flat_cost_profile_high_dim_blob_picks_one():
@@ -242,9 +221,7 @@ def test_flat_cost_profile_high_dim_blob_picks_one():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(500, 50))
-        tr = run_trace(SP2, X, None, 8, seed=seed)
-        i, _ = sweet_spot(tr, "rough")
-        assert i == 1
+        assert _pick(run_trace(SP2, X, None, 8, seed=seed).prefix_costs) == 1
 
 
 def test_probs_from_assignment_agrees_with_direct():
@@ -271,10 +248,8 @@ def _sweet_instance(kind):
     return SP2, X, w
 
 
-def _sweet(tr, mode):
-    if mode == "exact":
-        return sweet_spot(tr, "exact", C=float(tr.prefix_costs[-1]), eps=0.3)
-    return sweet_spot(tr, "rough")
+def _sweet(tr):
+    return sweet_spot(tr, C=float(tr.prefix_costs[-1]), eps=0.3)
 
 
 def _assert_fields_equal(got, want):
@@ -284,21 +259,19 @@ def _assert_fields_equal(got, want):
         assert a.tobytes() == b.tobytes(), f
 
 
-@pytest.mark.parametrize("mode", ["rough", "exact"])
 @pytest.mark.parametrize("kind", ["euclidean", "matrix"])
-def test_sweet_spot_probs_equal_one2all_probs(kind, mode):
+def test_sweet_spot_probs_equal_one2all_probs(kind):
     sp, X, w = _sweet_instance(kind)
     for seed in range(5):
         tr = run_trace(sp, X, w, 10, seed=seed)
-        i_star, probs = _sweet(tr, mode)
+        i_star, probs = _sweet(tr)
         _assert_fields_equal(probs, one2all_probs(sp, X, w, tr.prefix(i_star)))
 
 
-@pytest.mark.parametrize("mode", ["rough", "exact"])
-def test_sweet_spot_pays_no_distance_pass(mode, monkeypatch):
+def test_sweet_spot_pays_no_distance_pass(monkeypatch):
     sp, X, w = _sweet_instance("euclidean")
     tr = run_trace(sp, X, w, 10, seed=0)
-    want = _sweet(tr, mode)
+    want = _sweet(tr)
 
     def refuse(*args, **kwargs):
         raise AssertionError("sweet_spot ran a distance pass")
@@ -314,13 +287,12 @@ def test_sweet_spot_pays_no_distance_pass(mode, monkeypatch):
                          (kmeanspp, "_lower"), (core, "pairwise")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(kmeanspp, "_fill", moved_rows_only)
-    i_star, probs = _sweet(tr, mode)
+    i_star, probs = _sweet(tr)
     assert i_star == want[0]
     _assert_fields_equal(probs, want[1])
 
 
-@pytest.mark.parametrize("mode", ["rough", "exact"])
-def test_sweet_spot_probs_outlive_replay(mode, monkeypatch):
+def test_sweet_spot_probs_outlive_replay(monkeypatch):
     sp, X, w = _sweet_instance("euclidean")
     tr = run_trace(sp, X, w, 10, seed=4)
     started = []
@@ -331,7 +303,7 @@ def test_sweet_spot_probs_outlive_replay(mode, monkeypatch):
         return steps
 
     monkeypatch.setattr(probabilities, "replay", spy)
-    i_star, probs = _sweet(tr, mode)
+    i_star, probs = _sweet(tr)
     assert i_star < tr.ell  # later steps exist to overwrite replay's arrays
     before = {f: np.array(getattr(probs, f), copy=True) for f in PROB_FIELDS}
     for steps in started:

