@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="inp", required=True)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--k", type=_positive(int, "--k"),
-                      help="feedback-style build: ell=2k, threshold=v_2k")
+                      help="feedback-style build: ell=2k, threshold=v_2k estimated on a subsample")
     mode.add_argument("--threshold", type=_positive(float, "--threshold"),
                       help="supported cost threshold C (requires --ell)")
     p.add_argument("--ell", type=_positive(int, "--ell"),

@@ -252,6 +252,8 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None
     space ignores them.
     """
     X, Q = _operands(space, X, Q)
+    if Q.shape[0] == 0:  # every distance would be inf, and the screen has no maximum
+        raise ValueError("need at least one centroid")
     dist = np.full(X.shape[0], np.inf)
     owner = np.zeros(X.shape[0], dtype=np.intp)
     if norms is not None and np.shape(norms) != (X.shape[0],):

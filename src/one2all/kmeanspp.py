@@ -1,13 +1,14 @@
 """Weighted kmeans++ (D²) seeding that keeps the whole centroid trace.
 
-The oracle traces the full data: the prefix costs v_i pick the sweet spot and
-the prefix assignments feed the sampling probabilities. The wrapper traces a
-uniform subsample only, and the base clusterer a trace of its own on each
-sample to seed from. The trace logs which rows each step moved, so `replay`
-rebuilds any prefix's assignment from the log without a second pass over the
-rows that stayed put. It also keeps what its first step computed over every
-row, the squared row norms and the step-1 distances, so later passes over the
-same points (`replay`, or `cost` through `norms=`) need not compute them again.
+The wrapper and the oracle trace a uniform subsample S0 of the data
+(`subsample_trace`): its prefix costs estimate the full data's v_i, and the
+prefix they pick is then assigned over every row in one exact pass. The base
+clusterer runs a trace of its own on each sample to seed from. The trace logs
+which rows each step moved, so `replay` rebuilds any prefix's assignment from
+the log without a second pass over the rows that stayed put. It also keeps
+what its first step computed over every row, the squared row norms and the
+step-1 distances, so later passes over the same points (`replay`, or `cost`
+through `norms=`) need not compute them again.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import MetricSpace, _fill, _lower, as_points, as_weights, require_finite
+
+_SUBSAMPLE = 10_000  # rows of S0, the subsample the wrapper and the oracle trace
 
 
 @dataclass
@@ -137,6 +140,21 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         norms=norms,
         truncated=len(chosen) < ell,
     )
+
+
+def subsample_trace(space: MetricSpace, X: np.ndarray, w: np.ndarray, ell: int,
+                    trace_seed: int, sub_seed: int) -> KmeansPPTrace:
+    """`run_trace` with ell steps over S0: min(n, max(_SUBSAMPLE, ell)) rows.
+
+    The rows are uniform without replacement, drawn by sub_seed alone and kept
+    in index order, and each weighs w n / |S0|, so S0's prefix costs estimate
+    the full data's. With n <= _SUBSAMPLE, S0 is every row at weight w * 1.0,
+    and the trace is the full data's bit for bit.
+    """
+    n = X.shape[0]
+    rows = np.sort(np.random.default_rng(sub_seed).choice(n, min(n, max(_SUBSAMPLE, ell)),
+                                                          replace=False))
+    return run_trace(space, X[rows], w[rows] * (n / rows.size), ell, trace_seed)
 
 
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:

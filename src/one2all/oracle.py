@@ -1,11 +1,16 @@
 """Clustering-cost oracle: fixed-threshold build and feedback variant.
 
-The build runs kmeans++, picks the sweet-spot prefix, and freezes a
-coordinated sample whose estimates are reliable for every query with cost
-at or above the threshold C. The feedback variant starts at C = v_2k and,
-whenever a query's estimate falls at or below C, computes the exact cost,
-grows the sample in place (same per-point uniforms, so members only get
-added), and halves the threshold.
+The build freezes a coordinated sample whose estimates are reliable for
+every query with cost at or above the threshold C. It is set up as the
+wrapper's: a kmeans++ trace over a uniform subsample S0 of the rows
+(`kmeanspp.subsample_trace`) estimates each prefix's sample size, and the
+smallest, the sweet spot M, gets one exact pass over every row, which gives
+its exact pi and v_M. The one2all bound holds for any M, so S0 sets only
+the sample's size. The feedback variant starts at C = S0's v_2k, an estimate
+of the full data's (any C > 0 is valid), and, whenever a query's estimate
+falls at or below C, computes the exact cost, grows the sample in place
+(same per-point uniforms, so members only get added), and halves the
+threshold.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricSpace, as_points, as_weights, cost, require_finite
+from .core import MetricSpace, _row_norms, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
-from .kmeanspp import run_trace
-from .probabilities import check_eps, sample_probs, sweet_spot
+from .kmeanspp import subsample_trace
+from .probabilities import check_eps, one2all_probs, sample_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
 _FORMAT_VERSION = 3  # 3: only what query, feedback and load read
@@ -40,6 +45,9 @@ class OracleState:
     prefix_index: int
     update_count: int
     sample_seed: int
+    # the data's squared row norms (Euclidean), which steer exact answers'
+    # screen; not saved: a loaded state computes them on its first exact answer
+    norms: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -54,7 +62,11 @@ def build(space: MetricSpace, X, w, ell: int, C: float, eps: float, seed: int) -
 
 
 def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> OracleState:
-    """Feedback oracle initialization: ell = 2k, threshold C = v_2k."""
+    """Feedback oracle initialization: ell = 2k, threshold C = S0's v_2k.
+
+    C is the subsample's estimate of the full data's v_2k; any C > 0 is a
+    valid threshold, and the feedback halves it as queries need.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     X = as_points(X)
@@ -62,26 +74,35 @@ def build_feedback(space: MetricSpace, X, w, k: int, eps: float, seed: int) -> O
 
 
 def _build(space, X, w, ell, C, eps, seed) -> OracleState:
-    """Shared build: C=None means C = v_ell.
+    """Shared build: C=None means C = S0's v_ell.
 
-    A zero C (no residual cost) keeps every point: queries are exact. The
-    trace stops at its first zero cost, so that prefix is the whole trace.
+    The prefix is picked on S0, and its pi and v_M come from one exact pass
+    over every row, so p = min{1, max{1, v_M/C} eps^-2 pi} is exact for that
+    M. With n <= _SUBSAMPLE, S0 is every row, and the build is a full-data
+    trace's bit for bit. A zero C (no residual cost on S0) keeps every point:
+    queries are exact. The trace stops at its first zero cost, so that prefix
+    is the whole trace.
     """
     check_eps(eps)
     X = as_points(X)
-    w = as_weights(w, X.shape[0])
-    trace_seed, sample_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(2)
+    n = X.shape[0]
+    w = as_weights(w, n)
+    trace_seed, sample_seed, sub_seed = (
+        int(s) for s in np.random.SeedSequence(seed).generate_state(3)
     )
-    trace = run_trace(space, X, w, ell, trace_seed)
+    trace = subsample_trace(space, X, w, ell, trace_seed, sub_seed)
     if C is None:
         C = float(trace.prefix_costs[-1])
+    norms = None
     if C > 0.0:
-        i_star, probs = sweet_spot(trace, C, eps)
-        v_star = float(trace.prefix_costs[i_star - 1])
-        p = sample_probs(probs.pi, max(1.0, v_star / C), eps)
+        i_star = sweet_spot(trace, C, eps, n)[0]
+        M = trace.prefix(i_star)
+        del trace  # S0 goes before the full-data pass
+        norms = _row_norms(space, X)
+        probs = one2all_probs(space, X, w, M, norms=norms)
+        p = sample_probs(probs.pi, max(1.0, probs.cost_m / C), eps)
     else:
-        i_star, p = trace.ell, np.ones(X.shape[0])
+        i_star, p = trace.ell, np.ones(n)
     return OracleState(
         space=space,
         sample=draw(X, w, p, sample_seed),
@@ -90,6 +111,7 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
         prefix_index=i_star,
         update_count=0,
         sample_seed=int(sample_seed),
+        norms=norms,
     )
 
 
@@ -112,7 +134,9 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
         return est, False
     if sample.points is None:
         raise ValueError("feedback needs the dataset; load with points and weights")
-    V = cost(state.space, sample.points, sample.weights, Q)
+    if state.norms is None:
+        state.norms = _row_norms(state.space, sample.points)
+    V = cost(state.space, sample.points, sample.weights, Q, norms=state.norms)
     if V > 0.0:
         p_new = np.minimum(1.0, max(2.0, 2.0 * state.C / V) * sample.p)
     else:

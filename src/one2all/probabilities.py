@@ -3,7 +3,9 @@
 A single centroid set M yields per-point probabilities pi that dominate the
 pps base probabilities of every query Q whose cost is at least V(M), at
 total mass (sample-size overhead) |pi|_1 <= 8 rho^2 |M| + 2 rho. Scanning
-kmeans++ prefixes M_i for the cheapest candidate picks the "sweet spot".
+kmeans++ prefixes M_i for the cheapest candidate picks the "sweet spot". The
+oracle scans the prefixes of a trace over a uniform subsample S0, which
+estimates each candidate's size, then builds pi for the winner over every row.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def probs_from_assignment(
     rho: float,
     M: np.ndarray,
     cost_m: float,
+    frac: float = 1.0,
 ) -> One2AllProbabilities:
     """Build pi from a precomputed nearest-centroid assignment and its cost.
 
@@ -45,7 +48,8 @@ def probs_from_assignment(
     (they change neither the assignment nor the cost); the count is kept as
     a diagnostic. Weights are positive, so a cell is empty exactly when its
     weight sum is 0; no point's owner is an empty cell, so owner indexes the
-    weight sums of all cells as it stands.
+    weight sums of all cells as it stands. pi is multiplied by frac before
+    its cap at 1 (`sweet_spot` on a subsample).
     """
     cluster_w = np.bincount(owner, weights=w, minlength=M.shape[0])
     keep = cluster_w > 0.0
@@ -61,6 +65,7 @@ def probs_from_assignment(
         term1 = scale * w
         term1 *= dist
         np.maximum(term1, pi, out=pi)
+    pi *= frac
     np.minimum(1.0, pi, out=pi)
     return One2AllProbabilities(pi=pi, M=M, cost_m=cost_m, dropped_empty_cells=dropped)
 
@@ -82,32 +87,44 @@ def sample_probs(pi: np.ndarray, alpha: float, eps: float) -> np.ndarray:
     return np.minimum(1.0, p, out=p)
 
 
-def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
-    """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}."""
+def one2all_probs(space: MetricSpace, X, w, M, *, norms: np.ndarray | None = None
+                  ) -> One2AllProbabilities:
+    """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}.
+
+    norms is passed on to `nearest`.
+    """
     X = as_points(X)
     M = CentroidSet(M).points
     w = as_weights(w, X.shape[0])
-    owner, dist = nearest(space, X, M)
+    owner, dist = nearest(space, X, M, norms=norms)
     return probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
 
 
-def sweet_spot(trace: KmeansPPTrace, C: float, eps: float) -> tuple[int, One2AllProbabilities]:
+def sweet_spot(trace: KmeansPPTrace, C: float, eps: float, n: int | None = None
+               ) -> tuple[int, One2AllProbabilities]:
     """Pick the kmeans++ prefix whose candidate sample is smallest.
 
     Minimizes |min{1, max{1, v_i/C} eps^-2 pi^(M_i)}|_1 over all prefixes, ties
     to the shortest, with pi per prefix built from the assignment `replay` reads
     off the trace's move log: no distance pass beyond the moved rows'. Returns
     the 1-based winning index and its pi.
+
+    n, if given, says the trace is of a uniform subsample S0 of n rows, each
+    weighing w n / |S0| (`kmeanspp.subsample_trace`). Each size is then
+    estimated for the full data: a row of S0 has about n / |S0| times its
+    full-data pi, so pi is scaled by |S0| / n before its cap at 1, and the
+    sum by n / |S0|. The pi returned is the scaled one, over S0's rows.
     """
     if not 0 < C < np.inf:
         raise ValueError("sweet_spot needs a finite C > 0")
     check_eps(eps)
     w = trace.weights
     rho = trace.space.rho
+    frac = 1.0 if n is None else w.size / n
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
-        cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i)
-        total = float(np.sum(sample_probs(cand.pi, max(1.0, v_i / C), eps)))
+        cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i, frac)
+        total = float(np.sum(sample_probs(cand.pi, max(1.0, v_i / C), eps))) / frac
         if i == 1 or total < best:
             best, i_star, probs = total, i, cand
     return i_star, probs

@@ -27,8 +27,8 @@ round, where Q was fit on the whole certifying sample. `rounds` counts a
 re-test round like any other.
 
 M, the centroid set the probabilities come from, is the prefix of a 2k-step
-kmeans++ trace minimizing i v_i, traced on a uniform subsample S0 of at most
-_SUBSAMPLE rows (drawn by the call seed alone, each weighing w n / |S0|). One
+kmeans++ trace minimizing i v_i, traced on a uniform subsample S0
+(`kmeanspp.subsample_trace`, drawn by the call seed alone). One
 exact pass over all rows gives v_M, the assignment, the row norms every
 cost(Q) reuses and, read after M's first k centroids, the first candidate Q;
 r starts at v_M over S0's v_2k. The one2all bound holds for any M, and both
@@ -44,13 +44,12 @@ import numpy as np
 
 from .core import (CentroidSet, MetricSpace, _fill, _lower, as_points, as_weights, cost,
                    require_finite)
-from .kmeanspp import run_trace
+from .kmeanspp import subsample_trace
 from .lloyd import base_cluster
 from .probabilities import check_eps, probs_from_assignment, sample_probs
 from .sampling import draw, estimate_cost
 
 _MAX_ROUNDS = 40  # rounds before an uncertified run gives up
-_SUBSAMPLE = 10_000  # rows of S0, the subsample M is seeded on
 
 
 @dataclass
@@ -107,12 +106,10 @@ def run(
         int(s) for s in np.random.SeedSequence(seed).generate_state(4)
     )
     base_seeds = np.random.SeedSequence(base_seed).generate_state(_MAX_ROUNDS, np.uint64).tolist()
-    rows = np.sort(np.random.default_rng(sub_seed).choice(n, min(n, _SUBSAMPLE), replace=False))
-    trace = run_trace(space, X[rows], w[rows] * (n / rows.size), min(2 * k, rows.size),
-                      trace_seed)
+    trace = subsample_trace(space, X, w, min(2 * k, n), trace_seed, sub_seed)
     i_star = _pick(trace.prefix_costs)
     M, v_end = trace.prefix(i_star), float(trace.prefix_costs[-1])
-    del rows, trace  # S0 goes before the full-data pass
+    del trace  # S0 goes before the full-data pass
     # one exact pass over every row for M, read after its first k0 centroids
     dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
     norms = None if space.kind == "matrix" else np.empty(n)  # reused by every cost(Q)

@@ -49,6 +49,19 @@ def test_distance_dimension_mismatch():
             kernel(sp, [[0.0, 0.0]], [[1.0, 2.0, 3.0]])
 
 
+def test_empty_centroid_arrays_are_refused():
+    # a Euclidean space used to fail inside the screen, a matrix space to cost inf
+    X = np.random.default_rng(3).normal(size=(20, 3))
+    m = pairwise(MetricSpace.euclidean(1.0), X, X)
+    for sp, P, empty in ((SP2, X, np.empty((0, 3))),
+                         (MetricSpace.from_matrix(m), np.arange(20), np.empty((0, 3))),
+                         (MetricSpace.from_matrix(m), np.arange(20), np.empty(0, np.intp))):
+        with pytest.raises(ValueError, match="need at least one centroid"):
+            nearest(sp, P, empty)
+        with pytest.raises(ValueError, match="need at least one centroid"):
+            cost(sp, P, None, empty)
+
+
 def test_self_distance_exact_zero():
     # the kernel must not introduce fp noise on d(x, x)
     rng = np.random.default_rng(7)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from reference import mo_pps_bruteforce
 
-from one2all import kmeanspp, oracle, probabilities
+from one2all import core, kmeanspp, oracle, probabilities
 from one2all.cli import main
 from one2all.core import MetricSpace, cost, pairwise
 from one2all.errors import DataFormatError
@@ -22,7 +22,8 @@ SP2 = MetricSpace.euclidean(2.0)
 
 
 def _sweet_spot_centroids(X, w, k, eps, seed):
-    """The sweet-spot centroids M that build_feedback(SP2, X, w, k, eps, seed) picks."""
+    """The sweet-spot centroids M that build_feedback(SP2, X, w, k, eps, seed) picks
+    when n <= _SUBSAMPLE, so that S0 is every row."""
     trace_seed = int(np.random.SeedSequence(seed).generate_state(2)[0])
     tr = run_trace(SP2, X, w, 2 * k, seed=trace_seed)
     return sweet_spot(tr, C=tr.prefix_costs[-1], eps=eps)[1].M
@@ -80,6 +81,89 @@ def test_build_matches_independent_prefix_scan():
     p = np.minimum(1.0, max(1.0, v / C) * eps**-2 * probs.pi)
     assert st.prefix_index == i_star
     np.testing.assert_array_equal(st.sample.p, p)
+
+
+def test_build_above_the_subsample_matches_an_independent_reconstruction():
+    X, w = _mixture(3, n=kmeanspp._SUBSAMPLE + 3000, d=3, k=4)
+    n, eps = X.shape[0], 0.2
+    st = oracle.build_feedback(SP2, X, w, k=4, eps=eps, seed=5)
+    # the first two seed words are the trace's and the sample's, the third S0's
+    trace_seed, _, sub_seed = np.random.SeedSequence(5).generate_state(3)
+    rows = np.sort(np.random.default_rng(sub_seed).choice(n, kmeanspp._SUBSAMPLE,
+                                                          replace=False))
+    tr = run_trace(SP2, X[rows], w[rows] * (n / rows.size), 8, seed=trace_seed)
+    C = tr.prefix_costs[-1]
+    i_star = sweet_spot(tr, C=C, eps=eps, n=n)[0]
+    probs = probabilities.one2all_probs(SP2, X, w, tr.prefix(i_star))
+    assert (st.C, st.prefix_index) == (C, i_star)
+    np.testing.assert_array_equal(
+        st.sample.p, np.minimum(1.0, max(1.0, probs.cost_m / C) * eps**-2 * probs.pi))
+    # S0's estimate of the winner's sample size is close to the size drawn
+    est = sweet_spot(tr, C=C, eps=eps, n=n)[1]
+    est_size = np.sum(np.minimum(1.0, max(1.0, tr.prefix_costs[i_star - 1] / C)
+                                 * eps**-2 * est.pi)) * n / rows.size
+    assert est_size == pytest.approx(st.sample.p.sum(), rel=0.2)
+
+
+def test_build_traces_s0_once_and_passes_over_every_row_once(monkeypatch):
+    X, w = _mixture(11, n=kmeanspp._SUBSAMPLE + 3000, d=3, k=4)
+    calls = []
+
+    def spy(name, fn):
+        def inner(space, P, *args, **kwargs):
+            rows = args[2] if name == "_fill" and len(args) > 2 else None  # replay's rows
+            calls.append((name, np.shape(P)[0] if rows is None else rows.size, args))
+            return fn(space, P, *args, **kwargs)
+        return inner
+
+    run_trace = kmeanspp.run_trace
+    monkeypatch.setattr(kmeanspp, "run_trace", spy("run_trace", run_trace))
+    for module in (core, kmeanspp):  # nearest's kernels, and the trace's and replay's
+        for name in ("_fill", "_lower"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    st = oracle.build_feedback(SP2, X, w, k=4, eps=0.3, seed=2)
+    traces = [c for c in calls if c[0] == "run_trace"]
+    assert [(c[1], c[2][1]) for c in traces] == [(kmeanspp._SUBSAMPLE, 8)]  # S0, ell = 2k
+    full = [c for c in calls if c[1] == len(X)]
+    assert len(full) == 1 and full[0][0] == "_lower"  # M's one exact pass
+    assert full[0][2][0].shape[0] == st.prefix_index and st.norms is not None
+
+
+def test_halvings_bound_updates_with_a_threshold_estimated_on_s0(monkeypatch):
+    # criterion 8's halving sequences, with C = S0's v_2k: V_t <= 0.9 C_0 / 2^t
+    monkeypatch.setattr(kmeanspp, "_SUBSAMPLE", 500)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(4, 5)) * 8.0
+        X = centers[rng.integers(4, size=2000)] + rng.normal(size=(2000, 5))
+        w = rng.uniform(0.5, 2.0, size=2000)
+        st = oracle.build_feedback(SP2, X, w, k=4, eps=0.4, seed=seed)
+        trace_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
+        assert st.C != run_trace(SP2, X, w, 8, seed=trace_seed).prefix_costs[-1]
+        C0, W = st.C, w.sum()
+        shift = np.zeros(5)
+        for t in range(1, 6):
+            shift[0] = np.sqrt(0.9 * C0 / 2**t / W)
+            oracle.feedback_query(st, X + shift)
+            assert st.update_count <= t
+
+
+def test_build_with_ell_above_the_subsample_traces_ell_rows(monkeypatch):
+    monkeypatch.setattr(kmeanspp, "_SUBSAMPLE", 50)
+    sp, X, w = rand_instance(2, n=200, d=2)
+    seen = []
+    run_trace = kmeanspp.run_trace
+
+    def spy(space, P, weights, ell, seed):
+        seen.append((np.shape(P)[0], ell))
+        return run_trace(space, P, weights, ell, seed)
+
+    monkeypatch.setattr(kmeanspp, "run_trace", spy)
+    st = oracle.build(sp, X, w, ell=60, C=1e-3 * cost(sp, X, w, X[:1]), eps=0.5, seed=1)
+    assert seen == [(60, 60)]
+    assert 1 <= st.prefix_index <= 60 and st.sample.p.shape == (200,)
+    with pytest.raises(ValueError, match="exceeds n"):
+        oracle.build(sp, X, w, ell=201, C=1.0, eps=0.5, seed=1)
 
 
 def test_query_error_small_at_m_itself():
@@ -287,6 +371,31 @@ def test_load_standalone_answers_queries(tmp_path):
     assert oracle.query(back, zero_q) == 0.0
     with pytest.raises(ValueError):
         oracle.feedback_query(back, zero_q)
+
+
+def test_exact_answers_reuse_the_row_norms(tmp_path, monkeypatch):
+    # the build keeps its exact pass's norms; a load computes them on its first
+    # exact answer, not in load; either way exact answers are core.cost's bits
+    X, w = _mixture(29, n=2000, d=3, k=3)
+    st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=7)
+    np.testing.assert_array_equal(st.norms, core._row_norms(SP2, X))
+    path = tmp_path / "oracle.npz"
+    oracle.save(st, path)
+    back = oracle.load(path, points=X, weights=w)
+    assert back.norms is None
+    seen = []
+
+    def spy(space, P, weights, Q, *, norms=None):
+        seen.append(norms)
+        return cost(space, P, weights, Q, norms=norms)
+
+    monkeypatch.setattr(oracle, "cost", spy)
+    for state in (st, back):
+        Q = state.sample.member_points  # estimated at 0, so answered exactly
+        est, exact = oracle.feedback_query(state, Q)
+        assert exact and est == cost(SP2, X, w, Q)
+    assert seen[0] is st.norms and seen[1] is back.norms
+    np.testing.assert_array_equal(back.norms, core._row_norms(SP2, X))
 
 
 def test_load_rejects_wrong_dataset(tmp_path):

@@ -126,7 +126,7 @@ def test_light_far_cluster_certifies(capsys):
     X[:light] = 800.0 + rng.normal(size=(light, d))
     truth = np.vstack([centers, np.full(d, 800.0)])
     Q, rep = run(SP2, X, None, k=5, eps=0.2, seed=3)
-    assert n > wrapper._SUBSAMPLE
+    assert n > kmeanspp._SUBSAMPLE
     assert rep.certified
     assert cost(SP2, X, None, Q) <= 1.3 * cost(SP2, X, None, truth)
     assert not rep.saturated and rep.sample_fraction < 0.15
@@ -137,7 +137,7 @@ def test_light_far_cluster_certifies(capsys):
 
 
 def test_one_exact_full_data_pass_before_round_one(monkeypatch):
-    X, w = _mixture(11, n=wrapper._SUBSAMPLE + 3000, d=3, k=4)
+    X, w = _mixture(11, n=kmeanspp._SUBSAMPLE + 3000, d=3, k=4)
     calls = []
 
     def spy(name, fn):
@@ -146,15 +146,15 @@ def test_one_exact_full_data_pass_before_round_one(monkeypatch):
             return fn(space, P, *args, **kwargs)
         return inner
 
-    for name, fn in (("run_trace", kmeanspp.run_trace), ("_fill", core._fill),
-                     ("_lower", core._lower), ("base_cluster", wrapper.base_cluster)):
-        monkeypatch.setattr(wrapper, name, spy(name, fn))
+    for module, name in ((kmeanspp, "run_trace"), (wrapper, "_fill"), (wrapper, "_lower"),
+                         (wrapper, "base_cluster")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(wrapper, "_pick", lambda costs: costs.size)  # M: all 2k centroids
     _, rep = run(SP2, X, w, k=4, eps=0.3, seed=2)
     names = [c[0] for c in calls]
     assert names.count("run_trace") == 1 and names.count("_fill") == 1
     trace, fill, first_k, rest = calls[:names.index("base_cluster")]
-    assert trace[1] == wrapper._SUBSAMPLE and trace[2][1] == 8  # S0's rows, ell = 2k
+    assert trace[1] == kmeanspp._SUBSAMPLE and trace[2][1] == 8  # S0's rows, ell = 2k
     assert fill[:2] == ("_fill", len(X))
     # the other 7 centroids lower every row in index order, split after the k-th
     assert first_k[:2] == rest[:2] == ("_lower", len(X))
@@ -168,20 +168,21 @@ def test_one_exact_full_data_pass_before_round_one(monkeypatch):
 def test_subsample_is_a_pure_function_of_the_call_seed(monkeypatch):
     # the first column numbers the rows, so the points S0 holds name its rows
     seen = []
+    run_trace = kmeanspp.run_trace
 
     def spy(space, X, w, ell, seed):
         seen.append((X[:, 0].astype(np.intp), w))
-        return kmeanspp.run_trace(space, X, w, ell, seed)
+        return run_trace(space, X, w, ell, seed)
 
-    monkeypatch.setattr(wrapper, "run_trace", spy)
+    monkeypatch.setattr(kmeanspp, "run_trace", spy)
     rng = np.random.default_rng(5)
-    n = wrapper._SUBSAMPLE + 2000
+    n = kmeanspp._SUBSAMPLE + 2000
     for scale, seed in ((1.0, 1), (50.0, 1), (1.0, 2)):
         X = np.column_stack([np.arange(n), scale * rng.normal(size=(n, 2))])
         run(SP2, X, None, k=2, eps=0.5, seed=seed)
     (rows, w), (same_rows, _), (other_rows, _) = seen
-    assert rows.size == wrapper._SUBSAMPLE and np.all(np.diff(rows) > 0)
-    assert np.all(w == n / wrapper._SUBSAMPLE)
+    assert rows.size == kmeanspp._SUBSAMPLE and np.all(np.diff(rows) > 0)
+    assert np.all(w == n / kmeanspp._SUBSAMPLE)
     np.testing.assert_array_equal(rows, same_rows)  # other data, same seed
     assert not np.array_equal(rows, other_rows)
     seen.clear()
@@ -484,7 +485,7 @@ def _pipeline_outputs(X, w):
     out += [np.asarray(getattr(rep, f.name)).tobytes() for f in fields(rep) if f.name != "log"]
     st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=6)
     out += [a.tobytes() for a in (st.sample.p, st.sample.members)]
-    trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # build's trace
+    trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # a full-data trace
     trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
     _, probs = sweet_spot(trace, C=trace.prefix_costs[-1], eps=0.3)
     out += [a.tobytes() for a in (probs.pi, probs.M, trace.norms, trace.first_dist)]
@@ -494,7 +495,7 @@ def _pipeline_outputs(X, w):
 
 def test_outputs_independent_of_chunk_sizes(monkeypatch):
     # the second n is above _SUBSAMPLE, so the wrapper seeds on a subsample
-    for n in (1200, wrapper._SUBSAMPLE + 500):
+    for n in (1200, kmeanspp._SUBSAMPLE + 500):
         X, w = _mixture(37, n=n, d=3, k=3)
         want = _pipeline_outputs(X, w)
         for elems in (20, 97):
