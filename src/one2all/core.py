@@ -4,13 +4,14 @@ Distances are either powered Euclidean, d(x, y) = ||x - y||_2^p (a relaxed
 metric with rho = 2^(p-1) for p > 1), or read from a precomputed symmetric
 matrix whose points are row indices. Two kernels compute every exact
 distance, in either kind of space: `_fill` sets the distances from chosen
-rows to one point (`pairwise`, kmeans++ step 1, `replay`, Lloyd's empty-cell
-re-seed), and `_lower` lowers a running nearest-centroid assignment
-(`nearest`, later kmeans++ steps). A matrix space reads the distances to
-one centroid at a time from its (contiguous) row, which equals the column
-by symmetry, so memory stays O(n) for any number of centroids. `_owners`
-gives Lloyd the owners alone and computes a distance only where the screen
-below cannot name the owner.
+rows to one point (`pairwise`, kmeans++ step 1, Lloyd's empty-cell re-seed),
+and `_lower` lowers a running nearest-centroid assignment (`nearest`, later
+kmeans++ steps). `_assign`, the exact pass for the wrapper's and the
+oracle's M, is one `_fill` then one `_lower`. A matrix space reads the
+distances to one centroid at a time from its (contiguous) row, which equals
+the column by symmetry, so memory stays O(n) for any number of centroids.
+`_owners` gives Lloyd the owners alone and computes a distance only where
+the screen below cannot name the owner.
 
 Every Euclidean distance is computed one way, by `_exact`: the difference
 x - q, squared, then numpy's pairwise sum over the row. Owners, distances
@@ -247,9 +248,8 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None
 
     Memory stays O(n) even for large k; ties go to the lowest index.
     Euclidean distances are lowered squared and raised to the power once.
-    norms, if given, are X's squared row norms as `run_trace` keeps them
-    (`KmeansPPTrace.norms`), so this pass need not compute them; a matrix
-    space ignores them.
+    norms, if given, are X's squared row norms as `_assign` returns them,
+    so this pass need not compute them; a matrix space ignores them.
     """
     X, Q = _operands(space, X, Q)
     if Q.shape[0] == 0:  # every distance would be inf, and the screen has no maximum
@@ -396,6 +396,26 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
         return
     for rows, cand in _screen(X, Q, norms, dist, space.power):
         _running_min(X[rows], Q, base, cand, dist[rows], owner[rows], space.power)
+
+
+def _assign(space: MetricSpace, X: np.ndarray, M: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The exact pass for centroids M over every row: (owner, dist, norms).
+
+    `_fill` for M[0], which also computes the squared row norms (None for a
+    matrix space), then `_lower` by M[1:]: a running minimum over the columns
+    of pairwise(space, X, M) with strict improvement. A NaN or inf row
+    raises ValueError.
+    """
+    n = X.shape[0]
+    dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
+    norms = None if space.kind == "matrix" else np.empty(n)
+    _fill(space, X, M[0], dist, norms=norms)
+    if n and not np.isfinite(dist.max()):
+        require_finite(points=X)  # a NaN or inf row is NaN or inf from any centroid
+    if M.shape[0] > 1:
+        _lower(space, X, M[1:], 1, dist, owner, norms)
+    return owner, dist, norms
 
 
 def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray) -> np.ndarray:

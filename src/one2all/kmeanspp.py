@@ -2,13 +2,11 @@
 
 The wrapper and the oracle trace a uniform subsample S0 of the data
 (`subsample_trace`): its prefix costs estimate the full data's v_i, and the
-prefix they pick is then assigned over every row in one exact pass. The base
-clusterer runs a trace of its own on each sample to seed from. The trace logs
-which rows each step moved, so `replay` rebuilds any prefix's assignment from
-the log without a second pass over the rows that stayed put. It also keeps
-what its first step computed over every row, the squared row norms and the
-step-1 distances, so later passes over the same points (`replay`, or `cost`
-through `norms=`) need not compute them again.
+prefix they pick is then assigned over every row in one exact pass
+(`core._assign`). The base clusterer runs a trace of its own on each sample
+to seed from. A trace keeps its centroids and prefix costs; `replay`
+rebuilds each prefix's assignment on the trace's own rows by running the
+trace's step (`_step`) again, so its states are the trace's by construction.
 """
 
 from __future__ import annotations
@@ -25,16 +23,8 @@ _SUBSAMPLE = 10_000  # rows of S0, the subsample the wrapper and the oracle trac
 
 @dataclass
 class KmeansPPTrace:
-    """Centroids m_1..m_ell with v_i = cost of the first i of them.
-
-    owner and dist are the assignment to all ell centroids. moves is the
-    move log: bit x of row i (0-based, np.packbits order) is set when point
-    x moved to centroid i, that is, when x's owner in the length-(i+1)
-    prefix is i. One (ell, ceil(n/8)) uint8 array holds the whole log.
-    first_dist is the assignment to m_1 alone, where replay starts. norms
-    holds the squared row norms of a Euclidean space's points (None for a
-    matrix space); `cost` and `nearest` take them as `norms=`.
-    """
+    """Centroids m_1..m_ell, rows centroid_indices of points, with v_i = the
+    cost of the first i of them over (points, weights)."""
 
     space: MetricSpace = field(repr=False)
     points: np.ndarray = field(repr=False)
@@ -42,12 +32,6 @@ class KmeansPPTrace:
     centroid_indices: np.ndarray
     centroids: np.ndarray = field(repr=False)
     prefix_costs: np.ndarray
-    owner: np.ndarray = field(repr=False)  # final-prefix assignment
-    dist: np.ndarray = field(repr=False)
-    moves: np.ndarray = field(repr=False)
-    first_dist: np.ndarray = field(repr=False)
-    norms: np.ndarray | None = field(repr=False)
-    truncated: bool = False
 
     @property
     def ell(self) -> int:
@@ -75,20 +59,29 @@ def _draw_index(rng: np.random.Generator, mass: np.ndarray, cum: np.ndarray | No
     return idx
 
 
+def _step(space: MetricSpace, X: np.ndarray, s: int, i: int, dist: np.ndarray,
+          owner: np.ndarray, norms: np.ndarray | None) -> None:
+    """Add X[s] as centroid i to the running assignment (dist, owner).
+
+    Step 0 fills every row's exact distance (`core._fill`) and, for a
+    Euclidean space, the squared row norms in the same sweep; owner must then
+    be all zeros. Later steps lower the assignment through `core._lower`,
+    which computes exact distances only where X[s] may be nearer.
+    """
+    if i == 0:
+        _fill(space, X, X[s], dist, norms=norms)
+    else:
+        _lower(space, X, X[s : s + 1], i, dist, owner, norms)
+
+
 def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     """D² seeding: m_1 ~ w_x, then m_i ~ w_x * d(x, prefix).
 
-    Maintains per-point distance to the prefix incrementally: one centroid
-    per iteration. Step 1 fills every row's exact distance (`core._fill`,
-    which replay shares) and the squared row norms in the same sweep; later
-    steps lower it through `core._lower`, which computes exact distances
-    only where the new centroid may be nearer. If residual mass hits zero
-    before ell centroids (all points coincide with centroids) the trace
-    truncates and says so. After step i the rows that moved are exactly
-    those with owner i, since every earlier owner is below i; they go into
-    the move log. The n-length mass, prefix-sum and move buffers are
-    allocated once and reused by every step; with unit weights the mass is
-    the distances themselves.
+    Maintains per-point distance to the prefix incrementally, one centroid
+    per `_step`. If residual mass hits zero before ell centroids (all points
+    coincide with centroids) the trace stops there, so its ell is smaller.
+    The n-length mass and prefix-sum buffers are allocated once and reused by
+    every step; with unit weights the mass is the distances themselves.
     """
     X = as_points(X)
     n = X.shape[0]
@@ -98,25 +91,17 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     if ell > n:
         raise ValueError(f"ell={ell} exceeds n={n}")
     rng = np.random.default_rng(seed)
-    dist = np.empty(n)
-    owner = np.zeros(n, dtype=np.intp)
+    dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
     norms = None if space.kind == "matrix" else np.empty(n)
-    moves = np.empty((ell, (n + 7) // 8), dtype=np.uint8)
     # With unit weights w·dist is dist bit for bit, so mass aliases dist.
     mass = dist if np.all(w == 1.0) else np.empty(n)
     cum = np.empty(n)
-    moved = np.empty(n, dtype=bool)
     chosen: list[int] = []
     costs: list[float] = []
     for i in range(ell):
         s = _draw_index(rng, mass if i else w, cum)  # the first by weight alone
         chosen.append(s)
-        if i == 0:
-            _fill(space, X, X[s], dist, norms=norms)
-            first_dist = dist.copy()
-        else:
-            _lower(space, X, X[s : s + 1], i, dist, owner, norms)
-        moves[i] = np.packbits(np.equal(owner, i, out=moved))
+        _step(space, X, s, i, dist, owner, norms)
         if mass is not dist:
             np.multiply(w, dist, out=mass)
         costs.append(float(np.sum(mass)))
@@ -133,12 +118,6 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
         centroid_indices=idx,
         centroids=X[idx],
         prefix_costs=np.asarray(costs),
-        owner=owner,
-        dist=dist,
-        moves=moves[: len(chosen)],
-        first_dist=first_dist,
-        norms=norms,
-        truncated=len(chosen) < ell,
     )
 
 
@@ -160,20 +139,15 @@ def subsample_trace(space: MetricSpace, X: np.ndarray, w: np.ndarray, ell: int,
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
     """Yield (i, owner, dist, v_i) for every prefix i = 1..ell.
 
-    Step 1 starts from a copy of the trace's step-1 distances. Each later
-    step reads its moved rows from the trace's move log and fills distances
-    for those rows alone, so every step costs O(moved rows) distance work
-    plus an O(n / 8) unpack. The state equals the trace's own after each
-    step, bit for bit. The yielded arrays are reused between iterations;
-    copy them if they must outlive the loop step.
+    Each state comes from the trace's own `_step` on the trace's rows, one
+    centroid at a time, so it equals the trace's after that step, bit for
+    bit: one full `_fill` for m_1, then a one-centroid `_lower` per step. The
+    yielded arrays are reused between iterations; copy them if they must
+    outlive the loop step.
     """
-    X = trace.points
-    n = X.shape[0]
-    dist = trace.first_dist.copy()
-    owner = np.zeros(n, dtype=np.intp)
+    space, X = trace.space, trace.points
+    dist, owner = np.empty(X.shape[0]), np.zeros(X.shape[0], dtype=np.intp)
+    norms = None if space.kind == "matrix" else np.empty(X.shape[0])
     for i, s in enumerate(trace.centroid_indices):
-        if i:
-            rows = np.flatnonzero(np.unpackbits(trace.moves[i], count=n).view(bool))
-            owner[rows] = i
-            _fill(trace.space, X, X[s], dist, rows)
+        _step(space, X, s, i, dist, owner, norms)
         yield i + 1, owner, dist, float(trace.prefix_costs[i])

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricSpace, _row_norms, as_points, as_weights, cost, require_finite
+from .core import MetricSpace, _assign, _row_norms, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import subsample_trace
-from .probabilities import check_eps, one2all_probs, sample_probs, sweet_spot
+from .probabilities import check_eps, probs_from_assignment, sample_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
 _FORMAT_VERSION = 3  # 3: only what query, feedback and load read
@@ -98,8 +98,9 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
         i_star = sweet_spot(trace, C, eps, n)[0]
         M = trace.prefix(i_star)
         del trace  # S0 goes before the full-data pass
-        norms = _row_norms(space, X)
-        probs = one2all_probs(space, X, w, M, norms=norms)
+        owner, dist, norms = _assign(space, X, M)
+        probs = probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
+        del owner, dist
         p = sample_probs(probs.pi, max(1.0, probs.cost_m / C), eps)
     else:
         i_star, p = trace.ell, np.ones(n)

@@ -49,8 +49,11 @@ def probs_from_assignment(
     a diagnostic. Weights are positive, so a cell is empty exactly when its
     weight sum is 0; no point's owner is an empty cell, so owner indexes the
     weight sums of all cells as it stands. pi is multiplied by frac before
-    its cap at 1 (`sweet_spot` on a subsample).
+    its cap at 1 (`sweet_spot` on a subsample). A cost_m that is not >= 0
+    (NaN included) raises ValueError.
     """
+    if not cost_m >= 0.0:
+        raise ValueError(f"V(M) must be >= 0, not {cost_m!r}")
     cluster_w = np.bincount(owner, weights=w, minlength=M.shape[0])
     keep = cluster_w > 0.0
     dropped = int(keep.size - np.count_nonzero(keep))
@@ -87,16 +90,12 @@ def sample_probs(pi: np.ndarray, alpha: float, eps: float) -> np.ndarray:
     return np.minimum(1.0, p, out=p)
 
 
-def one2all_probs(space: MetricSpace, X, w, M, *, norms: np.ndarray | None = None
-                  ) -> One2AllProbabilities:
-    """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}.
-
-    norms is passed on to `nearest`.
-    """
+def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
+    """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}."""
     X = as_points(X)
     M = CentroidSet(M).points
     w = as_weights(w, X.shape[0])
-    owner, dist = nearest(space, X, M, norms=norms)
+    owner, dist = nearest(space, X, M)
     return probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
 
 
@@ -105,9 +104,9 @@ def sweet_spot(trace: KmeansPPTrace, C: float, eps: float, n: int | None = None
     """Pick the kmeans++ prefix whose candidate sample is smallest.
 
     Minimizes |min{1, max{1, v_i/C} eps^-2 pi^(M_i)}|_1 over all prefixes, ties
-    to the shortest, with pi per prefix built from the assignment `replay` reads
-    off the trace's move log: no distance pass beyond the moved rows'. Returns
-    the 1-based winning index and its pi.
+    to the shortest, with pi per prefix built from the assignment `replay`
+    rebuilds on the trace's own rows: no distance work beyond those rows.
+    Returns the 1-based winning index and its pi.
 
     n, if given, says the trace is of a uniform subsample S0 of n rows, each
     weighing w n / |S0| (`kmeanspp.subsample_trace`). Each size is then

@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CentroidSet, MetricSpace, _fill, _lower, as_points, as_weights, cost,
-                   require_finite)
+from .core import CentroidSet, MetricSpace, _assign, _lower, as_points, as_weights, cost
 from .kmeanspp import subsample_trace
 from .lloyd import base_cluster
 from .probabilities import check_eps, probs_from_assignment, sample_probs
@@ -110,19 +109,14 @@ def run(
     i_star = _pick(trace.prefix_costs)
     M, v_end = trace.prefix(i_star), float(trace.prefix_costs[-1])
     del trace  # S0 goes before the full-data pass
-    # one exact pass over every row for M, read after its first k0 centroids
-    dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
-    norms = None if space.kind == "matrix" else np.empty(n)  # reused by every cost(Q)
-    _fill(space, X, M[0], dist, norms=norms)
+    # one exact pass over every row for M, read after its first k0 centroids;
+    # its norms are reused by every cost(Q)
     k0 = min(k, i_star)
-    if k0 > 1:
-        _lower(space, X, M[1:k0], 1, dist, owner, norms)
+    owner, dist, norms = _assign(space, X, M[:k0])
     best_q, best_v = CentroidSet(M[:k0]), float(np.sum(w * dist))
     if i_star > k0:
         _lower(space, X, M[k0:], k0, dist, owner, norms)
     v_m = float(np.sum(w * dist))
-    if not np.isfinite(v_m):
-        require_finite(points=X)  # NaN or inf points make v_M NaN or inf
     probs = probs_from_assignment(w, owner, dist, space.rho, M, v_m)
     del dist, owner
     log: list[dict] = []

@@ -154,8 +154,7 @@ def library_outputs() -> None:
                        np.arange(600))
     for name, (space, P) in cases.items():
         tr = run_trace(space, P, w[: P.shape[0]], 12, seed=9)
-        emit(f"run_trace {name}", tr.centroid_indices, tr.prefix_costs, tr.owner, tr.dist,
-             tr.moves, tr.truncated)
+        emit(f"run_trace {name}", tr.centroid_indices, tr.prefix_costs)
         emit(f"replay {name}", *(x for i, o, d, v in replay(tr) for x in (i, o, d, v)))
         i_star, probs = sweet_spot(tr, C=float(tr.prefix_costs[-1]), eps=0.3)
         emit(f"sweet_spot exact {name}", i_star, probs.pi, probs.M, probs.cost_m,

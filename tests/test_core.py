@@ -446,15 +446,10 @@ def assert_kernel_matches(X, Q, p, w=None, ell=None, seed=0):
     chosen, steps, costs = ref_trace(p, X, w, ell, seed)
     assert_same_bytes(trace.centroid_indices, np.asarray(chosen, dtype=np.intp))
     assert_same_bytes(trace.prefix_costs, np.asarray(costs))
-    assert_same_bytes(trace.owner, steps[-1][0])
-    assert_same_bytes(trace.dist, steps[-1][1])
-    replayed = 0
-    for (i, o, d, v), (ref_o, ref_d) in zip(replay(trace), steps):
+    for (i, o, d, v), (ref_o, ref_d) in zip(replay(trace), steps, strict=True):
         assert_same_bytes(o, ref_o)
         assert_same_bytes(d, ref_d)
         assert v == costs[i - 1]
-        replayed += 1
-    assert replayed == len(steps)
 
 
 coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
@@ -537,7 +532,7 @@ def test_kernel_independent_of_chunk_size(p, monkeypatch):
         after = nearest(sp, X, Q)
         assert_same_bytes(after[0], before[0])
         assert_same_bytes(after[1], before[1])
-        assert_same_bytes(run_trace(sp, X, None, 10, 2).dist, trace_before.dist)
+        assert_same_bytes(run_trace(sp, X, None, 10, 2).prefix_costs, trace_before.prefix_costs)
 
 
 @pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-161])
@@ -633,7 +628,7 @@ def test_owners_independent_of_chunk_size(elems, monkeypatch):
     assert_owners_match(X, Q)
 
 
-# The norms run_trace keeps --------------------------------------------------
+# The norms the exact pass for M computes (a trace's steps compute the same) ---
 
 
 @pytest.mark.parametrize("elems", [None, 20, 97])
@@ -644,11 +639,15 @@ def test_trace_norms_are_the_row_norms(d, elems, monkeypatch):
     if elems is not None:
         monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
         monkeypatch.setattr(core, "_GATHER_ELEMS", elems)
+    want = np.einsum("ij,ij->i", X, X)
     for p in (1.0, 2.0, 3.0):
-        assert_same_bytes(run_trace(MetricSpace.euclidean(p), X, None, 4, 0).norms,
-                          np.einsum("ij,ij->i", X, X))
+        sp = MetricSpace.euclidean(p)
+        assert_same_bytes(core._assign(sp, X, X[[4, 9]])[2], want)
+        norms = np.empty(500)
+        core._fill(sp, X, X[7], np.empty(500), norms=norms)
+        assert_same_bytes(norms, want)
     m = MetricSpace.from_matrix(pairwise(SP2, X[:30], X[:30]), rho=2.0)
-    assert run_trace(m, np.arange(30), None, 3, 0).norms is None
+    assert core._assign(m, np.arange(30), np.array([3, 5]))[2] is None
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -657,12 +656,28 @@ def test_cost_and_nearest_with_trace_norms_match(p):
     rng = np.random.default_rng(25)
     X = rng.normal(size=(2000, 6)) + 8.0 * rng.integers(0, 4, size=(2000, 1))
     w = rng.uniform(0.5, 2.0, size=2000)
-    tr = run_trace(sp, X, w, 8, 1)
-    for Q in (tr.centroids, X[[3, 3, 70]], rng.normal(size=(5, 6))):
-        assert cost(sp, X, w, Q, norms=tr.norms).hex() == cost(sp, X, w, Q).hex()
-        assert cost(sp, X, None, Q, norms=tr.norms).hex() == cost(sp, X, None, Q).hex()
-        for got, want in zip(nearest(sp, X, Q, norms=tr.norms), nearest(sp, X, Q)):
+    M = run_trace(sp, X, w, 8, 1).centroids
+    owner, dist, norms = core._assign(sp, X, M)
+    for got, want in zip((owner, dist), nearest(sp, X, M)):  # the exact pass is nearest's
+        assert_same_bytes(got, want)
+    for Q in (M, X[[3, 3, 70]], rng.normal(size=(5, 6))):
+        assert cost(sp, X, w, Q, norms=norms).hex() == cost(sp, X, w, Q).hex()
+        assert cost(sp, X, None, Q, norms=norms).hex() == cost(sp, X, None, Q).hex()
+        for got, want in zip(nearest(sp, X, Q, norms=norms), nearest(sp, X, Q)):
             assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exact_pass_rejects_non_finite_rows(bad):
+    X = np.random.default_rng(27).normal(size=(300, 4))
+    X[211, 2] = bad
+    with pytest.raises(ValueError, match="points contain NaN or inf"):
+        core._assign(SP2, X, X[:3])
+    huge = np.full((5, 2), 1e200)  # finite rows whose distances overflow pass
+    huge[0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        owner, dist, _ = core._assign(SP2, huge, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert dist[0] == 0.0 and np.isinf(dist[2])
 
 
 def test_wrong_shape_norms_are_rejected():
@@ -731,9 +746,7 @@ def test_matrix_trace_and_replay_match_the_gathered_block(seed, weighted, ell):
         states.append((owner, dist))
         mass = w * dist
         assert trace.prefix_costs[i] == float(np.sum(mass))
-    assert trace.ell == len(states) and trace.truncated == (ell == 40)
-    assert_same_bytes(trace.owner, states[-1][0])
-    assert_same_bytes(trace.dist, states[-1][1])
+    assert trace.ell == len(states) and (trace.ell < ell) == (ell == 40)
     for (i, owner, dist, v), (ref_owner, ref_dist) in zip(replay(trace), states, strict=True):
         assert_same_bytes(owner, ref_owner)
         assert_same_bytes(dist, ref_dist)

@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_instance, ref_cost
 
 from one2all import core
-from one2all.core import MetricSpace, cost, pairwise
+from one2all.core import MetricSpace, cost, nearest, pairwise
 from one2all.data import gen_gmm
 from one2all.kmeanspp import replay, run_trace
 
@@ -21,7 +21,7 @@ def test_two_points_second_is_forced():
         tr = run_trace(SP2, X, None, 2, seed)
         assert sorted(tr.centroid_indices.tolist()) == [0, 1]
         assert tr.prefix_costs[1] == 0.0
-        assert not tr.truncated
+        assert tr.ell == 2
 
 
 def test_first_draw_uniform_frequency():
@@ -95,7 +95,6 @@ def test_same_seed_reproduces_bit_exactly():
     b = run_trace(sp, X, w, 6, seed=42)
     np.testing.assert_array_equal(a.centroid_indices, b.centroid_indices)
     np.testing.assert_array_equal(a.prefix_costs, b.prefix_costs)
-    np.testing.assert_array_equal(a.dist, b.dist)
 
 
 def test_unit_weights_trace_as_any_equal_weights():
@@ -108,13 +107,12 @@ def test_unit_weights_trace_as_any_equal_weights():
         double = run_trace(space, X, np.full(len(X), 2.0), 12, seed=4)
         np.testing.assert_array_equal(unit.centroid_indices, double.centroid_indices)
         assert (2.0 * unit.prefix_costs).tobytes() == double.prefix_costs.tobytes()
-        assert unit.dist.tobytes() == double.dist.tobytes()
 
 
 def test_truncates_when_distinct_points_run_out():
     X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
     tr = run_trace(SP2, X, None, 5, seed=0)
-    assert tr.truncated
+    assert tr.ell < 5
     assert tr.ell == 3
     assert tr.prefix_costs[-1] == 0.0
     vals = sorted(X[tr.centroid_indices].ravel().tolist())
@@ -132,11 +130,11 @@ def test_zero_distance_points_never_reselected():
 def test_owner_dist_consistent_with_centroids():
     sp, X, w = rand_instance(7, n=50, d=3)
     tr = run_trace(sp, X, w, 5, seed=11)
-    from one2all.core import nearest
-
-    owner, dist = nearest(sp, X, tr.centroids)
-    np.testing.assert_array_equal(tr.owner, owner)
-    np.testing.assert_array_equal(tr.dist, dist)
+    for _, owner, dist, _ in replay(tr):
+        pass
+    want_owner, want_dist = nearest(sp, X, tr.centroids)
+    np.testing.assert_array_equal(owner, want_owner)
+    np.testing.assert_array_equal(dist, want_dist)
 
 
 def test_replay_reproduces_trace_prefixes():
@@ -146,10 +144,10 @@ def test_replay_reproduces_trace_prefixes():
     for i, owner, dist, v in replay(tr):
         seen = i
         assert v == tr.prefix_costs[i - 1]
-        assert np.sum(w * dist) == pytest.approx(v, rel=1e-12)
-        if i == tr.ell:
-            np.testing.assert_array_equal(owner, tr.owner)
-            np.testing.assert_array_equal(dist, tr.dist)
+        assert np.sum(w * dist) == v
+        want_owner, want_dist = nearest(sp, X, tr.prefix(i))
+        np.testing.assert_array_equal(owner, want_owner)
+        np.testing.assert_array_equal(dist, want_dist)
     assert seen == tr.ell
 
 
@@ -181,7 +179,7 @@ def test_validation_errors():
         run_trace(SP2, LINE4, None, 5, seed=0)
 
 
-# The move log against an independent per-column running minimum -----------
+# replay against an independent per-column running minimum ----------------
 
 
 def _column(space, X, s):
@@ -237,28 +235,14 @@ LOG_CASES = {  # space, points, weights, ell
 def test_replay_matches_running_minimum(case, chunk, monkeypatch):
     space, X, w, ell = LOG_CASES[case]
     tr = run_trace(space, X, w, ell, seed=3)
-    assert tr.truncated == (case == "truncated")
+    assert (tr.ell < ell) == (case == "truncated")
     if chunk is not None:
         monkeypatch.setattr(core, "_CHUNK_ELEMS", chunk)
-    n = X.shape[0]
     steps = zip(replay(tr), _running_minimum(tr), strict=True)
     for (i, owner, dist, v), (ref_owner, ref_dist) in steps:
         assert _same_bytes(owner, ref_owner), f"owner differs at prefix {i}"
         assert _same_bytes(dist, ref_dist), f"dist differs at prefix {i}"
         assert v == tr.prefix_costs[i - 1]
-        moved = np.unpackbits(tr.moves[i - 1], count=n).view(bool)
-        assert np.array_equal(moved, ref_owner == i - 1)
-    assert _same_bytes(owner, tr.owner) and _same_bytes(dist, tr.dist)
-
-
-def test_move_log_is_one_packed_array():
-    for X, ell in ((_clustered(4, n=301), 9), (np.repeat([[0.0], [1.0]], 10, axis=0), 5)):
-        tr = run_trace(SP2, X, None, ell, seed=0)
-        row_bytes = (X.shape[0] + 7) // 8
-        assert tr.moves.dtype == np.uint8
-        assert tr.moves.shape == (tr.ell, row_bytes)
-        assert tr.moves.nbytes == tr.ell * row_bytes
-    assert tr.truncated and tr.ell == 2
 
 
 def test_replay_memory_does_not_grow_with_ell():
@@ -271,16 +255,16 @@ def test_replay_memory_does_not_grow_with_ell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the state, one unpacked step and the gather buffers; one n-array kept
-    # per step would pass 40 * 8n bytes
+    # the state, the norms and one step's screen and gather buffers; one
+    # n-array kept per step would pass 40 * 8n bytes
     assert peak < 16 * 8 * X.shape[0]
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 @pytest.mark.parametrize("power", [2.0, 3.0])
 def test_first_step_is_the_exact_column(power, chunk, monkeypatch):
-    # step 1 fills dist screen-free; it must give pairwise's bits, and replay
-    # shares it, at any chunk size
+    # step 1 fills dist screen-free; it must give pairwise's bits at any chunk
+    # size
     space = MetricSpace.euclidean(power)
     X = _clustered(6, n=400, d=20)
     w = np.random.default_rng(7).uniform(0.2, 5.0, size=X.shape[0])
@@ -291,26 +275,10 @@ def test_first_step_is_the_exact_column(power, chunk, monkeypatch):
         tr = run_trace(space, X, w, 1, seed=seed)
         s = tr.centroid_indices[0]
         want = pairwise(space, X, X[s : s + 1])[:, 0]
-        assert _same_bytes(tr.dist, want)
-        assert _same_bytes(tr.first_dist, want)
-        assert _same_bytes(tr.norms, np.einsum("ij,ij->i", X, X))
-        assert not tr.owner.any()
         ((i, owner, dist, v),) = replay(tr)
         assert _same_bytes(dist, want) and not owner.any()
+        assert v == float(np.sum(w * want))
     longer = run_trace(space, X, w, 6, seed=0)
     s = longer.centroid_indices[0]
-    assert _same_bytes(longer.first_dist, pairwise(space, X, X[s : s + 1])[:, 0])
-
-
-def test_replay_leaves_the_kept_step_one_distances_alone():
-    X = _clustered(8, n=500)
-    tr = run_trace(MetricSpace.euclidean(3.0), X, None, 8, seed=2)
-    kept = tr.first_dist.copy()
-    first = [(owner.copy(), dist.copy()) for _, owner, dist, _ in replay(tr)]
-    for _, owner, dist, _ in replay(tr):
-        dist[:] = -1.0  # a caller that scribbles on the yielded array
-        owner[:] = 7
-    assert _same_bytes(tr.first_dist, kept)
-    again = [(owner.copy(), dist.copy()) for _, owner, dist, _ in replay(tr)]
-    for (o1, d1), (o2, d2) in zip(first, again, strict=True):
-        assert _same_bytes(o1, o2) and _same_bytes(d1, d2)
+    _, _, dist, _ = next(replay(longer))
+    assert _same_bytes(dist, pairwise(space, X, X[s : s + 1])[:, 0])

@@ -111,22 +111,23 @@ def test_build_traces_s0_once_and_passes_over_every_row_once(monkeypatch):
 
     def spy(name, fn):
         def inner(space, P, *args, **kwargs):
-            rows = args[2] if name == "_fill" and len(args) > 2 else None  # replay's rows
-            calls.append((name, np.shape(P)[0] if rows is None else rows.size, args))
+            calls.append((name, np.shape(P)[0], args))
             return fn(space, P, *args, **kwargs)
         return inner
 
-    run_trace = kmeanspp.run_trace
-    monkeypatch.setattr(kmeanspp, "run_trace", spy("run_trace", run_trace))
-    for module in (core, kmeanspp):  # nearest's kernels, and the trace's and replay's
+    monkeypatch.setattr(kmeanspp, "run_trace", spy("run_trace", kmeanspp.run_trace))
+    monkeypatch.setattr(oracle, "_assign", spy("_assign", oracle._assign))
+    for module in (core, kmeanspp):  # the exact pass's kernels, and the trace's and replay's
         for name in ("_fill", "_lower"):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     st = oracle.build_feedback(SP2, X, w, k=4, eps=0.3, seed=2)
     traces = [c for c in calls if c[0] == "run_trace"]
     assert [(c[1], c[2][1]) for c in traces] == [(kmeanspp._SUBSAMPLE, 8)]  # S0, ell = 2k
+    # M's one exact pass over every row; every other distance is on S0's rows
     full = [c for c in calls if c[1] == len(X)]
-    assert len(full) == 1 and full[0][0] == "_lower"  # M's one exact pass
+    assert [c[0] for c in full] == ["_assign", "_fill"] + ["_lower"] * (st.prefix_index > 1)
     assert full[0][2][0].shape[0] == st.prefix_index and st.norms is not None
+    assert {c[1] for c in calls} == {len(X), kmeanspp._SUBSAMPLE}
 
 
 def test_halvings_bound_updates_with_a_threshold_estimated_on_s0(monkeypatch):
@@ -717,7 +718,7 @@ def test_damaged_files_raise_or_load_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_builds_reject_non_finite_points_and_weights(bad):
+def test_builds_reject_non_finite_points_and_weights(bad, monkeypatch):
     X, w = _mixture(10, n=300)
     Xb = X.copy()
     Xb[3, 1] = bad
@@ -728,6 +729,16 @@ def test_builds_reject_non_finite_points_and_weights(bad):
             oracle.build(SP2, *args, ell=6, C=1.0, eps=0.5, seed=0)
         with pytest.raises(ValueError, match="NaN or inf"):
             oracle.build_feedback(SP2, *args, k=3, eps=0.5, seed=0)
+    # a bad row outside S0 is left to the exact pass over every row
+    monkeypatch.setattr(kmeanspp, "_SUBSAMPLE", 100)
+    sub_seed = np.random.SeedSequence(0).generate_state(3)[2]
+    s0 = np.random.default_rng(sub_seed).choice(300, 100, replace=False)
+    Xo = X.copy()
+    Xo[np.setdiff1d(np.arange(300), s0)[0], 1] = bad
+    with pytest.raises(ValueError, match="points contain NaN or inf"):
+        oracle.build(SP2, Xo, w, ell=6, C=1.0, eps=0.5, seed=0)
+    with pytest.raises(ValueError, match="points contain NaN or inf"):
+        oracle.build_feedback(SP2, Xo, w, k=3, eps=0.5, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -90,6 +90,15 @@ def test_a_cost_out_of_float_range_is_refused(scale):
         one2all_probs(MetricSpace.euclidean(400.0), X, None, X[:2])
 
 
+@pytest.mark.parametrize("cost_m", [np.nan, -1.0, -np.inf])
+def test_a_cost_below_zero_or_nan_is_refused(cost_m):
+    # NaN > 0 is False, so a NaN V(M) would pass for V(M) = 0
+    X = np.array([[0.0], [1.0], [3.0]])
+    owner, dist = nearest(SP2, X, X[:2])
+    with pytest.raises(ValueError, match="V\\(M\\) must be >= 0"):
+        probs_from_assignment(np.ones(3), owner, dist, SP2.rho, X[:2], cost_m)
+
+
 def test_empty_cell_centroid_dropped_without_effect():
     X = np.array([[0.0], [1.0]])
     M = np.array([[0.0], [1.0], [0.5]])  # 0.5 owns nothing (ties go left)
@@ -276,20 +285,26 @@ def test_sweet_spot_pays_no_distance_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sweet_spot ran a distance pass")
 
-    fill = kmeanspp._fill
+    calls = []
 
-    def moved_rows_only(space, X, q, dist, rows=None, norms=None):
-        if rows is None:
-            raise AssertionError("sweet_spot filled every row")
-        fill(space, X, q, dist, rows, norms)
+    def spy(name, fn):
+        def inner(space, P, q, *args, **kwargs):
+            assert P is tr.points, "sweet_spot computed distances off the trace's rows"
+            calls.append((name, np.shape(q)))
+            return fn(space, P, q, *args, **kwargs)
+        return inner
 
     for module, name in ((probabilities, "nearest"), (probabilities, "one2all_probs"),
-                         (kmeanspp, "_lower"), (core, "pairwise")):
+                         (core, "pairwise")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(kmeanspp, "_fill", moved_rows_only)
+    for name in ("_fill", "_lower"):
+        monkeypatch.setattr(kmeanspp, name, spy(name, getattr(kmeanspp, name)))
     i_star, probs = _sweet(tr)
     assert i_star == want[0]
     _assert_fields_equal(probs, want[1])
+    # the trace's own steps again: m_1 fills every row, then one centroid per step
+    d = X.shape[1]
+    assert calls == [("_fill", (d,))] + [("_lower", (1, d))] * (tr.ell - 1)
 
 
 def test_sweet_spot_probs_outlive_replay(monkeypatch):

@@ -146,23 +146,21 @@ def test_one_exact_full_data_pass_before_round_one(monkeypatch):
             return fn(space, P, *args, **kwargs)
         return inner
 
-    for module, name in ((kmeanspp, "run_trace"), (wrapper, "_fill"), (wrapper, "_lower"),
+    for module, name in ((kmeanspp, "run_trace"), (wrapper, "_assign"), (wrapper, "_lower"),
                          (wrapper, "base_cluster")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(wrapper, "_pick", lambda costs: costs.size)  # M: all 2k centroids
     _, rep = run(SP2, X, w, k=4, eps=0.3, seed=2)
     names = [c[0] for c in calls]
-    assert names.count("run_trace") == 1 and names.count("_fill") == 1
-    trace, fill, first_k, rest = calls[:names.index("base_cluster")]
+    assert names.count("run_trace") == 1 and names.count("_assign") == 1
+    trace, first_k, rest = calls[:names.index("base_cluster")]
     assert trace[1] == kmeanspp._SUBSAMPLE and trace[2][1] == 8  # S0's rows, ell = 2k
-    assert fill[:2] == ("_fill", len(X))
-    # the other 7 centroids lower every row in index order, split after the k-th
-    assert first_k[:2] == rest[:2] == ("_lower", len(X))
-    assert (len(first_k[2][0]), first_k[2][1], len(rest[2][0]), rest[2][1]) == (3, 1, 4, 4)
+    # the exact pass for M's first k centroids, then the other 4 lower every row
+    assert first_k[:2] == ("_assign", len(X)) and len(first_k[2][0]) == 4
+    assert rest[:2] == ("_lower", len(X)) and (len(rest[2][0]), rest[2][1]) == (4, 4)
     assert rep.sweet_spot_index == 8
     # the first candidate is M's first k centroids, at their exact cost
-    first = np.vstack([fill[2][0], first_k[2][0]])
-    assert rep.best_cost <= cost(SP2, X, w, first)
+    assert rep.best_cost <= cost(SP2, X, w, first_k[2][0])
 
 
 def test_subsample_is_a_pure_function_of_the_call_seed(monkeypatch):
@@ -463,7 +461,7 @@ def test_a_certified_report_passes_its_round_tests_again(case):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_rejects_non_finite_points_and_weights(bad):
+def test_rejects_non_finite_points_and_weights(bad, monkeypatch):
     X, w = _mixture(9, n=300)
     Xb = X.copy()
     Xb[17, 2] = bad
@@ -473,6 +471,14 @@ def test_rejects_non_finite_points_and_weights(bad):
     wb[5] = bad
     with pytest.raises(ValueError, match="NaN or inf"):
         run(SP2, X, wb, k=3, eps=0.3, seed=0)
+    # a bad row outside S0 is left to the exact pass over every row
+    monkeypatch.setattr(kmeanspp, "_SUBSAMPLE", 100)
+    sub_seed = np.random.SeedSequence(0).generate_state(4)[3]
+    s0 = np.random.default_rng(sub_seed).choice(300, 100, replace=False)
+    Xo = X.copy()
+    Xo[np.setdiff1d(np.arange(300), s0)[0], 2] = bad
+    with pytest.raises(ValueError, match="points contain NaN or inf"):
+        run(SP2, Xo, w, k=3, eps=0.3, seed=0)
 
 
 # chunk sizes --------------------------------------------------------------
@@ -488,7 +494,7 @@ def _pipeline_outputs(X, w):
     trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # a full-data trace
     trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
     _, probs = sweet_spot(trace, C=trace.prefix_costs[-1], eps=0.3)
-    out += [a.tobytes() for a in (probs.pi, probs.M, trace.norms, trace.first_dist)]
+    out += [a.tobytes() for a in (probs.pi, probs.M, *core._assign(SP2, X, probs.M))]
     out += [repr((probs.cost_m, st.C, st.prefix_index))]
     return out
 
