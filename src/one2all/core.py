@@ -14,9 +14,14 @@ the column by symmetry, so memory stays O(n) for any number of centroids.
 the screen below cannot name the owner.
 
 Every Euclidean distance is computed one way, by `_exact`: the difference
-x - q, squared, then numpy's pairwise sum over the row. Owners, distances
-and costs are therefore the same however the work is split into chunks, and
-whatever BLAS library and thread count numpy uses.
+x - q, squared, then numpy's pairwise sum over the row. Where X has at most
+_COLUMNS_MAX_D columns, or a sample passes its members' kept transpose, the
+block is feature-major instead, one row per coordinate, and `_colsum` makes
+the same pairwise additions for all its points at once, one contiguous row
+add each, where numpy would pay a reduction call per point: the same bits.
+Owners, distances and costs are therefore the same however the work is
+split into chunks or laid out, and whatever BLAS library and thread count
+numpy uses.
 
 `_lower` uses a GEMM only to decide which of those exact distances to
 compute. Per chunk of rows it scores every centroid as
@@ -51,7 +56,10 @@ best, so its exact distance is strictly above the best-scoring centroid's.
 `_owners` screens a fresh assignment (every row at inf): a row left with a
 single candidate is owned by it, with no distance computed, unless
 ||x||^2 + max_j ||q_j||^2 >= 2^1020, where that distance may round to inf
-and so own nothing. Every other row gets the exact loop above.
+and so own nothing. Every other row gets the exact loop above. A fresh
+`nearest` on feature-major blocks (`_nearest_cols`) screens once, computes
+every row's distance to its lowest-index candidate in one pass, which is the
+loop's first step, and runs the loop on only the rows with more candidates.
 """
 
 from __future__ import annotations
@@ -66,6 +74,11 @@ _CHUNK_ELEMS = 1 << 20
 # through difference, square and sum, which runs 1.3-2x faster than
 # _CHUNK_ELEMS-sized blocks at n = 1e5..5e5, d = 10..50 (2-vCPU x86 VM).
 _GATHER_ELEMS = 1 << 16
+# Widest X whose full-data passes (`_fill`, a fresh `nearest`) work on
+# feature-major blocks, transposed as the difference is written. Of d in
+# {10, 16, 20, 32, 50}, 20 is the widest at which neither was slower than
+# row sums (2-vCPU x86 VM); at 32 the transposing write made `_fill` 40% slower.
+_COLUMNS_MAX_D = 20
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0  # u = 2^-53
 _UNDERFLOW = 2.0 * np.finfo(np.float64).tiny  # u * 2^-1021 = 2^-1074
 _HUGE = 2.0**1020  # squared sizes past this may overflow to inf in a distance
@@ -242,14 +255,16 @@ def pairwise(space: MetricSpace, X, Q) -> np.ndarray:
     return out
 
 
-def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
+def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None,
+            cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (owner index, distance) to the nearest centroid.
 
     Memory stays O(n) even for large k; ties go to the lowest index.
     Euclidean distances are lowered squared and raised to the power once.
     norms, if given, are X's squared row norms as `_assign` returns them,
-    so this pass need not compute them; a matrix space ignores them.
+    so this pass need not compute them; cols, if given, is X.T as a
+    C-contiguous array (a sample at low d keeps one), which the feature-major
+    blocks are then read from. A matrix space ignores both.
     """
     X, Q = _operands(space, X, Q)
     if Q.shape[0] == 0:  # every distance would be inf, and the screen has no maximum
@@ -261,10 +276,16 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None
     if space.kind == "matrix":
         _lower(space, X, Q, 0, dist, owner, None)
         return owner, dist
+    if cols is not None and np.shape(cols) != X.shape[::-1]:
+        raise ValueError("cols must be the points' transpose")
     require_finite(centroids=Q)
-    if norms is None:
+    columnar = cols is not None or _columnar(X)
+    if norms is None and (Q.shape[0] > 1 or not columnar):  # one centroid needs no screen
         norms = _row_norms(space, X)
-    _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, norms)
+    if columnar:
+        _nearest_cols(X, cols, Q, norms, dist, owner)
+    else:
+        _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, norms)
     if dist.size and not np.isfinite(dist.max()):
         require_finite(points=X)  # a NaN or inf row keeps its initial inf
     if space.power != 2.0:
@@ -277,17 +298,53 @@ def _row_norms(space: MetricSpace, X: np.ndarray) -> np.ndarray | None:
     return None if space.kind == "matrix" else np.einsum("ij,ij->i", X, X)
 
 
-def _exact(diff: np.ndarray, q: np.ndarray, power: float, out: np.ndarray | None = None
-           ) -> np.ndarray:
-    """||x - q||^power for the gathered rows x in diff, which is overwritten.
+def _colsum(a: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
+    """Rows lo..lo+n-1 of a feature-major (d, m) block (every row by default),
+    summed into a[lo] and returned: a.T.sum(axis=1) bit for bit.
+
+    numpy adds a contiguous row of d values in pairwise order: below 8 one by
+    one; up to 128 in 8 interleaved partial sums, added as a tree, then the
+    rest one by one; above 128 as two halves, the first a multiple of 8 long.
+    Here each of those additions adds two rows of a, so it is made for all m
+    points at once, over contiguous memory.
+    """
+    n = a.shape[0] if n is None else n
+    if n == 0:
+        return np.zeros(a.shape[1])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _colsum(a, lo, half)
+        a[lo] += _colsum(a, lo + half, n - half)
+        return a[lo]
+    end = lo + 1 if n < 8 else lo + n - n % 8
+    if n >= 8:
+        r = a[lo : lo + 8]
+        for i in range(lo + 8, end, 8):
+            r += a[i : i + 8]
+        r[0:8:2] += r[1:8:2]
+        r[0:8:4] += r[2:8:4]
+        r[0] += r[4]
+    for i in range(end, lo + n):
+        a[lo] += a[i]
+    return a[lo]
+
+
+def _exact(diff: np.ndarray, q, power: float, out: np.ndarray | None = None,
+           cols: bool = False) -> np.ndarray:
+    """||x - q||^power for the gathered points x in diff, which is overwritten.
 
     This is the one formula behind every Euclidean distance the package
     reports: the difference, squared, numpy's pairwise sum over the row,
-    then the power. out, if given, receives the result.
+    then the power. diff holds one row per point or, with cols, one row per
+    coordinate (feature-major: q is then a column, or one column per point),
+    summed by `_colsum` to the same bits and returned as a view of diff.
+    q None means diff already holds x - q. out, if given (rows only),
+    receives the result.
     """
-    diff -= q
+    if q is not None:
+        diff -= q
     np.square(diff, out=diff)
-    exact = diff.sum(axis=1, out=out)
+    exact = _colsum(diff) if cols else diff.sum(axis=1, out=out)
     if power != 2.0:
         exact **= power / 2.0
     return exact
@@ -299,16 +356,20 @@ def _fill(space: MetricSpace, X: np.ndarray, q, dist: np.ndarray,
 
     No screen: every row asked for gets `_exact`, over blocks of at most
     _GATHER_ELEMS (and _CHUNK_ELEMS) elements, copied contiguously when rows
-    is None and gathered by index otherwise. norms, if given (Euclidean, rows
-    None), receives the squared row norms `_lower` takes, each computed from
-    its block while the block is in cache.
+    is None and gathered by index otherwise; a sweep of every row at low d
+    (`_columnar`) is `_sweep`'s, on feature-major blocks. norms, if given
+    (Euclidean, rows None), receives the squared row norms `_lower` takes,
+    each computed from its block while the block is in cache.
     """
     if space.kind == "matrix":
         sel = slice(None) if rows is None else rows
         dist[sel] = space.matrix[q, X[sel]]
         return
+    if rows is None and _columnar(X):
+        _sweep(X, None, q[:, None], None, dist, space.power, norms)
+        return
     n = X.shape[0] if rows is None else rows.size
-    step = max(1, min(_GATHER_ELEMS, _CHUNK_ELEMS) // max(X.shape[1], 1))
+    step = _block_rows(X)
     buf = np.empty((min(step, n), X.shape[1]))
     for start in range(0, n, step):
         m = min(step, n - start)
@@ -320,6 +381,22 @@ def _fill(space: MetricSpace, X: np.ndarray, q, dist: np.ndarray,
         else:
             part = rows[start : start + m]
             dist[part] = _exact(np.take(X, part, axis=0, out=buf[:m]), q, space.power)
+
+
+def _columnar(X: np.ndarray) -> bool:
+    """Whether passes over the row-major X work on feature-major blocks."""
+    return X.shape[1] <= _COLUMNS_MAX_D
+
+
+def _kept_inputs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """What a Euclidean `nearest` over X can be passed to skip work that
+    repeats on every pass: norms=, and at low d cols= (else None)."""
+    return np.einsum("ij,ij->i", X, X), np.ascontiguousarray(X.T) if _columnar(X) else None
+
+
+def _block_rows(X: np.ndarray) -> int:
+    """Rows per block of at most _GATHER_ELEMS (and _CHUNK_ELEMS) elements."""
+    return max(1, min(_GATHER_ELEMS, _CHUNK_ELEMS) // max(X.shape[1], 1))
 
 
 def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray, dist: np.ndarray | None,
@@ -366,12 +443,16 @@ def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray, dist: np.ndarray | 
 
 
 def _running_min(block: np.ndarray, Q: np.ndarray, base: int, cand: np.ndarray,
-                 cur: np.ndarray, who: np.ndarray, power: float) -> None:
-    """Lower (cur, who) over the rows of block by each centroid where cand
-    holds: `_exact` distances, in index order, with strict improvement."""
+                 cur: np.ndarray, who: np.ndarray, power: float, cols: bool = False) -> None:
+    """Lower (cur, who) over the points of block by each centroid where cand
+    holds: `_exact` distances, in index order, with strict improvement.
+    block has one row per point or, with cols, one column per point."""
     for j in range(Q.shape[0]):
         rows = np.flatnonzero(cand[j])
-        exact = _exact(block[rows], Q[j], power)
+        if cols:
+            exact = _exact(np.take(block, rows, axis=1), Q[j][:, None], power, cols=True)
+        else:
+            exact = _exact(block[rows], Q[j], power)
         better = exact < cur[rows]
         rows = rows[better]
         cur[rows] = exact[better]
@@ -396,6 +477,71 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
         return
     for rows, cand in _screen(X, Q, norms, dist, space.power):
         _running_min(X[rows], Q, base, cand, dist[rows], owner[rows], space.power)
+
+
+def _nearest_cols(X: np.ndarray, XT: np.ndarray | None, Q: np.ndarray, norms: np.ndarray,
+                  dist: np.ndarray, owner: np.ndarray) -> None:
+    """A fresh squared assignment (dist all inf, owner all 0) on feature-major
+    blocks, read from XT (X.T, C-contiguous) if given, else transposed from X.
+
+    Per screened chunk, every row's distance to its lowest-index candidate
+    is computed in one pass over blocks of `_block_rows` points; that is the
+    running minimum's first step, except that a row whose first distance is
+    inf keeps owner 0. (A row the screen leaves no candidate has a lower
+    bound that overflowed, so its distance to centroid 0, taken as its
+    first, is inf too.) The running minimum then goes on only over the rows
+    with more candidates, in blocks of the same size. One centroid needs no
+    screen: it is every row's first.
+    """
+    k = Q.shape[0]
+    QT = np.ascontiguousarray(Q.T)
+    if k == 1:  # every owner is 0; an overflowing distance is inf either way
+        _sweep(X, XT, QT, None, dist)
+        return
+    step = _block_rows(X)
+    small = np.min_scalar_type(k)  # holds 0..k, so counts and lone indices are exact
+    index = np.arange(k, dtype=small)
+    for rows, cand in _screen(X, Q, norms, None, 2.0):
+        count = cand.sum(axis=0, dtype=small)
+        # the lone candidate's index where count is 1, summed without a cast copy of cand
+        first = np.einsum("i,ij->j", index, cand, dtype=small)
+        more = np.flatnonzero(count > 1)
+        cand = cand[:, more]
+        first[more] = cand.argmax(axis=0)
+        cand[first[more], np.arange(more.size)] = False  # computed with every row's first
+        cur = dist[rows]
+        _sweep(X, XT, QT, first, cur, start=rows.start)
+        np.multiply(first, cur < np.inf, out=owner[rows])
+        for start in range(0, more.size, step):
+            at = rows.start + more[start : start + step]
+            block = np.take(XT, at, axis=1) if XT is not None else np.ascontiguousarray(X[at].T)
+            sub, who = dist[at], owner[at]
+            _running_min(block, Q, 0, cand[:, start : start + step], sub, who, 2.0, cols=True)
+            dist[at], owner[at] = sub, who
+
+
+def _sweep(X: np.ndarray, XT: np.ndarray | None, QT: np.ndarray, first: np.ndarray | None,
+           out: np.ndarray, power: float = 2.0, norms: np.ndarray | None = None,
+           start: int = 0) -> None:
+    """out[i] = ||x - q||^power for x = X[start + i], i < out.size, and q the
+    column first[i] of QT (its only column if first is None).
+
+    The blocks of `_block_rows` points are feature-major: read from XT (X.T,
+    C-contiguous) if given, else transposed from X as the difference is
+    written. norms, if given, receives the rows' squared norms, each
+    computed from its block.
+    """
+    d, step = X.shape[1], _block_rows(X)
+    buf = np.empty(d * min(step, out.size))
+    for lo in range(0, out.size, step):
+        hi = min(lo + step, out.size)
+        at = slice(start + lo, start + hi)
+        if norms is not None:
+            np.einsum("ij,ij->i", X[at], X[at], out=norms[at])
+        diff = buf[: d * (hi - lo)].reshape(d, hi - lo)
+        q = QT if first is None else np.take(QT, first[lo:hi], axis=1, out=diff, mode="clip")
+        np.subtract(X[at].T if XT is None else XT[:, at], q, out=diff)
+        out[lo:hi] = _exact(diff, None, power, cols=True)
 
 
 def _assign(space: MetricSpace, X: np.ndarray, M: np.ndarray

@@ -68,7 +68,8 @@ def probs_from_assignment(
         term1 = scale * w
         term1 *= dist
         np.maximum(term1, pi, out=pi)
-    pi *= frac
+    if frac != 1.0:
+        pi *= frac
     np.minimum(1.0, pi, out=pi)
     return One2AllProbabilities(pi=pi, M=M, cost_m=cost_m, dropped_empty_cells=dropped)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricSpace, as_points, as_weights, nearest
+from .core import MetricSpace, _kept_inputs, as_points, as_weights, nearest
 
 
 def point_uniforms(seed: int, n: int) -> np.ndarray:
@@ -29,6 +29,10 @@ class CoordinatedSample:
     member_weights are the members' rows, gathered once. points, weights and
     u are the full data, or None for a sample loaded without its dataset.
     Growth (with_probabilities) reuses the same u, so it only adds members.
+    member_norms (the members' squared norms) and, at low d, member_cols
+    (member_points.T, C-contiguous) are what each estimate's `nearest` reads
+    (`core._kept_inputs`), made by the first estimate of a Euclidean sample
+    and never saved.
     """
 
     points: np.ndarray | None = field(repr=False)
@@ -40,6 +44,8 @@ class CoordinatedSample:
     member_weights: np.ndarray = field(repr=False)
     w_prime: np.ndarray = field(init=False, repr=False)
     saturated: bool = field(init=False)
+    member_cols: np.ndarray | None = field(init=False, default=None, repr=False)
+    member_norms: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.w_prime = self.member_weights / self.p[self.members]
@@ -79,5 +85,11 @@ def estimate_cost(space: MetricSpace, sample: CoordinatedSample, Q) -> float:
     An empty sample estimates 0 (legitimate only when total mass was capped
     away; callers keep sum(p) >= 1).
     """
-    _, dist = nearest(space, sample.member_points, Q)
+    if space.kind == "matrix":
+        _, dist = nearest(space, sample.member_points, Q)
+    else:
+        if sample.member_norms is None:
+            sample.member_norms, sample.member_cols = _kept_inputs(sample.member_points)
+        _, dist = nearest(space, sample.member_points, Q, norms=sample.member_norms,
+                          cols=sample.member_cols)
     return float(np.sum(sample.w_prime * dist))

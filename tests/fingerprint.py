@@ -24,7 +24,7 @@ import numpy as np
 
 import one2all
 from one2all import cluster_adaptive, one2all_probs, oracle, run_trace, sweet_spot
-from one2all.core import MetricSpace, pairwise
+from one2all.core import MetricSpace, nearest, pairwise
 from one2all.data import dump_delimited, gen_gmm, load_delimited
 from one2all.kmeanspp import replay
 
@@ -161,8 +161,30 @@ def library_outputs() -> None:
              probs.dropped_empty_cells)
 
 
+def kernel_outputs() -> None:
+    """Estimated oracle answers at powers 1 and 3 and at d = 50 and 784, and
+    nearest over 2*10^5 rows at d = 10 and 50: outputs of the feature-major
+    and the row-major kernels on each side of core._COLUMNS_MAX_D."""
+    cases = [(1.0, 8, 30000), (3.0, 8, 30000), (2.0, 50, 20000), (2.0, 784, 3000)]
+    for power, d, n in cases:
+        X = gen_gmm(n, d, 6, seed=21).points.points
+        st = oracle.build_feedback(MetricSpace.euclidean(power), X, None, k=6, eps=0.25, seed=22)
+        rng = np.random.default_rng(23)
+        queries = [X[rng.choice(n, m, replace=False)] for m in (1, 2, 3, 6, 12)]
+        queries.append(np.vstack([queries[3], queries[3][::-1]]))  # duplicated centroids
+        emit(f"oracle query power {power:g} d={d}", [oracle.query(st, Q) for Q in queries],
+             st.sample.members)
+    for d, k in ((10, 10), (50, 20)):
+        X = gen_gmm(200000, d, k, seed=24).points.points
+        rng = np.random.default_rng(25)
+        Q = np.vstack([X[rng.choice(X.shape[0], k, replace=False)], rng.normal(size=(3, d))])
+        for m in (1, Q.shape[0]):
+            emit(f"nearest d={d} k={m}", *nearest(MetricSpace.euclidean(2.0), X, Q[:m]))
+
+
 def main() -> None:
     library_outputs()
+    kernel_outputs()
     with tempfile.TemporaryDirectory() as tmp:
         cli_outputs(tmp)
         file_outputs(tmp)

@@ -8,6 +8,9 @@ from them. lloyd_step_add_at is the plain Lloyd step that lloyd.lloyd_step
 must reproduce bit for bit, local_search_swaps the plain swap loop that
 lloyd.base_cluster's swaps must reproduce, and matrix_nearest is the gathered-block
 nearest that the package's one-centroid-at-a-time matrix kernels must match.
+row_sum_nearest is the per-centroid loop of row-major exact distances (numpy's
+row sum) that every Euclidean nearest must reproduce bit for bit, whatever
+layout it sums in.
 """
 
 from __future__ import annotations
@@ -203,3 +206,29 @@ def matrix_nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
     mat = matrix_pairwise(space, X, Q)
     owner = np.argmin(mat, axis=1)
     return owner, mat[np.arange(mat.shape[0]), owner]
+
+
+def row_sum_column(p, X, q) -> np.ndarray:
+    """d(x, q) for every row x of X: difference, square, numpy's row sum, power."""
+    diff = X - q
+    np.square(diff, out=diff)
+    col = diff.sum(axis=1)
+    if p != 2.0:
+        col **= p / 2.0
+    return col
+
+
+def row_sum_nearest(p, X, Q) -> tuple[np.ndarray, np.ndarray]:
+    """nearest as a running minimum over row_sum_column, squared, with strict
+    improvement (the lowest index wins ties; a row no centroid brings below
+    inf keeps inf and owner 0), powered once at the end."""
+    dist = np.full(X.shape[0], np.inf)
+    owner = np.zeros(X.shape[0], dtype=np.intp)
+    for j in range(Q.shape[0]):
+        dj = row_sum_column(2.0, X, Q[j])
+        better = dj < dist
+        dist[better] = dj[better]
+        owner[better] = j
+    if p != 2.0:
+        dist **= p / 2.0
+    return owner, dist

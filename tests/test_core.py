@@ -9,6 +9,8 @@ from conftest import ref_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference import row_sum_column as ref_column
+from reference import row_sum_nearest as ref_nearest
 
 import one2all
 from one2all import core, oracle
@@ -380,28 +382,6 @@ def test_relaxed_triangle_property(X, p):
 # with strict improvement (lowest index on ties), powered as pairwise does.
 
 
-def ref_column(p, X, q):
-    diff = X - q
-    np.square(diff, out=diff)
-    col = diff.sum(axis=1)
-    if p != 2.0:
-        col **= p / 2.0
-    return col
-
-
-def ref_nearest(p, X, Q):
-    dist = np.full(X.shape[0], np.inf)
-    owner = np.zeros(X.shape[0], dtype=np.intp)
-    for j in range(Q.shape[0]):
-        dj = ref_column(2.0, X, Q[j])
-        better = dj < dist
-        dist[better] = dj[better]
-        owner[better] = j
-    if p != 2.0:
-        dist **= p / 2.0
-    return owner, dist
-
-
 def ref_trace(p, X, w, ell, seed):
     """The kmeans++ trace loop with one reference column per step."""
     rng = np.random.default_rng(seed)
@@ -436,10 +416,13 @@ def assert_same_bytes(got, want):
 
 def assert_kernel_matches(X, Q, p, w=None, ell=None, seed=0):
     sp = MetricSpace.euclidean(p)
-    owner, dist = nearest(sp, X, Q)
     ref_owner, ref_dist = ref_nearest(p, X, Q)
-    assert_same_bytes(owner, ref_owner)
-    assert_same_bytes(dist, ref_dist)
+    # as given, and as a sample passes its members: feature-major, with norms
+    for owner, dist in (nearest(sp, X, Q),
+                        nearest(sp, X, Q, norms=np.einsum("ij,ij->i", X, X),
+                                cols=np.ascontiguousarray(X.T))):
+        assert_same_bytes(owner, ref_owner)
+        assert_same_bytes(dist, ref_dist)
     w = np.ones(X.shape[0]) if w is None else w
     ell = min(X.shape[0], 6) if ell is None else ell
     trace = run_trace(sp, X, w, ell, seed)
@@ -455,10 +438,14 @@ def assert_kernel_matches(X, Q, p, w=None, ell=None, seed=0):
 coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
 
 
+# d on the far side of core._COLUMNS_MAX_D, where full-data passes sum rows
+ROW_MAJOR_D = (core._COLUMNS_MAX_D + 1, core._COLUMNS_MAX_D + 4)
+
+
 @st.composite
-def kernel_inputs(draw):
+def kernel_inputs(draw, dims=(1, 5)):
     n = draw(st.integers(1, 25))
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(*dims))
     k = draw(st.integers(1, 6))
     X = draw(hnp.arrays(np.float64, (n, d), elements=coords))
     Q = draw(hnp.arrays(np.float64, (k, d), elements=coords))
@@ -471,6 +458,14 @@ def kernel_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_column_loop_property(inputs, p, seed):
     X, Q = inputs
+    assert_kernel_matches(X, Q, p, seed=seed)
+
+
+@given(kernel_inputs(ROW_MAJOR_D), st.sampled_from([1.0, 2.0, 3.0]), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_column_loop_property_row_major(inputs, p, seed):
+    X, Q = inputs
+    assert not core._columnar(X)
     assert_kernel_matches(X, Q, p, seed=seed)
 
 
@@ -518,11 +513,10 @@ def test_kernel_one_dimension_and_one_centroid(p):
     assert_kernel_matches(Y, rng.normal(size=(1, 7)), p, ell=20)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_kernel_independent_of_chunk_size(p, monkeypatch):
+def assert_independent_of_chunk_size(p, d, monkeypatch):
     rng = np.random.default_rng(15)
-    X = rng.normal(size=(150, 5)) * rng.uniform(0.1, 10.0, size=(150, 1))
-    Q = np.vstack([rng.normal(size=(4, 5)), X[[2, 9]]])
+    X = rng.normal(size=(150, d)) * rng.uniform(0.1, 10.0, size=(150, 1))
+    Q = np.vstack([rng.normal(size=(4, d)), X[[2, 9]]])
     sp = MetricSpace.euclidean(p)
     before = nearest(sp, X, Q)
     trace_before = run_trace(sp, X, None, 10, 2)
@@ -533,6 +527,16 @@ def test_kernel_independent_of_chunk_size(p, monkeypatch):
         assert_same_bytes(after[0], before[0])
         assert_same_bytes(after[1], before[1])
         assert_same_bytes(run_trace(sp, X, None, 10, 2).prefix_costs, trace_before.prefix_costs)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_independent_of_chunk_size(p, monkeypatch):
+    assert_independent_of_chunk_size(p, 5, monkeypatch)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_kernel_independent_of_chunk_size_row_major(p, monkeypatch):
+    assert_independent_of_chunk_size(p, ROW_MAJOR_D[1], monkeypatch)
 
 
 @pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-161])
@@ -554,6 +558,60 @@ def test_kernel_matches_on_clustered_data():
     assert_kernel_matches(X, Q, 2.0, w=w, ell=20, seed=4)
 
 
+# Feature-major sums ----------------------------------------------------------
+#
+# core._colsum adds a (d, m) block's rows in the order numpy sums each of the
+# m contiguous d-vectors, so distances summed by columns keep their bits.
+
+COLSUM_D = [1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 31, 50, 64, 127, 128, 129, 200, 255, 256, 300,
+            784, 1000]
+
+
+@pytest.mark.parametrize("d", COLSUM_D)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_colsum_is_the_row_sum(d):
+    rng = np.random.default_rng(d)
+    for scale in (1e-3, 1.0, 1e150, 1e-160):  # 1e150 overflows, 1e-160 squares to subnormals
+        rows = np.square(rng.normal(size=(37, d)) * scale)
+        rows[5] = 0.0
+        want = rows.sum(axis=1)
+        assert_same_bytes(core._colsum(np.ascontiguousarray(rows.T)), want)
+        wide = np.empty((d, 50))  # a block whose rows are strided, as _fill's last one
+        wide[:, :37] = rows.T
+        assert_same_bytes(core._colsum(wide[:, :37]), want)
+        q = rng.normal(size=d) * scale
+        X = rng.normal(size=(37, d)) * scale
+        for p in (1.0, 2.0, 3.0):
+            got = core._exact(X.T.copy(), q[:, None], p, cols=True)
+            assert_same_bytes(got, ref_column(p, X, q))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nearest_rows_whose_first_distance_overflows():
+    # a row whose first candidate's distance rounds to inf keeps inf and owner
+    # 0, as the running minimum leaves it, in either layout and at either side
+    # of the gate, and a later candidate can still own it
+    X = np.array([[4.202465956147694e153, 0.0], [-1.3e154, 0.0], [1.0, 2.0]])
+    Q = np.array([[-1e154, 0.0], [-9.205341973794902e153, 0.0], [0.0, 0.0]])
+    for d in (2, ROW_MAJOR_D[0]):
+        Xd, Qd = np.pad(X, ((0, 0), (0, d - 2))), np.pad(Q, ((0, 0), (0, d - 2)))
+        for cols in ([0, 1], [1, 0], [1], [1, 2], [2, 1, 0]):
+            ref_owner, ref_dist = ref_nearest(2.0, Xd, Qd[cols])
+            for got in (nearest(SP2, Xd, Qd[cols]),
+                        nearest(SP2, Xd, Qd[cols], cols=np.ascontiguousarray(Xd.T))):
+                assert_same_bytes(got[0], ref_owner)
+                assert_same_bytes(got[1], ref_dist)
+    assert nearest(SP2, X[:1], Q[1:2]) == (0, np.inf)
+
+
+def test_nearest_refuses_a_wrong_transpose():
+    X = np.random.default_rng(28).normal(size=(40, 3))
+    for bad in (X, X.T[:, :-1], X.T[:2]):
+        with pytest.raises(ValueError, match="cols must be the points' transpose"):
+            nearest(SP2, X, X[:2], cols=bad)
+
+
 # Owners without distances --------------------------------------------------
 #
 # core._owners (Lloyd's assignment) must report nearest's owners byte for
@@ -569,6 +627,12 @@ def assert_owners_match(X, Q):
 @given(kernel_inputs())
 @settings(max_examples=150, deadline=None)
 def test_owners_match_nearest_property(inputs):
+    assert_owners_match(*inputs)
+
+
+@given(kernel_inputs(ROW_MAJOR_D))
+@settings(max_examples=100, deadline=None)
+def test_owners_match_nearest_property_row_major(inputs):
     assert_owners_match(*inputs)
 
 

@@ -57,7 +57,7 @@ def _mentions(tree: ast.Module) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-BLOCK_SIZES = {"_CHUNK_ELEMS", "_GATHER_ELEMS"}
+BLOCK_SIZES = {"_CHUNK_ELEMS", "_GATHER_ELEMS", "_COLUMNS_MAX_D"}
 
 
 def test_only_core_holds_distance_code():

@@ -6,10 +6,18 @@ from math import exp, log
 import numpy as np
 import pytest
 from conftest import rand_instance
-from reference import concentration_check, mo_pps_bruteforce, overestimate_bound, pps_base
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    concentration_check,
+    mo_pps_bruteforce,
+    overestimate_bound,
+    pps_base,
+    row_sum_nearest,
+)
 
-from one2all import sampling
-from one2all.core import MetricSpace, cost
+from one2all import core, sampling
+from one2all.core import MetricSpace, cost, nearest
 from one2all.kmeanspp import run_trace
 from one2all.probabilities import one2all_probs
 from one2all.sampling import draw, estimate_cost, point_uniforms
@@ -162,6 +170,40 @@ def test_estimate_empty_sample_is_zero():
     assert estimate_cost(sp, s, X[:2]) == 0.0
     with pytest.raises(ValueError, match="^centroids contain NaN or inf"):
         estimate_cost(sp, s, np.array([[np.nan, 0.0]]))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0, 3.0]),
+       st.sampled_from([3, 12, core._COLUMNS_MAX_D + 2]),
+       st.sampled_from(["plain", "duplicated", "near-tie", "overflow", "empty"]))
+@settings(max_examples=120, deadline=None)
+def test_estimate_is_the_row_sum_estimate(seed, power, d, case):
+    # an estimate reads the members feature-major (at low d) with their norms;
+    # it must equal the sum of w' times the plain row-sum nearest distances
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    X = rng.integers(-3, 4, size=(n, d)).astype(np.float64)  # exact ties on bisectors
+    X[: n // 2] += rng.normal(size=(n // 2, d))
+    Q = np.vstack([X[rng.integers(0, n, size=2)], rng.normal(size=(int(rng.integers(1, 5)), d))])
+    if case == "duplicated":
+        Q = np.vstack([Q, Q[::-1]])
+    elif case == "near-tie":  # a copy one ulp away from the first centroid
+        Q = np.vstack([Q, np.nextafter(Q[:1], np.inf)])
+    elif case == "overflow":  # some distances and GEMM scores round to inf
+        X[0] *= 1e154
+        Q[-1] = -1.2e154
+    p = np.zeros(n) if case == "empty" else rng.uniform(0.05, 1.0, size=n)
+    sample = draw(X, rng.uniform(0.5, 2.0, size=n), p, seed=int(rng.integers(0, 2**31)))
+    space = MetricSpace.euclidean(power)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = row_sum_nearest(power, sample.member_points, Q)
+        want = float(np.sum(sample.w_prime * ref[1]))
+        for _ in range(2):  # the second reads the members' kept layout and norms
+            assert estimate_cost(space, sample, Q) == want
+        got = nearest(space, sample.member_points, Q, norms=sample.member_norms,
+                      cols=sample.member_cols)
+    assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+    assert sample.member_norms.shape == (sample.size,)
+    assert (sample.member_cols is not None) == (d <= core._COLUMNS_MAX_D)
 
 
 def test_estimator_unbiased_and_cv_bounded():

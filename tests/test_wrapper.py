@@ -163,6 +163,29 @@ def test_one_exact_full_data_pass_before_round_one(monkeypatch):
     assert rep.best_cost <= cost(SP2, X, w, first_k[2][0])
 
 
+def test_certification_takes_the_callers_weights(monkeypatch):
+    # unit weights pass None, so cost(Q) neither checks nor multiplies by n ones,
+    # and that changes no bit: w * d = d when w = 1
+    X, w = _mixture(12, n=3000)
+    seen = []
+
+    def spy(space, P, weights, Q, **kwargs):
+        seen.append(weights)
+        return cost(space, P, weights, Q, **kwargs)
+
+    monkeypatch.setattr(wrapper, "cost", spy)
+    Q, rep = run(SP2, X, None, k=4, eps=0.3, seed=4)
+    assert seen and all(weights is None for weights in seen)
+    seen.clear()
+    Q1, rep1 = run(SP2, X, np.ones(len(X)), k=4, eps=0.3, seed=4)
+    assert seen and all(weights is not None for weights in seen)
+    assert np.array_equal(Q.points, Q1.points) and rep.best_cost == rep1.best_cost
+    assert repr(rep.log) == repr(rep1.log) and rep.cost_m == rep1.cost_m
+    seen.clear()
+    run(SP2, X, w, k=4, eps=0.3, seed=4)
+    assert all(weights is w for weights in seen)
+
+
 def test_subsample_is_a_pure_function_of_the_call_seed(monkeypatch):
     # the first column numbers the rows, so the points S0 holds name its rows
     seen = []
