@@ -63,7 +63,8 @@ def _delimiter(write):
 
 def _add_common(p, seed=True, delimiter=True, write=False):
     if seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_checked(int, "--seed", lambda v: v >= 0, "nonnegative"),
+                       default=0)
     if delimiter:
         p.add_argument("--delimiter", type=_delimiter(write), default=",")
 

@@ -145,10 +145,10 @@ class MetricSpace:
 
 @dataclass
 class WeightedPointSet:
-    """Points with positive weights. For matrix spaces, points are indices."""
+    """Points with positive weights (None: unit). For matrix spaces, points are indices."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None
 
     def __init__(self, points: np.ndarray, weights: np.ndarray | None = None):
         points = np.asarray(points)
@@ -222,10 +222,10 @@ def require_finite(**arrays) -> None:
             raise ValueError(f"{what} contain NaN or inf")
 
 
-def as_weights(w, n: int) -> np.ndarray:
-    """w as n finite, positive float64 weights (all ones for None), else ValueError."""
+def as_weights(w, n: int) -> np.ndarray | None:
+    """w as n finite, positive float64 weights, else ValueError; None (unit weights) stays None."""
     if w is None:
-        return np.ones(n)
+        return None
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("weights must be one per point")
@@ -596,6 +596,9 @@ def cost(space: MetricSpace, X, weights, Q, *, norms: np.ndarray | None = None) 
     """
     X = as_points(X)
     dist = nearest(space, X, Q, norms=norms)[1]
-    if weights is not None:
-        dist *= as_weights(weights, X.shape[0])  # in place: the same products
-    return float(np.sum(dist))
+    return _wsum(as_weights(weights, X.shape[0]), dist, out=dist)
+
+
+def _wsum(w: np.ndarray | None, d: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Sum of w * d (into out, if given); of d for unit weights (None), as 1.0 * d is d."""
+    return float(np.sum(d if w is None else np.multiply(w, d, out=out)))

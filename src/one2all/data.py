@@ -133,8 +133,8 @@ def check_delimiter(delimiter: str, write: bool) -> None:
 def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> None:
     """Native dump: header and ground truth as comment lines, then rows.
 
-    Floats are written with repr so a read-back is bit-identical. Non-unit
-    weights go in an extra last column, announced in the header. A delimiter
+    Floats are written with repr so a read-back is bit-identical. Weights not
+    None go in an extra last column, announced in the header. A delimiter
     the rows could not be read back with raises ValueError (check_delimiter).
     The rows are written in contiguous spans, one per usable CPU and at least
     two, each of at least _DUMP_MIN cells (one span where _parts allows no
@@ -147,8 +147,6 @@ def dump_delimited(dataset: LabeledDataset, path: str, delimiter: str = ",") -> 
     check_delimiter(delimiter, write=True)
     pts = dataset.points.points
     w = dataset.points.weights
-    if np.all(w == 1.0):
-        w = None
     k = dataset.meta.get("k", dataset.ground_truth.k if dataset.ground_truth else 0)
     head = [f"# one2all-dataset v1 n={pts.shape[0]} d={pts.shape[1]} k={k}\n"]
     if w is not None:

@@ -28,7 +28,7 @@ class KmeansPPTrace:
 
     space: MetricSpace = field(repr=False)
     points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    weights: np.ndarray | None = field(repr=False)
     centroid_indices: np.ndarray
     centroids: np.ndarray = field(repr=False)
     prefix_costs: np.ndarray
@@ -81,7 +81,8 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     per `_step`. If residual mass hits zero before ell centroids (all points
     coincide with centroids) the trace stops there, so its ell is smaller.
     The n-length mass and prefix-sum buffers are allocated once and reused by
-    every step; with unit weights the mass is the distances themselves.
+    every step. With unit weights (w None) the mass is the distances
+    themselves, and the distance buffer holds ones for the first draw.
     """
     X = as_points(X)
     n = X.shape[0]
@@ -91,15 +92,14 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     if ell > n:
         raise ValueError(f"ell={ell} exceeds n={n}")
     rng = np.random.default_rng(seed)
-    dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
+    dist, owner = np.ones(n) if w is None else np.empty(n), np.zeros(n, dtype=np.intp)
     norms = None if space.kind == "matrix" else np.empty(n)
-    # With unit weights w·dist is dist bit for bit, so mass aliases dist.
-    mass = dist if np.all(w == 1.0) else np.empty(n)
+    mass = dist if w is None else np.empty(n)  # 1.0 * dist is dist bit for bit
     cum = np.empty(n)
     chosen: list[int] = []
     costs: list[float] = []
     for i in range(ell):
-        s = _draw_index(rng, mass if i else w, cum)  # the first by weight alone
+        s = _draw_index(rng, mass if i or w is None else w, cum)  # the first by weight alone
         chosen.append(s)
         _step(space, X, s, i, dist, owner, norms)
         if mass is not dist:
@@ -121,7 +121,7 @@ def run_trace(space: MetricSpace, X, w, ell: int, seed: int) -> KmeansPPTrace:
     )
 
 
-def subsample_trace(space: MetricSpace, X: np.ndarray, w: np.ndarray, ell: int,
+def subsample_trace(space: MetricSpace, X: np.ndarray, w: np.ndarray | None, ell: int,
                     trace_seed: int, sub_seed: int) -> KmeansPPTrace:
     """`run_trace` with ell steps over S0: min(n, max(_SUBSAMPLE, ell)) rows.
 
@@ -133,7 +133,8 @@ def subsample_trace(space: MetricSpace, X: np.ndarray, w: np.ndarray, ell: int,
     n = X.shape[0]
     rows = np.sort(np.random.default_rng(sub_seed).choice(n, min(n, max(_SUBSAMPLE, ell)),
                                                           replace=False))
-    return run_trace(space, X[rows], w[rows] * (n / rows.size), ell, trace_seed)
+    w0 = np.full(rows.size, n / rows.size) if w is None else w[rows] * (n / rows.size)
+    return run_trace(space, X[rows], w0, ell, trace_seed)
 
 
 def replay(trace: KmeansPPTrace) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:

@@ -41,6 +41,7 @@ def lloyd_step(space: MetricSpace, X, w, Q) -> np.ndarray:
     _require_sq_euclidean(space)
     X, Q = _operands(space, X, Q)
     w = as_weights(w, X.shape[0])
+    w = np.ones(X.shape[0]) if w is None else w  # every Lloyd sum reads an array
     require_finite(points=X, centroids=Q)
     return _step(space, X, w, *_prepare(space, X, w), Q)
 
@@ -121,6 +122,7 @@ def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0) -> CentroidSet
     _require_sq_euclidean(space)
     X = as_points(X)
     w = as_weights(w, X.shape[0])
+    w = np.ones(X.shape[0]) if w is None else w  # the wrapper passes w', never None
     k = min(k, X.shape[0])
     trace_seed, swap_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     idx = run_trace(space, X, w, k, trace_seed).centroid_indices

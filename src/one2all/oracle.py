@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricSpace, _assign, _row_norms, as_points, as_weights, cost, require_finite
+from .core import (MetricSpace, _assign, _row_norms, _wsum, as_points, as_weights, cost,
+                   require_finite)
 from .errors import DataFormatError
 from .kmeanspp import subsample_trace
 from .probabilities import check_eps, probs_from_assignment, sample_probs, sweet_spot
@@ -99,7 +100,7 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
         M = trace.prefix(i_star)
         del trace  # S0 goes before the full-data pass
         owner, dist, norms = _assign(space, X, M)
-        probs = probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
+        probs = probs_from_assignment(w, owner, dist, space.rho, M, _wsum(w, dist))
         del owner, dist
         p = sample_probs(probs.pi, max(1.0, probs.cost_m / C), eps)
     else:
@@ -185,8 +186,10 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
     feedback is unavailable. The per-point uniforms are regenerated from
     the stored seed either way, and the stored members must be exactly the
     points they select at p. With the original dataset, the members' points
-    and weights must match it bit-exactly too.
+    and weights must match it bit-exactly too; weights alone raise ValueError.
     """
+    if weights is not None and points is None:
+        raise ValueError("weights need their points: pass points too")
     try:
         # numpy stops where an array's header says, short of the CRC-32 check at
         # the member's end, so a damaged shape or dtype byte would pass unseen

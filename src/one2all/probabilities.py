@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, as_points, as_weights, nearest
+from .core import CentroidSet, MetricSpace, _wsum, as_points, as_weights, nearest
 from .kmeanspp import KmeansPPTrace, replay
 
 
@@ -33,7 +33,7 @@ class One2AllProbabilities:
 
 
 def probs_from_assignment(
-    w: np.ndarray,
+    w: np.ndarray | None,
     owner: np.ndarray,
     dist: np.ndarray,
     rho: float,
@@ -43,14 +43,14 @@ def probs_from_assignment(
 ) -> One2AllProbabilities:
     """Build pi from a precomputed nearest-centroid assignment and its cost.
 
-    cost_m must be float(np.sum(w * dist)); the trace already holds it for
-    every prefix. Centroids (rows of M) owning no points are dropped first
-    (they change neither the assignment nor the cost); the count is kept as
-    a diagnostic. Weights are positive, so a cell is empty exactly when its
-    weight sum is 0; no point's owner is an empty cell, so owner indexes the
-    weight sums of all cells as it stands. pi is multiplied by frac before
-    its cap at 1 (`sweet_spot` on a subsample). A cost_m that is not >= 0
-    (NaN included) raises ValueError.
+    cost_m must be the sum of w * dist (w None: unit weights); the trace
+    holds it for every prefix. Centroids (rows of M) owning no points are
+    dropped first (they change neither the assignment nor the cost); the
+    count is kept as a diagnostic. Weights are positive, so a cell is empty
+    exactly when its weight sum is 0; no point's owner is an empty cell, so
+    owner indexes the weight sums of all cells as it stands. pi is multiplied
+    by frac before its cap at 1 (`sweet_spot` on a subsample). A cost_m that
+    is not >= 0 (NaN included) raises ValueError.
     """
     if not cost_m >= 0.0:
         raise ValueError(f"V(M) must be >= 0, not {cost_m!r}")
@@ -59,14 +59,13 @@ def probs_from_assignment(
     dropped = int(keep.size - np.count_nonzero(keep))
     if dropped:
         M = M[keep]
-    pi = 8.0 * rho**2 * w
-    pi /= cluster_w[owner]
+    unit = 1.0 if w is None else w  # 1.0 * x is x bit for bit
+    pi = 8.0 * rho**2 * unit / cluster_w[owner]
     if cost_m > 0.0:  # V(M)=0: only the within-cluster term remains
         scale = 2.0 * rho / cost_m  # 0 if V(M) overflowed, inf if it underflowed
         if not 0.0 < scale < np.inf:
             raise ValueError(f"2 rho / V(M) is {scale!r}: V(M) = {cost_m!r} at rho = {rho!r}")
-        term1 = scale * w
-        term1 *= dist
+        term1 = scale * unit * dist
         np.maximum(term1, pi, out=pi)
     if frac != 1.0:
         pi *= frac
@@ -97,7 +96,7 @@ def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
     M = CentroidSet(M).points
     w = as_weights(w, X.shape[0])
     owner, dist = nearest(space, X, M)
-    return probs_from_assignment(w, owner, dist, space.rho, M, float(np.sum(w * dist)))
+    return probs_from_assignment(w, owner, dist, space.rho, M, _wsum(w, dist))
 
 
 def sweet_spot(trace: KmeansPPTrace, C: float, eps: float, n: int | None = None
@@ -120,7 +119,7 @@ def sweet_spot(trace: KmeansPPTrace, C: float, eps: float, n: int | None = None
     check_eps(eps)
     w = trace.weights
     rho = trace.space.rho
-    frac = 1.0 if n is None else w.size / n
+    frac = 1.0 if n is None else trace.points.shape[0] / n
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
         cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i, frac)

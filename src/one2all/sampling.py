@@ -26,8 +26,9 @@ class CoordinatedSample:
     """A Poisson sample S = {x : u_x <= p_x} with inverse-probability weights.
 
     p is full length and members index into it. member_points and
-    member_weights are the members' rows, gathered once. points, weights and
-    u are the full data, or None for a sample loaded without its dataset.
+    member_weights are the members' rows, gathered once (ones for unit
+    weights). points, weights and u are the full data; points None alone marks
+    a sample loaded without its dataset, and weights None is unit weights.
     Growth (with_probabilities) reuses the same u, so it only adds members.
     member_norms (the members' squared norms) and, at low d, member_cols
     (member_points.T, C-contiguous) are what each estimate's `nearest` reads
@@ -63,7 +64,8 @@ class CoordinatedSample:
 
 def _select(points, weights, u, p) -> CoordinatedSample:
     members = np.flatnonzero(u <= p)
-    return CoordinatedSample(points, weights, u, p, members, points[members], weights[members])
+    member_weights = np.ones(members.size) if weights is None else weights[members]
+    return CoordinatedSample(points, weights, u, p, members, points[members], member_weights)
 
 
 def draw(points, weights, probs, seed: int) -> CoordinatedSample:

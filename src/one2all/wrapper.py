@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, _assign, _lower, as_points, as_weights, cost
+from .core import CentroidSet, MetricSpace, _assign, _lower, _wsum, as_points, as_weights, cost
 from .kmeanspp import subsample_trace
 from .lloyd import base_cluster
 from .probabilities import check_eps, probs_from_assignment, sample_probs
@@ -95,7 +95,7 @@ def run(
     check_eps(eps)
     X = as_points(X)
     n = X.shape[0]
-    weights, w = w, as_weights(w, n)  # cost(Q) takes the caller's: None skips the multiply
+    w = as_weights(w, n)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
@@ -113,11 +113,11 @@ def run(
     # its norms are reused by every cost(Q)
     k0 = min(k, i_star)
     owner, dist, norms = _assign(space, X, M[:k0])
-    v_m = float(np.sum(w * dist))
+    v_m = _wsum(w, dist)
     best_q, best_v = CentroidSet(M[:k0]), v_m
     if i_star > k0:
         _lower(space, X, M[k0:], k0, dist, owner, norms)
-        v_m = float(np.sum(w * dist))
+        v_m = _wsum(w, dist)
     probs = probs_from_assignment(w, owner, dist, space.rho, M, v_m)
     del dist, owner
     log: list[dict] = []
@@ -152,7 +152,7 @@ def run(
                 break
             note = {"retest": False}  # Q failed again: cluster this same sample
         Q = base(space, sample.member_points, sample.w_prime, k, base_seeds[rnd])
-        v_q = cost(space, X, weights, Q, norms=norms)
+        v_q = cost(space, X, w, Q, norms=norms)
         if v_q < best_v:
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)

@@ -103,7 +103,7 @@ def file_outputs(tmp: str) -> None:
     and more), each through load_delimited and `one2all cluster --in`, from
     the file and piped through stdin."""
     weighted = gen_gmm(20000, 10, 5, seed=702)
-    weighted.points.weights[:] = np.random.default_rng(703).uniform(0.5, 2.0, size=weighted.n)
+    weighted.points.weights = np.random.default_rng(703).uniform(0.5, 2.0, size=weighted.n)
     for name, ds in (("weighted", weighted), ("large", gen_gmm(100000, 10, 5, seed=704))):
         path = f"{name}.csv"
         dump_delimited(ds, os.path.join(tmp, path))

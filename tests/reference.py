@@ -27,6 +27,12 @@ from one2all.probabilities import One2AllProbabilities
 from one2all.sampling import draw, estimate_cost
 
 
+def _weights(w, n: int) -> np.ndarray:
+    """`as_weights`, with n ones for None: the references compute with arrays."""
+    w = as_weights(w, n)
+    return np.ones(n) if w is None else w
+
+
 @dataclass
 class PpsBase:
     """Per-point probability mass proportional to w_x * d(x, Q)."""
@@ -39,7 +45,7 @@ class PpsBase:
 def pps_base(space: MetricSpace, X, w, Q) -> PpsBase:
     X = as_points(X)
     Q = as_points(Q)
-    w = as_weights(w, X.shape[0])
+    w = _weights(w, X.shape[0])
     _, dist = nearest(space, X, Q)
     contrib = w * dist
     total = float(np.sum(contrib))
@@ -59,7 +65,7 @@ def mo_pps_bruteforce(
     """
     X = as_points(X)
     n = X.shape[0]
-    w = as_weights(w, n)
+    w = _weights(w, n)
     if comb(n, k) > 10**6:
         raise ValueError(f"refusing to enumerate C({n},{k}) subsets")
     psi = np.zeros(n)
@@ -81,7 +87,7 @@ def verify_dominance(space: MetricSpace, X, w, probs: One2AllProbabilities, Q) -
     makes the scaling factor 1.
     """
     X = as_points(X)
-    w = as_weights(w, X.shape[0])
+    w = _weights(w, X.shape[0])
     vq = cost(space, X, w, Q)
     if vq <= 0.0:
         return {"holds": True, "worst_ratio": 0.0, "cost_q": 0.0}
@@ -123,7 +129,7 @@ def concentration_check(
     """
     X = as_points(X)
     n = X.shape[0]
-    w = as_weights(w, n)
+    w = _weights(w, n)
     base = pps_base(space, X, w, Q)
     V = base.total_cost
     p = np.minimum(1.0, alpha * eps**-2 * base.psi)
@@ -155,7 +161,7 @@ def lloyd_step_add_at(space: MetricSpace, X, w, Q) -> np.ndarray:
     """
     X = as_points(X)
     Q = as_points(Q)
-    w = as_weights(w, X.shape[0])
+    w = _weights(w, X.shape[0])
     k = Q.shape[0]
     owner, dist = nearest(space, X, Q)
     wsum = np.bincount(owner, weights=w, minlength=k)
@@ -180,7 +186,7 @@ def local_search_swaps(space: MetricSpace, X, w, idx, swaps: int, seed: int) -> 
     cheapest, lowest index first, if it costs less than Q. Returns the indices.
     """
     X = as_points(X)
-    w = as_weights(w, X.shape[0])
+    w = _weights(w, X.shape[0])
     idx = [int(i) for i in idx]
     rng = np.random.default_rng(seed)
     current = cost(space, X, w, X[idx])

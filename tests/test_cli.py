@@ -269,6 +269,26 @@ def test_a_setting_the_mode_ignores_is_usage_error(tmp_path, capsys, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
+_SEEDED = {  # each subcommand that takes --seed, with the rest of a valid argv
+    "gen": ["gen", "--n", "10", "--d", "2", "--k", "2", "--out", "x.csv"],
+    "oracle-build": [*_BUILD, "--k", "2"],
+    "cluster": ["cluster", "--in", "x.csv", "--k", "2", "--eps", "0.3"],
+    "bench": ["bench", "--n", "300", "--d", "2", "--k", "2", "--eps", "0.3"],
+    "figdata": _FIGDATA,
+}
+
+
+def test_a_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch):
+    (commands,) = [a for a in build_parser()._actions if a.choices]
+    assert set(_SEEDED) == {name for name, p in commands.choices.items()
+                            if any("--seed" in a.option_strings for a in p._actions)}
+    monkeypatch.chdir(tmp_path)  # refused while parsing: no file is read or written
+    for command, argv in _SEEDED.items():
+        assert main([*argv, "--seed", "-1"]) == 1, command
+        assert "--seed must be nonnegative" in capsys.readouterr().err, command
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["cluster", "--in", "x.csv", "--k", "2", "--eps", "inf"],
     ["oracle-build", "--in", "x.csv", "--k", "2", "--eps", "Infinity", "--out", "o.npz"],

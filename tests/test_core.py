@@ -1,5 +1,6 @@
 """Distance kernels, nearest-centroid assignment, and exact cost."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from reference import row_sum_column as ref_column
 from reference import row_sum_nearest as ref_nearest
 
 import one2all
-from one2all import core, oracle
+from one2all import core, kmeanspp, oracle
 from one2all.core import (
     CentroidSet,
     MetricSpace,
@@ -146,7 +147,7 @@ def test_weighted_point_set_validation():
     with pytest.raises(ValueError):
         WeightedPointSet(np.array([0.0, 1.0]))  # ambiguous 1-d float
     ps = WeightedPointSet(np.zeros((3, 2)))
-    np.testing.assert_array_equal(ps.weights, np.ones(3))
+    assert ps.weights is None  # unit weights: no array of ones
     assert ps.n == 3
 
 
@@ -162,16 +163,37 @@ _BAD_WEIGHTS = {
     "shape-n-1": np.ones(59),
     "nan": np.r_[np.nan, np.ones(59)],
 }
+def _fed(st: oracle.OracleState):
+    """st after one feedback query answered exactly, with that answer."""
+    answer, exact = oracle.feedback_query(st, st.sample.member_points)  # estimated at 0
+    assert exact
+    return answer, st
+
+
+def _saved(st: oracle.OracleState, path: str) -> dict:
+    """The arrays of st's saved file, key by key."""
+    oracle.save(st, path)
+    with np.load(path, allow_pickle=False) as z:
+        return {key: z[key] for key in z.files}
+
+
+# each call takes w, the saved oracle's path and, where it reads one, the space
 _WEIGHTED_CALLS = {
     "cluster_adaptive": lambda w, path: one2all.cluster_adaptive(SP2, _WX, w, k=2, eps=0.3),
-    "build": lambda w, path: one2all.build(SP2, _WX, w, ell=4, C=1.0, eps=0.3, seed=0),
-    "build_feedback": lambda w, path: one2all.build_feedback(SP2, _WX, w, k=2, eps=0.3,
-                                                             seed=0),
+    "build": lambda w, path, sp=SP2: one2all.build(sp, _WX, w, ell=4, C=1.0, eps=0.3, seed=0),
+    "build_feedback": lambda w, path, sp=SP2: one2all.build_feedback(sp, _WX, w, k=2, eps=0.3,
+                                                                     seed=0),
+    "feedback_query": lambda w, path, sp=SP2: _fed(one2all.build_feedback(sp, _WX, w, k=2,
+                                                                          eps=2.0, seed=0)),
+    "save": lambda w, path, sp=SP2: _saved(one2all.build_feedback(sp, _WX, w, k=2, eps=0.3,
+                                                                  seed=0), path + ".saved.npz"),
     "load": lambda w, path: oracle.load(path, points=_WX, weights=w),
-    "run_trace": lambda w, path: one2all.run_trace(SP2, _WX, w, 4, 0),
+    "run_trace": lambda w, path, sp=SP2: one2all.run_trace(sp, _WX, w, 4, 0),
+    "sweet_spot": lambda w, path, sp=SP2: one2all.sweet_spot(one2all.run_trace(sp, _WX, w, 4, 0),
+                                                             1.0, 0.3),
     "draw": lambda w, path: one2all.draw(_WX, w, np.full(60, 0.5), 0),
-    "one2all_probs": lambda w, path: one2all.one2all_probs(SP2, _WX, w, _WX[:3]),
-    "cost": lambda w, path: one2all.cost(SP2, _WX, w, _WX[:3]),
+    "one2all_probs": lambda w, path, sp=SP2: one2all.one2all_probs(sp, _WX, w, _WX[:3]),
+    "cost": lambda w, path, sp=SP2: one2all.cost(sp, _WX, w, _WX[:3]),
     "WeightedPointSet": lambda w, path: WeightedPointSet(_WX, w),
     "base_cluster": lambda w, path: one2all.base_cluster(SP2, _WX, w, k=2),
     "lloyd_step": lambda w, path: one2all.lloyd_step(SP2, _WX, w, _WX[:3]),
@@ -181,6 +203,9 @@ _WEIGHTED_CALLS = {
     "verify_dominance": lambda w, path: reference.verify_dominance(
         SP2, _WX, w, one2all.one2all_probs(SP2, _WX, None, _WX[:3]), _WX[:2]),
 }
+_ANY_POWER = {"build", "build_feedback", "feedback_query", "save", "run_trace", "sweet_spot",
+              "one2all_probs", "cost"}  # the calls that take a space of any power
+_TRACE_S0 = {"cluster_adaptive", "build", "build_feedback", "feedback_query", "save"}
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +220,56 @@ def oracle_path(tmp_path_factory):
 def test_entry_points_reject_bad_weights(call, bad, oracle_path):
     with pytest.raises(ValueError, match="^weights (must be|contain NaN or inf)"):
         _WEIGHTED_CALLS[call](_BAD_WEIGHTS[bad], oracle_path)
+
+
+def _assert_same_bits(a, b, where="result"):
+    """a and b hold the same bits, field by field; a `weights` field is
+    skipped, since it is how unit weights are held (None or ones)."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            if f.name != "weights":
+                _assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_bits(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_same_bits(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    else:
+        assert repr(a) == repr(b), where
+
+
+_UNIT_CASES = [(call, power, sub)
+               for call in sorted(_WEIGHTED_CALLS)
+               for power in ((1.0, 2.0, 3.0) if call in _ANY_POWER else (2.0,))
+               for sub in ((kmeanspp._SUBSAMPLE, 20) if call in _TRACE_S0
+                           else (kmeanspp._SUBSAMPLE,))]
+
+
+@pytest.mark.parametrize("call, power, sub", _UNIT_CASES)
+def test_unit_weights_none_is_ones_bit_for_bit(call, power, sub, oracle_path, monkeypatch):
+    # a _SUBSAMPLE of 20 puts the 60 rows above it: the wrapper and the oracle
+    # then trace a subsample S0, whose weights are n / |S0| either way
+    monkeypatch.setattr(kmeanspp, "_SUBSAMPLE", sub)
+    space = {} if power == 2.0 else {"sp": MetricSpace.euclidean(power)}
+    unit = _WEIGHTED_CALLS[call](None, oracle_path, **space)
+    ones = _WEIGHTED_CALLS[call](np.ones(_WX.shape[0]), oracle_path, **space)
+    _assert_same_bits(unit, ones)
+
+
+def test_unit_weights_are_none_not_ones(oracle_path):
+    assert core.as_weights(None, _WX.shape[0]) is None
+    assert WeightedPointSet(_WX).weights is None
+    assert one2all.run_trace(SP2, _WX, None, 4, 0).weights is None
+    st = one2all.build_feedback(SP2, _WX, None, k=2, eps=0.3, seed=0)
+    assert st.sample.weights is None
+    np.testing.assert_array_equal(st.sample.member_weights, np.ones(st.size))  # saved as before
+    assert oracle.load(oracle_path, points=_WX).sample.weights is None
 
 
 def test_centroid_set_dedup_keeps_first_occurrence_order():

@@ -108,7 +108,7 @@ def reference_load_delimited(path, delimiter=",", weight_column=None):
 def reference_dump_delimited(dataset, path, delimiter=","):
     pts = dataset.points.points
     w = dataset.points.weights
-    weighted = not np.all(w == 1.0)
+    weighted = w is not None
     with open(path, "w") as f:
         meta = dataset.meta
         k = meta.get("k", dataset.ground_truth.k if dataset.ground_truth else 0)
@@ -211,12 +211,30 @@ def test_dump_load_round_trip_bit_identical(tmp_path):
 def test_dump_load_weighted_round_trip(tmp_path):
     ds = gen_gmm(60, 2, 2, seed=8)
     rng = np.random.default_rng(0)
-    ds.points.weights[:] = rng.uniform(0.5, 2.0, size=60)
+    ds.points.weights = rng.uniform(0.5, 2.0, size=60)
     path = tmp_path / "weighted.csv"
     dump_delimited(ds, path)
     back = load_delimited(path)  # weights column announced in the header
     np.testing.assert_array_equal(back.points.weights, ds.points.weights)
     np.testing.assert_array_equal(back.points.points, ds.points.points)
+
+
+def test_unit_weights_load_as_none_and_an_all_ones_column_dumps_back(tmp_path):
+    ds = gen_gmm(60, 2, 2, seed=8)
+    assert ds.points.weights is None
+    path = tmp_path / "unit.csv"
+    dump_delimited(ds, path)
+    assert "# weights" not in path.read_text()
+    assert load_delimited(path).points.weights is None
+    # an announced column of ones is kept as it is read, and dumped again
+    ones = tmp_path / "ones.csv"
+    ones.write_bytes(b"# one2all-dataset v1 n=2 d=2 k=0\n# weights: last-column\n"
+                     b"1.5,2.0,1.0\n3.0,4.0,1.0\n")
+    back = load_delimited(ones)
+    np.testing.assert_array_equal(back.points.weights, [1.0, 1.0])
+    again = tmp_path / "again.csv"
+    dump_delimited(back, again)
+    assert again.read_bytes() == ones.read_bytes()
 
 
 def test_load_plain_csv_with_weight_column(tmp_path):
@@ -291,7 +309,7 @@ def test_custom_delimiter(tmp_path):
 def _dump_cases():
     ds = gen_gmm(300, 3, 2, seed=9)
     weighted = gen_gmm(50, 2, 2, seed=10)
-    weighted.points.weights[:] = np.random.default_rng(1).uniform(0.5, 2.0, size=50)
+    weighted.points.weights = np.random.default_rng(1).uniform(0.5, 2.0, size=50)
     return [("a", ds, ","), ("b", ds, "\t"), ("c", weighted, "::"), ("d", weighted, ",")]
 
 
@@ -706,7 +724,7 @@ def test_a_failing_load_holds_blocks_not_the_file(tmp_path):
 def test_weighted_load_holds_only_points_and_weights(tmp_path):
     # A weights view into the parsed (n, d + 1) array kept all of it alive.
     ds = gen_gmm(30_000, 10, 5, seed=0)
-    ds.points.weights[:] = np.random.default_rng(1).uniform(0.5, 2.0, size=ds.n)
+    ds.points.weights = np.random.default_rng(1).uniform(0.5, 2.0, size=ds.n)
     path = tmp_path / "weighted.csv"
     dump_delimited(ds, path)
     tracemalloc.start()
@@ -906,7 +924,7 @@ def test_parallel_loads_leave_no_child(tmp_path, monkeypatch, text, message):
                                                   "part-of-the-rows"])
 def test_a_child_that_exits_early_leaves_its_span_to_the_parent(tmp_path, monkeypatch, sent):
     ds = gen_gmm(300, 3, 2, seed=1)
-    ds.points.weights[:] = np.random.default_rng(0).uniform(0.5, 2.0, size=300)
+    ds.points.weights = np.random.default_rng(0).uniform(0.5, 2.0, size=300)
     path = tmp_path / "dump.csv"
     dump_delimited(ds, path)
     whole = _load_outcome(path)
@@ -1059,7 +1077,7 @@ def _load_from_fifo(tmp_path, blob):
 @pytest.mark.parametrize("spans", [1, *SPANS])
 def test_a_fifo_loads_as_the_file_does(tmp_path, monkeypatch, spans):
     ds = gen_gmm(300, 3, 2, seed=1)
-    ds.points.weights[:] = np.random.default_rng(0).uniform(0.5, 2.0, size=300)
+    ds.points.weights = np.random.default_rng(0).uniform(0.5, 2.0, size=300)
     path = tmp_path / "dump.csv"
     dump_delimited(ds, path)
     if spans > 1:
@@ -1139,7 +1157,7 @@ def _fuzz_native_dumps(tmp_path, capsys, every=1):
     """Every truncation of a weighted native dump and 400 seeded byte
     changes, or each every-th of those."""
     ds = gen_gmm(12, 2, 2, seed=4)
-    ds.points.weights[:] = np.random.default_rng(2).uniform(0.5, 2.0, size=12)
+    ds.points.weights = np.random.default_rng(2).uniform(0.5, 2.0, size=12)
     clean = tmp_path / "clean.csv"
     dump_delimited(ds, clean)
     raw = clean.read_bytes()

@@ -374,6 +374,15 @@ def test_load_standalone_answers_queries(tmp_path):
         oracle.feedback_query(back, zero_q)
 
 
+def test_load_refuses_weights_without_their_points(tmp_path):
+    # nothing could check the weights against the file, so none are dropped silently
+    X, w = _mixture(29, n=500, d=3, k=3)
+    path = tmp_path / "oracle.npz"
+    oracle.save(oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=7), path)
+    with pytest.raises(ValueError, match="weights need their points"):
+        oracle.load(path, weights=w)
+
+
 def test_exact_answers_reuse_the_row_norms(tmp_path, monkeypatch):
     # the build keeps its exact pass's norms; a load computes them on its first
     # exact answer, not in load; either way exact answers are core.cost's bits
