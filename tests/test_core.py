@@ -163,6 +163,8 @@ _BAD_WEIGHTS = {
     "shape-n-1": np.ones(59),
     "nan": np.r_[np.nan, np.ones(59)],
 }
+
+
 def _fed(st: oracle.OracleState):
     """st after one feedback query answered exactly, with that answer."""
     answer, exact = oracle.feedback_query(st, st.sample.member_points)  # estimated at 0
