@@ -23,6 +23,15 @@ Owners, distances and costs are therefore the same however the work is
 split into chunks or laid out, and whatever BLAS library and thread count
 numpy uses.
 
+A pass over every row holds one distance array and its owners, and no
+other n-length array. Owners are written in the smallest unsigned type that
+holds the largest index the caller may write (`np.min_scalar_type`), one
+byte for up to 256 centroids, and `nearest` widens them to intp once on
+return. Squared row norms only steer the screen below, so a pass that is
+given none (`_assign`, `cost`) computes each chunk's from the rows it has
+just multiplied; callers that pass over the same rows again keep theirs: a
+kmeans++ trace its S0's, Lloyd its sample's, and a sample its members'.
+
 `_lower` uses a GEMM only to decide which of those exact distances to
 compute. Per chunk of rows it scores every centroid as
 s_j = ||q_j||^2 - 2 x.q_j, so that ||x - q_j||^2 is about s_j + ||x||^2.
@@ -261,36 +270,37 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None,
 
     Memory stays O(n) even for large k; ties go to the lowest index.
     Euclidean distances are lowered squared and raised to the power once.
-    norms, if given, are X's squared row norms as `_assign` returns them,
-    so this pass need not compute them; cols, if given, is X.T as a
-    C-contiguous array (a sample at low d keeps one), which the feature-major
-    blocks are then read from. A matrix space ignores both.
+    Owners are held in the smallest unsigned type that holds k - 1 during
+    the pass and returned as intp. norms, if given, are X's squared row
+    norms (a sample keeps its members'); otherwise the screen computes each
+    chunk's from its rows. cols, if given, is X.T as a C-contiguous array (a
+    sample at low d keeps one), which the feature-major blocks are then read
+    from. A matrix space ignores both.
     """
     X, Q = _operands(space, X, Q)
     if Q.shape[0] == 0:  # every distance would be inf, and the screen has no maximum
         raise ValueError("need at least one centroid")
-    dist = np.full(X.shape[0], np.inf)
-    owner = np.zeros(X.shape[0], dtype=np.intp)
     if norms is not None and np.shape(norms) != (X.shape[0],):
         raise ValueError("norms must be one per point")
+    owner = np.zeros(X.shape[0], dtype=np.min_scalar_type(Q.shape[0] - 1))
     if space.kind == "matrix":
+        dist = np.full(X.shape[0], np.inf)
         _lower(space, X, Q, 0, dist, owner, None)
-        return owner, dist
+        return owner.astype(np.intp), dist
     if cols is not None and np.shape(cols) != X.shape[::-1]:
         raise ValueError("cols must be the points' transpose")
     require_finite(centroids=Q)
-    columnar = cols is not None or _columnar(X)
-    if norms is None and (Q.shape[0] > 1 or not columnar):  # one centroid needs no screen
-        norms = _row_norms(space, X)
-    if columnar:
+    if cols is not None or _columnar(X):
+        dist = np.empty(X.shape[0])  # `_nearest_cols` writes every row
         _nearest_cols(X, cols, Q, norms, dist, owner)
     else:
+        dist = np.full(X.shape[0], np.inf)
         _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, norms)
     if dist.size and not np.isfinite(dist.max()):
         require_finite(points=X)  # a NaN or inf row keeps its initial inf
     if space.power != 2.0:
         dist **= space.power / 2.0
-    return owner, dist
+    return owner.astype(np.intp), dist
 
 
 def _row_norms(space: MetricSpace, X: np.ndarray) -> np.ndarray | None:
@@ -399,14 +409,14 @@ def _block_rows(X: np.ndarray) -> int:
     return max(1, min(_GATHER_ELEMS, _CHUNK_ELEMS) // max(X.shape[1], 1))
 
 
-def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray, dist: np.ndarray | None,
+def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray | None, dist: np.ndarray | None,
             power: float):
     """Yield (rows, cand) per chunk of a Euclidean X: the screen described above.
 
     rows is a slice of X and cand a (k, rows) mask that is False only where
     centroid j cannot be the row's nearest, or where no centroid can beat
     dist[row] (d^power; None stands for a fresh assignment, every row at
-    inf).
+    inf). norms None computes each chunk's squared row norms from its rows.
     """
     d = X.shape[1]
     k = Q.shape[0]
@@ -421,7 +431,7 @@ def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray, dist: np.ndarray | 
         score *= -2.0
         score += qq[:, None]
         best = score[0] if k == 1 else score.min(axis=0)
-        xx = norms[rows]
+        xx = np.einsum("ij,ij->i", X[rows], X[rows]) if norms is None else norms[rows]
         margin = xx + slack
         margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
         bound = best + xx
@@ -465,8 +475,10 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
 
     The result is that of a running minimum over the columns of
     pairwise(space, X, Q) with strict improvement, so the lowest index wins
-    ties. A Euclidean space screens with the GEMM described above, and
-    norms = _row_norms(space, X), which callers reuse across calls.
+    ties. A Euclidean space screens with the GEMM described above; norms,
+    if given, are _row_norms(space, X), which callers that pass over X again
+    keep, and None computes them per chunk. owner's dtype must hold every
+    index written, base + len(Q) - 1: numpy raises OverflowError otherwise.
     """
     if space.kind == "matrix":
         for j in range(Q.shape[0]):
@@ -479,10 +491,11 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
         _running_min(X[rows], Q, base, cand, dist[rows], owner[rows], space.power)
 
 
-def _nearest_cols(X: np.ndarray, XT: np.ndarray | None, Q: np.ndarray, norms: np.ndarray,
+def _nearest_cols(X: np.ndarray, XT: np.ndarray | None, Q: np.ndarray, norms: np.ndarray | None,
                   dist: np.ndarray, owner: np.ndarray) -> None:
-    """A fresh squared assignment (dist all inf, owner all 0) on feature-major
-    blocks, read from XT (X.T, C-contiguous) if given, else transposed from X.
+    """A fresh squared assignment (owner all 0; every row of dist is written)
+    on feature-major blocks, read from XT (X.T, C-contiguous) if given, else
+    transposed from X.
 
     Per screened chunk, every row's distance to its lowest-index candidate
     is computed in one pass over blocks of `_block_rows` points; that is the
@@ -544,24 +557,25 @@ def _sweep(X: np.ndarray, XT: np.ndarray | None, QT: np.ndarray, first: np.ndarr
         out[lo:hi] = _exact(diff, None, power, cols=True)
 
 
-def _assign(space: MetricSpace, X: np.ndarray, M: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The exact pass for centroids M over every row: (owner, dist, norms).
+def _assign(space: MetricSpace, X: np.ndarray, M: np.ndarray, top: int | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The exact pass for centroids M over every row: (owner, dist).
 
-    `_fill` for M[0], which also computes the squared row norms (None for a
-    matrix space), then `_lower` by M[1:]: a running minimum over the columns
-    of pairwise(space, X, M) with strict improvement. A NaN or inf row
-    raises ValueError.
+    `_fill` for M[0], then `_lower` by M[1:]: a running minimum over the
+    columns of pairwise(space, X, M) with strict improvement. The owners'
+    dtype is the smallest unsigned one that holds top, the largest index a
+    caller's later `_lower` may write (M's last by default). No row norms are
+    kept. A NaN or inf row raises ValueError.
     """
     n = X.shape[0]
-    dist, owner = np.empty(n), np.zeros(n, dtype=np.intp)
-    norms = None if space.kind == "matrix" else np.empty(n)
-    _fill(space, X, M[0], dist, norms=norms)
+    top = M.shape[0] - 1 if top is None else top
+    dist, owner = np.empty(n), np.zeros(n, dtype=np.min_scalar_type(top))
+    _fill(space, X, M[0], dist)
     if n and not np.isfinite(dist.max()):
         require_finite(points=X)  # a NaN or inf row is NaN or inf from any centroid
     if M.shape[0] > 1:
-        _lower(space, X, M[1:], 1, dist, owner, norms)
-    return owner, dist, norms
+        _lower(space, X, M[1:], 1, dist, owner, None)
+    return owner, dist
 
 
 def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -589,13 +603,13 @@ def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return owner
 
 
-def cost(space: MetricSpace, X, weights, Q, *, norms: np.ndarray | None = None) -> float:
+def cost(space: MetricSpace, X, weights, Q) -> float:
     """Clustering cost: the weighted sum of point-to-nearest-centroid distances.
 
-    norms is passed on to `nearest`.
+    One `nearest` pass, which keeps no row norms.
     """
     X = as_points(X)
-    dist = nearest(space, X, Q, norms=norms)[1]
+    dist = nearest(space, X, Q)[1]
     return _wsum(as_weights(weights, X.shape[0]), dist, out=dist)
 
 

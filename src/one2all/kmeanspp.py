@@ -127,12 +127,14 @@ def subsample_trace(space: MetricSpace, X: np.ndarray, w: np.ndarray | None, ell
 
     The rows are uniform without replacement, drawn by sub_seed alone and kept
     in index order, and each weighs w n / |S0|, so S0's prefix costs estimate
-    the full data's. With n <= _SUBSAMPLE, S0 is every row at weight w * 1.0,
-    and the trace is the full data's bit for bit.
+    the full data's. With n <= _SUBSAMPLE, S0 is every row at weight
+    w * 1.0 = w, so this is run_trace on (X, w) itself: the full data's trace.
     """
     n = X.shape[0]
-    rows = np.sort(np.random.default_rng(sub_seed).choice(n, min(n, max(_SUBSAMPLE, ell)),
-                                                          replace=False))
+    size = min(n, max(_SUBSAMPLE, ell))
+    if size == n:  # every row, at weight w * 1.0, which is w (None for unit weights)
+        return run_trace(space, X, w, ell, trace_seed)
+    rows = np.sort(np.random.default_rng(sub_seed).choice(n, size, replace=False))
     w0 = np.full(rows.size, n / rows.size) if w is None else w[rows] * (n / rows.size)
     return run_trace(space, X[rows], w0, ell, trace_seed)
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MetricSpace, _assign, _row_norms, _wsum, as_points, as_weights, cost,
-                   require_finite)
+from .core import MetricSpace, _assign, _wsum, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import subsample_trace
 from .probabilities import check_eps, probs_from_assignment, sample_probs, sweet_spot
@@ -40,15 +39,13 @@ _ARRAYS = ("p", "members", "member_points", "member_weights")
 @dataclass
 class OracleState:
     space: MetricSpace = field(repr=False)
+    # its p and u are the state's only n-length arrays; an exact answer keeps nothing
     sample: CoordinatedSample = field(repr=False)
     C: float
     eps: float
     prefix_index: int
     update_count: int
     sample_seed: int
-    # the data's squared row norms (Euclidean), which steer exact answers'
-    # screen; not saved: a loaded state computes them on its first exact answer
-    norms: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -94,12 +91,11 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
     trace = subsample_trace(space, X, w, ell, trace_seed, sub_seed)
     if C is None:
         C = float(trace.prefix_costs[-1])
-    norms = None
     if C > 0.0:
         i_star = sweet_spot(trace, C, eps, n)[0]
         M = trace.prefix(i_star)
         del trace  # S0 goes before the full-data pass
-        owner, dist, norms = _assign(space, X, M)
+        owner, dist = _assign(space, X, M)
         probs = probs_from_assignment(w, owner, dist, space.rho, M, _wsum(w, dist))
         del owner, dist
         p = sample_probs(probs.pi, max(1.0, probs.cost_m / C), eps)
@@ -113,7 +109,6 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
         prefix_index=i_star,
         update_count=0,
         sample_seed=int(sample_seed),
-        norms=norms,
     )
 
 
@@ -136,9 +131,7 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
         return est, False
     if sample.points is None:
         raise ValueError("feedback needs the dataset; load with points and weights")
-    if state.norms is None:
-        state.norms = _row_norms(state.space, sample.points)
-    V = cost(state.space, sample.points, sample.weights, Q, norms=state.norms)
+    V = cost(state.space, sample.points, sample.weights, Q)
     if V > 0.0:
         p_new = np.minimum(1.0, max(2.0, 2.0 * state.C / V) * sample.p)
     else:

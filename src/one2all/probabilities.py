@@ -54,18 +54,22 @@ def probs_from_assignment(
     """
     if not cost_m >= 0.0:
         raise ValueError(f"V(M) must be >= 0, not {cost_m!r}")
-    cluster_w = np.bincount(owner, weights=w, minlength=M.shape[0])
+    # bincount's sums, added in the same index order, with no intp copy of owner
+    cluster_w = np.zeros(M.shape[0])
+    np.add.at(cluster_w, owner, 1.0 if w is None else w)
     keep = cluster_w > 0.0
     dropped = int(keep.size - np.count_nonzero(keep))
     if dropped:
         M = M[keep]
     unit = 1.0 if w is None else w  # 1.0 * x is x bit for bit
-    pi = 8.0 * rho**2 * unit / cluster_w[owner]
+    pi = cluster_w[owner]  # pi is built in this array, beside one temporary at a time
+    np.divide(8.0 * rho**2 * unit, pi, out=pi)
     if cost_m > 0.0:  # V(M)=0: only the within-cluster term remains
         scale = 2.0 * rho / cost_m  # 0 if V(M) overflowed, inf if it underflowed
         if not 0.0 < scale < np.inf:
             raise ValueError(f"2 rho / V(M) is {scale!r}: V(M) = {cost_m!r} at rho = {rho!r}")
-        term1 = scale * unit * dist
+        term1 = scale * unit
+        term1 *= dist  # in place for an array of weights; a new array for a scalar
         np.maximum(term1, pi, out=pi)
     if frac != 1.0:
         pi *= frac

@@ -18,7 +18,8 @@ from .core import MetricSpace, _kept_inputs, as_points, as_weights, nearest
 def point_uniforms(seed: int, n: int) -> np.ndarray:
     """The fixed u_x in (0,1] for points 0..n-1, a pure function of the seed."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return 1.0 - rng.random(n)
+    u = rng.random(n)
+    return np.subtract(1.0, u, out=u)
 
 
 @dataclass
@@ -51,7 +52,7 @@ class CoordinatedSample:
     def __post_init__(self):
         self.w_prime = self.member_weights / self.p[self.members]
         # a saturated sample is the full data, so its estimates are exact
-        self.saturated = bool(np.all(self.p >= 1.0))
+        self.saturated = bool(self.p.size == 0 or self.p.min() >= 1.0)  # NaN fails
 
     @property
     def size(self) -> int:
@@ -76,7 +77,7 @@ def draw(points, weights, probs, seed: int) -> CoordinatedSample:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (n,):
         raise ValueError("need one probability per point")
-    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails
         raise ValueError("probabilities must lie in [0, 1]")
     return _select(points, weights, point_uniforms(seed, n), probs)
 

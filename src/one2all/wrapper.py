@@ -28,12 +28,12 @@ re-test round like any other.
 
 M, the centroid set the probabilities come from, is the prefix of a 2k-step
 kmeans++ trace minimizing i v_i, traced on a uniform subsample S0
-(`kmeanspp.subsample_trace`, drawn by the call seed alone). One
-exact pass over all rows gives v_M, the assignment, the row norms every
-cost(Q) reuses and, read after M's first k centroids, the first candidate Q;
-r starts at v_M over S0's v_2k. The one2all bound holds for any M, and both
-round tests read exact costs only: S0 sets the sample's size, never what a
-certificate means.
+(`kmeanspp.subsample_trace`, drawn by the call seed alone). One exact pass
+over all rows gives v_M, the assignment and, read after M's first k
+centroids, the first candidate Q; r starts at v_M over S0's v_2k. Each
+cost(Q) is a pass of its own, which keeps no row norms. The one2all bound
+holds for any M, and both round tests read exact costs only: S0 sets the
+sample's size, never what a certificate means.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ def run(
     M, v_end = trace.prefix(i_star), float(trace.prefix_costs[-1])
     del trace  # S0 goes before the full-data pass
     # one exact pass over every row for M, read after its first k0 centroids;
-    # its norms are reused by every cost(Q)
+    # its owners are sized for all i_star
     k0 = min(k, i_star)
-    owner, dist, norms = _assign(space, X, M[:k0])
+    owner, dist = _assign(space, X, M[:k0], i_star - 1)
     v_m = _wsum(w, dist)
     best_q, best_v = CentroidSet(M[:k0]), v_m
     if i_star > k0:
-        _lower(space, X, M[k0:], k0, dist, owner, norms)
+        _lower(space, X, M[k0:], k0, dist, owner, None)
         v_m = _wsum(w, dist)
     probs = probs_from_assignment(w, owner, dist, space.rho, M, v_m)
     del dist, owner
@@ -152,7 +152,7 @@ def run(
                 break
             note = {"retest": False}  # Q failed again: cluster this same sample
         Q = base(space, sample.member_points, sample.w_prime, k, base_seeds[rnd])
-        v_q = cost(space, X, w, Q, norms=norms)
+        v_q = cost(space, X, w, Q)
         if v_q < best_v:
             best_q, best_v = Q, v_q
         est = estimate_cost(space, sample, Q)

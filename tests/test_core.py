@@ -268,6 +268,8 @@ def test_unit_weights_are_none_not_ones(oracle_path):
     assert core.as_weights(None, _WX.shape[0]) is None
     assert WeightedPointSet(_WX).weights is None
     assert one2all.run_trace(SP2, _WX, None, 4, 0).weights is None
+    # S0 is every row of the 60 here, traced without an array of ones
+    assert kmeanspp.subsample_trace(SP2, _WX, None, 4, 0, 0).weights is None
     st = one2all.build_feedback(SP2, _WX, None, k=2, eps=0.3, seed=0)
     assert st.sample.weights is None
     np.testing.assert_array_equal(st.sample.member_weights, np.ones(st.size))  # saved as before
@@ -783,12 +785,9 @@ def test_trace_norms_are_the_row_norms(d, elems, monkeypatch):
     want = np.einsum("ij,ij->i", X, X)
     for p in (1.0, 2.0, 3.0):
         sp = MetricSpace.euclidean(p)
-        assert_same_bytes(core._assign(sp, X, X[[4, 9]])[2], want)
         norms = np.empty(500)
         core._fill(sp, X, X[7], np.empty(500), norms=norms)
         assert_same_bytes(norms, want)
-    m = MetricSpace.from_matrix(pairwise(SP2, X[:30], X[:30]), rho=2.0)
-    assert core._assign(m, np.arange(30), np.array([3, 5]))[2] is None
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -798,14 +797,47 @@ def test_cost_and_nearest_with_trace_norms_match(p):
     X = rng.normal(size=(2000, 6)) + 8.0 * rng.integers(0, 4, size=(2000, 1))
     w = rng.uniform(0.5, 2.0, size=2000)
     M = run_trace(sp, X, w, 8, 1).centroids
-    owner, dist, norms = core._assign(sp, X, M)
-    for got, want in zip((owner, dist), nearest(sp, X, M)):  # the exact pass is nearest's
-        assert_same_bytes(got, want)
+    owner, dist = core._assign(sp, X, M)
+    want_owner, want_dist = nearest(sp, X, M)  # the exact pass is nearest's
+    np.testing.assert_array_equal(owner, want_owner)  # its owners are byte-sized
+    assert_same_bytes(dist, want_dist)
+    norms = core._row_norms(sp, X)
     for Q in (M, X[[3, 3, 70]], rng.normal(size=(5, 6))):
-        assert cost(sp, X, w, Q, norms=norms).hex() == cost(sp, X, w, Q).hex()
-        assert cost(sp, X, None, Q, norms=norms).hex() == cost(sp, X, None, Q).hex()
+        kept = nearest(sp, X, Q, norms=norms)[1]
+        assert cost(sp, X, w, Q).hex() == float(np.sum(w * kept)).hex()
+        assert cost(sp, X, None, Q).hex() == float(np.sum(kept)).hex()
         for got, want in zip(nearest(sp, X, Q, norms=norms), nearest(sp, X, Q)):
             assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("d", [3, 24])  # nearest's feature-major and row-major passes
+def test_owners_past_255_keep_their_index(d):
+    # the wrapper's exact pass: _assign by M[:k0], sized for all of M, then
+    # _lower by M[k0:]; owners sized by k0 alone would raise OverflowError
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(1000, d))
+    M = rng.normal(size=(300, d))
+    want_owner, want_dist = ref_nearest(2.0, X, M)  # a column loop
+    assert want_owner.max() > 255
+    owner, dist = core._assign(SP2, X, M[:200], M.shape[0] - 1)
+    core._lower(SP2, X, M[200:], 200, dist, owner, None)
+    np.testing.assert_array_equal(owner.astype(np.intp), want_owner)
+    assert_same_bytes(dist, want_dist)
+    for got, want in zip(nearest(SP2, X, M), (want_owner, want_dist)):
+        assert_same_bytes(got, want)
+
+
+def test_cost_holds_one_distance_array():
+    # the pass keeps no row norms and byte-sized owners: below 4 n-vectors of
+    # float64, kernel temporaries included (8-byte owners and norms made 5.1)
+    X = np.random.default_rng(33).normal(size=(200_000, 10))
+    tracemalloc.start()
+    try:
+        cost(SP2, X, None, X[:5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * X.shape[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -817,7 +849,7 @@ def test_exact_pass_rejects_non_finite_rows(bad):
     huge = np.full((5, 2), 1e200)  # finite rows whose distances overflow pass
     huge[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        owner, dist, _ = core._assign(SP2, huge, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        owner, dist = core._assign(SP2, huge, np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert dist[0] == 0.0 and np.isinf(dist[2])
 
 
@@ -825,8 +857,6 @@ def test_wrong_shape_norms_are_rejected():
     X = np.random.default_rng(26).normal(size=(40, 3))
     norms = np.einsum("ij,ij->i", X, X)
     for bad in (norms[:-1], norms[:, None], np.append(norms, 1.0), np.float64(1.0)):
-        with pytest.raises(ValueError, match="norms must be one per point"):
-            cost(SP2, X, None, X[:2], norms=bad)
         with pytest.raises(ValueError, match="norms must be one per point"):
             nearest(SP2, X, X[:2], norms=bad)
 

@@ -1,6 +1,7 @@
 """Adaptive cost oracle: build, query, feedback updates, serialization."""
 
 import io
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -126,8 +127,31 @@ def test_build_traces_s0_once_and_passes_over_every_row_once(monkeypatch):
     # M's one exact pass over every row; every other distance is on S0's rows
     full = [c for c in calls if c[1] == len(X)]
     assert [c[0] for c in full] == ["_assign", "_fill"] + ["_lower"] * (st.prefix_index > 1)
-    assert full[0][2][0].shape[0] == st.prefix_index and st.norms is not None
+    assert full[0][2][0].shape[0] == st.prefix_index
     assert {c[1] for c in calls} == {len(X), kmeanspp._SUBSAMPLE}
+
+
+def test_states_hold_no_n_vector_besides_p_and_u(tmp_path):
+    # built or loaded, and after an exact answer, a state holds its sample's
+    # p, u and member arrays, and no other n-length array (no row norms)
+    X, _ = _mixture(41, n=50_000, d=3, k=3)
+    path = tmp_path / "oracle.npz"
+    oracle.save(oracle.build_feedback(SP2, X, None, k=3, eps=0.3, seed=7), path)
+    for make in (lambda: oracle.build_feedback(SP2, X, None, k=3, eps=0.3, seed=7),
+                 lambda: oracle.load(path, points=X)):
+        tracemalloc.start()
+        try:
+            st = make()
+            st.C = np.inf  # so the next query is answered exactly
+            assert oracle.feedback_query(st, X[:3])[1]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        s = st.sample
+        arrays = (s.p, s.u, s.members, s.member_points, s.member_weights, s.w_prime,
+                  s.member_cols, s.member_norms)
+        held -= sum(a.nbytes for a in arrays if a is not None)
+        assert held < 8 * X.shape[0] / 4
 
 
 def test_halvings_bound_updates_with_a_threshold_estimated_on_s0(monkeypatch):
@@ -383,29 +407,16 @@ def test_load_refuses_weights_without_their_points(tmp_path):
         oracle.load(path, weights=w)
 
 
-def test_exact_answers_reuse_the_row_norms(tmp_path, monkeypatch):
-    # the build keeps its exact pass's norms; a load computes them on its first
-    # exact answer, not in load; either way exact answers are core.cost's bits
+def test_exact_answers_of_built_and_loaded_states_are_core_costs_bits(tmp_path):
     X, w = _mixture(29, n=2000, d=3, k=3)
     st = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=7)
-    np.testing.assert_array_equal(st.norms, core._row_norms(SP2, X))
     path = tmp_path / "oracle.npz"
     oracle.save(st, path)
     back = oracle.load(path, points=X, weights=w)
-    assert back.norms is None
-    seen = []
-
-    def spy(space, P, weights, Q, *, norms=None):
-        seen.append(norms)
-        return cost(space, P, weights, Q, norms=norms)
-
-    monkeypatch.setattr(oracle, "cost", spy)
     for state in (st, back):
         Q = state.sample.member_points  # estimated at 0, so answered exactly
         est, exact = oracle.feedback_query(state, Q)
-        assert exact and est == cost(SP2, X, w, Q)
-    assert seen[0] is st.norms and seen[1] is back.norms
-    np.testing.assert_array_equal(back.norms, core._row_norms(SP2, X))
+        assert exact and est.hex() == cost(SP2, X, w, Q).hex()
 
 
 def test_load_rejects_wrong_dataset(tmp_path):

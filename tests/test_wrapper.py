@@ -1,5 +1,6 @@
 """Adaptive clustering wrapper: certification loop, growth, edge paths."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -502,6 +503,23 @@ def test_rejects_non_finite_points_and_weights(bad, monkeypatch):
     Xo[np.setdiff1d(np.arange(300), s0)[0], 2] = bad
     with pytest.raises(ValueError, match="points contain NaN or inf"):
         run(SP2, Xo, w, k=3, eps=0.3, seed=0)
+
+
+# working set --------------------------------------------------------------
+
+
+def test_a_call_peaks_below_seven_n_vectors():
+    # pi, p, u, then one pass's distances, byte-sized owners and kernel
+    # temporaries; kept row norms, 8-byte owners and arrays filled then
+    # overwritten peaked at 8.3 n-vectors of float64
+    X = gen_gmm(200_000, 10, 5, seed=3).points.points
+    tracemalloc.start()
+    try:
+        run(SP2, X, None, k=5, eps=0.2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.2 * 8 * X.shape[0]
 
 
 # chunk sizes --------------------------------------------------------------
