@@ -3,13 +3,15 @@
 Distances are either powered Euclidean, d(x, y) = ||x - y||_2^p (a relaxed
 metric with rho = 2^(p-1) for p > 1), or read from a precomputed symmetric
 matrix whose points are row indices. Two kernels compute every exact
-distance, in either kind of space: `_fill` sets the distances from chosen
-rows to one point (`pairwise`, kmeans++ step 1, Lloyd's empty-cell re-seed),
+distance, in either kind of space: `_fill` sets the distances from every
+row to one point (`pairwise`, kmeans++ step 1, a one-centroid `nearest`),
 and `_lower` lowers a running nearest-centroid assignment (`nearest`, later
-kmeans++ steps). `_assign`, the exact pass for the wrapper's and the
-oracle's M, is one `_fill` then one `_lower`. A matrix space reads the
-distances to one centroid at a time from its (contiguous) row, which equals
-the column by symmetry, so memory stays O(n) for any number of centroids.
+kmeans++ steps, the wrapper's M past its first k centroids). `nearest` is
+the one fresh assignment: `cost`, every estimate and the exact pass for the
+wrapper's and the oracle's M are each one `nearest` call. A matrix space
+reads the distances to one centroid at a time from its (contiguous) row,
+which equals the column by symmetry, so memory stays O(n) for any number of
+centroids.
 `_owners` gives Lloyd the owners alone and computes a distance only where
 the screen below cannot name the owner.
 
@@ -24,12 +26,12 @@ split into chunks or laid out, and whatever BLAS library and thread count
 numpy uses.
 
 A pass over every row holds one distance array and its owners, and no
-other n-length array. Owners are written in the smallest unsigned type that
-holds the largest index the caller may write (`np.min_scalar_type`), one
-byte for up to 256 centroids, and `nearest` widens them to intp once on
-return. Squared row norms only steer the screen below, so a pass that is
-given none (`_assign`, `cost`) computes each chunk's from the rows it has
-just multiplied; callers that pass over the same rows again keep theirs: a
+other n-length array. `nearest` returns owners in the smallest unsigned
+type that holds k - 1 (`np.min_scalar_type`), one byte for up to 256
+centroids; a caller that lowers them by more centroids widens them first.
+Squared row norms only steer the screen below, so a pass that is given none
+(`cost`, the pass for M) computes each chunk's from the rows it has just
+multiplied; callers that pass over the same rows again keep theirs: a
 kmeans++ trace its S0's, Lloyd its sample's, and a sample its members'.
 
 `_lower` uses a GEMM only to decide which of those exact distances to
@@ -270,12 +272,13 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None,
 
     Memory stays O(n) even for large k; ties go to the lowest index.
     Euclidean distances are lowered squared and raised to the power once.
-    Owners are held in the smallest unsigned type that holds k - 1 during
-    the pass and returned as intp. norms, if given, are X's squared row
-    norms (a sample keeps its members'); otherwise the screen computes each
-    chunk's from its rows. cols, if given, is X.T as a C-contiguous array (a
-    sample at low d keeps one), which the feature-major blocks are then read
-    from. A matrix space ignores both.
+    Owners are in the smallest unsigned type that holds k - 1, as the pass
+    writes them. One centroid at d > _COLUMNS_MAX_D is `_fill`'s pass, with
+    no screen. norms, if given, are X's squared row norms (a sample keeps
+    its members'); otherwise the screen computes each chunk's from its rows.
+    cols, if given, is X.T as a C-contiguous array (a sample at low d keeps
+    one), which the feature-major blocks are then read from. A matrix space
+    ignores both.
     """
     X, Q = _operands(space, X, Q)
     if Q.shape[0] == 0:  # every distance would be inf, and the screen has no maximum
@@ -286,26 +289,25 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None,
     if space.kind == "matrix":
         dist = np.full(X.shape[0], np.inf)
         _lower(space, X, Q, 0, dist, owner, None)
-        return owner.astype(np.intp), dist
+        return owner, dist
     if cols is not None and np.shape(cols) != X.shape[::-1]:
         raise ValueError("cols must be the points' transpose")
     require_finite(centroids=Q)
+    squared = MetricSpace.euclidean(2.0)
     if cols is not None or _columnar(X):
         dist = np.empty(X.shape[0])  # `_nearest_cols` writes every row
         _nearest_cols(X, cols, Q, norms, dist, owner)
+    elif Q.shape[0] == 1:  # every row's owner; no screen can skip a row at inf
+        dist = np.empty(X.shape[0])
+        _fill(squared, X, Q[0], dist)
     else:
         dist = np.full(X.shape[0], np.inf)
-        _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, norms)
+        _lower(squared, X, Q, 0, dist, owner, norms)
     if dist.size and not np.isfinite(dist.max()):
-        require_finite(points=X)  # a NaN or inf row keeps its initial inf
+        require_finite(points=X)  # a NaN or inf row is NaN or keeps inf
     if space.power != 2.0:
         dist **= space.power / 2.0
-    return owner.astype(np.intp), dist
-
-
-def _row_norms(space: MetricSpace, X: np.ndarray) -> np.ndarray | None:
-    """The squared row norms `_lower` takes; a matrix space needs none."""
-    return None if space.kind == "matrix" else np.einsum("ij,ij->i", X, X)
+    return owner, dist
 
 
 def _colsum(a: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
@@ -361,36 +363,30 @@ def _exact(diff: np.ndarray, q, power: float, out: np.ndarray | None = None,
 
 
 def _fill(space: MetricSpace, X: np.ndarray, q, dist: np.ndarray,
-          rows: np.ndarray | None = None, norms: np.ndarray | None = None) -> None:
-    """dist[rows] = d(X[rows], q), for every row when rows is None.
+          norms: np.ndarray | None = None) -> None:
+    """dist = d(X, q), for every row of X.
 
-    No screen: every row asked for gets `_exact`, over blocks of at most
-    _GATHER_ELEMS (and _CHUNK_ELEMS) elements, copied contiguously when rows
-    is None and gathered by index otherwise; a sweep of every row at low d
-    (`_columnar`) is `_sweep`'s, on feature-major blocks. norms, if given
-    (Euclidean, rows None), receives the squared row norms `_lower` takes,
-    each computed from its block while the block is in cache.
+    No screen: every row gets `_exact`, over contiguous copies of blocks of
+    at most _GATHER_ELEMS (and _CHUNK_ELEMS) elements; at low d
+    (`_columnar`) `_sweep` makes the pass on feature-major blocks. norms, if
+    given (Euclidean), receives the squared row norms `_lower` takes, each
+    computed from its block while the block is in cache.
     """
     if space.kind == "matrix":
-        sel = slice(None) if rows is None else rows
-        dist[sel] = space.matrix[q, X[sel]]
+        dist[:] = space.matrix[q, X]
         return
-    if rows is None and _columnar(X):
+    if _columnar(X):
         _sweep(X, None, q[:, None], None, dist, space.power, norms)
         return
-    n = X.shape[0] if rows is None else rows.size
-    step = _block_rows(X)
+    n, step = X.shape[0], _block_rows(X)
     buf = np.empty((min(step, n), X.shape[1]))
     for start in range(0, n, step):
-        m = min(step, n - start)
-        if rows is None:
-            np.copyto(buf[:m], X[start : start + m])
-            if norms is not None:
-                np.einsum("ij,ij->i", buf[:m], buf[:m], out=norms[start : start + m])
-            _exact(buf[:m], q, space.power, out=dist[start : start + m])
-        else:
-            part = rows[start : start + m]
-            dist[part] = _exact(np.take(X, part, axis=0, out=buf[:m]), q, space.power)
+        rows = slice(start, start + step)
+        block = buf[: min(step, n - start)]
+        np.copyto(block, X[rows])
+        if norms is not None:
+            np.einsum("ij,ij->i", block, block, out=norms[rows])
+        _exact(block, q, space.power, out=dist[rows])
 
 
 def _columnar(X: np.ndarray) -> bool:
@@ -432,10 +428,14 @@ def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray | None, dist: np.nda
         score += qq[:, None]
         best = score[0] if k == 1 else score.min(axis=0)
         xx = np.einsum("ij,ij->i", X[rows], X[rows]) if norms is None else norms[rows]
-        margin = xx + slack
-        margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
-        bound = best + xx
-        bound -= margin  # at most the row's smallest exact distance
+        with np.errstate(invalid="ignore"):  # an inf row's inf - inf: NaN, which never skips
+            margin = xx + slack
+            margin *= 4.0 * (d + 4) * _UNIT_ROUNDOFF
+            bound = best + xx
+            bound -= margin  # at most the row's smallest exact distance
+            if k > 1:
+                margin *= 2.0
+                best += margin  # a score above this cannot be the row's nearest
         if power != 2.0:
             np.maximum(bound, 0.0, out=bound)
             bound **= power / 2.0
@@ -444,8 +444,6 @@ def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray | None, dist: np.nda
         if k == 1:
             skip = skip[None, :]
         else:
-            margin *= 2.0
-            best += margin  # a score above this cannot be the row's nearest
             far = score > best
             skip = np.logical_or(far, skip, out=far)
         del score
@@ -476,7 +474,7 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
     The result is that of a running minimum over the columns of
     pairwise(space, X, Q) with strict improvement, so the lowest index wins
     ties. A Euclidean space screens with the GEMM described above; norms,
-    if given, are _row_norms(space, X), which callers that pass over X again
+    if given, are X's squared row norms, which callers that pass over X again
     keep, and None computes them per chunk. owner's dtype must hold every
     index written, base + len(Q) - 1: numpy raises OverflowError otherwise.
     """
@@ -557,29 +555,8 @@ def _sweep(X: np.ndarray, XT: np.ndarray | None, QT: np.ndarray, first: np.ndarr
         out[lo:hi] = _exact(diff, None, power, cols=True)
 
 
-def _assign(space: MetricSpace, X: np.ndarray, M: np.ndarray, top: int | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """The exact pass for centroids M over every row: (owner, dist).
-
-    `_fill` for M[0], then `_lower` by M[1:]: a running minimum over the
-    columns of pairwise(space, X, M) with strict improvement. The owners'
-    dtype is the smallest unsigned one that holds top, the largest index a
-    caller's later `_lower` may write (M's last by default). No row norms are
-    kept. A NaN or inf row raises ValueError.
-    """
-    n = X.shape[0]
-    top = M.shape[0] - 1 if top is None else top
-    dist, owner = np.empty(n), np.zeros(n, dtype=np.min_scalar_type(top))
-    _fill(space, X, M[0], dist)
-    if n and not np.isfinite(dist.max()):
-        require_finite(points=X)  # a NaN or inf row is NaN or inf from any centroid
-    if M.shape[0] > 1:
-        _lower(space, X, M[1:], 1, dist, owner, None)
-    return owner, dist
-
-
 def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The owners nearest(MetricSpace.euclidean(2.0), X, Q) reports.
+    """The owners nearest(MetricSpace.euclidean(2.0), X, Q) reports, as intp.
 
     Exact distances only for rows with several candidates (ties, near-ties,
     overflowing scores) or too large to trust a lone one; see above.

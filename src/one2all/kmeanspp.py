@@ -3,7 +3,7 @@
 The wrapper and the oracle trace a uniform subsample S0 of the data
 (`subsample_trace`): its prefix costs estimate the full data's v_i, and the
 prefix they pick is then assigned over every row in one exact pass
-(`core._assign`). The base clusterer runs a trace of its own on each sample
+(`core.nearest`). The base clusterer runs a trace of its own on each sample
 to seed from. A trace keeps its centroids and prefix costs; `replay`
 rebuilds each prefix's assignment on the trace's own rows by running the
 trace's step (`_step`) again, so its states are the trace's by construction.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (CentroidSet, MetricSpace, _fill, _operands, _owners, _row_norms, as_points,
+from .core import (CentroidSet, MetricSpace, _exact, _fill, _operands, _owners, as_points,
                    as_weights, require_finite)
 from .errors import UnsupportedSpaceError
 from .kmeanspp import _draw_index, run_trace
@@ -43,18 +43,18 @@ def lloyd_step(space: MetricSpace, X, w, Q) -> np.ndarray:
     w = as_weights(w, X.shape[0])
     w = np.ones(X.shape[0]) if w is None else w  # every Lloyd sum reads an array
     require_finite(points=X, centroids=Q)
-    return _step(space, X, w, *_prepare(space, X, w), Q)
+    return _step(X, w, *_prepare(X, w), Q)
 
 
-def _prepare(space: MetricSpace, X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prepare(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted rows X * w (column-major, so each column is contiguous)
     and the squared row norms, which every step on (X, w) reuses."""
-    return np.multiply(X, w[:, None], order="F"), _row_norms(space, X)
+    return np.multiply(X, w[:, None], order="F"), np.einsum("ij,ij->i", X, X)
 
 
-def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
-          norms: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """lloyd_step on checked arrays, with _prepare(space, X, w) passed in."""
+def _step(X: np.ndarray, w: np.ndarray, Xw: np.ndarray, norms: np.ndarray,
+          Q: np.ndarray) -> np.ndarray:
+    """lloyd_step on checked arrays, with _prepare(X, w) passed in."""
     k = Q.shape[0]
     owner = _owners(X, Q, norms)
     wsum = np.bincount(owner, weights=w, minlength=k)
@@ -66,9 +66,7 @@ def _step(space: MetricSpace, X: np.ndarray, w: np.ndarray, Xw: np.ndarray,
     new[nonempty] = sums[nonempty] / wsum[nonempty, None]
     empty = np.flatnonzero(~nonempty)
     if empty.size:
-        dist = np.empty(X.shape[0])  # each row's distance to its owner, as nearest has it
-        for j in np.flatnonzero(nonempty):
-            _fill(space, X, Q[j], dist, np.flatnonzero(owner == j))
+        dist = _exact(X - Q[owner], None, 2.0)  # each row's distance to its owner, as nearest's
         farthest = np.argsort(-dist)[: empty.size]
         new[empty] = X[farthest]
     return new
@@ -127,9 +125,9 @@ def base_cluster(space: MetricSpace, X, w, k: int, seed: int = 0) -> CentroidSet
     trace_seed, swap_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     idx = run_trace(space, X, w, k, trace_seed).centroid_indices
     Q = X[_swaps(space, X, w, idx, 2 * k, np.random.default_rng(swap_seed))]
-    prepared = _prepare(space, X, w)
+    prepared = _prepare(X, w)
     for _ in range(_LLOYD_ITERS):
-        Q2 = _step(space, X, w, *prepared, Q)
+        Q2 = _step(X, w, *prepared, Q)
         if np.array_equal(Q2, Q):
             break
         Q = Q2

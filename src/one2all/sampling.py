@@ -88,11 +88,8 @@ def estimate_cost(space: MetricSpace, sample: CoordinatedSample, Q) -> float:
     An empty sample estimates 0 (legitimate only when total mass was capped
     away; callers keep sum(p) >= 1).
     """
-    if space.kind == "matrix":
-        _, dist = nearest(space, sample.member_points, Q)
-    else:
-        if sample.member_norms is None:
-            sample.member_norms, sample.member_cols = _kept_inputs(sample.member_points)
-        _, dist = nearest(space, sample.member_points, Q, norms=sample.member_norms,
-                          cols=sample.member_cols)
+    if space.kind != "matrix" and sample.member_norms is None:
+        sample.member_norms, sample.member_cols = _kept_inputs(sample.member_points)
+    _, dist = nearest(space, sample.member_points, Q, norms=sample.member_norms,
+                      cols=sample.member_cols)
     return float(np.sum(sample.w_prime * dist))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CentroidSet, MetricSpace, _assign, _lower, _wsum, as_points, as_weights, cost
+from .core import CentroidSet, MetricSpace, _lower, _wsum, as_points, as_weights, cost, nearest
 from .kmeanspp import subsample_trace
 from .lloyd import base_cluster
 from .probabilities import check_eps, probs_from_assignment, sample_probs
@@ -109,13 +109,13 @@ def run(
     i_star = _pick(trace.prefix_costs)
     M, v_end = trace.prefix(i_star), float(trace.prefix_costs[-1])
     del trace  # S0 goes before the full-data pass
-    # one exact pass over every row for M, read after its first k0 centroids;
-    # its owners are sized for all i_star
+    # one exact pass over every row for M, read after its first k0 centroids
     k0 = min(k, i_star)
-    owner, dist = _assign(space, X, M[:k0], i_star - 1)
+    owner, dist = nearest(space, X, M[:k0])
     v_m = _wsum(w, dist)
     best_q, best_v = CentroidSet(M[:k0]), v_m
     if i_star > k0:
+        owner = owner.astype(np.min_scalar_type(i_star - 1), copy=False)  # holds every index
         _lower(space, X, M[k0:], k0, dist, owner, None)
         v_m = _wsum(w, dist)
     probs = probs_from_assignment(w, owner, dist, space.rho, M, v_m)

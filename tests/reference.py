@@ -208,10 +208,11 @@ def matrix_pairwise(space: MetricSpace, X, Q) -> np.ndarray:
 
 def matrix_nearest(space: MetricSpace, X, Q) -> tuple[np.ndarray, np.ndarray]:
     """nearest on a matrix space from the whole (n, k) block: argmin picks
-    the lowest index among ties."""
+    the lowest index among ties. Owners are in nearest's dtype, the smallest
+    unsigned one that holds k - 1."""
     mat = matrix_pairwise(space, X, Q)
     owner = np.argmin(mat, axis=1)
-    return owner, mat[np.arange(mat.shape[0]), owner]
+    return owner.astype(np.min_scalar_type(mat.shape[1] - 1)), mat[np.arange(mat.shape[0]), owner]
 
 
 def row_sum_column(p, X, q) -> np.ndarray:
@@ -227,9 +228,10 @@ def row_sum_column(p, X, q) -> np.ndarray:
 def row_sum_nearest(p, X, Q) -> tuple[np.ndarray, np.ndarray]:
     """nearest as a running minimum over row_sum_column, squared, with strict
     improvement (the lowest index wins ties; a row no centroid brings below
-    inf keeps inf and owner 0), powered once at the end."""
+    inf keeps inf and owner 0), powered once at the end. Owners are in
+    nearest's dtype, the smallest unsigned one that holds k - 1."""
     dist = np.full(X.shape[0], np.inf)
-    owner = np.zeros(X.shape[0], dtype=np.intp)
+    owner = np.zeros(X.shape[0], dtype=np.min_scalar_type(Q.shape[0] - 1))
     for j in range(Q.shape[0]):
         dj = row_sum_column(2.0, X, Q[j])
         better = dj < dist

@@ -407,7 +407,6 @@ _KERNEL_CALLS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # NaN reaches the GEMM
 @pytest.mark.parametrize("row", [0, 17, 49])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("call", sorted(_KERNEL_CALLS))
@@ -422,7 +421,7 @@ def test_kernel_entry_points_reject_nan_or_inf_points(call, bad, row):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # a score's -inf + inf
 def test_overflow_is_not_reported_as_nan_or_inf():
     # finite points whose squared distance overflows keep today's inf result
     X = np.array([[1e200, 0.0], [0.0, 0.0]])
@@ -590,6 +589,9 @@ def test_kernel_one_dimension_and_one_centroid(p):
     Y = rng.normal(size=(400, 7))
     assert_kernel_matches(Y, Y[:1], p, ell=1)
     assert_kernel_matches(Y, rng.normal(size=(1, 7)), p, ell=20)
+    Z = rng.normal(size=(400, ROW_MAJOR_D[0]))  # nearest's pass is then `_fill`'s
+    assert_kernel_matches(Z, Z[:1], p, ell=1)
+    assert_kernel_matches(Z, rng.normal(size=(1, ROW_MAJOR_D[0])), p, ell=3)
 
 
 def assert_independent_of_chunk_size(p, d, monkeypatch):
@@ -666,7 +668,6 @@ def test_colsum_is_the_row_sum(d):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nearest_rows_whose_first_distance_overflows():
     # a row whose first candidate's distance rounds to inf keeps inf and owner
     # 0, as the running minimum leaves it, in either layout and at either side
@@ -693,14 +694,14 @@ def test_nearest_refuses_a_wrong_transpose():
 
 # Owners without distances --------------------------------------------------
 #
-# core._owners (Lloyd's assignment) must report nearest's owners byte for
-# byte while computing exact distances only for rows the screen leaves with
-# several candidates.
+# core._owners (Lloyd's assignment) must report nearest's owners, as intp
+# for Lloyd's bincounts, byte for byte while computing exact distances only
+# for rows the screen leaves with several candidates.
 
 
 def assert_owners_match(X, Q):
     norms = np.einsum("ij,ij->i", X, X)
-    assert_same_bytes(core._owners(X, Q, norms), nearest(SP2, X, Q)[0])
+    assert_same_bytes(core._owners(X, Q, norms), nearest(SP2, X, Q)[0].astype(np.intp))
 
 
 @given(kernel_inputs())
@@ -747,7 +748,6 @@ def test_owners_large_offset_and_subnormal_scale():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_owners_rows_whose_scores_or_distances_overflow():
     # row 0: its one candidate (centroid 1) is at a distance that rounds to
     # inf although its score plus ||x||^2 does not, so nearest keeps owner 0;
@@ -765,13 +765,13 @@ def test_owners_independent_of_chunk_size(elems, monkeypatch):
     rng = np.random.default_rng(24)
     X = rng.normal(size=(300, 5)) * rng.uniform(0.1, 10.0, size=(300, 1))
     Q = np.vstack([rng.normal(size=(6, 5)), X[[2, 9, 2]]])
-    want = nearest(SP2, X, Q)[0]
+    want = nearest(SP2, X, Q)[0].astype(np.intp)
     monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
     assert_same_bytes(core._owners(X, Q, np.einsum("ij,ij->i", X, X)), want)
     assert_owners_match(X, Q)
 
 
-# The norms the exact pass for M computes (a trace's steps compute the same) ---
+# The norms a trace's first step computes, and nearest given kept norms ---------
 
 
 @pytest.mark.parametrize("elems", [None, 20, 97])
@@ -797,11 +797,7 @@ def test_cost_and_nearest_with_trace_norms_match(p):
     X = rng.normal(size=(2000, 6)) + 8.0 * rng.integers(0, 4, size=(2000, 1))
     w = rng.uniform(0.5, 2.0, size=2000)
     M = run_trace(sp, X, w, 8, 1).centroids
-    owner, dist = core._assign(sp, X, M)
-    want_owner, want_dist = nearest(sp, X, M)  # the exact pass is nearest's
-    np.testing.assert_array_equal(owner, want_owner)  # its owners are byte-sized
-    assert_same_bytes(dist, want_dist)
-    norms = core._row_norms(sp, X)
+    norms = np.einsum("ij,ij->i", X, X)
     for Q in (M, X[[3, 3, 70]], rng.normal(size=(5, 6))):
         kept = nearest(sp, X, Q, norms=norms)[1]
         assert cost(sp, X, w, Q).hex() == float(np.sum(w * kept)).hex()
@@ -812,16 +808,19 @@ def test_cost_and_nearest_with_trace_norms_match(p):
 
 @pytest.mark.parametrize("d", [3, 24])  # nearest's feature-major and row-major passes
 def test_owners_past_255_keep_their_index(d):
-    # the wrapper's exact pass: _assign by M[:k0], sized for all of M, then
-    # _lower by M[k0:]; owners sized by k0 alone would raise OverflowError
+    # the wrapper's exact pass: nearest by M[:k0], its owners widened to hold
+    # every index of M, then _lower by M[k0:]; byte-sized owners would raise
+    # OverflowError
     rng = np.random.default_rng(32)
     X = rng.normal(size=(1000, d))
     M = rng.normal(size=(300, d))
     want_owner, want_dist = ref_nearest(2.0, X, M)  # a column loop
-    assert want_owner.max() > 255
-    owner, dist = core._assign(SP2, X, M[:200], M.shape[0] - 1)
+    assert want_owner.max() > 255 and want_owner.dtype == np.uint16
+    owner, dist = nearest(SP2, X, M[:200])
+    assert owner.dtype == np.uint8
+    owner = owner.astype(np.min_scalar_type(M.shape[0] - 1), copy=False)
     core._lower(SP2, X, M[200:], 200, dist, owner, None)
-    np.testing.assert_array_equal(owner.astype(np.intp), want_owner)
+    assert_same_bytes(owner, want_owner)
     assert_same_bytes(dist, want_dist)
     for got, want in zip(nearest(SP2, X, M), (want_owner, want_dist)):
         assert_same_bytes(got, want)
@@ -842,15 +841,34 @@ def test_cost_holds_one_distance_array():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_exact_pass_rejects_non_finite_rows(bad):
-    X = np.random.default_rng(27).normal(size=(300, 4))
-    X[211, 2] = bad
-    with pytest.raises(ValueError, match="points contain NaN or inf"):
-        core._assign(SP2, X, X[:3])
+    # with no warning filter: pyproject turns a RuntimeWarning on the way
+    # into an error, which the caller would get in place of the ValueError
+    for d in (4, 24):  # feature-major and row-major passes
+        X = np.random.default_rng(27).normal(size=(300, d))
+        X[211, 2] = bad
+        for k in (1, 3):
+            for p in (1.0, 2.0, 3.0):
+                sp = MetricSpace.euclidean(p)
+                with pytest.raises(ValueError, match="points contain NaN or inf"):
+                    nearest(sp, X, X[:k])
+                with pytest.raises(ValueError, match="points contain NaN or inf"):
+                    cost(sp, X, None, X[:k])
     huge = np.full((5, 2), 1e200)  # finite rows whose distances overflow pass
     huge[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        owner, dist = core._assign(SP2, huge, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        owner, dist = nearest(SP2, huge, np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert dist[0] == 0.0 and np.isinf(dist[2])
+
+
+@pytest.mark.parametrize("k", [1, 256, 257])
+def test_nearest_owners_take_the_smallest_type_that_holds_k_minus_1(k):
+    rng = np.random.default_rng(36)
+    # feature-major and row-major Euclidean passes, and a matrix space
+    cases = [(SP2, X, X[:k]) for X in (rng.normal(size=(300, 3)), rng.normal(size=(300, 24)))]
+    m = pairwise(MetricSpace.euclidean(1.0), cases[0][1], cases[0][1])
+    cases.append((MetricSpace.from_matrix(m), np.arange(300), np.arange(k)))
+    for sp, P, Q in cases:
+        assert nearest(sp, P, Q)[0].dtype == np.min_scalar_type(k - 1)
 
 
 def test_wrong_shape_norms_are_rejected():
@@ -914,7 +932,7 @@ def test_matrix_trace_and_replay_match_the_gathered_block(seed, weighted, ell):
             break
         assert _draw_index(rng, mass) == trace.centroid_indices[i]
         owner, dist = reference.matrix_nearest(sp, X, trace.centroids[: i + 1])
-        states.append((owner, dist))
+        states.append((owner.astype(np.intp), dist))  # replay's owners are intp
         mass = w * dist
         assert trace.prefix_costs[i] == float(np.sum(mass))
     assert trace.ell == len(states) and (trace.ell < ell) == (ell == 40)

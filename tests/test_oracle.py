@@ -117,7 +117,7 @@ def test_build_traces_s0_once_and_passes_over_every_row_once(monkeypatch):
         return inner
 
     monkeypatch.setattr(kmeanspp, "run_trace", spy("run_trace", kmeanspp.run_trace))
-    monkeypatch.setattr(oracle, "_assign", spy("_assign", oracle._assign))
+    monkeypatch.setattr(probabilities, "nearest", spy("nearest", probabilities.nearest))
     for module in (core, kmeanspp):  # the exact pass's kernels, and the trace's and replay's
         for name in ("_fill", "_lower"):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
@@ -126,7 +126,7 @@ def test_build_traces_s0_once_and_passes_over_every_row_once(monkeypatch):
     assert [(c[1], c[2][1]) for c in traces] == [(kmeanspp._SUBSAMPLE, 8)]  # S0, ell = 2k
     # M's one exact pass over every row; every other distance is on S0's rows
     full = [c for c in calls if c[1] == len(X)]
-    assert [c[0] for c in full] == ["_assign", "_fill"] + ["_lower"] * (st.prefix_index > 1)
+    assert [c[0] for c in full] == ["nearest"]  # d = 3: on feature-major blocks
     assert full[0][2][0].shape[0] == st.prefix_index
     assert {c[1] for c in calls} == {len(X), kmeanspp._SUBSAMPLE}
 

@@ -147,17 +147,21 @@ def test_one_exact_full_data_pass_before_round_one(monkeypatch):
             return fn(space, P, *args, **kwargs)
         return inner
 
-    for module, name in ((kmeanspp, "run_trace"), (wrapper, "_assign"), (wrapper, "_lower"),
-                         (wrapper, "base_cluster")):
+    # nearest under both its names: the wrapper's pass for M, and cost's per round
+    for module, name in ((kmeanspp, "run_trace"), (wrapper, "nearest"), (core, "nearest"),
+                         (wrapper, "_lower"), (wrapper, "base_cluster")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(wrapper, "_pick", lambda costs: costs.size)  # M: all 2k centroids
     _, rep = run(SP2, X, w, k=4, eps=0.3, seed=2)
     names = [c[0] for c in calls]
-    assert names.count("run_trace") == 1 and names.count("_assign") == 1
+    assert names.count("run_trace") == 1
+    # one full-row pass for M, then one per certified Q
+    full = [c for c in calls if c[:2] == ("nearest", len(X))]
+    assert len(full) == 1 + names.count("base_cluster")
     trace, first_k, rest = calls[:names.index("base_cluster")]
     assert trace[1] == kmeanspp._SUBSAMPLE and trace[2][1] == 8  # S0's rows, ell = 2k
     # the exact pass for M's first k centroids, then the other 4 lower every row
-    assert first_k[:2] == ("_assign", len(X)) and len(first_k[2][0]) == 4
+    assert first_k[:2] == ("nearest", len(X)) and len(first_k[2][0]) == 4
     assert rest[:2] == ("_lower", len(X)) and (len(rest[2][0]), rest[2][1]) == (4, 4)
     assert rep.sweet_spot_index == 8
     # the first candidate is M's first k centroids, at their exact cost
@@ -535,7 +539,7 @@ def _pipeline_outputs(X, w):
     trace_seed = int(np.random.SeedSequence(6).generate_state(2)[0])  # a full-data trace
     trace = kmeanspp.run_trace(SP2, X, w, 6, seed=trace_seed)
     _, probs = sweet_spot(trace, C=trace.prefix_costs[-1], eps=0.3)
-    out += [a.tobytes() for a in (probs.pi, probs.M, *core._assign(SP2, X, probs.M))]
+    out += [a.tobytes() for a in (probs.pi, probs.M, *core.nearest(SP2, X, probs.M))]
     out += [repr((probs.cost_m, st.C, st.prefix_index))]
     return out
 
