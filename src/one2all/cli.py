@@ -168,7 +168,7 @@ def cmd_oracle_build(args) -> int:
                                       seed=args.seed)
     oracle.save(state, args.out)
     print(json.dumps({
-        "out": args.out, "n": int(state.sample.p.shape[0]), "sample_size": state.size,
+        "out": args.out, "n": int(state.sample.pi.shape[0]), "sample_size": state.size,
         "C": state.C, "eps": state.eps, "prefix_index": state.prefix_index,
     }, sort_keys=True))
     return 0

@@ -8,9 +8,9 @@ smallest, the sweet spot M, gets one exact pass over every row, which gives
 its exact pi and v_M. The one2all bound holds for any M, so S0 sets only
 the sample's size. The feedback variant starts at C = S0's v_2k, an estimate
 of the full data's (any C > 0 is valid), and, whenever a query's estimate
-falls at or below C, computes the exact cost, grows the sample in place
-(same per-point uniforms, so members only get added), and halves the
-threshold.
+falls at or below C, computes the exact cost, grows the sample's scale
+in place (same per-point uniforms, so members only get added), and halves
+the threshold.
 """
 
 from __future__ import annotations
@@ -26,20 +26,20 @@ import numpy as np
 from .core import MetricSpace, as_points, as_weights, cost, require_finite
 from .errors import DataFormatError
 from .kmeanspp import subsample_trace
-from .probabilities import check_eps, one2all_probs, sample_probs, sweet_spot
+from .probabilities import check_eps, one2all_probs, sweet_spot
 from .sampling import CoordinatedSample, draw, estimate_cost, point_uniforms
 
-_FORMAT_VERSION = 3  # 3: only what query, feedback and load read
+_FORMAT_VERSION = 4  # 4: the sample's pi and scale, not its p
 # every key save writes; load checks them all before it uses any
 _SCALARS = ("version", "kind", "power", "n", "eps", "C", "sample_seed", "prefix_index",
-            "update_count")
-_ARRAYS = ("p", "members", "member_points", "member_weights")
+            "update_count", "scale")
+_ARRAYS = ("pi", "members", "member_points", "member_weights")
 
 
 @dataclass
 class OracleState:
     space: MetricSpace = field(repr=False)
-    # its p and u are the state's only n-length arrays; an exact answer keeps nothing
+    # its pi and u are the state's only n-length arrays; an exact answer keeps nothing
     sample: CoordinatedSample = field(repr=False)
     C: float
     eps: float
@@ -75,11 +75,11 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
     """Shared build: C=None means C = S0's v_ell.
 
     The prefix is picked on S0, and its pi and v_M come from one exact pass
-    over every row, so p = min{1, max{1, v_M/C} eps^-2 pi} is exact for that
-    M. With n <= _SUBSAMPLE, S0 is every row, and the build is a full-data
-    trace's bit for bit. A zero C (no residual cost on S0) keeps every point:
-    queries are exact. The trace stops at its first zero cost, so that prefix
-    is the whole trace.
+    over every row, so the sample, pi at scale max{1, v_M/C} eps^-2, is exact
+    for that M. With n <= _SUBSAMPLE, S0 is every row, and the build is a
+    full-data trace's bit for bit. A zero C (no residual cost on S0) keeps
+    every point: queries are exact. The trace stops at its first zero cost,
+    so that prefix is the whole trace.
     """
     check_eps(eps)
     X = as_points(X)
@@ -96,12 +96,12 @@ def _build(space, X, w, ell, C, eps, seed) -> OracleState:
         M = trace.prefix(i_star)
         del trace  # S0 goes before the full-data pass
         probs = one2all_probs(space, X, w, M)
-        p = sample_probs(probs.pi, max(1.0, probs.cost_m / C), eps)
+        pi, scale = probs.pi, max(1.0, probs.cost_m / C) * eps**-2
     else:
-        i_star, p = trace.ell, np.ones(n)
+        i_star, pi, scale = trace.ell, np.ones(n), 1.0
     return OracleState(
         space=space,
-        sample=draw(X, w, p, sample_seed),
+        sample=draw(X, w, pi, sample_seed, scale),
         C=float(C),
         eps=float(eps),
         prefix_index=i_star,
@@ -118,8 +118,8 @@ def query(state: OracleState, Q) -> float:
 def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
     """Estimate; on estimate <= C answer exactly and grow the sample.
 
-    The growth factor is max{2, 2C/V} (the sample at least doubles even when
-    a noisy estimate triggered the update), probabilities are capped at 1,
+    The sample's scale grows by max{2, 2C/V} (the sample at least doubles
+    even when a noisy estimate triggered the update), or to inf for V = 0,
     and the threshold becomes min{C, V}/2 so it always at least halves. A
     saturated state answers exactly and never updates.
     """
@@ -130,11 +130,8 @@ def feedback_query(state: OracleState, Q) -> tuple[float, bool]:
     if sample.points is None:
         raise ValueError("feedback needs the dataset; load with points and weights")
     V = cost(state.space, sample.points, sample.weights, Q)
-    if V > 0.0:
-        p_new = np.minimum(1.0, max(2.0, 2.0 * state.C / V) * sample.p)
-    else:
-        p_new = np.ones_like(sample.p)
-    state.sample = sample.with_probabilities(p_new)
+    scale = max(2.0, 2.0 * state.C / V) * sample.scale if V > 0.0 else np.inf
+    state.sample = sample.with_probabilities(sample.pi, scale)
     state.C = min(state.C, V) / 2.0
     state.update_count += 1
     return V, True
@@ -146,13 +143,14 @@ def save(state: OracleState, path: str) -> None:
         "version": np.int64(_FORMAT_VERSION),
         "kind": np.array(state.space.kind),
         "power": np.float64(state.space.power),
-        "n": np.int64(state.sample.p.shape[0]),
+        "n": np.int64(state.sample.pi.shape[0]),
         "eps": np.float64(state.eps),
         "C": np.float64(state.C),
         "sample_seed": np.int64(state.sample_seed),
         "prefix_index": np.int64(state.prefix_index),
         "update_count": np.int64(state.update_count),
-        "p": state.sample.p,
+        "scale": np.float64(state.sample.scale),
+        "pi": state.sample.pi,
         "members": state.sample.members,
         "member_points": state.sample.member_points,
         "member_weights": state.sample.member_weights,
@@ -175,9 +173,9 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
     A space passed must have the file's kind and, if Euclidean, its power.
     Standalone (no points): queries work off the stored member points;
     feedback is unavailable. The per-point uniforms are regenerated from
-    the stored seed either way, and the stored members must be exactly the
-    points they select at p. With the original dataset, the members' points
-    and weights must match it bit-exactly too; weights alone raise ValueError.
+    the stored seed either way, and the stored members must be the points
+    they select. With the original dataset, the members' points and weights
+    must match it bit-exactly too; weights alone raise ValueError.
     """
     if weights is not None and points is None:
         raise ValueError("weights need their points: pass points too")
@@ -211,8 +209,8 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
     elif space.kind != kind or (kind == "euclidean" and space.power != float(data["power"])):
         raise DataFormatError(f"{path}: the oracle's space (kind {kind}, power "
                               f"{float(data['power'])!r}) is not {space!r}")
-    sample = CoordinatedSample(None, None, None, data["p"], data["members"],
-                               data["member_points"], data["member_weights"])
+    sample = CoordinatedSample(None, None, None, data["pi"], float(data["scale"]),
+                               data["members"], data["member_points"], data["member_weights"])
     sample_seed = int(data["sample_seed"])
     if points is not None:
         points = as_points(points)
@@ -222,17 +220,17 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
                 f"dataset has {n} points but oracle was built over {int(data['n'])}"
             )
         require_finite(points=points)
-        stored, sample = sample, draw(points, weights, sample.p, sample_seed)
+        stored, sample = sample, draw(points, weights, sample.pi, sample_seed, sample.scale)
         if not all(np.array_equal(getattr(sample, key), getattr(stored, key))
                    for key in ("members", "member_points", "member_weights")):
             raise DataFormatError(
                 "stored sample does not match the dataset and seed; "
                 "wrong dataset for this oracle file?"
             )
-    elif not np.array_equal(np.flatnonzero(point_uniforms(sample_seed, sample.p.shape[0])
-                                           <= sample.p), sample.members):
+    elif not np.array_equal(np.flatnonzero(point_uniforms(sample_seed, sample.pi.shape[0])
+                                           <= sample.scale * sample.pi), sample.members):
         raise DataFormatError(
-            f"{path}: stored members are not the sample that p and sample_seed select"
+            f"{path}: stored members are not the sample that pi, scale and sample_seed select"
         )
     return OracleState(
         space=space,
@@ -248,10 +246,10 @@ def load(path: str, space: MetricSpace | None = None, points=None, weights=None)
 def _check(path: str, data: dict) -> None:
     """Raise DataFormatError unless data holds every key save writes, with
     the dtypes and shapes that n, the member count and the point shape imply,
-    and values a query can trust: a known kind, a finite C >= 0 (a zero
-    residual saves 0), an eps `check_eps` takes (feedback grows p from it), a
-    nonnegative integer sample_seed, p in [0, 1] and positive at members,
-    positive finite member weights, finite member points."""
+    and values a query can trust: a known kind, a power the space takes, a
+    finite C >= 0 (a zero residual saves 0), an eps `check_eps` takes, a
+    nonnegative integer sample_seed, a scale > 0, pi in [0, 1] whose scaled
+    values are > 0 at members, positive finite member weights, finite points."""
     missing = [key for key in _SCALARS + _ARRAYS if key not in data]
     if missing:
         raise DataFormatError(f"{path}: oracle file lacks {', '.join(missing)}")
@@ -266,6 +264,8 @@ def _check(path: str, data: dict) -> None:
         raise DataFormatError(f"{path}: oracle C {float(data['C'])!r} is not finite and >= 0")
     try:
         check_eps(float(data["eps"]))
+        if kind == "euclidean":  # a matrix file's power is NaN
+            MetricSpace.euclidean(float(data["power"]))
     except ValueError as e:
         raise DataFormatError(f"{path}: oracle {e}") from e
     seed = data["sample_seed"]
@@ -279,13 +279,15 @@ def _check(path: str, data: dict) -> None:
     tail = data["member_points"].shape[1:]  # (d,) for Euclidean points, () for indices
     if len(tail) != (0 if kind == "matrix" else 1):
         raise DataFormatError(f"{path}: oracle member_points have shape {tail} per point")
-    want = {"p": (n,), "member_points": members.shape + tail, "member_weights": members.shape}
+    want = {"pi": (n,), "member_points": members.shape + tail, "member_weights": members.shape}
     for key, shape in want.items():
         if data[key].shape != shape:
             raise DataFormatError(f"{path}: oracle {key} has shape {data[key].shape}, not {shape}")
-    p, weights = data["p"], data["member_weights"]
-    if not (np.all((p >= 0.0) & (p <= 1.0)) and np.all(p[members] > 0.0)):
-        raise DataFormatError(f"{path}: oracle p are not probabilities, positive at members")
+    pi, scale, weights = data["pi"], data["scale"], data["member_weights"]
+    if not scale > 0.0:  # NaN fails
+        raise DataFormatError(f"{path}: oracle scale {float(scale)!r} is not > 0")
+    if not (np.all((pi >= 0.0) & (pi <= 1.0)) and np.all(scale * pi[members] > 0.0)):
+        raise DataFormatError(f"{path}: oracle pi are not in [0, 1] with scale pi > 0 at members")
     if not np.all(np.isfinite(weights) & (weights > 0.0)):
         raise DataFormatError(f"{path}: oracle member_weights are not positive and finite")
     if not np.all(np.isfinite(data["member_points"])):

@@ -88,12 +88,6 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and at least 2**-511, not {eps!r}")
 
 
-def sample_probs(pi: np.ndarray, alpha: float, eps: float) -> np.ndarray:
-    """Sampling probabilities min{1, alpha eps^-2 pi} at scale alpha."""
-    p = alpha * eps**-2 * pi
-    return np.minimum(1.0, p, out=p)
-
-
 def one2all_probs(space: MetricSpace, X, w, M) -> One2AllProbabilities:
     """pi_x = min{1, max{2 rho w_x d_xM / V(M), 8 rho^2 w_x / w(cell of x)}}."""
     X = as_points(X)
@@ -127,7 +121,7 @@ def sweet_spot(trace: KmeansPPTrace, C: float, eps: float, n: int | None = None
     best = np.inf
     for i, owner, dist, v_i in replay(trace):
         cand = probs_from_assignment(w, owner, dist, rho, trace.prefix(i), v_i, frac)
-        total = float(np.sum(sample_probs(cand.pi, max(1.0, v_i / C), eps))) / frac
+        total = float(np.sum(np.minimum(1.0, max(1.0, v_i / C) * eps**-2 * cand.pi))) / frac
         if i == 1 or total < best:
             best, i_star, probs = total, i, cand
     return i_star, probs

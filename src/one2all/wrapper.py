@@ -6,7 +6,7 @@ certified: its true cost is within (1+eps) of its sample cost and not below
 the cost range the sample supports. The per-point uniforms are fixed once,
 so every growth step only adds points.
 
-A rejected round grows the sample by one of two rules:
+A rejected round grows the sample, pi at scale r eps^-2, by one of two rules:
 
 - Q failed only the range test (V_Q < v_m / r): set r to
   max(r (1+eps), (1+eps) v_m / V_Q), which puts V_Q above the new floor, and
@@ -45,7 +45,7 @@ import numpy as np
 from .core import CentroidSet, MetricSpace, _lower, _wsum, as_points, as_weights, cost, nearest
 from .kmeanspp import subsample_trace
 from .lloyd import base_cluster
-from .probabilities import check_eps, probs_from_assignment, sample_probs
+from .probabilities import check_eps, probs_from_assignment
 from .sampling import draw, estimate_cost
 
 _MAX_ROUNDS = 40  # rounds before an uncertified run gives up
@@ -63,12 +63,17 @@ class WrapperReport:
     sweet_spot_index: int
     cost_m: float  # v at the sweet-spot prefix
     sample_seed: int
-    final_p: np.ndarray = field(repr=False)
+    pi: np.ndarray = field(repr=False)  # the final sample is pi at scale r eps^-2
+    scale: float
     log: list = field(default_factory=list, repr=False)
 
     @property
     def sample_fraction(self) -> float:
         return self.sample_size / self.n
+
+    @property
+    def final_p(self) -> np.ndarray:
+        return np.minimum(1.0, self.scale * self.pi)
 
 
 def _pick(prefix_costs: np.ndarray) -> int:
@@ -129,14 +134,14 @@ def run(
     certified = saturated = False
     rounds = 0
     retest = None  # (Q, V_Q) of a range-only rejection, to test again after growth
-    sample = draw(X, w, sample_probs(probs.pi, r, eps), sample_seed)
+    sample = draw(X, w, probs.pi, sample_seed, r * eps**-2)
     for rnd in range(_MAX_ROUNDS):
         rounds = rnd + 1
         if sample.size == 0:  # all mass capped away at tiny r; force growth
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
                         "estimate": 0.0, "action": "empty"})
             r *= 2.0
-            sample = sample.with_probabilities(sample_probs(probs.pi, r, eps))
+            sample = sample.with_probabilities(probs.pi, r * eps**-2)
             continue
         saturated = sample.saturated  # this round's; the growth below may saturate the next
         note = {}
@@ -168,13 +173,13 @@ def run(
         log[-1]["reason"] = ("range" if accurate else "accuracy" if in_range else "both")
         if accurate and v_q > 0.0:  # (a zero V_Q is below every floor: only saturation helps)
             r = max(r * (1.0 + eps), (1.0 + eps) * v_m / v_q)
-            sample = sample.with_probabilities(sample_probs(probs.pi, r, eps))
+            sample = sample.with_probabilities(probs.pi, r * eps**-2)
             retest = (Q, v_q)
             continue
         r = max(2.0, v_q / v_m) * r
         # grow until the rejected Q clears the bar (or the sample saturates)
         while True:
-            sample = sample.with_probabilities(sample_probs(probs.pi, r, eps))
+            sample = sample.with_probabilities(probs.pi, r * eps**-2)
             est_rej = estimate_cost(space, sample, Q)
             if est_rej > min((1.0 + eps) * best_v, (1.0 - eps) * v_q) or sample.saturated:
                 break
@@ -190,6 +195,6 @@ def run(
         sweet_spot_index=i_star,
         cost_m=v_m,
         sample_seed=sample_seed,
-        final_p=sample.p,
+        pi=sample.pi, scale=sample.scale,
         log=log,
     )

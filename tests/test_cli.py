@@ -335,12 +335,12 @@ def saved_oracle(tmp_path):
 def test_oracle_query_on_a_file_missing_a_key_is_data_error(saved_oracle):
     path, query = saved_oracle
     blob = dict(np.load(path, allow_pickle=False))
-    del blob["p"]
+    del blob["pi"]
     np.savez(path, **blob)
     proc = _one2all_process("oracle-query", "--oracle", path, "--query", query)
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
-    assert b"lacks p" in proc.stderr
+    assert b"lacks pi" in proc.stderr
 
 
 def test_oracle_query_on_a_file_with_a_bad_eps_is_data_error(saved_oracle):

@@ -131,9 +131,9 @@ def test_build_traces_s0_once_and_passes_over_every_row_once(monkeypatch):
     assert {c[1] for c in calls} == {len(X), kmeanspp._SUBSAMPLE}
 
 
-def test_states_hold_no_n_vector_besides_p_and_u(tmp_path):
+def test_states_hold_no_n_vector_besides_pi_and_u(tmp_path):
     # built or loaded, and after an exact answer, a state holds its sample's
-    # p, u and member arrays, and no other n-length array (no row norms)
+    # pi, u and member arrays, and no other n-length array (no row norms, no p)
     X, _ = _mixture(41, n=50_000, d=3, k=3)
     path = tmp_path / "oracle.npz"
     oracle.save(oracle.build_feedback(SP2, X, None, k=3, eps=0.3, seed=7), path)
@@ -148,7 +148,7 @@ def test_states_hold_no_n_vector_besides_p_and_u(tmp_path):
         finally:
             tracemalloc.stop()
         s = st.sample
-        arrays = (s.p, s.u, s.members, s.member_points, s.member_weights, s.w_prime,
+        arrays = (s.pi, s.u, s.members, s.member_points, s.member_weights, s.w_prime,
                   s.member_cols, s.member_norms)
         held -= sum(a.nbytes for a in arrays if a is not None)
         assert held < 8 * X.shape[0] / 4
@@ -328,6 +328,35 @@ def test_feedback_saturated_returns_exact_without_update():
     assert est == pytest.approx(cost(sp, X, w, X[:2]), rel=1e-12)
 
 
+def test_feedback_update_with_growth_factor_two_doubles_p():
+    # C = V makes the factor max(2, 2C/V) exactly 2, and 2 fl(s pi) = fl(2s pi)
+    X, w = _mixture(13, n=3000, d=3, k=3)
+    st = oracle.build_feedback(SP2, X, w, k=3, eps=0.5, seed=3)
+    assert not st.sample.saturated
+    Q = st.sample.member_points  # estimated at 0, so answered exactly
+    p_before, scale = st.sample.p, st.sample.scale
+    st.C = cost(SP2, X, w, Q)
+    assert oracle.feedback_query(st, Q)[1]
+    assert st.sample.scale == 2.0 * scale
+    np.testing.assert_array_equal(st.sample.p, np.minimum(1.0, 2.0 * p_before))
+
+
+def test_states_at_scale_inf_survive_save_and_load(tmp_path):
+    # a threshold so small that v_M / C overflows, and an update whose V is 0
+    X, w = _mixture(17, n=600, d=3, k=3)
+    built = oracle.build(SP2, X, w, ell=6, C=5e-324, eps=0.3, seed=2)
+    updated = oracle.build_feedback(SP2, X, w, k=3, eps=0.3, seed=2)
+    assert oracle.feedback_query(updated, X) == (0.0, True)  # every point a centroid
+    path = tmp_path / "oracle.npz"
+    for st in (built, updated):
+        assert st.sample.scale == np.inf and st.sample.saturated and st.size == len(X)
+        oracle.save(st, path)
+        for kwargs in ({}, {"points": X, "weights": w}):
+            back = oracle.load(path, **kwargs)
+            assert _same_state(back, st) and back.sample.scale == np.inf
+            assert oracle.query(back, X[:3]) == oracle.query(st, X[:3])
+
+
 def test_feedback_adaptive_update_budget_on_mixtures():
     # random k-subset queries: updates <= ceil(log2(v_2k / V_floor)) + 1
     ok = 0
@@ -471,18 +500,36 @@ def test_load_rejects_format_1_files(tmp_path, capsys):
     saved = dict(np.load(path, allow_pickle=False))
     for version in (1, 2):
         np.savez(path, **dict(saved, version=np.int64(version)))
-        with pytest.raises(DataFormatError, match=f"format {version}, expected 3"):
+        with pytest.raises(DataFormatError, match=f"format {version}, expected 4"):
             oracle.load(path)
         capsys.readouterr()
         assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
         assert f"format {version}" in capsys.readouterr().err
 
 
+def test_load_refuses_format_3_files(tmp_path, capsys):
+    # format 3 held the n-length p = min(1, scale pi) in place of pi and scale
+    X, w = _mixture(37, n=500, d=2, k=2)
+    path = tmp_path / "oracle.npz"
+    st = oracle.build_feedback(SP2, X, w, k=2, eps=0.3, seed=9)
+    oracle.save(st, path)
+    blob = dict(np.load(path, allow_pickle=False))
+    del blob["pi"], blob["scale"]
+    np.savez(path, **dict(blob, version=np.int64(3), p=st.sample.p))
+    with pytest.raises(DataFormatError, match="format 3, expected 4; build the oracle again"):
+        oracle.load(path, points=X, weights=w)
+    query = tmp_path / "q.csv"
+    query.write_text("0.0,0.0\n")
+    capsys.readouterr()
+    assert main(["oracle-query", "--oracle", str(path), "--query", str(query)]) == 2
+    assert "build the oracle again" in capsys.readouterr().err
+
+
 # malformed files --------------------------------------------------------
 
 _KEYS = (
     "version", "kind", "power", "n", "eps", "C", "sample_seed", "prefix_index",
-    "update_count", "p", "members", "member_points", "member_weights",
+    "update_count", "scale", "pi", "members", "member_points", "member_weights",
 )
 
 
@@ -519,8 +566,9 @@ def test_load_rejects_missing_key(tmp_path, saved_blob, key, with_points):
         _load_changed(tmp_path, saved_blob, with_points, **{key: None})
 
 
+# the p-* cases damage pi, the probabilities at scale 1
 _MISMATCHES = {
-    "p-short": {"p": lambda a: a[:-5]},
+    "p-short": {"pi": lambda a: a[:-5]},
     "members-negative": {"members": lambda a: np.r_[-1, a[1:]]},
     "members-past-n": {"members": lambda a: np.r_[a[:-1], 600]},
     "members-float": {"members": lambda a: a.astype(np.float64)},
@@ -528,13 +576,13 @@ _MISMATCHES = {
     "member-points-d": {"member_points": lambda a: a[:, :2]},
     "member-points-flat": {"member_points": lambda a: a[:, 0]},
     "n-not-scalar": {"n": lambda a: np.array([a, a])},
-    "p-text": {"p": lambda a: a.astype(str)},
+    "p-text": {"pi": lambda a: a.astype(str)},
     # values a query divides by or measures from: each answered nan, inf or
     # a wrong value, or raised a bare ValueError, before load checked them
-    "p-nan": {"p": lambda a: np.full_like(a, np.nan)},
-    "p-zero-at-members": {"p": np.zeros_like},
-    "p-negative": {"p": lambda a: np.r_[-0.5, a[1:]]},
-    "p-above-one": {"p": lambda a: np.r_[1.5, a[1:]]},
+    "p-nan": {"pi": lambda a: np.full_like(a, np.nan)},
+    "p-zero-at-members": {"pi": np.zeros_like},
+    "p-negative": {"pi": lambda a: np.r_[-0.5, a[1:]]},
+    "p-above-one": {"pi": lambda a: np.r_[1.5, a[1:]]},
     "member-weights-nan": {"member_weights": lambda a: np.r_[np.nan, a[1:]]},
     "member-weights-inf": {"member_weights": lambda a: np.r_[np.inf, a[1:]]},
     "member-weights-zero": {"member_weights": lambda a: np.r_[0.0, a[1:]]},
@@ -564,10 +612,13 @@ def test_load_rejects_mismatched_arrays(tmp_path, saved_blob, case, mode):
 # scalars the load took as they stood: a NaN C answered every feedback query
 # exactly and grew the sample to all points, a negative sample_seed raised
 # OverflowError in point_uniforms, an unknown kind read as a matrix space, and
-# an eps that no build takes loaded and answered feedback queries
+# an eps that no build takes loaded and answered feedback queries; a power
+# MetricSpace refuses raised a bare ValueError that named no file
 _BAD_SCALARS = [("C", np.nan), ("C", -1.0), ("C", np.inf), ("sample_seed", -1),
                 ("sample_seed", 3.0), ("kind", "manhattan"), ("eps", np.nan), ("eps", 0.0),
-                ("eps", -0.3), ("eps", np.inf)]
+                ("eps", -0.3), ("eps", np.inf), ("power", 0.0), ("power", -1.0),
+                ("power", np.nan), ("power", 600.0), ("power", np.inf), ("scale", 0.0),
+                ("scale", -1.0), ("scale", np.nan)]
 
 
 @pytest.mark.parametrize("with_points", [False, True], ids=["standalone", "points"])
@@ -709,10 +760,10 @@ def test_damaged_files_raise_or_load_unchanged(tmp_path):
     refs = {False: oracle.load(path), True: oracle.load(path, points=X, weights=w)}
     damaged = [blob[:cut] for cut in range(0, len(blob), 59)]
     # header edits numpy parses: a narrower member_points (the file's only
-    # record of d) and p read as float32 stop short of the member's CRC-32;
+    # record of d) and pi read as float32 stop short of the member's CRC-32;
     # zipfile raises EOFError on a last member whose extra field runs past the
     # end, and RuntimeError on a member flagged as encrypted
-    i = blob.index(b"p.npy")
+    i = blob.index(b"pi.npy")
     j = blob.index(b"member_weights.npy") - 1  # high byte of the extra-field length
     k = blob.index(b"PK\x01\x02") + 8  # first central-directory entry's flags
     damaged += [blob.replace(b", 3), }", b", 2), }"), blob[:i] + blob[i:].replace(b"<f8", b"<f4", 1),

@@ -141,10 +141,38 @@ def test_draw_validation_and_u_override(monkeypatch):
         draw(X, None, np.array([0.5, 0.5]), seed=0)
     with pytest.raises(ValueError):
         draw(X, None, np.array([0.5, 1.5, 0.5]), seed=0)
+    for scale in (0.0, -1.0, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="scale .* be > 0"):
+            draw(X, None, np.full(3, 0.5), seed=0, scale=scale)
     u = np.array([0.9, 0.1, 0.5])
     monkeypatch.setattr(sampling, "point_uniforms", lambda seed, n: u)
     s = draw(X, None, np.array([0.5, 0.5, 0.5]), seed=0)
     np.testing.assert_array_equal(s.members, [1, 2])
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([1e-300, 1e-3, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_scale_form_equals_vector_form(n, seed, weighted, pi_min):
+    # pi at scale s is the sample at min(1, s pi), bit for bit, and a larger
+    # scale never evicts a member
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    w = rng.uniform(0.1, 10.0, size=n) if weighted else None
+    pi = rng.uniform(pi_min, 1.0, size=n)
+    pi[rng.integers(n)] = pi_min
+    scales = (5e-324, 1.0, 1.0 / pi.min(), np.inf)
+    samples = [draw(X, w, pi, seed, scale=s) for s in scales]
+    for s, got in zip(scales, samples):
+        want = draw(X, w, np.minimum(1.0, s * pi), seed)
+        for key in ("p", "members", "member_weights", "w_prime", "saturated"):
+            np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
+        grown = got.with_probabilities(pi, 2.0 * s)
+        np.testing.assert_array_equal(grown.p, np.minimum(1.0, 2.0 * s * pi))
+        assert np.all(np.isin(got.members, grown.members))
+    for small, large in zip(samples, samples[1:]):
+        assert np.all(np.isin(small.members, large.members))
+    assert samples[-1].size == n
 
 
 # estimator --------------------------------------------------------------
