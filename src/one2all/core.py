@@ -12,8 +12,11 @@ wrapper's and the oracle's M are each one `nearest` call. A matrix space
 reads the distances to one centroid at a time from its (contiguous) row,
 which equals the column by symmetry, so memory stays O(n) for any number of
 centroids.
-`_owners` gives Lloyd the owners alone and computes a distance only where
-the screen below cannot name the owner.
+`_owners` is the one pass that reads a fresh assignment's lone candidates:
+it gives the owners alone, computing a distance only where the screen
+below cannot name the owner. Lloyd reads its owners, and a fresh
+feature-major `nearest` is `_owners` then one `_sweep` that writes each
+row's distance to its owner.
 
 Every Euclidean distance is computed one way, by `_exact`: the difference
 x - q, squared, then numpy's pairwise sum over the row. Where X has at most
@@ -26,9 +29,10 @@ split into chunks or laid out, and whatever BLAS library and thread count
 numpy uses.
 
 A pass over every row holds one distance array and its owners, and no
-other n-length array. `nearest` returns owners in the smallest unsigned
-type that holds k - 1 (`np.min_scalar_type`), one byte for up to 256
-centroids; a caller that lowers them by more centroids widens them first.
+other n-length array. `nearest` and `_owners` return owners in the
+smallest unsigned type that holds k - 1 (`np.min_scalar_type`), one byte
+for up to 256 centroids; a caller that lowers them by more centroids widens
+them first.
 Squared row norms only steer the screen below, so a pass that is given none
 (`cost`, the pass for M) computes each chunk's from the rows it has just
 multiplied; callers that pass over the same rows again keep theirs: a
@@ -67,10 +71,9 @@ best, so its exact distance is strictly above the best-scoring centroid's.
 `_owners` screens a fresh assignment (every row at inf): a row left with a
 single candidate is owned by it, with no distance computed, unless
 ||x||^2 + max_j ||q_j||^2 >= 2^1020, where that distance may round to inf
-and so own nothing. Every other row gets the exact loop above. A fresh
-`nearest` on feature-major blocks (`_nearest_cols`) screens once, computes
-every row's distance to its lowest-index candidate in one pass, which is the
-loop's first step, and runs the loop on only the rows with more candidates.
+and so own nothing. Every other row gets the exact loop above, whose
+running minimum leaves a row at inf with owner 0. Either way the owner is
+the loop's, and the sweep's `_colsum` distance to it has the row sum's bits.
 """
 
 from __future__ import annotations
@@ -273,9 +276,11 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None,
     Memory stays O(n) even for large k; ties go to the lowest index.
     Euclidean distances are lowered squared and raised to the power once.
     Owners are in the smallest unsigned type that holds k - 1, as the pass
-    writes them. One centroid at d > _COLUMNS_MAX_D is `_fill`'s pass, with
-    no screen. norms, if given, are X's squared row norms (a sample keeps
-    its members'); otherwise the screen computes each chunk's from its rows.
+    writes them. At d <= _COLUMNS_MAX_D, or given cols, the owners are
+    `_owners`' and one `_sweep` writes the distances to them. One centroid
+    at d > _COLUMNS_MAX_D is `_fill`'s pass, with no screen. norms, if
+    given, are X's squared row norms (a sample keeps its members');
+    otherwise the screen computes each chunk's from its rows.
     cols, if given, is X.T as a C-contiguous array (a sample at low d keeps
     one), which the feature-major blocks are then read from. A matrix space
     ignores both.
@@ -285,24 +290,23 @@ def nearest(space: MetricSpace, X, Q, *, norms: np.ndarray | None = None,
         raise ValueError("need at least one centroid")
     if norms is not None and np.shape(norms) != (X.shape[0],):
         raise ValueError("norms must be one per point")
-    owner = np.zeros(X.shape[0], dtype=np.min_scalar_type(Q.shape[0] - 1))
+    dtype = np.min_scalar_type(Q.shape[0] - 1)  # the owners'
     if space.kind == "matrix":
-        dist = np.full(X.shape[0], np.inf)
+        owner, dist = np.zeros(X.shape[0], dtype=dtype), np.full(X.shape[0], np.inf)
         _lower(space, X, Q, 0, dist, owner, None)
         return owner, dist
     if cols is not None and np.shape(cols) != X.shape[::-1]:
         raise ValueError("cols must be the points' transpose")
     require_finite(centroids=Q)
-    squared = MetricSpace.euclidean(2.0)
     if cols is not None or _columnar(X):
-        dist = np.empty(X.shape[0])  # `_nearest_cols` writes every row
-        _nearest_cols(X, cols, Q, norms, dist, owner)
+        owner, dist = _owners(X, Q, norms), np.empty(X.shape[0])
+        _sweep(X, cols, np.ascontiguousarray(Q.T), owner, dist)
     elif Q.shape[0] == 1:  # every row's owner; no screen can skip a row at inf
-        dist = np.empty(X.shape[0])
-        _fill(squared, X, Q[0], dist)
+        owner, dist = np.zeros(X.shape[0], dtype=dtype), np.empty(X.shape[0])
+        _fill(MetricSpace.euclidean(2.0), X, Q[0], dist)
     else:
-        dist = np.full(X.shape[0], np.inf)
-        _lower(squared, X, Q, 0, dist, owner, norms)
+        owner, dist = np.zeros(X.shape[0], dtype=dtype), np.full(X.shape[0], np.inf)
+        _lower(MetricSpace.euclidean(2.0), X, Q, 0, dist, owner, norms)
     if dist.size and not np.isfinite(dist.max()):
         require_finite(points=X)  # a NaN or inf row is NaN or keeps inf
     if space.power != 2.0:
@@ -407,12 +411,13 @@ def _block_rows(X: np.ndarray) -> int:
 
 def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray | None, dist: np.ndarray | None,
             power: float):
-    """Yield (rows, cand) per chunk of a Euclidean X: the screen described above.
+    """Yield (rows, cand, xx) per chunk of a Euclidean X: the screen described above.
 
     rows is a slice of X and cand a (k, rows) mask that is False only where
     centroid j cannot be the row's nearest, or where no centroid can beat
     dist[row] (d^power; None stands for a fresh assignment, every row at
-    inf). norms None computes each chunk's squared row norms from its rows.
+    inf). xx holds the rows' squared norms: norms[rows], or computed from
+    the rows if norms is None.
     """
     d = X.shape[1]
     k = Q.shape[0]
@@ -447,20 +452,16 @@ def _screen(X: np.ndarray, Q: np.ndarray, norms: np.ndarray | None, dist: np.nda
             far = score > best
             skip = np.logical_or(far, skip, out=far)
         del score
-        yield rows, np.logical_not(skip, out=skip)  # NaN (overflow) never skips
+        yield rows, np.logical_not(skip, out=skip), xx  # NaN (overflow) never skips
 
 
 def _running_min(block: np.ndarray, Q: np.ndarray, base: int, cand: np.ndarray,
-                 cur: np.ndarray, who: np.ndarray, power: float, cols: bool = False) -> None:
-    """Lower (cur, who) over the points of block by each centroid where cand
-    holds: `_exact` distances, in index order, with strict improvement.
-    block has one row per point or, with cols, one column per point."""
+                 cur: np.ndarray, who: np.ndarray, power: float) -> None:
+    """Lower (cur, who) over the rows of block by each centroid where cand
+    holds: `_exact` distances, in index order, with strict improvement."""
     for j in range(Q.shape[0]):
         rows = np.flatnonzero(cand[j])
-        if cols:
-            exact = _exact(np.take(block, rows, axis=1), Q[j][:, None], power, cols=True)
-        else:
-            exact = _exact(block[rows], Q[j], power)
+        exact = _exact(block[rows], Q[j], power)
         better = exact < cur[rows]
         rows = rows[better]
         cur[rows] = exact[better]
@@ -485,57 +486,14 @@ def _lower(space: MetricSpace, X: np.ndarray, Q: np.ndarray, base: int, dist: np
             dist[better] = col[better]
             owner[better] = base + j
         return
-    for rows, cand in _screen(X, Q, norms, dist, space.power):
+    for rows, cand, _ in _screen(X, Q, norms, dist, space.power):
         _running_min(X[rows], Q, base, cand, dist[rows], owner[rows], space.power)
 
 
-def _nearest_cols(X: np.ndarray, XT: np.ndarray | None, Q: np.ndarray, norms: np.ndarray | None,
-                  dist: np.ndarray, owner: np.ndarray) -> None:
-    """A fresh squared assignment (owner all 0; every row of dist is written)
-    on feature-major blocks, read from XT (X.T, C-contiguous) if given, else
-    transposed from X.
-
-    Per screened chunk, every row's distance to its lowest-index candidate
-    is computed in one pass over blocks of `_block_rows` points; that is the
-    running minimum's first step, except that a row whose first distance is
-    inf keeps owner 0. (A row the screen leaves no candidate has a lower
-    bound that overflowed, so its distance to centroid 0, taken as its
-    first, is inf too.) The running minimum then goes on only over the rows
-    with more candidates, in blocks of the same size. One centroid needs no
-    screen: it is every row's first.
-    """
-    k = Q.shape[0]
-    QT = np.ascontiguousarray(Q.T)
-    if k == 1:  # every owner is 0; an overflowing distance is inf either way
-        _sweep(X, XT, QT, None, dist)
-        return
-    step = _block_rows(X)
-    small = np.min_scalar_type(k)  # holds 0..k, so counts and lone indices are exact
-    index = np.arange(k, dtype=small)
-    for rows, cand in _screen(X, Q, norms, None, 2.0):
-        count = cand.sum(axis=0, dtype=small)
-        # the lone candidate's index where count is 1, summed without a cast copy of cand
-        first = np.einsum("i,ij->j", index, cand, dtype=small)
-        more = np.flatnonzero(count > 1)
-        cand = cand[:, more]
-        first[more] = cand.argmax(axis=0)
-        cand[first[more], np.arange(more.size)] = False  # computed with every row's first
-        cur = dist[rows]
-        _sweep(X, XT, QT, first, cur, start=rows.start)
-        np.multiply(first, cur < np.inf, out=owner[rows])
-        for start in range(0, more.size, step):
-            at = rows.start + more[start : start + step]
-            block = np.take(XT, at, axis=1) if XT is not None else np.ascontiguousarray(X[at].T)
-            sub, who = dist[at], owner[at]
-            _running_min(block, Q, 0, cand[:, start : start + step], sub, who, 2.0, cols=True)
-            dist[at], owner[at] = sub, who
-
-
 def _sweep(X: np.ndarray, XT: np.ndarray | None, QT: np.ndarray, first: np.ndarray | None,
-           out: np.ndarray, power: float = 2.0, norms: np.ndarray | None = None,
-           start: int = 0) -> None:
-    """out[i] = ||x - q||^power for x = X[start + i], i < out.size, and q the
-    column first[i] of QT (its only column if first is None).
+           out: np.ndarray, power: float = 2.0, norms: np.ndarray | None = None) -> None:
+    """out[i] = ||x - q||^power for every row x = X[i], and q the column
+    first[i] of QT, or its only column (first is then not read).
 
     The blocks of `_block_rows` points are feature-major: read from XT (X.T,
     C-contiguous) if given, else transposed from X as the difference is
@@ -546,37 +504,40 @@ def _sweep(X: np.ndarray, XT: np.ndarray | None, QT: np.ndarray, first: np.ndarr
     buf = np.empty(d * min(step, out.size))
     for lo in range(0, out.size, step):
         hi = min(lo + step, out.size)
-        at = slice(start + lo, start + hi)
+        at = slice(lo, hi)
         if norms is not None:
             np.einsum("ij,ij->i", X[at], X[at], out=norms[at])
         diff = buf[: d * (hi - lo)].reshape(d, hi - lo)
-        q = QT if first is None else np.take(QT, first[lo:hi], axis=1, out=diff, mode="clip")
+        q = QT if QT.shape[1] == 1 else np.take(QT, first[lo:hi], axis=1, out=diff, mode="clip")
         np.subtract(X[at].T if XT is None else XT[:, at], q, out=diff)
         out[lo:hi] = _exact(diff, None, power, cols=True)
 
 
-def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The owners nearest(MetricSpace.euclidean(2.0), X, Q) reports, as intp.
+def _owners(X: np.ndarray, Q: np.ndarray, norms: np.ndarray | None) -> np.ndarray:
+    """The owners nearest(MetricSpace.euclidean(2.0), X, Q) reports, in its dtype.
 
-    Exact distances only for rows with several candidates (ties, near-ties,
-    overflowing scores) or too large to trust a lone one; see above.
+    One screen of a fresh assignment: a row left with one candidate is owned
+    by it, with no distance computed, unless ||x||^2 + max_j ||q_j||^2 >=
+    _HUGE; every other row gets the exact loop. norms, if given, are X's
+    squared row norms; None computes each chunk's.
     """
     k = Q.shape[0]
-    owner = np.zeros(X.shape[0], dtype=np.intp)
+    owner = np.zeros(X.shape[0], dtype=np.min_scalar_type(k - 1))
+    if k == 1:
+        return owner
     limit = _HUGE - np.einsum("ij,ij->i", Q, Q).max()
-    index = np.arange(k, dtype=np.float64)
-    for rows, cand in _screen(X, Q, norms, None, 2.0):
-        single = cand.sum(axis=0) == 1
-        single &= norms[rows] < limit
-        who = owner[rows]
-        pick = index @ cand  # a lone candidate's index, where single
-        who[single] = pick[single]
-        rest = np.flatnonzero(~single)
+    small = np.min_scalar_type(k)  # holds 0..k, so counts and lone indices are exact
+    index = np.arange(k, dtype=small)
+    for rows, cand, xx in _screen(X, Q, norms, None, 2.0):
+        count = cand.sum(axis=0, dtype=small)
+        # the lone candidate's index where count is 1, summed without a cast copy of cand
+        owner[rows] = np.einsum("i,ij->j", index, cand, dtype=small)
+        rest = np.flatnonzero((count != 1) | (xx >= limit))
         if rest.size:
-            sub = np.zeros(rest.size, dtype=np.intp)
-            _running_min(X[rows][rest], Q, 0, cand[:, rest], np.full(rest.size, np.inf),
-                         sub, 2.0)
-            who[rest] = sub
+            who = np.zeros(rest.size, dtype=owner.dtype)
+            _running_min(X[rows][rest], Q, 0, cand[:, rest], np.full(rest.size, np.inf), who,
+                         2.0)
+            owner[rows.start + rest] = who
     return owner
 
 

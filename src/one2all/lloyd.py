@@ -4,10 +4,11 @@ Works only in squared Euclidean space, where the weighted mean minimizes
 each cell's cost. `base_cluster(space, points, weights, k, seed)` is the
 wrapper's default base; other spaces plug in their own with that signature.
 
-Every Lloyd step runs through `_step`: the owners from `core._owners`, which
-computes no distance where the GEMM screen leaves a row one candidate, then
-one weighted `np.bincount` per coordinate, which adds each cell's rows in
-row order. Distances are computed only to re-seed an empty cell.
+Every Lloyd step runs through `_step`: the owners from `core._owners`, in
+`nearest`'s dtype (one byte for up to 256 centroids), which computes no
+distance where the GEMM screen leaves a row one candidate, then one
+weighted `np.bincount` per coordinate, which adds each cell's rows in row
+order. Distances are computed only to re-seed an empty cell.
 `base_cluster` computes the weighted rows and the row norms once and reuses
 them in every step; `lloyd_step` computes them for its one step.
 """

@@ -19,6 +19,10 @@ A rejected round grows the sample, pi at scale r eps^-2, by one of two rules:
   range test: at least double r, then keep doubling until the sample's
   estimate of the rejected Q clears the bar or the sample saturates.
 
+A sample left empty (every p capped away at a small r) clusters nothing:
+its round sets r to at least double, and at least eps^2 min_x u_x / pi_x,
+the smallest r at which some point joins.
+
 The re-test keeps the certificate's meaning. Its range test reads only the
 exact V_Q and r. Its accuracy test V_Q <= (1+eps) estimate uses a sample
 that contains the one Q was fit on (growth only adds points), so the fit
@@ -137,10 +141,14 @@ def run(
     sample = draw(X, w, probs.pi, sample_seed, r * eps**-2)
     for rnd in range(_MAX_ROUNDS):
         rounds = rnd + 1
-        if sample.size == 0:  # all mass capped away at tiny r; force growth
+        if sample.size == 0:  # all mass capped away at tiny r: grow to the first member
             log.append({"round": rounds, "r": r, "size": 0, "V_Q": np.inf,
                         "estimate": 0.0, "action": "empty"})
-            r *= 2.0
+            # x joins once u_x <= r eps^-2 pi_x; a pi that underflowed to 0 never does,
+            # and an r past the float range saturates. Rounding may still leave the
+            # sample empty, and the next round doubles r
+            with np.errstate(divide="ignore", over="ignore"):
+                r = max(2.0 * r, float(np.min(sample.u / probs.pi) * np.square(eps)))
             sample = sample.with_probabilities(probs.pi, r * eps**-2)
             continue
         saturated = sample.saturated  # this round's; the growth below may saturate the next

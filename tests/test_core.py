@@ -671,17 +671,21 @@ def test_colsum_is_the_row_sum(d):
 def test_nearest_rows_whose_first_distance_overflows():
     # a row whose first candidate's distance rounds to inf keeps inf and owner
     # 0, as the running minimum leaves it, in either layout and at either side
-    # of the gate, and a later candidate can still own it
-    X = np.array([[4.202465956147694e153, 0.0], [-1.3e154, 0.0], [1.0, 2.0]])
+    # of the gate, with or without kept norms, and a later candidate can still
+    # own it; the row [1e200, 0]'s squared norm overflows
+    X = np.array([[4.202465956147694e153, 0.0], [-1.3e154, 0.0], [1.0, 2.0], [1e200, 0.0]])
     Q = np.array([[-1e154, 0.0], [-9.205341973794902e153, 0.0], [0.0, 0.0]])
     for d in (2, ROW_MAJOR_D[0]):
         Xd, Qd = np.pad(X, ((0, 0), (0, d - 2))), np.pad(Q, ((0, 0), (0, d - 2)))
+        norms = np.einsum("ij,ij->i", Xd, Xd)
         for cols in ([0, 1], [1, 0], [1], [1, 2], [2, 1, 0]):
             ref_owner, ref_dist = ref_nearest(2.0, Xd, Qd[cols])
-            for got in (nearest(SP2, Xd, Qd[cols]),
-                        nearest(SP2, Xd, Qd[cols], cols=np.ascontiguousarray(Xd.T))):
-                assert_same_bytes(got[0], ref_owner)
-                assert_same_bytes(got[1], ref_dist)
+            for kept in (None, norms):
+                for got in (nearest(SP2, Xd, Qd[cols], norms=kept),
+                            nearest(SP2, Xd, Qd[cols], norms=kept,
+                                    cols=np.ascontiguousarray(Xd.T))):
+                    assert_same_bytes(got[0], ref_owner)
+                    assert_same_bytes(got[1], ref_dist)
     assert nearest(SP2, X[:1], Q[1:2]) == (0, np.inf)
 
 
@@ -694,14 +698,16 @@ def test_nearest_refuses_a_wrong_transpose():
 
 # Owners without distances --------------------------------------------------
 #
-# core._owners (Lloyd's assignment) must report nearest's owners, as intp
-# for Lloyd's bincounts, byte for byte while computing exact distances only
+# core._owners (Lloyd's assignment, and a fresh feature-major nearest's
+# owners) must report the column loop's owners in nearest's dtype, byte for
+# byte, given the rows' norms or not, while computing exact distances only
 # for rows the screen leaves with several candidates.
 
 
 def assert_owners_match(X, Q):
-    norms = np.einsum("ij,ij->i", X, X)
-    assert_same_bytes(core._owners(X, Q, norms), nearest(SP2, X, Q)[0].astype(np.intp))
+    want = ref_nearest(2.0, X, Q)[0]
+    for norms in (np.einsum("ij,ij->i", X, X), None):
+        assert_same_bytes(core._owners(X, Q, norms), want)
 
 
 @given(kernel_inputs())
@@ -734,9 +740,8 @@ def test_owners_planted_ties_go_to_lowest_index():
         assert_owners_match(X, order)
     on_bisector = np.array([[0.0, 5.0, 2.0], [0.0, -4.0, 1.0]])  # equidistant to +-e1
     for pair in (Q[:2], Q[1::-1]):
-        assert_same_bytes(core._owners(on_bisector, pair, np.einsum("ij,ij->i", on_bisector,
-                                                                   on_bisector)),
-                          np.zeros(2, dtype=np.intp))
+        assert not core._owners(on_bisector, pair, None).any()
+        assert_owners_match(on_bisector, pair)
 
 
 def test_owners_large_offset_and_subnormal_scale():
@@ -750,7 +755,7 @@ def test_owners_large_offset_and_subnormal_scale():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_owners_rows_whose_scores_or_distances_overflow():
     # row 0: its one candidate (centroid 1) is at a distance that rounds to
-    # inf although its score plus ||x||^2 does not, so nearest keeps owner 0;
+    # inf although its score plus ||x||^2 does not, so the loop keeps owner 0;
     # rows 1-2: the score of centroid 0 overflows; row 3: ||x||^2 overflows
     X = np.array([[4.202465956147694e153, 0.0], [-1.3e154, 0.0], [-1.3e154, 1.0],
                   [1e200, 0.0], [1.0, 2.0]])
@@ -765,9 +770,7 @@ def test_owners_independent_of_chunk_size(elems, monkeypatch):
     rng = np.random.default_rng(24)
     X = rng.normal(size=(300, 5)) * rng.uniform(0.1, 10.0, size=(300, 1))
     Q = np.vstack([rng.normal(size=(6, 5)), X[[2, 9, 2]]])
-    want = nearest(SP2, X, Q)[0].astype(np.intp)
     monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
-    assert_same_bytes(core._owners(X, Q, np.einsum("ij,ij->i", X, X)), want)
     assert_owners_match(X, Q)
 
 

@@ -3,12 +3,14 @@
 Every module uses each name it imports, and `one2all.__all__` lists exactly
 the names `one2all/__init__.py` imports. The distance layer stays in one
 place: only `core` reads a space's distance matrix or names the kernels'
-block-size constants. Only `data` forks, at one call site. Every public entry
-point refuses a NaN or infinite parameter, and an eps too small to square.
-Every CLI option is read by its command.
+block-size constants. Every module-level private helper is named by some
+source code outside its own definition. Only `data` forks, at one call
+site. Every public entry point refuses a NaN or infinite parameter, and an
+eps too small to square. Every CLI option is read by its command.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,29 @@ def test_only_core_holds_distance_code():
         names, attrs = _mentions(_parse(name))
         assert "matrix" not in attrs, f"{name} reads MetricSpace.matrix"
         assert not BLOCK_SIZES & (names | attrs), f"{name} names a kernel block size"
+
+
+def _named(node: ast.AST):
+    """Every name mentioned under node: bare, as an attribute, or imported."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _private function or class that no source code outside
+    # its own definition names is dead; docstrings and comments do not count
+    trees = [_parse(name) for name in [*MODULES, "__init__.py"]]
+    named = Counter(name for tree in trees for name in _named(tree))
+    dead = [top.name for tree in trees for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and top.name.startswith("_") and not top.name.startswith("__")
+            and named[top.name] == Counter(_named(top))[top.name]]
+    assert dead == []
 
 
 def test_os_fork_is_called_in_one_place():

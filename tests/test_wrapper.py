@@ -370,6 +370,29 @@ def test_few_distinct_points_saturates_exactly(weighted):
     assert entry["estimate"] == entry["V_Q"]
 
 
+@pytest.mark.parametrize("eps", [1e8, 1e100, 1e160])  # 1e160: eps^2 overflows, so r = inf
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_an_empty_sample_grows_to_its_first_member(eps, weighted):
+    # at a large eps the starting r caps every p away; an empty round moves r
+    # to where the first point joins, where doubling alone ran out of rounds
+    # with the base clusterer never called
+    X = gen_gmm(3000, 4, 3, seed=1).points.points
+    w = np.random.default_rng(5).uniform(0.5, 2.0, size=len(X)) if weighted else None
+    calls = []
+
+    def base(space, points, weights, k, seed):
+        calls.append(len(points))
+        return wrapper.base_cluster(space, points, weights, k, seed)
+
+    _, rep = run(SP2, X, w, k=3, eps=eps, base=base, seed=0)
+    assert rep.certified and rep.rounds <= 10
+    assert rep.log[0]["action"] == "empty"
+    assert calls and min(calls) > 0 and rep.sample_size > 0
+    for before, after in zip(rep.log, rep.log[1:]):
+        if before["action"] == "empty":
+            assert after["r"] >= 2.0 * before["r"]
+
+
 def test_tiny_uniforms_sample_everything_first_round(monkeypatch):
     X, w = _mixture(9, n=800, d=3, k=3)
     _plant(monkeypatch, np.full(800, 1e-12))
